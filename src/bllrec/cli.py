@@ -66,7 +66,6 @@ class RunConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     threads: int = 0  # 0 means use available parallelism
     out_dir: str = "out"
-    seed: int = 42
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -155,8 +154,6 @@ def validate_config(raw: dict) -> RunConfig:
             raise UsageError("threads must be >= 0 (0 means auto)")
     if "out_dir" in raw:
         config.out_dir = str(raw["out_dir"])
-    if "seed" in raw:
-        config.seed = _to_int("seed", raw["seed"])
     return config
 
 
@@ -173,6 +170,14 @@ def read_config_file(path) -> dict[str, str]:
                 raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
             raw[key.strip()] = value.strip()
     return raw
+
+
+def _sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load(config: RunConfig) -> tuple[EventLog, int]:
@@ -465,7 +470,7 @@ def cmd_run(args) -> int:
             "config": {**asdict(config), "algorithms": list(config.algorithms)},
             "input": {
                 "path": str(config.events),
-                "sha256": hashlib.sha256(Path(config.events).read_bytes()).hexdigest(),
+                "sha256": _sha256_file(config.events),
             },
             "skipped_lines": skipped,
             "dropped_users": split.dropped,

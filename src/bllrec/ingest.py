@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DataError, ParseError, UsageError
 
 DEFAULT_SCHEMA_SPEC = "user=0,artist=1,ts=4"
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,16 @@ class UserHistory:
 
 
 def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple[str, str, int]:
-    """Extract (user key, artist key, timestamp) from one tab-separated record."""
+    """Extract (user key, artist key, timestamp) from one tab-separated record.
+
+    Files are decoded with ``errors="surrogateescape"``, so bytes that are
+    not UTF-8 arrive here as lone surrogates and are rejected.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"line {line_no}: not valid UTF-8", line_no) from None
     fields = line.rstrip("\n").rstrip("\r").split("\t")
     if len(fields) < schema.min_columns:
         raise ParseError(
@@ -153,19 +164,27 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
         raise ParseError(f"line {line_no}: non-integer timestamp {raw_ts!r}", line_no) from None
     if ts < 0:
         raise ParseError(f"line {line_no}: negative timestamp {ts}", line_no)
+    if ts > INT64_MAX:
+        raise ParseError(f"line {line_no}: timestamp {ts} exceeds the int64 range", line_no)
     return user_key, artist_key, ts
 
 
-def _open_source(source) -> io.TextIOBase:
+@contextmanager
+def _open_text(source):
+    """A text handle on a path, a text stream or a binary stream; closes only what it opened."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
-    if isinstance(source, io.TextIOBase):
-        return source
-    # Binary file-like object.
-    return io.TextIOWrapper(source, encoding="utf-8")
+        opener = gzip.open if path.suffix == ".gz" else open
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()  # the caller owns the binary stream; closing the wrapper would close it
 
 
 def load_events(source, schema: ColumnSchema | None = None, on_error: str = "skip") -> tuple[EventLog, int]:
@@ -187,8 +206,7 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     timestamps: list[int] = []
     skipped = 0
 
-    handle = _open_source(source)
-    try:
+    with _open_text(source) as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
                 user_key, artist_key, ts = parse_event_line(line, schema, line_no)
@@ -200,9 +218,6 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
             users.append(id_maps.users.intern(user_key))
             artists.append(id_maps.artists.intern(artist_key))
             timestamps.append(ts)
-    finally:
-        if handle is not source:
-            handle.close()
 
     log = EventLog(
         users=np.asarray(users, dtype=np.int32),
@@ -260,7 +275,3 @@ def write_events_tsv(log: EventLog, path) -> None:
         artist_key = log.id_maps.artists.key_of
         for u, a, t in zip(log.users.tolist(), log.artists.tolist(), log.timestamps.tolist()):
             handle.write(f"{user_key(u)}\t{artist_key(a)}\t0\t0\t{t}\n")
-
-
-def total_events(histories: dict[int, UserHistory]) -> int:
-    return sum(h.n_events for h in histories.values())

@@ -111,7 +111,7 @@ def recommend_bll(train: UserHistory, params: BllParams, k: int) -> Recommendati
     local = np.searchsorted(uniq, train.artists).astype(np.int64)
     bases = (ref - train.timestamps + 1).astype(np.float64)
     sums = _kernels.bll_sums(local, bases, len(uniq), params.d)
-    # libm log keeps scores identical across backends and oracles.
+    # libm log keeps scores bit-identical to the oracles.
     scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
     order = np.lexsort((uniq, -scores))[:k]
     return RecommendationList(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,8 +47,9 @@ class TestValidateConfig:
             validate_config({"group_size": 0})
 
     def test_unknown_key(self):
-        with pytest.raises(UsageError, match="unknown config key"):
-            validate_config({"grop_size": 3})
+        for key in ("grop_size", "seed"):
+            with pytest.raises(UsageError, match="unknown config key"):
+                validate_config({key: 3})
 
     def test_algorithm_subset(self):
         assert validate_config({"algorithms": "bll,cf"}).algorithms == ("bll", "cf")
@@ -137,7 +139,7 @@ class TestRunPipeline:
         assert len(results) == 1 + 5 * 3 * 10  # algorithms x groups x k
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["group_size"] == 20
-        assert manifest["input"]["sha256"]
+        assert manifest["input"]["sha256"] == hashlib.sha256(synth_tsv.read_bytes()).hexdigest()
         assert manifest["version"]
 
     def test_runs_are_byte_identical(self, synth_tsv, tmp_path):
@@ -181,6 +183,17 @@ class TestRunPipeline:
         code = main(["ingest", "--events", str(bad), "--on-error", "fail"])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_overflow_and_undecodable_lines(self, tmp_path, capsys):
+        good = b"".join(f"u{u}\ta{a}\t0\t0\t{100 + 10 * a}\n".encode() for u in range(3) for a in range(3))
+        for bad in (b"u0\ta9\t0\t0\t99999999999999999999\n", b"u0\ta\xff\xfe\t0\t0\t150\n"):
+            path = tmp_path / "bad.tsv"
+            path.write_bytes(good + bad)
+            base = ["run", "--events", str(path), "--group-size", "1", "--algo", "pop", "--out-dir", str(tmp_path / "o")]
+            assert main(base + ["--on-error", "skip"]) == 0
+            assert json.loads((tmp_path / "o" / "manifest.json").read_text())["skipped_lines"] == 1
+            assert main(base + ["--on-error", "fail"]) == 2
+            assert "line 10" in capsys.readouterr().err
 
     def test_too_small_dataset_is_data_error(self, synth_tsv, tmp_path, capsys):
         # default group size 1000 cannot be satisfied by 60 users

@@ -3,9 +3,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bllrec.errors import ParseError, UsageError
+from bllrec.errors import DataError, ParseError, UsageError
 from bllrec.ingest import (
+    INT64_MAX,
     ColumnSchema,
     build_user_histories,
     load_events,
@@ -41,6 +44,19 @@ class TestParseEventLine:
 
     def test_extra_columns_ignored(self):
         assert parse_event_line("u\ta\t3\tjunk\tmore", SIMPLE_SCHEMA) == ("u", "a", 3)
+
+    def test_timestamp_beyond_int64(self):
+        assert parse_event_line(f"u\ta\t{INT64_MAX}", SIMPLE_SCHEMA)[2] == INT64_MAX
+        with pytest.raises(ParseError, match="int64") as info:
+            parse_event_line(f"u\ta\t{INT64_MAX + 1}", SIMPLE_SCHEMA, line_no=4)
+        assert info.value.line_no == 4
+
+    def test_undecodable_bytes(self):
+        assert parse_event_line("u\tcafé\t3", SIMPLE_SCHEMA) == ("u", "café", 3)
+        line = b"u\ta\xff\xfe\t3".decode("utf-8", "surrogateescape")
+        with pytest.raises(ParseError, match="UTF-8") as info:
+            parse_event_line(line, SIMPLE_SCHEMA, line_no=5)
+        assert info.value.line_no == 5
 
 
 class TestColumnSchema:
@@ -97,6 +113,49 @@ class TestLoadEvents:
     def test_bad_policy(self):
         with pytest.raises(UsageError):
             load_events(io.StringIO(""), SIMPLE_SCHEMA, on_error="explode")
+
+    def test_binary_stream_left_open(self):
+        stream = io.BytesIO(b"u1\ta1\t10\n")
+        log, _ = load_events(stream, SIMPLE_SCHEMA)
+        assert len(log) == 1
+        assert not stream.closed
+
+    @pytest.mark.parametrize("bad", [b"u1\ta1\t99999999999999999999\n", b"u1\ta\xff\xfe\t11\n"])
+    def test_overflow_and_undecodable_lines(self, tmp_path, bad):
+        data = b"u1\ta1\t10\n" + bad + b"u2\ta2\t12\n"
+        plain, gz = tmp_path / "events.tsv", tmp_path / "events.tsv.gz"
+        plain.write_bytes(data)
+        gz.write_bytes(gzip.compress(data))
+        for source in (plain, gz, io.BytesIO(data)):
+            log, skipped = load_events(source, SIMPLE_SCHEMA, on_error="skip")
+            assert (log.timestamps.tolist(), skipped) == ([10, 12], 1)
+        with pytest.raises(ParseError) as info:
+            load_events(io.BytesIO(data), SIMPLE_SCHEMA, on_error="fail")
+        assert info.value.line_no == 2
+
+
+_FIELD = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([b"u1", b"a\xff", b"\xc3\xa9", b"0", b"-1", b"99999999999999999999", str(INT64_MAX).encode()]),
+)
+_LINE = st.one_of(st.binary(max_size=30), st.lists(_FIELD, min_size=1, max_size=5).map(b"\t".join))
+_DATA = st.lists(_LINE, max_size=12).map(b"\n".join)
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_DATA, on_error=st.sampled_from(["skip", "fail"]))
+    def test_load_or_data_error(self, data, on_error):
+        try:
+            log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, on_error=on_error)
+        except DataError:  # ParseError is a DataError
+            assert on_error == "fail"
+            return
+        n_lines = len(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape").readlines())
+        assert len(log) + skipped == n_lines
+        for ids in (log.id_maps.users, log.id_maps.artists):
+            for i in range(len(ids)):
+                ids.key_of(i).encode("utf-8")
 
 
 class TestBuildUserHistories:

@@ -1,81 +1,48 @@
 import numpy as np
-import pytest
 
-from bllrec._kernels import available_backends
-
-BACKENDS = available_backends()
-
-pytestmark = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled kernel extension not built"
-)
+from bllrec import _kernels
 
 
-def _random_bll_case(rng):
-    n_events = int(rng.integers(1, 500))
-    n_local = int(rng.integers(1, 40))
-    local_idx = rng.integers(0, n_local, n_events).astype(np.int64)
-    bases = rng.integers(1, 10**10, n_events).astype(np.float64)
-    d = float(rng.uniform(0.01, 4.0))
-    return local_idx, bases, n_local, d
+def _brute_force_overlaps(query, user_sets):
+    """Per user, the size of the intersection of its artist set with the query."""
+    query = set(query.tolist())
+    return [len(query & s) for s in user_sets]
 
 
-def _random_overlap_case(rng):
-    n_artists = int(rng.integers(1, 60))
-    n_users = int(rng.integers(1, 25))
-    counts = rng.integers(0, 6, n_artists)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    members = rng.integers(0, n_users, int(indptr[-1])).astype(np.int64)
-    query = np.unique(rng.integers(0, n_artists, int(rng.integers(1, n_artists + 1)))).astype(np.int64)
-    return query, indptr, members, n_users
-
-
-class TestBackendParity:
-    def test_bll_sums_bit_identical(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            local_idx, bases, n_local, d = _random_bll_case(rng)
-            pure = BACKENDS["pure"].bll_sums(local_idx, bases, n_local, d)
-            compiled = BACKENDS["compiled"].bll_sums(local_idx, bases, n_local, d)
-            assert pure.dtype == compiled.dtype == np.float64
-            assert (pure == compiled).all()  # bitwise, not approx
-
-    def test_overlap_counts_identical(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            query, indptr, members, n_users = _random_overlap_case(rng)
-            pure = BACKENDS["pure"].overlap_counts(query, indptr, members, n_users)
-            compiled = BACKENDS["compiled"].overlap_counts(query, indptr, members, n_users)
-            assert np.array_equal(pure, compiled)
-
-    def test_forced_fallback_env(self, monkeypatch):
-        # selection happens at import; verify the switch logic directly
-        import importlib
-
-        import bllrec._kernels as kernels
-
-        monkeypatch.setenv("BLLREC_PURE_PYTHON", "1")
-        reloaded = importlib.reload(kernels)
-        try:
-            assert reloaded.BACKEND_NAME == "pure"
-        finally:
-            monkeypatch.delenv("BLLREC_PURE_PYTHON")
-            importlib.reload(kernels)
+def _csr_from_sets(user_sets, n_artists):
+    """Inverted index artist -> user rows, built with plain lists."""
+    indptr, members = [0], []
+    for artist in range(n_artists):
+        members.extend(row for row, s in enumerate(user_sets) if artist in s)
+        indptr.append(len(members))
+    return np.array(indptr, dtype=np.int64), np.array(members, dtype=np.int64)
 
 
 class TestKernelSemantics:
     def test_bll_sums_accumulates_in_event_order(self):
         local_idx = np.array([0, 1, 0], dtype=np.int64)
         bases = np.array([1.0, 4.0, 4.0], dtype=np.float64)
-        for backend in BACKENDS.values():
-            sums = backend.bll_sums(local_idx, bases, 2, 0.5)
-            assert sums[0] == 1.0 + 4.0**-0.5
-            assert sums[1] == 4.0**-0.5
+        sums = _kernels.bll_sums(local_idx, bases, 2, 0.5)
+        assert sums[0] == 1.0 + 4.0**-0.5
+        assert sums[1] == 4.0**-0.5
 
     def test_overlap_counts_small_case(self):
         # artists 0..2; artist 0 -> users {0,1}, artist 1 -> {1}, artist 2 -> {}
         indptr = np.array([0, 2, 3, 3], dtype=np.int64)
         members = np.array([0, 1, 1], dtype=np.int64)
         query = np.array([0, 1], dtype=np.int64)
-        for backend in BACKENDS.values():
-            counts = backend.overlap_counts(query, indptr, members, 2)
-            assert counts.tolist() == [1, 2]
+        counts = _kernels.overlap_counts(query, indptr, members, 2)
+        assert counts.tolist() == [1, 2]
+
+    def test_overlap_counts_match_set_intersections(self):
+        rng = np.random.default_rng(2)
+        for case in range(200):
+            n_artists = int(rng.integers(1, 60))
+            n_users = int(rng.integers(1, 25))
+            user_sets = [set(rng.integers(0, n_artists, int(rng.integers(0, 12))).tolist()) for _ in range(n_users)]
+            indptr, members = _csr_from_sets(user_sets, n_artists)
+            n_query = 0 if case % 10 == 0 else int(rng.integers(1, n_artists + 1))
+            query = np.unique(rng.integers(0, n_artists, n_query)).astype(np.int64)
+            counts = _kernels.overlap_counts(query, indptr, members, n_users)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == _brute_force_overlaps(query, user_sets)
