@@ -11,18 +11,22 @@ import numpy as np
 BACKEND_NAME = "numpy"
 
 
-def bll_sums(local_idx: np.ndarray, bases: np.ndarray, n_out: int, d: float) -> np.ndarray:
-    """Accumulate bases[j] ** (-d) into out[local_idx[j]] in event order.
+def bll_sums(local_idx: np.ndarray, timestamps: np.ndarray, ref: int, n_out: int, d: float) -> np.ndarray:
+    """Accumulate (ref - timestamps[j] + 1) ** (-d) into out[local_idx[j]] in event order.
 
-    Each term is Python's float ``**``, which calls libm ``pow``, and the
-    terms are added one by one in event order. ``np.power`` differs from
-    libm by 1 ulp on about 5% of elements, so a vectorised form would break
-    bit-identity with the decimal and brute-force oracles.
+    The base is computed in Python ints, so it cannot overflow int64 however
+    far apart ``ref`` and a timestamp lie; ``int ** float`` rounds it to the
+    nearest float, as ``float()`` would. Each term is Python's float ``**``,
+    which calls libm ``pow``, and the terms are added one by one in event
+    order. ``np.power`` differs from libm by 1 ulp on about 5% of elements,
+    so a vectorised form would break bit-identity with the decimal and
+    brute-force oracles.
     """
     out = [0.0] * n_out
     exponent = -d
-    for i, base in zip(local_idx.tolist(), bases.tolist()):
-        out[i] += base ** exponent
+    shift = int(ref) + 1
+    for i, t in zip(local_idx.tolist(), timestamps.tolist()):
+        out[i] += (shift - t) ** exponent
     return np.asarray(out, dtype=np.float64)
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -64,11 +64,8 @@ class RunConfig:
     bll_d: float = 0.5
     cf_neighbors: int = 20
     algorithms: tuple[str, ...] = ALGORITHMS
-    threads: int = 0  # 0 means use available parallelism
+    threads: int = 1  # evaluation is serial; the key is accepted for old configs
     out_dir: str = "out"
-
-    def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def _to_int(key, value):
@@ -150,8 +147,8 @@ def validate_config(raw: dict) -> RunConfig:
         config.algorithms = parse_algorithms(raw["algorithms"])
     if "threads" in raw:
         config.threads = _to_int("threads", raw["threads"])
-        if config.threads < 0:
-            raise UsageError("threads must be >= 0 (0 means auto)")
+        if config.threads != 1:
+            raise UsageError(f"threads must be 1 (evaluation runs on one thread), got {config.threads}")
     if "out_dir" in raw:
         config.out_dir = str(raw["out_dir"])
     return config
@@ -252,7 +249,6 @@ def _evaluate_groups(split, named_groups, config: RunConfig, n_artists: int):
         cf_params=CfParams(neighborhood_size=config.cf_neighbors),
         n_artists=n_artists,
     )
-    threads = config.effective_threads()
     reports = []
     for algorithm in config.algorithms:
         for group_name, members in named_groups.items():
@@ -264,7 +260,6 @@ def _evaluate_groups(split, named_groups, config: RunConfig, n_artists: int):
                     config.k_max,
                     algorithm=algorithm,
                     group=group_name,
-                    threads=threads,
                 )
             )
     return reports
@@ -275,14 +270,15 @@ def _evaluate_groups(split, named_groups, config: RunConfig, n_artists: int):
 # --------------------------------------------------------------------------
 
 
-def _config_from_args(args, keys) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
+    """Config file values (``run`` only), overridden by every config flag the subcommand set."""
     raw = {}
     if getattr(args, "config", None):
         raw.update(read_config_file(args.config))
-    for key in keys:
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            raw[key] = value
+            raw[f.name] = value
     config = validate_config(raw)
     if "out_dir" not in raw and os.environ.get("BLLREC_OUT_DIR"):
         config.out_dir = os.environ["BLLREC_OUT_DIR"]
@@ -290,7 +286,7 @@ def _config_from_args(args, keys) -> RunConfig:
 
 
 def cmd_ingest(args) -> int:
-    config = _config_from_args(args, ("events", "schema", "on_error"))
+    config = _config_from_args(args)
     log, skipped = _load(config)
     print(f"events={len(log)}")
     print(f"users={len(log.id_maps.users)}")
@@ -300,7 +296,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    config = _config_from_args(args, ("events", "schema", "on_error", "group_size", "min_events"))
+    config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
     scores = score_users(histories, min_events=config.min_events)
@@ -311,7 +307,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = _config_from_args(args, ("events", "schema", "on_error"))
+    config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
     named_groups, scores = _read_groups_csv(args.groups, log.id_maps)
@@ -324,7 +320,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = _config_from_args(args, ("events", "schema", "on_error", "fraction", "min_events"))
+    config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
     eligible = [u for u, h in histories.items() if h.n_events >= config.min_events]
@@ -351,21 +347,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(
-        args,
-        (
-            "events",
-            "schema",
-            "on_error",
-            "min_events",
-            "fraction",
-            "k_max",
-            "bll_d",
-            "cf_neighbors",
-            "algorithms",
-            "threads",
-        ),
-    )
+    config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
     named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
@@ -410,23 +392,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(
-        args,
-        (
-            "events",
-            "schema",
-            "on_error",
-            "group_size",
-            "min_events",
-            "fraction",
-            "k_max",
-            "bll_d",
-            "cf_neighbors",
-            "algorithms",
-            "threads",
-            "out_dir",
-        ),
-    )
+    config = _config_from_args(args)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -544,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", dest="k_max", type=int, help="largest list length k (default 20)")
     p.add_argument("--bll-d", dest="bll_d", type=float, help="decay exponent (default 0.5)")
     p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int, help="neighborhood size (default 20)")
-    p.add_argument("--threads", type=int, help="per-user parallelism (default: available cores)")
     p.add_argument("--out", default="results.csv", help="output CSV")
     p.add_argument("--plot-data", dest="plot_data", help="directory for per-curve recall,precision files")
     p.set_defaults(func=cmd_eval)
@@ -571,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", dest="k_max", type=int)
     p.add_argument("--bll-d", dest="bll_d", type=float)
     p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="must be 1; evaluation runs on one thread")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
     p.add_argument("--plot-data", dest="plot_data", action="store_true",
                    help="also write per-curve files under <out-dir>/curves")

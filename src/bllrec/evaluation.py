@@ -10,7 +10,6 @@ consulted exclusively for hit judging.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,15 +73,14 @@ def evaluate_algorithm(
     k_max: int,
     algorithm: str = "",
     group: str = "",
-    threads: int = 1,
 ) -> EvalReport:
     """Run one recommender over a group and aggregate its metrics.
 
     ``recommend_fn(user, train_history, k_max)`` must return a
     RecommendationList built from training data only. Users whose
     recommender returns an empty list are counted with zero hits, not
-    skipped. Per-user work is independent, so it parallelizes over
-    ``threads``; aggregation order is fixed by sorted user id either way.
+    skipped. Users are evaluated one after another in sorted id order,
+    which fixes the aggregation order.
     """
     evaluable = [u for u in sorted(users) if u in split.per_user]
     if not evaluable:
@@ -98,11 +96,7 @@ def evaluate_algorithm(
             test_set_size=len(test_artists),
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_user, evaluable))
-    else:
-        results = [one_user(u) for u in evaluable]
+    results = [one_user(u) for u in evaluable]
 
     return EvalReport(
         algorithm=algorithm,

@@ -3,8 +3,7 @@
 Parses newline-delimited, tab-separated listening events (LFM-1b column
 layout by default), assigns dense integer ids to users and artists in
 first-seen order, and builds per-user chronologically sorted histories.
-All produced structures are immutable after loading and safe to share
-across worker threads.
+All produced arrays are read-only after loading.
 """
 
 from __future__ import annotations
@@ -191,8 +190,9 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     """Load an event log from a path or file-like object.
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
-    ``"fail"`` (abort on the first malformed line). Ids are densified in
-    first-seen order, so identical input bytes always produce identical
+    ``"fail"`` (abort on the first malformed line). A ``.gz`` input that
+    ends mid-stream is a DataError under either policy. Ids are densified
+    in first-seen order, so identical input bytes always produce identical
     logs. Returns ``(log, skipped_line_count)``.
     """
     if schema is None:
@@ -205,19 +205,23 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     artists: list[int] = []
     timestamps: list[int] = []
     skipped = 0
+    line_no = 0
 
     with _open_text(source) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                user_key, artist_key, ts = parse_event_line(line, schema, line_no)
-            except ParseError:
-                if on_error == "fail":
-                    raise
-                skipped += 1
-                continue
-            users.append(id_maps.users.intern(user_key))
-            artists.append(id_maps.artists.intern(artist_key))
-            timestamps.append(ts)
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                try:
+                    user_key, artist_key, ts = parse_event_line(line, schema, line_no)
+                except ParseError:
+                    if on_error == "fail":
+                        raise
+                    skipped += 1
+                    continue
+                users.append(id_maps.users.intern(user_key))
+                artists.append(id_maps.artists.intern(artist_key))
+                timestamps.append(ts)
+        except EOFError:  # raised by the gzip reader when the stream is cut short
+            raise DataError(f"compressed input is truncated after line {line_no}") from None
 
     log = EventLog(
         users=np.asarray(users, dtype=np.int32),

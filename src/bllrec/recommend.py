@@ -47,13 +47,10 @@ class BllParams:
 @dataclass(frozen=True)
 class CfParams:
     neighborhood_size: int = 20
-    similarity: str = "cosine-binary"
 
     def __post_init__(self):
         if self.neighborhood_size < 1:
             raise DataError("neighborhood_size must be >= 1")
-        if self.similarity != "cosine-binary":
-            raise DataError(f"unsupported similarity {self.similarity!r}")
 
 
 @dataclass
@@ -109,8 +106,7 @@ def recommend_bll(train: UserHistory, params: BllParams, k: int) -> Recommendati
     ref = _resolve_ref_time(train, params)
     uniq = np.unique(train.artists)
     local = np.searchsorted(uniq, train.artists).astype(np.int64)
-    bases = (ref - train.timestamps + 1).astype(np.float64)
-    sums = _kernels.bll_sums(local, bases, len(uniq), params.d)
+    sums = _kernels.bll_sums(local, train.timestamps, ref, len(uniq), params.d)
     # libm log keeps scores bit-identical to the oracles.
     scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
     order = np.lexsort((uniq, -scores))[:k]
@@ -171,8 +167,8 @@ class CfIndex:
     """Read-only neighbor-search index over users' training artist sets.
 
     Holds one sorted distinct-artist array per user plus a CSR inverted
-    index (artist -> user rows) for overlap counting. Safe to share
-    across threads once built.
+    index (artist -> user rows) for overlap counting. Not modified
+    after it is built.
     """
 
     def __init__(self, train_histories: dict[int, UserHistory], n_artists: int | None = None):

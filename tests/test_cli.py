@@ -203,18 +203,30 @@ class TestRunPipeline:
         assert "profile" in err
         assert not (tmp_path / "o2" / "results.csv").exists()  # partial outputs removed
 
-    def test_threads_do_not_change_results(self, synth_tsv, tmp_path):
+    def test_threads_do_not_change_results(self, synth_tsv, tmp_path, capsys):
+        base = ["run", "--events", str(synth_tsv), "--group-size", "20", "--k-max", "10"]
         outputs = []
-        for threads in ("1", "8"):
-            out_dir = tmp_path / f"t{threads}"
-            assert main(
-                [
-                    "run", "--events", str(synth_tsv), "--group-size", "20",
-                    "--k-max", "10", "--threads", threads, "--out-dir", str(out_dir),
-                ]
-            ) == 0
+        for extra in ([], ["--threads", "1"]):
+            out_dir = tmp_path / f"t{len(extra)}"
+            assert main(base + extra + ["--out-dir", str(out_dir)]) == 0
             outputs.append((out_dir / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+        capsys.readouterr()
+        config = tmp_path / "threads.conf"
+        config.write_text("threads=8\n")
+        for extra in (["--threads", "0"], ["--threads", "2"], ["--config", str(config)]):
+            assert main(base + extra + ["--out-dir", str(tmp_path / "bad")]) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "one thread" in err
+
+    def test_bll_with_timestamps_at_int64_max(self, tmp_path):
+        top = 9223372036854775807
+        path = tmp_path / "edge.tsv"
+        lines = [f"u0\ta{a}\t0\t0\t{t}\n" for a, t in ((0, 0), (1, top), (1, top))]
+        lines += [f"u{u}\ta{a}\t0\t0\t{100 + 10 * a}\n" for u in (1, 2) for a in range(3)]
+        path.write_text("".join(lines))
+        code = main(["run", "--events", str(path), "--group-size", "1", "--algo", "bll", "--out-dir", str(tmp_path / "o")])
+        assert code == 0
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

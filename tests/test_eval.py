@@ -103,7 +103,7 @@ class TestEvaluateAlgorithm:
         report = evaluate_algorithm(split, recommenders["top"], split.per_user, 2, "top", "ALL")
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(13)
         events = [
             (f"u{rng.integers(0, 8)}", f"a{rng.integers(0, 15)}", int(rng.integers(0, 10_000)))
@@ -114,11 +114,11 @@ class TestEvaluateAlgorithm:
         trains = {u: s.train for u, s in split.per_user.items()}
         recommenders = build_recommenders(trains)
         for name, fn in recommenders.items():
-            sequential = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL", threads=1)
-            threaded = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL", threads=8)
-            assert sequential.points == threaded.points
-            assert [r.hits_at_k.tolist() for r in sequential.user_results] == (
-                [r.hits_at_k.tolist() for r in threaded.user_results]
+            first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
+            second = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
+            assert first.points == second.points
+            assert [r.hits_at_k.tolist() for r in first.user_results] == (
+                [r.hits_at_k.tolist() for r in second.user_results]
             )
 
     def test_recommenders_never_see_test_events(self):

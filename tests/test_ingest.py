@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bllrec.cli import main
 from bllrec.errors import DataError, ParseError, UsageError
 from bllrec.ingest import (
     INT64_MAX,
@@ -15,10 +16,22 @@ from bllrec.ingest import (
     parse_event_line,
     write_events_tsv,
 )
+from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events
 
 LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
+
+
+@pytest.fixture
+def truncated_gz(tmp_path):
+    """A gzip-compressed synthetic log with the second half of its bytes cut off."""
+    plain = tmp_path / "events.tsv"
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=20, n_artists=50, events_per_user=(20, 40))), plain)
+    compressed = gzip.compress(plain.read_bytes())
+    path = tmp_path / "events.tsv.gz"
+    path.write_bytes(compressed[: len(compressed) // 2])
+    return path
 
 
 class TestParseEventLine:
@@ -109,6 +122,15 @@ class TestLoadEvents:
             handle.write("u1\ta1\t10\nu1\ta2\t11\n")
         log, skipped = load_events(path, SIMPLE_SCHEMA)
         assert len(log) == 2 and skipped == 0
+
+    @pytest.mark.parametrize("on_error", ["skip", "fail"])
+    def test_truncated_gzip_is_data_error(self, truncated_gz, on_error):
+        with pytest.raises(DataError, match=r"truncated after line [1-9]"):
+            load_events(truncated_gz, LFM_SCHEMA, on_error=on_error)
+
+    def test_truncated_gzip_exits_with_data_error(self, truncated_gz, capsys):
+        assert main(["ingest", "--events", str(truncated_gz)]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_bad_policy(self):
         with pytest.raises(UsageError):

@@ -21,8 +21,8 @@ def _csr_from_sets(user_sets, n_artists):
 class TestKernelSemantics:
     def test_bll_sums_accumulates_in_event_order(self):
         local_idx = np.array([0, 1, 0], dtype=np.int64)
-        bases = np.array([1.0, 4.0, 4.0], dtype=np.float64)
-        sums = _kernels.bll_sums(local_idx, bases, 2, 0.5)
+        timestamps = np.array([10, 7, 7], dtype=np.int64)  # bases 1, 4, 4 at ref 10
+        sums = _kernels.bll_sums(local_idx, timestamps, 10, 2, 0.5)
         assert sums[0] == 1.0 + 4.0**-0.5
         assert sums[1] == 4.0**-0.5
 

@@ -20,7 +20,11 @@ from bllrec.recommend import (
     user_similarity,
 )
 
+from bllrec.synth import brute_force_ranking
+
 from conftest import histories_from_events
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def _history(events):
@@ -102,6 +106,21 @@ class TestRecommendBll:
         train = _history([("u", "a", 100), ("u", "a", 200)])
         with pytest.raises(DataError):
             recommend_bll(train, BllParams(ref_time=150), 1)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            # ref is INT64_MAX + 1, which does not fit int64
+            [("u", "a", INT64_MAX), ("u", "b", 5), ("u", "a", INT64_MAX)],
+            # ref - 0 + 1 is 2**63, which wraps in int64
+            [("u", "a", 0), ("u", "b", INT64_MAX - 1), ("u", "a", 3)],
+        ],
+    )
+    def test_timestamps_at_int64_extremes_match_oracle(self, events):
+        trains = histories_from_events(events)
+        (user,) = trains
+        expected = brute_force_ranking("bll", trains, user, 5)
+        assert recommend_bll(trains[user], BllParams(), 5).ranked == expected.ranked
 
     def test_low_decay_converges_to_play_counts(self):
         # with d -> 0+ every term -> 1, so activation -> ln(count)
