@@ -42,11 +42,9 @@ from .recommend import (
     build_recommenders,
     global_train_counts,
     recommend_bll,
-    recommend_cf,
     recommend_pop,
     recommend_time,
     recommend_top,
-    user_similarity,
 )
 from .evaluation import (
     EvalReport,

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -154,18 +156,27 @@ def validate_config(raw: dict) -> RunConfig:
     return config
 
 
+def _read_utf8(path, error: type[BllrecError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` naming the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line_no}: not valid UTF-8") from None
+
+
 def read_config_file(path) -> dict[str, str]:
     """Plain-text key=value config; '#' starts a comment."""
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
-            raw[key.strip()] = value.strip()
+    for line_no, line in enumerate(_read_utf8(path, UsageError).splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -196,20 +207,28 @@ def _write_groups_csv(path, assignment, scores, id_maps) -> None:
 def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, float]]:
     groups: dict[str, list[int]] = {name: [] for name in GROUP_NAMES}
     scores: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"user_key", "score", "group"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: expected columns user_key,score,group")
-        for row in reader:
-            key = row["user_key"]
-            if key not in id_maps.users:
-                raise DataError(f"{path}: user key {key!r} not present in the events file")
-            if row["group"] not in groups:
-                raise DataError(f"{path}: unknown group {row['group']!r}")
-            user = id_maps.users.id_of(key)
-            groups[row["group"]].append(user)
-            scores[user] = float(row["score"])
+    reader = csv.DictReader(io.StringIO(_read_utf8(path, DataError), newline=""))
+    required = {"user_key", "score", "group"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise DataError(f"{path}: expected columns user_key,score,group")
+    for row in reader:
+        where = f"{path} line {reader.line_num}"
+        key = row["user_key"]
+        if key not in id_maps.users:
+            raise DataError(f"{where}: user key {key!r} not present in the events file")
+        if row["group"] not in groups:
+            raise DataError(f"{where}: unknown group {row['group']!r}")
+        try:
+            score = float(row["score"])
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: score {row['score']!r} is not a number") from None
+        if not math.isfinite(score):
+            raise DataError(f"{where}: score {row['score']!r} is not finite")
+        user = id_maps.users.id_of(key)
+        if user in scores:
+            raise DataError(f"{where}: user key {key!r} is listed twice")
+        groups[row["group"]].append(user)
+        scores[user] = score
     if not scores:
         raise DataError(f"{path}: no group rows found")
     return groups, scores
@@ -240,14 +259,13 @@ def _write_stats_csv(path_or_handle, named_groups, histories, scores) -> None:
             handle.close()
 
 
-def _evaluate_groups(split, named_groups, config: RunConfig, n_artists: int):
+def _evaluate_groups(split, named_groups, config: RunConfig):
     train_histories = {u: s.train for u, s in split.per_user.items()}
     recommenders = build_recommenders(
         train_histories,
         algorithms=config.algorithms,
         bll_params=BllParams(d=config.bll_d),
         cf_params=CfParams(neighborhood_size=config.cf_neighbors),
-        n_artists=n_artists,
     )
     reports = []
     for algorithm in config.algorithms:
@@ -353,7 +371,7 @@ def cmd_eval(args) -> int:
     named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
     eligible = [u for u, h in histories.items() if h.n_events >= config.min_events]
     split = split_histories(histories, config.fraction, users=eligible)
-    reports = _evaluate_groups(split, named_groups, config, len(log.id_maps.artists))
+    reports = _evaluate_groups(split, named_groups, config)
     emit_report(reports, args.out)
     print(f"wrote {args.out}")
     if args.plot_data:
@@ -412,7 +430,7 @@ def cmd_run(args) -> int:
             print(f"group={name} test_events={split.test_event_count(members)}")
 
         stage = "evaluate"
-        reports = _evaluate_groups(split, named_groups, config, len(log.id_maps.artists))
+        reports = _evaluate_groups(split, named_groups, config)
 
         stage = "report"
         groups_path = out_dir / "groups.csv"

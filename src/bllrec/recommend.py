@@ -146,32 +146,26 @@ def global_train_counts(train_histories: dict[int, UserHistory]) -> dict[int, in
     return totals
 
 
-def recommend_top(global_counts: dict[int, int], k: int, user: int = -1) -> RecommendationList:
-    """Rank artists by total play count over all users; identical for every user."""
+def recommend_top(global_counts: dict[int, int], k: int) -> RecommendationList:
+    """Rank artists by total play count over all users; ties by artist id.
+
+    The list is the same for every user, so its ``user`` is -1.
+    """
     if not global_counts:
         raise DataError("cannot rank: global play counts are empty")
     order = sorted(global_counts, key=lambda a: (-global_counts[a], a))[:k]
-    return RecommendationList(user, [(a, float(global_counts[a])) for a in order], k)
-
-
-def user_similarity(u_artists, v_artists) -> float:
-    """Cosine similarity over binary artist-incidence vectors."""
-    u_set = set(u_artists)
-    v_set = set(v_artists)
-    if not u_set or not v_set:
-        raise DataError("user_similarity needs two non-empty artist sets")
-    return len(u_set & v_set) / math.sqrt(len(u_set) * len(v_set))
+    return RecommendationList(-1, [(a, float(global_counts[a])) for a in order], k)
 
 
 class CfIndex:
     """Read-only neighbor-search index over users' training artist sets.
 
     Holds one sorted distinct-artist array per user plus a CSR inverted
-    index (artist -> user rows) for overlap counting. Not modified
-    after it is built.
+    index (artist -> user rows) for overlap counting, sized by the
+    largest artist id in the index. Not modified after it is built.
     """
 
-    def __init__(self, train_histories: dict[int, UserHistory], n_artists: int | None = None):
+    def __init__(self, train_histories: dict[int, UserHistory]):
         if not train_histories:
             raise DataError("CfIndex needs at least one training history")
         self.user_ids = np.array(sorted(train_histories), dtype=np.int64)
@@ -183,13 +177,8 @@ class CfIndex:
         if self.set_sizes.min() == 0:
             raise DataError("CfIndex: every user needs a non-empty training history")
         max_artist = max(int(s[-1]) for s in self.artist_sets)
-        if n_artists is None:
-            n_artists = max_artist + 1
-        elif n_artists < max_artist + 1:
-            raise DataError(f"n_artists {n_artists} is smaller than max artist id {max_artist} + 1")
-        self.n_artists = n_artists
 
-        counts = np.zeros(n_artists + 1, dtype=np.int64)
+        counts = np.zeros(max_artist + 2, dtype=np.int64)
         for s in self.artist_sets:
             counts[s + 1] += 1
         self.indptr = np.cumsum(counts)
@@ -204,9 +193,11 @@ class CfIndex:
         """Score artists by summed similarity of the neighbors that played them.
 
         Neighbors are the ``neighborhood_size`` most similar users with
-        positive similarity (ties by ascending user id). The user's own
-        artists are not filtered out: the temporal test sets are
-        dominated by re-listens. An empty list signals a cold user.
+        positive similarity (ties by ascending user id). Only the
+        neighbors' artists are scored, so the cost does not grow with the
+        catalogue. The user's own artists are not filtered out: the
+        temporal test sets are dominated by re-listens. An empty list
+        signals a cold user.
         """
         row = self._row_of.get(user)
         if row is None:
@@ -220,33 +211,13 @@ class CfIndex:
         sims = overlaps[candidates] / np.sqrt(float(len(query)) * self.set_sizes[candidates])
         order = np.lexsort((self.user_ids[candidates], -sims))[: params.neighborhood_size]
         neighbor_rows = candidates[order]
-        neighbor_sims = sims[order]
 
-        scores = np.zeros(self.n_artists)
-        for nrow, sim in zip(neighbor_rows.tolist(), neighbor_sims.tolist()):
-            scores[self.artist_sets[nrow]] += sim
-        touched = np.flatnonzero(scores)
-        top = np.lexsort((touched, -scores[touched]))[:k]
-        return RecommendationList(
-            user,
-            [(int(touched[i]), float(scores[touched[i]])) for i in top],
-            k,
-        )
-
-
-def recommend_cf(
-    user: int,
-    train_histories: dict[int, UserHistory],
-    params: CfParams,
-    k: int,
-    index: CfIndex | None = None,
-) -> RecommendationList:
-    """Collaborative-filtering ranking; builds a throwaway index unless given one."""
-    if len(train_histories) < 2:
-        raise DataError("collaborative filtering needs at least two users")
-    if index is None:
-        index = CfIndex(train_histories)
-    return index.recommend(user, params, k)
+        played = np.concatenate([self.artist_sets[r] for r in neighbor_rows.tolist()])
+        artists, inverse = np.unique(played, return_inverse=True)
+        # bincount adds weights in input order, i.e. neighbor order, so each sum has the oracle's bits.
+        scores = np.bincount(inverse, weights=np.repeat(sims[order], self.set_sizes[neighbor_rows]))
+        top = np.lexsort((artists, -scores))[:k]
+        return RecommendationList(user, [(int(artists[i]), float(scores[i])) for i in top], k)
 
 
 def build_recommenders(
@@ -254,10 +225,14 @@ def build_recommenders(
     algorithms=ALGORITHMS,
     bll_params: BllParams | None = None,
     cf_params: CfParams | None = None,
-    n_artists: int | None = None,
 ):
-    """Uniform (user, train, k) -> RecommendationList callables, sharing
-    the global count table and CF index across users."""
+    """Uniform (user, train, k) -> RecommendationList callables.
+
+    What does not depend on the user is built here, once: the full
+    ``top`` ranking, which each call slices, and the CF index. A call
+    then reads only that user's data (for ``cf``, also the neighbors'
+    artist sets), never the whole catalogue.
+    """
     bll_params = bll_params or BllParams()
     cf_params = cf_params or CfParams()
     unknown = set(algorithms) - set(ALGORITHMS)
@@ -274,8 +249,9 @@ def build_recommenders(
             recommenders[name] = lambda u, train, k: recommend_time(train, k)
         elif name == "top":
             counts = global_train_counts(train_histories)
-            recommenders[name] = lambda u, train, k, c=counts: recommend_top(c, k, user=u)
+            ranked = recommend_top(counts, len(counts)).ranked
+            recommenders[name] = lambda u, train, k, r=ranked: RecommendationList(u, r[:k], k)
         elif name == "cf":
-            index = CfIndex(train_histories, n_artists=n_artists)
+            index = CfIndex(train_histories)
             recommenders[name] = lambda u, train, k, idx=index, p=cf_params: idx.recommend(u, p, k)
     return recommenders

@@ -1,6 +1,7 @@
 import io
 
 from bllrec.ingest import ColumnSchema, build_user_histories, load_events
+from bllrec.synth import SynthConfig, generate_synthetic
 
 SIMPLE_SCHEMA = ColumnSchema(user=0, artist=1, ts=2)
 
@@ -15,3 +16,19 @@ def log_from_events(events):
 
 def histories_from_events(events):
     return build_user_histories(log_from_events(events))
+
+
+def oracle_instances():
+    """(seed, histories) for 100 synth instances small enough for the brute-force oracle."""
+    for seed in range(100):
+        config = SynthConfig(
+            n_users=4 + seed % 6,
+            n_artists=10 + seed % 21,
+            events_per_user=(3, 18),
+            zipf_exponent=1.0 + (seed % 5) * 0.3,
+            reconsume_prob=0.5,
+            recency_bias=0.7,
+            time_span=100_000,
+            seed=seed,
+        )
+        yield seed, build_user_histories(generate_synthetic(config))

@@ -20,6 +20,8 @@ from bllrec.recommend import BllParams, CfParams, bll_activation, build_recommen
 from bllrec.split import n_test_events, split_histories, time_split
 from bllrec.synth import SynthConfig, brute_force_ranking, generate_synthetic
 
+from conftest import oracle_instances
+
 
 def _history_from_pairs(user, pairs):
     """UserHistory from unordered (artist, timestamp) pairs."""
@@ -117,18 +119,7 @@ def test_c2_monotonicity_and_scaling_invariance():
 def test_c3_all_recommenders_match_brute_force_oracle():
     started = time.perf_counter()
     checked = 0
-    for seed in range(100):
-        config = SynthConfig(
-            n_users=4 + seed % 6,
-            n_artists=10 + seed % 21,
-            events_per_user=(3, 18),
-            zipf_exponent=1.0 + (seed % 5) * 0.3,
-            reconsume_prob=0.5,
-            recency_bias=0.7,
-            time_span=100_000,
-            seed=seed,
-        )
-        histories = build_user_histories(generate_synthetic(config))
+    for seed, histories in oracle_instances():
         bll_params = BllParams()
         cf_params = CfParams()
         recommenders = build_recommenders(histories, bll_params=bll_params, cf_params=cf_params)
@@ -246,7 +237,7 @@ def test_c7_bll_wins_on_synthetic_groups():
     groups = assign_groups(scores, 166)  # 500 users cannot fill 3 groups of 1000
     split = split_histories(histories, 0.01, users=scores.keys())
     trains = {u: s.train for u, s in split.per_user.items()}
-    recommenders = build_recommenders(trains, n_artists=len(log.id_maps.artists))
+    recommenders = build_recommenders(trains)
 
     recall_at = {}
     for name in ("bll", "pop", "time", "top", "cf"):

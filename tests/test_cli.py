@@ -123,6 +123,60 @@ class TestSubcommands:
         assert "LowMS,20," in out
 
 
+class TestBadGroupsAndConfigFiles:
+    @pytest.fixture()
+    def groups_rows(self, synth_tsv, tmp_path):
+        groups = tmp_path / "groups.csv"
+        assert main(["profile", "--events", str(synth_tsv), "--group-size", "5", "--out", str(groups)]) == 0
+        return groups.read_text().splitlines()
+
+    def _stats(self, synth_tsv, tmp_path, data: bytes):
+        path = tmp_path / "edited.csv"
+        path.write_bytes(data)
+        return main(["stats", "--events", str(synth_tsv), "--groups", str(path)])
+
+    @pytest.mark.parametrize("score", ["abc", "", "nan", "inf", "-inf"])
+    def test_bad_score_is_data_error(self, synth_tsv, tmp_path, groups_rows, capsys, score):
+        key, _, group = groups_rows[3].split(",")
+        groups_rows[3] = f"{key},{score},{group}"
+        capsys.readouterr()
+        assert self._stats(synth_tsv, tmp_path, "\n".join(groups_rows).encode()) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "edited.csv line 4" in err and "score" in err
+
+    def test_undecodable_groups_file_is_data_error(self, synth_tsv, tmp_path, groups_rows, capsys):
+        data = "\n".join(groups_rows).encode().replace(b"\n", b"\n\xff", 1)
+        capsys.readouterr()
+        assert self._stats(synth_tsv, tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "edited.csv line 2: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("other_group", [False, True], ids=["same-group", "two-groups"])
+    def test_duplicate_user_is_data_error(self, synth_tsv, tmp_path, groups_rows, capsys, other_group):
+        key, score, group = groups_rows[1].split(",")
+        if other_group:
+            group = next(g for g in ("LowMS", "MedMS", "HighMS") if g != group)
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(groups_rows + [f"{key},{score},{group}"]) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["eval", "--events", str(synth_tsv), "--groups", str(path), "--algo", "pop",
+             "--out", str(tmp_path / "results.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"dup.csv line {len(groups_rows) + 1}" in err and "twice" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_undecodable_config_file_is_usage_error(self, synth_tsv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(f"events={synth_tsv}\ngroup_size=20\nalgorithms=b\xe9ll\n".encode("latin-1"))
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "usage error: " in (err := capsys.readouterr().err)
+        assert "run.cfg line 3: not valid UTF-8" in err
+
+
 class TestRunPipeline:
     def test_full_run_outputs(self, synth_tsv, tmp_path):
         out_dir = tmp_path / "out"

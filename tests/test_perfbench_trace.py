@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds the layer functions it wraps.
+
+perfbench/tracer.py patches functions of bllrec by name. This runs one
+traced `run` through perfbench/child.py, so a rename under src/ that
+would break the benchmark's per-layer metrics fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from bllrec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_run_records_layer_spans(tmp_path, capsys):
+    events = tmp_path / "events.tsv"
+    assert main(["synth", "--users", "30", "--artists", "80", "--events", "20..40", "--out", str(events)]) == 0
+    capsys.readouterr()
+    report, trace = tmp_path / "report.json", tmp_path / "trace.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "child.py"), "run",
+            "--report", str(report), "--trace", str(trace), "--",
+            "run", "--events", str(events), "--threads", "1", "--group-size", "10",
+            "--out-dir", str(tmp_path / "out"),
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[2] for span in json.loads(trace.read_text())["spans"]}
+    for name in (
+        "recommend.build_recommenders",
+        "recommend.top.build",
+        "recommend.cf.build",
+        "kernels.bll_sums",
+        "kernels.overlap_counts",
+    ):
+        assert name in names

@@ -13,16 +13,14 @@ from bllrec.recommend import (
     build_recommenders,
     global_train_counts,
     recommend_bll,
-    recommend_cf,
     recommend_pop,
     recommend_time,
     recommend_top,
-    user_similarity,
 )
 
 from bllrec.synth import brute_force_ranking
 
-from conftest import histories_from_events
+from conftest import histories_from_events, oracle_instances
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -205,21 +203,6 @@ class TestRecommendTop:
         assert global_train_counts(histories) == {0: 3, 1: 1}
 
 
-class TestUserSimilarity:
-    def test_identical_sets(self):
-        assert user_similarity({1, 2, 3}, {1, 2, 3}) == 1.0
-
-    def test_disjoint_sets(self):
-        assert user_similarity({1, 2}, {3, 4}) == 0.0
-
-    def test_hand_value(self):
-        assert user_similarity({0, 1}, {1, 2, 3}) == pytest.approx(1 / math.sqrt(6), abs=1e-12)
-
-    def test_empty_set(self):
-        with pytest.raises(DataError):
-            user_similarity(set(), {1})
-
-
 class TestRecommendCf:
     def _fixture(self):
         # u0 plays {a,b}; u1 plays {a,b,c}; u2 plays {b,d}
@@ -237,7 +220,7 @@ class TestRecommendCf:
 
     def test_worked_example(self):
         histories = self._fixture()
-        result = recommend_cf(0, histories, CfParams(neighborhood_size=2), 4)
+        result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=2), 4)
         a, b, c, d = 0, 1, 2, 3
         assert result.artists == [b, a, c, d]
         scores = dict(result.ranked)
@@ -252,13 +235,13 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
         )
-        result = recommend_cf(0, histories, CfParams(), 5)
+        result = CfIndex(histories).recommend(0, CfParams(), 5)
         assert result.artists == [0, 1]
         assert all(score == 1.0 for _, score in result.ranked)
 
     def test_single_neighbor(self):
         histories = self._fixture()
-        result = recommend_cf(0, histories, CfParams(neighborhood_size=1), 4)
+        result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=1), 4)
         # only u1 (the most similar) contributes
         assert result.artists == [0, 1, 2]
 
@@ -266,16 +249,8 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "x", 1), ("u1", "y", 2)]
         )
-        result = recommend_cf(0, histories, CfParams(), 5)
+        result = CfIndex(histories).recommend(0, CfParams(), 5)
         assert result.ranked == []
-
-    def test_index_reuse_matches_throwaway(self):
-        histories = self._fixture()
-        index = CfIndex(histories)
-        for user in histories:
-            direct = recommend_cf(user, histories, CfParams(), 4)
-            via_index = index.recommend(user, CfParams(), 4)
-            assert direct.ranked == via_index.ranked
 
 
 class TestBuildRecommenders:
@@ -312,3 +287,28 @@ class TestBuildRecommenders:
             BllParams(d=-1.0)
         with pytest.raises(DataError):
             CfParams(neighborhood_size=0)
+
+
+def _spread_ids(histories):
+    """The same histories with artist id a renamed to a * 100_003 + 7 (up to ~3M)."""
+    return {
+        u: history_from_arrays(u, (h.artists.astype(np.int64) * 100_003 + 7).astype(np.int32), h.timestamps)
+        for u, h in histories.items()
+    }
+
+
+@pytest.mark.parametrize("remap", [lambda h: h, _spread_ids], ids=["dense", "sparse-wide"])
+def test_cf_and_top_scores_equal_oracle_exactly(remap):
+    # The instances of the c3 acceptance test; here the float scores must match too.
+    compared = nonempty_cf = 0
+    for seed, histories in oracle_instances():
+        histories = remap(histories)
+        recommenders = build_recommenders(histories, algorithms=("cf", "top"))
+        for user, train in histories.items():
+            for name, fn in recommenders.items():
+                got = fn(user, train, 10)
+                assert got.user == user
+                assert got.ranked == brute_force_ranking(name, histories, user, 10).ranked, (seed, user, name)
+                compared += 1
+                nonempty_cf += name == "cf" and bool(got.ranked)
+    assert compared > 1000 and nonempty_cf > 400
