@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -139,8 +138,8 @@ def validate_config(raw: dict) -> RunConfig:
             raise UsageError("k_max must be >= 1")
     if "bll_d" in raw:
         config.bll_d = _to_float("bll_d", raw["bll_d"])
-        if not config.bll_d > 0:
-            raise UsageError("bll_d must be > 0")
+        if not 0 < config.bll_d < math.inf:
+            raise UsageError("bll_d must be finite and > 0")
     if "cf_neighbors" in raw:
         config.cf_neighbors = _to_int("cf_neighbors", raw["cf_neighbors"])
         if config.cf_neighbors < 1:
@@ -178,14 +177,6 @@ def read_config_file(path) -> dict[str, str]:
             raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
         raw[key.strip()] = value.strip()
     return raw
-
-
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _load(config: RunConfig) -> tuple[EventLog, int]:
@@ -454,14 +445,14 @@ def cmd_run(args) -> int:
             "config": {**asdict(config), "algorithms": list(config.algorithms)},
             "input": {
                 "path": str(config.events),
-                "sha256": _sha256_file(config.events),
+                "sha256": log.sha256,
             },
             "skipped_lines": skipped,
             "dropped_users": split.dropped,
             "outputs": [p.name for p in written],
         }
         manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
         written.append(manifest_path)
     except (BllrecError, OSError) as exc:
         for path in written:

@@ -4,18 +4,28 @@ Parses newline-delimited, tab-separated listening events (LFM-1b column
 layout by default), assigns dense integer ids to users and artists in
 first-seen order, and builds per-user chronologically sorted histories.
 All produced arrays are read-only after loading.
+
+``load_events`` reads its source once, ``CHUNK_SIZE`` bytes at a time, and
+hashes those same bytes for the run manifest. numpy parses each block of
+whole lines at once; ``parse_event_line`` remains the only judge of the
+line rules and sees every line numpy cannot vouch for: other column
+counts, timestamps that are not 1 to 18 ASCII digits, overlong keys, and
+every line of a block holding a ``\\r``, a NUL or bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParseError, UsageError
 
@@ -82,6 +92,16 @@ class IdMap:
             self._keys.append(key)
         return idx
 
+    def intern_all(self, keys: list[str]) -> None:
+        """``intern`` each key, in order."""
+        fresh = [key for key in dict.fromkeys(keys) if key not in self._ids]
+        self._ids.update(zip(fresh, range(len(self._keys), len(self._keys) + len(fresh))))
+        self._keys.extend(fresh)
+
+    def lookup(self, keys: list[str]) -> list[int | None]:
+        """The index of each key, None for keys not interned yet."""
+        return list(map(self._ids.get, keys))
+
     def id_of(self, key: str) -> int:
         return self._ids[key]
 
@@ -109,6 +129,7 @@ class EventLog:
     artists: np.ndarray  # int32
     timestamps: np.ndarray  # int64, Unix seconds
     id_maps: IdMaps
+    sha256: str | None = None  # of the source file's bytes, as read; None for streams
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -168,26 +189,283 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
     return user_key, artist_key, ts
 
 
+CHUNK_SIZE = 1 << 17
+"""Bytes read per step. A block's temporary arrays are a few times this size,
+and the allocator keeps their pages once they are freed, so larger chunks
+parse a little faster but raise the run's peak memory."""
+
+_MAX_VECTOR_KEY = 128
+"""Longer keys go through ``parse_event_line``, which bounds the padded key arrays."""
+
+_PAD = _MAX_VECTOR_KEY
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_NO_KEYS = np.zeros(0, dtype="<u8")
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+
+
+class _Sha256Reader:
+    """A binary file whose bytes also go into a SHA-256 as they are read."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.digest = hashlib.sha256()
+
+    def read(self, size):
+        data = self.raw.read(size)
+        self.digest.update(data)
+        return data
+
+
+def _byte_blocks(read) -> Iterator[bytes]:
+    """Blocks of at least ``CHUNK_SIZE`` bytes of whole lines from ``read(CHUNK_SIZE)``.
+
+    Only the last block may be shorter or lack its newline. Each block ends
+    just after a ``\\n``, which ends a line under universal newlines and is
+    never part of a multi-byte UTF-8 character, so a block splits and decodes
+    as it would inside the whole stream. When ``read`` raises EOFError (a
+    gzip stream cut short), the whole lines read before it come out first.
+    """
+    pending: list[bytes] = []
+    size = 0
+    try:
+        while chunk := read(CHUNK_SIZE):
+            size += len(chunk)
+            cut = chunk.rfind(b"\n") + 1
+            if size < CHUNK_SIZE or not cut:
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+            size = len(pending[0])
+    except EOFError:
+        data = b"".join(pending)
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        raise
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _is_utf8(data: bytes) -> bool:
+    if data.isascii():
+        return True
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _binary_units(read) -> Iterator[bytes | list[str]]:
+    """Each block of whole lines, or its decoded lines when numpy may not parse it.
+
+    A block goes line by line when it holds a ``\\r`` (universal newlines end
+    lines there too), a NUL (numpy ``S`` arrays drop trailing NULs) or bytes
+    that are not UTF-8. Its lines are then decoded as a text file decodes
+    them: UTF-8 with surrogateescape, universal newlines.
+    """
+    for block in _byte_blocks(read):
+        if b"\r" in block or b"\x00" in block or not _is_utf8(block):
+            yield io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape").readlines()
+        else:
+            yield block
+
+
+def _text_units(handle) -> Iterator[bytes | list[str]]:
+    """The same units from a text stream, whose own newline mode splits its lines."""
+    while lines := handle.readlines(CHUNK_SIZE):
+        text = "".join(lines)
+        # Without a \r every newline mode ends lines at \n alone, unless it
+        # ends them nowhere; the count check sees that.
+        if "\r" in text or "\x00" in text or text.count("\n") != len(lines) - (not text.endswith("\n")):
+            yield lines
+            continue
+        try:
+            yield text.encode("utf-8")
+        except UnicodeEncodeError:  # lone surrogates
+            yield lines
+
+
+def _parse_digits(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the fields ``[start:end]`` of a ``_pad`` block and which are 1 to 18 ASCII digits.
+
+    18 digits cannot exceed the int64 range; other fields get no usable value.
+    """
+    length = end - start
+    ok = (length >= 1) & (length <= 18)
+    width = int(length[ok].max()) if ok.any() else 1
+    digits = sliding_window_view(padded, width)[end - width + _PAD] - np.uint8(ord("0"))
+    digits *= np.arange(width) >= width - length[:, None]  # right-aligned: zero the bytes before the field
+    ok &= (digits <= 9).all(axis=1)
+    return digits @ _POW10[18 - width :], ok
+
+
+def _gather_keys(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The fields ``[start:end]`` of a ``_pad`` block, NUL-padded: little-endian uint64 when
+    all fit in 8 bytes, else an ``S`` array.
+
+    uint64 keys sort much faster than byte strings, and viewing them as
+    ``S8`` gives the padded bytes back.
+    """
+    length = end - start
+    width = int(length.max()) if length.size else 0
+    if width <= 8:
+        keys = sliding_window_view(padded, 8)[start + _PAD].view("<u8").ravel()
+        return keys & _LOW_BYTES[length]
+    keys = sliding_window_view(padded, width)[start + _PAD]
+    keys *= np.arange(width) < length[:, None]
+    return keys.view(f"S{width}").ravel()
+
+
+def _pad(buf: np.ndarray) -> np.ndarray:
+    """``buf`` with ``_PAD`` zero bytes on each side, so fixed-width windows around any field stay inside."""
+    padded = np.zeros(len(buf) + 2 * _PAD, dtype=np.uint8)
+    padded[_PAD:-_PAD] = buf
+    return padded
+
+
+def _densify(id_map: IdMap, keys: np.ndarray, index: np.ndarray, more_keys: list[str], more_index) -> np.ndarray:
+    """Ids of ``keys`` then of ``more_keys``; new keys are interned in order of their line index."""
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    raw = unique.view(f"S{unique.itemsize}").tolist()
+    names = b"\n".join(raw).decode("utf-8").split("\n") if raw else []
+    names += more_keys
+    ids = id_map.lookup(names)
+    if None in ids:
+        order = np.argsort(np.concatenate((index[first], more_index)), kind="stable").tolist()
+        id_map.intern_all([names[i] for i in order])
+        ids = id_map.lookup(names)
+    ids = np.array(ids, dtype=np.int32)
+    return np.concatenate((ids[: unique.size][inverse], ids[unique.size :]))
+
+
+class _ChunkParser:
+    """Turns units (a block of bytes, or a list of lines) into event arrays, one part per unit, and the id maps."""
+
+    def __init__(self, schema: ColumnSchema, on_error: str):
+        self.schema = schema
+        self.on_error = on_error
+        self.id_maps = IdMaps()
+        self.lines = 0  # lines consumed, so line numbers continue across units
+        self.skipped = 0
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, unit: bytes | list[str]) -> None:
+        if isinstance(unit, bytes):
+            self._add_block(unit)
+        else:
+            self._append(_NO_INDEX, _NO_KEYS, _NO_KEYS, np.zeros(0, dtype=np.int64), enumerate(unit))
+            self.lines += len(unit)
+
+    def _add_block(self, data: bytes) -> None:
+        if not data.endswith(b"\n"):
+            data += b"\n"  # the input's last line lacks its newline
+        buf = np.frombuffer(data, dtype=np.uint8)
+        is_newline = buf == ord("\n")
+        delims = np.flatnonzero(is_newline | (buf == ord("\t")))
+        line_ends = np.flatnonzero(is_newline[delims])  # each line's newline, as an index into delims
+        n_columns = np.diff(line_ends, prepend=-1)
+
+        # Take the lines with the block's most common column count among those the schema accepts.
+        counts = np.bincount(n_columns)
+        counts[: self.schema.min_columns] = 0
+        width = int(counts.argmax())
+        take = n_columns == width if counts[width] else np.zeros(len(line_ends), dtype=bool)
+        bounds = np.concatenate(([-1], delims))
+        first_delim = line_ends[take] - width + 1
+
+        def field(column):
+            return bounds[first_delim + column] + 1, bounds[first_delim + column + 1]
+
+        padded = _pad(buf)
+        timestamps, ok = _parse_digits(padded, *field(self.schema.ts))
+        user_start, user_end = field(self.schema.user)
+        artist_start, artist_end = field(self.schema.artist)
+        ok &= (user_end - user_start <= _MAX_VECTOR_KEY) & (artist_end - artist_start <= _MAX_VECTOR_KEY)
+        take[take] = ok
+
+        newlines = delims[line_ends]
+        rest = np.flatnonzero(~take).tolist()
+        rest_lines = (
+            (i, data[newlines[i - 1] + 1 if i else 0 : newlines[i]].decode("utf-8")) for i in rest
+        )
+        self._append(
+            np.flatnonzero(take),
+            _gather_keys(padded, user_start[ok], user_end[ok]),
+            _gather_keys(padded, artist_start[ok], artist_end[ok]),
+            timestamps[ok],
+            rest_lines,
+        )
+        self.lines += len(line_ends)
+
+    def _append(self, index, user_keys, artist_keys, timestamps, rest_lines) -> None:
+        """Add the vectorized lines and ``parse_event_line`` over (index, text) pairs, in line order."""
+        rest_index: list[int] = []
+        rest_users: list[str] = []
+        rest_artists: list[str] = []
+        rest_timestamps: list[int] = []
+        for i, line in rest_lines:
+            try:
+                user_key, artist_key, ts = parse_event_line(line, self.schema, self.lines + i + 1)
+            except ParseError:
+                if self.on_error == "fail":
+                    raise
+                self.skipped += 1
+                continue
+            rest_index.append(i)
+            rest_users.append(user_key)
+            rest_artists.append(artist_key)
+            rest_timestamps.append(ts)
+
+        users = _densify(self.id_maps.users, user_keys, index, rest_users, rest_index)
+        artists = _densify(self.id_maps.artists, artist_keys, index, rest_artists, rest_index)
+        timestamps = np.concatenate((timestamps, np.array(rest_timestamps, dtype=np.int64)))
+        if rest_index and index.size:
+            order = np.argsort(np.concatenate((index, rest_index)), kind="stable")
+            users, artists, timestamps = users[order], artists[order], timestamps[order]
+        self.parts.append((users, artists, timestamps))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Users, artists and timestamps of every event, in input order."""
+        if not self.parts:
+            return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64)
+        users, artists, timestamps = (np.concatenate(column) for column in zip(*self.parts))
+        return users, artists, timestamps
+
+
 @contextmanager
-def _open_text(source):
-    """A text handle on a path, a text stream or a binary stream; closes only what it opened."""
+def _open_units(source):
+    """Units of lines from ``source`` and, for a path, the reader hashing its raw bytes."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as handle:
-            yield handle
+        with open(path, "rb") as raw:
+            reader = _Sha256Reader(raw)
+            if path.suffix == ".gz":
+                with gzip.GzipFile(fileobj=reader, mode="rb") as decompressed:
+                    yield _binary_units(decompressed.read1), reader
+            else:
+                yield _binary_units(reader.read), reader
     elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()  # the caller owns the binary stream; closing the wrapper would close it
+        yield _text_units(source), None
+    else:  # a caller's binary stream, which stays open
+        yield _binary_units(source.read), None
 
 
 def load_events(source, schema: ColumnSchema | None = None, on_error: str = "skip") -> tuple[EventLog, int]:
-    """Load an event log from a path or file-like object.
+    """Load an event log from a path or file-like object in one pass.
+
+    The source is read once, ``CHUNK_SIZE`` bytes at a time. For a path the
+    same raw bytes (compressed ones for ``.gz``) feed the SHA-256 stored as
+    ``EventLog.sha256``. numpy parses each block of whole lines at once: the
+    lines with the block's most common column count whose timestamp is 1 to
+    18 ASCII digits. Every other line goes through ``parse_event_line``, which
+    alone decides the line rules, with its 1-based line number, and so does
+    every line of a block holding a ``\\r``, a NUL or bytes that are not
+    UTF-8.
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
     ``"fail"`` (abort on the first malformed line). A ``.gz`` input that
@@ -200,38 +478,25 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     if on_error not in ("skip", "fail"):
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
 
-    id_maps = IdMaps()
-    users: list[int] = []
-    artists: list[int] = []
-    timestamps: list[int] = []
-    skipped = 0
-    line_no = 0
-
-    with _open_text(source) as handle:
+    parser = _ChunkParser(schema, on_error)
+    with _open_units(source) as (units, reader):
         try:
-            for line_no, line in enumerate(handle, start=1):
-                try:
-                    user_key, artist_key, ts = parse_event_line(line, schema, line_no)
-                except ParseError:
-                    if on_error == "fail":
-                        raise
-                    skipped += 1
-                    continue
-                users.append(id_maps.users.intern(user_key))
-                artists.append(id_maps.artists.intern(artist_key))
-                timestamps.append(ts)
+            for unit in units:
+                parser.add(unit)
         except EOFError:  # raised by the gzip reader when the stream is cut short
-            raise DataError(f"compressed input is truncated after line {line_no}") from None
+            raise DataError(f"compressed input is truncated after line {parser.lines}") from None
 
+    users, artists, timestamps = parser.arrays()
     log = EventLog(
-        users=np.asarray(users, dtype=np.int32),
-        artists=np.asarray(artists, dtype=np.int32),
-        timestamps=np.asarray(timestamps, dtype=np.int64),
-        id_maps=id_maps,
+        users=users,
+        artists=artists,
+        timestamps=timestamps,
+        id_maps=parser.id_maps,
+        sha256=reader.digest.hexdigest() if reader else None,
     )
     for arr in (log.users, log.artists, log.timestamps):
         arr.flags.writeable = False
-    return log, skipped
+    return log, parser.skipped
 
 
 def history_from_arrays(user: int, artists: np.ndarray, timestamps: np.ndarray) -> UserHistory:

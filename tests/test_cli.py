@@ -1,5 +1,10 @@
+import builtins
+import gzip
 import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +200,43 @@ class TestRunPipeline:
         assert manifest["config"]["group_size"] == 20
         assert manifest["input"]["sha256"] == hashlib.sha256(synth_tsv.read_bytes()).hexdigest()
         assert manifest["version"]
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_run_reads_the_events_file_once(self, synth_tsv, tmp_path, monkeypatch, compress):
+        path = synth_tsv
+        if compress:
+            path = tmp_path / "synth.tsv.gz"
+            path.write_bytes(gzip.compress(synth_tsv.read_bytes()))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        code = main(["run", "--events", str(path), "--group-size", "20", "--algo", "pop", "--out-dir", str(tmp_path / "o")])
+        monkeypatch.undo()
+        assert code == 0
+        assert len(opened) == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_non_finite_bll_d_is_usage_error(self, synth_tsv, tmp_path, capsys):
+        base = ["run", "--events", str(synth_tsv), "--group-size", "20", "--out-dir", str(tmp_path / "o")]
+        config = tmp_path / "inf.cfg"
+        config.write_text("bll_d=inf\n")
+        for extra in (["--bll-d", "inf"], ["--bll-d", "nan"], ["--config", str(config)]):
+            assert main(base + extra) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "bll_d must be finite" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_runs_are_byte_identical(self, synth_tsv, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]

@@ -1,16 +1,22 @@
 import gzip
+import hashlib
 import io
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bllrec import ingest
 from bllrec.cli import main
 from bllrec.errors import DataError, ParseError, UsageError
 from bllrec.ingest import (
     INT64_MAX,
     ColumnSchema,
+    IdMaps,
     build_user_histories,
     load_events,
     parse_event_line,
@@ -21,6 +27,63 @@ from bllrec.synth import SynthConfig, generate_synthetic
 from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events
 
 LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
+
+
+@contextmanager
+def _open_text(source):
+    """A text handle on a path, a text stream or a binary stream; closes only what it opened."""
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        opener = gzip.open if path.suffix == ".gz" else open
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+
+
+def oracle_load(source, schema, on_error="skip"):
+    """The line-at-a-time loader, kept as the reference: ``parse_event_line`` over
+    the lines a text handle yields, ids interned in line order."""
+    id_maps = IdMaps()
+    events = []
+    skipped = 0
+    with _open_text(source) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                user_key, artist_key, ts = parse_event_line(line, schema, line_no)
+            except ParseError:
+                if on_error == "fail":
+                    raise
+                skipped += 1
+                continue
+            events.append((id_maps.users.intern(user_key), id_maps.artists.intern(artist_key), ts))
+    return events, _keys(id_maps), skipped
+
+
+def _keys(id_maps):
+    return [[ids.key_of(i) for i in range(len(ids))] for ids in (id_maps.users, id_maps.artists)]
+
+
+def summary(log, skipped):
+    """What ``oracle_load`` returns, from a loaded log; also checks the arrays' types."""
+    assert (log.users.dtype, log.artists.dtype, log.timestamps.dtype) == (np.int32, np.int32, np.int64)
+    assert not any(arr.flags.writeable for arr in (log.users, log.artists, log.timestamps))
+    events = list(zip(log.users.tolist(), log.artists.tolist(), log.timestamps.tolist()))
+    return events, _keys(log.id_maps), skipped
+
+
+def oracle_outcome(source, schema, on_error):
+    """``("ok", oracle_load(...))``, or ``("error", line number)`` of its ParseError."""
+    try:
+        return "ok", oracle_load(source, schema, on_error)
+    except ParseError as exc:
+        return "error", exc.line_no
 
 
 @pytest.fixture
@@ -178,6 +241,128 @@ class TestArbitraryBytes:
         for ids in (log.id_maps.users, log.id_maps.artists):
             for i in range(len(ids)):
                 ids.key_of(i).encode("utf-8")
+
+
+_CLEAN_KEY = st.sampled_from([b"u1", b"u2", b"a", b"17", b"", "é".encode(), "ключ".encode(), b"x" * 9])
+_ODD_KEY = st.sampled_from([b"k\x00", b"\x00", b"a\xff", b"\xfe", b"y" * 200])
+_TIMESTAMP = st.one_of(
+    st.integers(0, 10**12).map(lambda t: str(t).encode()),
+    st.sampled_from(
+        [b"+5", b" 5", b"5 ", b"1_0", "٥".encode(), "१२".encode(), b"007", b"", b"-3", b"x", b"0x1f",
+         str(INT64_MAX).encode(), str(INT64_MAX + 1).encode(), b"1" * 19, b"9" * 19, b"0" * 20 + b"7", b"1" * 18]
+    ),
+)
+
+
+def _log(odd: bool):
+    """Logs of well-formed, ragged and (when ``odd``) arbitrary lines; only ``odd``
+    logs have NULs, bytes that are not UTF-8, \\r or overlong keys, which send
+    whole blocks line by line."""
+    key = st.one_of(_CLEAN_KEY, _CLEAN_KEY, _ODD_KEY) if odd else _CLEAN_KEY
+    well_formed = st.tuples(key, key, _TIMESTAMP).map(b"\t".join)
+    ragged = st.lists(st.one_of(key, _TIMESTAMP), max_size=5).map(b"\t".join)
+    line = st.one_of(well_formed, well_formed, ragged, st.binary(max_size=12)) if odd else st.one_of(well_formed, ragged)
+    newline = st.sampled_from([b"\n"] * 4 + [b"\r\n", b"\r"]) if odd else st.just(b"\n")
+    return st.tuples(st.lists(st.tuples(line, newline), max_size=25), st.booleans()).map(
+        lambda t: b"".join(line + newline for line, newline in t[0]) + (b"u9\ta9\t9" if t[1] else b"")
+    )
+
+
+_LOG = st.booleans().flatmap(_log)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+class TestAgainstLineOracle:
+    """The chunk parser gives the line-at-a-time loader's log, skip count and failing line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=_LOG,
+        kind=st.sampled_from(["path", "gz", "bytes", "text"]),
+        schema=st.sampled_from([SIMPLE_SCHEMA, ColumnSchema(user=2, artist=0, ts=1)]),
+        on_error=st.sampled_from(["skip", "fail"]),
+        chunk_size=st.sampled_from([1, 3, 16, 64, ingest.CHUNK_SIZE]),
+    )
+    def test_same_as_oracle(self, scratch_dir, data, kind, schema, on_error, chunk_size):
+        path = None
+        if kind in ("path", "gz"):
+            path = scratch_dir / ("events.tsv.gz" if kind == "gz" else "events.tsv")
+            path.write_bytes(gzip.compress(data) if kind == "gz" else data)
+            sources = (path, path)
+        elif kind == "bytes":
+            sources = (io.BytesIO(data), io.BytesIO(data))
+        else:
+            text = data.decode("utf-8", "surrogateescape")
+            sources = (io.StringIO(text), io.StringIO(text))
+        expected = oracle_outcome(sources[0], schema, on_error)
+        with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+            try:
+                log, skipped = load_events(sources[1], schema, on_error=on_error)
+            except ParseError as exc:
+                assert ("error", exc.line_no) == expected
+                return
+        assert ("ok", summary(log, skipped)) == expected
+        assert log.sha256 == (hashlib.sha256(path.read_bytes()).hexdigest() if path else None)
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+@pytest.mark.parametrize("data", [b"u1\ta1\t10\nu2\ta2\t11\n", b"u1\ta1\t10\r\nu2\ta2\t11\ru3\ta3\t12\n"])
+def test_text_stream_newline_modes_match_oracle(newline, data):
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+    assert summary(*load_events(stream(), SIMPLE_SCHEMA)) == oracle_load(stream(), SIMPLE_SCHEMA)
+
+
+def _mixed_log(path: Path, compress: bool) -> None:
+    """A synth log with lines of every kind the chunk parser hands to ``parse_event_line``.
+
+    The lines that send a whole block line by line come last, so that the
+    blocks before them mix vectorized lines with lines parsed one at a time.
+    """
+    plain = path.with_suffix(".plain")
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=40, n_artists=60, events_per_user=(15, 30))), plain)
+    lines = plain.read_bytes().splitlines(keepends=True)
+    one_at_a_time = [
+        b"u1\ta1\t0\t0\n",  # too few columns
+        b"u1\ta1\t0\t0\t+5\n",
+        b"new-user\ta1\t0\t0\t 7\n",
+        b"u1\tnew-artist\t0\t0\t" + str(INT64_MAX).encode() + b"\n",
+        b"u2\ta2\t0\t0\t5\textra\n",
+        "ü\tkünstler\t0\t0\t12\n".encode(),
+        b"\n",
+        b"u1\t" + b"z" * 300 + b"\t0\t0\t12\n",
+    ]
+    for i, line in enumerate(one_at_a_time):
+        lines.insert(90 * i + 7, line)
+    lines[-4:-4] = [b"u1\ta\xff\t0\t0\t12\n", b"u\x00\ta1\t0\t0\t12\n", b"u1\ta1\t0\t0\t3\r\n"]
+    data = b"".join(lines).rstrip(b"\n")
+    path.write_bytes(gzip.compress(data) if compress else data)
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_any_chunk_size_gives_the_same_log(self, tmp_path, compress):
+        path = tmp_path / ("events.tsv.gz" if compress else "events.tsv")
+        _mixed_log(path, compress)
+        expected = oracle_load(path, LFM_SCHEMA)
+        assert expected[2] == 3  # the short line, the empty line and the undecodable line
+        for size in (1, 2, 7, 4096, path.stat().st_size + 1):
+            with mock.patch.object(ingest, "CHUNK_SIZE", size):
+                log, skipped = load_events(path, LFM_SCHEMA)
+            assert summary(log, skipped) == expected, size
+            assert log.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_two_member_gzip_loads_like_gzip_open(self, tmp_path):
+        path = tmp_path / "events.tsv.gz"
+        path.write_bytes(gzip.compress(b"u1\ta1\t10\nu2\ta") + gzip.compress(b"2\t11\nu1\ta3\t12\n"))
+        log, skipped = load_events(path, SIMPLE_SCHEMA)
+        assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
+        assert log.timestamps.tolist() == [10, 11, 12]
 
 
 class TestBuildUserHistories:
