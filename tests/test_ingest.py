@@ -243,7 +243,7 @@ class TestArbitraryBytes:
                 ids.key_of(i).encode("utf-8")
 
 
-_CLEAN_KEY = st.sampled_from([b"u1", b"u2", b"a", b"17", b"", "é".encode(), "ключ".encode(), b"x" * 9])
+_CLEAN_KEY = st.sampled_from([b"u1", b"u2", b"a", b"17", b"", "é".encode(), "ключ".encode(), b"x" * 8, b"x" * 9])
 _ODD_KEY = st.sampled_from([b"k\x00", b"\x00", b"a\xff", b"\xfe", b"y" * 200])
 _TIMESTAMP = st.one_of(
     st.integers(0, 10**12).map(lambda t: str(t).encode()),
@@ -256,8 +256,8 @@ _TIMESTAMP = st.one_of(
 
 def _log(odd: bool):
     """Logs of well-formed, ragged and (when ``odd``) arbitrary lines; only ``odd``
-    logs have NULs, bytes that are not UTF-8, \\r or overlong keys, which send
-    whole blocks line by line."""
+    logs have NULs, bytes that are not UTF-8 or \\r, which send whole blocks
+    line by line."""
     key = st.one_of(_CLEAN_KEY, _CLEAN_KEY, _ODD_KEY) if odd else _CLEAN_KEY
     well_formed = st.tuples(key, key, _TIMESTAMP).map(b"\t".join)
     ragged = st.lists(st.one_of(key, _TIMESTAMP), max_size=5).map(b"\t".join)
@@ -316,6 +316,18 @@ def test_text_stream_newline_modes_match_oracle(newline, data):
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
     assert summary(*load_events(stream(), SIMPLE_SCHEMA)) == oracle_load(stream(), SIMPLE_SCHEMA)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 5, ingest.CHUNK_SIZE])
+@pytest.mark.parametrize(
+    "data",
+    [b"u1\ta1\t10\r\nu2\ta2\t11\r\n", b"u1\ta1\t10\r\r\nu2\ta2\t11\r\n", b"u1\ta1\t10\r\nu2\ta2\t11\r"],
+    ids=["crlf", "cr-crlf", "final-cr"],
+)
+def test_crlf_matches_oracle(chunk_size, data):
+    with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+    assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
 
 
 def _mixed_log(path: Path, compress: bool) -> None:
