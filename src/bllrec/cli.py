@@ -32,7 +32,7 @@ from .ingest import (
     load_events,
     write_events_tsv,
 )
-from .evaluation import emit_plot_data, emit_report, evaluate_algorithm
+from .evaluation import emit_report, evaluate_algorithm
 from .profiling import GROUP_NAMES, assign_groups, group_stats, score_users
 from .recommend import ALGORITHMS, BllParams, CfParams, build_recommenders
 from .split import split_histories
@@ -186,6 +186,11 @@ def _load(config: RunConfig) -> tuple[EventLog, int]:
     return load_events(config.events, schema, on_error=config.on_error)
 
 
+def _eligible(histories, config: RunConfig):
+    """The users with at least ``min_events`` events."""
+    return (histories.n_events >= config.min_events).nonzero()[0]
+
+
 def _write_groups_csv(path, assignment, scores, id_maps) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -251,9 +256,8 @@ def _write_stats_csv(path_or_handle, named_groups, histories, scores) -> None:
 
 
 def _evaluate_groups(split, named_groups, config: RunConfig):
-    train_histories = {u: s.train for u, s in split.per_user.items()}
     recommenders = build_recommenders(
-        train_histories,
+        split.train,
         algorithms=config.algorithms,
         bll_params=BllParams(d=config.bll_d),
         cf_params=CfParams(neighborhood_size=config.cf_neighbors),
@@ -332,26 +336,15 @@ def cmd_split(args) -> int:
     config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
-    eligible = [u for u, h in histories.items() if h.n_events >= config.min_events]
-    split = split_histories(histories, config.fraction, users=eligible)
+    split = split_histories(histories, config.fraction, users=_eligible(histories, config))
     if args.groups:
         named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
     else:
-        named_groups = {"ALL": sorted(split.per_user)}
+        named_groups = {"ALL": list(split.train)}
     for name, members in named_groups.items():
         count = split.test_event_count(members)
-        evaluable = sum(1 for u in members if u in split.per_user)
+        evaluable = sum(1 for u in members if u in split.train)
         print(f"group={name} users={evaluable} test_events={count}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["user_key", "n_train", "n_test"])
-            for user in sorted(split.per_user):
-                user_split = split.per_user[user]
-                writer.writerow(
-                    [log.id_maps.users.key_of(user), user_split.train.n_events, user_split.test.n_events]
-                )
-        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -360,14 +353,10 @@ def cmd_eval(args) -> int:
     log, _ = _load(config)
     histories = build_user_histories(log)
     named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
-    eligible = [u for u, h in histories.items() if h.n_events >= config.min_events]
-    split = split_histories(histories, config.fraction, users=eligible)
+    split = split_histories(histories, config.fraction, users=_eligible(histories, config))
     reports = _evaluate_groups(split, named_groups, config)
     emit_report(reports, args.out)
     print(f"wrote {args.out}")
-    if args.plot_data:
-        for path in emit_plot_data(reports, args.plot_data):
-            print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -408,9 +397,11 @@ def cmd_run(args) -> int:
     stage = "ingest"
     try:
         log, skipped = _load(config)
+        id_maps, sha256 = log.id_maps, log.sha256
 
         stage = "profile"
         histories = build_user_histories(log)
+        del log  # the table holds every event from here on
         scores = score_users(histories, min_events=config.min_events)
         assignment = assign_groups(scores, config.group_size)
         named_groups = assignment.as_dict()
@@ -425,7 +416,7 @@ def cmd_run(args) -> int:
 
         stage = "report"
         groups_path = out_dir / "groups.csv"
-        _write_groups_csv(groups_path, assignment, scores, log.id_maps)
+        _write_groups_csv(groups_path, assignment, scores, id_maps)
         written.append(groups_path)
 
         stats_path = out_dir / "stats.csv"
@@ -436,16 +427,13 @@ def cmd_run(args) -> int:
         emit_report(reports, results_path)
         written.append(results_path)
 
-        if getattr(args, "plot_data", False):
-            written.extend(emit_plot_data(reports, out_dir / "curves"))
-
         manifest = {
             "version": __version__,
             "kernel_backend": BACKEND_NAME,
             "config": {**asdict(config), "algorithms": list(config.algorithms)},
             "input": {
                 "path": str(config.events),
-                "sha256": log.sha256,
+                "sha256": sha256,
             },
             "skipped_lines": skipped,
             "dropped_users": split.dropped,
@@ -508,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p, with_min_events=True)
     p.add_argument("--fraction", type=float, help="test fraction per user (default 0.01)")
     p.add_argument("--groups", help="optional groups.csv for per-group counts")
-    p.add_argument("--out", help="optional split manifest CSV (user_key,n_train,n_test)")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("eval", help="evaluate recommenders over the groups")
@@ -520,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bll-d", dest="bll_d", type=float, help="decay exponent (default 0.5)")
     p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int, help="neighborhood size (default 20)")
     p.add_argument("--out", default="results.csv", help="output CSV")
-    p.add_argument("--plot-data", dest="plot_data", help="directory for per-curve recall,precision files")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic events TSV")
@@ -547,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int)
     p.add_argument("--threads", type=int, help="must be 1; evaluation runs on one thread")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-    p.add_argument("--plot-data", dest="plot_data", action="store_true",
-                   help="also write per-curve files under <out-dir>/curves")
     p.set_defaults(func=cmd_run)
 
     return parser

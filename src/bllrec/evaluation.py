@@ -1,17 +1,17 @@
 """Recall@k / precision@k evaluation against the temporal test sets.
 
 The relevance set per user is the distinct artists in that user's test
-events. Metrics are macro-averaged: each user contributes equally, and
-precision@k divides by k even when a recommender returned fewer than k
-items. Recommenders only ever see training histories; the test side is
-consulted exclusively for hit judging.
+events, which are the user's pair rows in the test table. Metrics are
+macro-averaged: each user contributes equally, and precision@k divides
+by k even when a recommender returned fewer than k items. Recommenders
+only ever see training histories; the test side is consulted
+exclusively for hit judging.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -82,14 +82,13 @@ def evaluate_algorithm(
     skipped. Users are evaluated one after another in sorted id order,
     which fixes the aggregation order.
     """
-    evaluable = [u for u in sorted(users) if u in split.per_user]
+    evaluable = [u for u in sorted(users) if u in split.train]
     if not evaluable:
         raise DataError(f"group {group or '?'}: no evaluable users")
 
     def one_user(user: int) -> UserResult:
-        user_split = split.per_user[user]
-        recommendation = recommend_fn(user, user_split.train, k_max)
-        test_artists = set(user_split.test.artist_counts)
+        recommendation = recommend_fn(user, split.train[user], k_max)
+        test_artists = set(split.test[user].pair_artists.tolist())
         return UserResult(
             user=user,
             hits_at_k=hits_at_k(recommendation.artists, test_artists, k_max),
@@ -124,20 +123,3 @@ def emit_report(reports: list[EvalReport], path) -> None:
         for algorithm, group, k, recall, precision, users in rows:
             writer.writerow([algorithm, group, k, f"{recall:.6f}", f"{precision:.6f}", users])
 
-
-def emit_plot_data(reports: list[EvalReport], out_dir) -> list[Path]:
-    """One `recall,precision` file per algorithm-group curve, for external plotting."""
-    if not reports:
-        raise DataError("no reports to emit")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for report in sorted(reports, key=lambda r: (r.algorithm, r.group)):
-        path = out_dir / f"curve_{report.algorithm}_{report.group}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["recall", "precision"])
-            for recall, precision in report.points:
-                writer.writerow([f"{recall:.6f}", f"{precision:.6f}"])
-        paths.append(path)
-    return paths

@@ -1,9 +1,8 @@
-"""Listening-event log ingestion.
+"""Listening-event log ingestion and the per-user event table.
 
 Parses newline-delimited, tab-separated listening events (LFM-1b column
-layout by default), assigns dense integer ids to users and artists in
-first-seen order, and builds per-user chronologically sorted histories.
-All produced arrays are read-only after loading.
+layout by default) and assigns dense integer ids to users and artists in
+first-seen order. All produced arrays are read-only after loading.
 
 ``load_events`` reads its source once, ``CHUNK_SIZE`` bytes at a time, and
 hashes those same bytes for the run manifest. numpy parses each block of
@@ -12,6 +11,14 @@ line rules and sees every line numpy cannot vouch for: other column
 counts, timestamps that are not 1 to 18 ASCII digits, keys longer than 8
 bytes, every line of a block holding a ``\\r`` outside ``\\r\\n``, a NUL or
 bytes that are not UTF-8, and every line of a text stream.
+
+``build_user_histories`` turns the log into one ``UserHistories`` table
+with two stable sorts. The first, by user then timestamp, gives every
+user's events as one slice of two arrays. The second, by user then
+artist, gives one row per (user, artist) pair with its play count and
+latest timestamp, which is all that mainstreaminess, ``pop``, ``time``,
+``top`` and ``cf`` read. ``split.split_histories`` cuts the same table
+into train and test tables that share its event arrays.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import io
-from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,17 +144,20 @@ class EventLog:
 
 @dataclass
 class UserHistory:
-    """One user's events in chronological order plus per-artist aggregates.
+    """One user's events in chronological order, and one row per artist played.
 
     ``artists`` and ``timestamps`` are parallel arrays sorted ascending by
-    timestamp with input order preserved among equal timestamps.
+    timestamp with input order preserved among equal timestamps. The pair
+    rows list each distinct artist of those events, ascending, with its
+    play count and its latest timestamp.
     """
 
     user: int
     artists: np.ndarray  # int32, chronological
     timestamps: np.ndarray  # int64, non-decreasing
-    artist_counts: dict[int, int]
-    artist_last_played: dict[int, int]
+    pair_artists: np.ndarray  # int32, distinct, ascending
+    pair_counts: np.ndarray  # int64, plays of each
+    pair_last: np.ndarray  # int64, latest play of each
 
     @property
     def n_events(self) -> int:
@@ -156,7 +165,70 @@ class UserHistory:
 
     @property
     def n_distinct_artists(self) -> int:
-        return len(self.artist_counts)
+        return len(self.pair_artists)
+
+
+@dataclass(eq=False)
+class UserHistories(Mapping):
+    """Every user's history in one columnar table, read as a mapping user id -> UserHistory.
+
+    The events sit in ``artists``/``timestamps``, sorted by user, then
+    timestamp, then input order; user u's are ``[starts[u]:ends[u]]``.
+    There is one pair row per (user, artist), sorted by user then artist;
+    user u's rows are ``[pair_offsets[u]:pair_offsets[u + 1]]``, and each
+    holds the plays of that artist among the user's events in this table
+    and the latest of them. The train and test tables of a split share the
+    event arrays, ``pair_offsets`` and ``pair_artists`` of the table they
+    were cut from: each has its own bounds, counts and latest plays, and a
+    pair row with no plays in it (count 0) is no part of that history.
+    Users without events are not in the mapping.
+    """
+
+    artists: np.ndarray  # int32, per event
+    timestamps: np.ndarray  # int64, per event
+    starts: np.ndarray  # int64, per user id
+    ends: np.ndarray  # int64, per user id
+    pair_offsets: np.ndarray  # int64, per user id, plus one
+    pair_artists: np.ndarray  # int32, per pair row
+    pair_counts: np.ndarray  # int64, per pair row
+    pair_last: np.ndarray  # int64, per pair row; meaningless where the count is 0
+    # Only in a table built from a log: the event indices sorted by user, artist,
+    # timestamp, input order. A pair's events are contiguous and in time order.
+    by_pair: np.ndarray | None = None
+
+    @property
+    def n_events(self) -> np.ndarray:
+        """Events per user id."""
+        return self.ends - self.starts
+
+    @property
+    def pair_users(self) -> np.ndarray:
+        """The user id of each pair row."""
+        return np.repeat(np.arange(len(self.starts)), np.diff(self.pair_offsets))
+
+    def __contains__(self, user) -> bool:
+        return 0 <= user < len(self.starts) and bool(self.ends[user] > self.starts[user])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.ends > self.starts).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.ends > self.starts))
+
+    def __getitem__(self, user) -> UserHistory:
+        if user not in self:
+            raise KeyError(user)
+        events = slice(self.starts[user], self.ends[user])
+        lo, hi = self.pair_offsets[user], self.pair_offsets[user + 1]
+        rows = lo + np.flatnonzero(self.pair_counts[lo:hi])
+        return UserHistory(
+            user=int(user),
+            artists=self.artists[events],
+            timestamps=self.timestamps[events],
+            pair_artists=self.pair_artists[rows],
+            pair_counts=self.pair_counts[rows],
+            pair_last=self.pair_last[rows],
+        )
 
 
 def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple[str, str, int]:
@@ -488,42 +560,51 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     return log, parser.skipped
 
 
-def history_from_arrays(user: int, artists: np.ndarray, timestamps: np.ndarray) -> UserHistory:
-    """Build a UserHistory from already chronologically sorted event arrays."""
-    counts = Counter(artists.tolist())
-    # Later assignments win, so the chronological pass leaves the latest timestamp.
-    last_played = dict(zip(artists.tolist(), timestamps.tolist()))
-    return UserHistory(
-        user=user,
+def build_user_histories(log: EventLog) -> UserHistories:
+    """Sort the log into one table of per-user histories and (user, artist) pair rows.
+
+    Two stable sorts: the log by user then timestamp, so equal timestamps
+    keep input order, then each user's events by artist, so a pair's
+    events stay in time order. Both sort one user's events at a time
+    after a stable sort of the user ids, which is quick on a log already
+    grouped by user, so most temporaries are the size of one history. The
+    per-event ones are int32 or bool where the values fit.
+    """
+    n = len(log)
+    n_users = int(log.users.max()) + 1 if n else 0
+    index_type = np.int32 if n < 2**31 else np.int64
+    offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(log.users, minlength=n_users), out=offsets[1:])
+
+    order = np.argsort(log.users, kind="stable").astype(index_type)
+    artists = log.artists[order]
+    timestamps = log.timestamps[order]
+    del order
+    by_pair = np.empty(n, dtype=index_type)
+    first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        by_time = np.argsort(timestamps[lo:hi], kind="stable")
+        timestamps[lo:hi] = timestamps[lo:hi][by_time]
+        artists[lo:hi] = artists[lo:hi][by_time]
+        by_artist = np.argsort(artists[lo:hi], kind="stable")
+        by_pair[lo:hi] = by_artist + lo
+        first.append(lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1)))
+    first = np.concatenate(first)
+    pair_counts = np.diff(first, append=n)
+
+    for arr in (artists, timestamps, by_pair):
+        arr.flags.writeable = False
+    return UserHistories(
         artists=artists,
         timestamps=timestamps,
-        artist_counts=dict(counts),
-        artist_last_played=last_played,
+        starts=offsets[:-1],
+        ends=offsets[1:],
+        pair_offsets=np.searchsorted(first, offsets),
+        pair_artists=artists[by_pair[first]],
+        pair_counts=pair_counts,
+        pair_last=timestamps[by_pair[first + pair_counts - 1]],
+        by_pair=by_pair,
     )
-
-
-def build_user_histories(log: EventLog) -> dict[int, UserHistory]:
-    """Group the log per user, sorted by timestamp with stable tie order."""
-    if len(log) == 0:
-        return {}
-    n = len(log)
-    # lexsort is stable: primary key user, secondary timestamp, then input order.
-    order = np.lexsort((np.arange(n), log.timestamps, log.users))
-    users_sorted = log.users[order]
-    boundaries = np.flatnonzero(np.diff(users_sorted)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-
-    histories: dict[int, UserHistory] = {}
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        idx = order[start:end]
-        user = int(users_sorted[start])
-        artists = np.ascontiguousarray(log.artists[idx])
-        timestamps = np.ascontiguousarray(log.timestamps[idx])
-        artists.flags.writeable = False
-        timestamps.flags.writeable = False
-        histories[user] = history_from_arrays(user, artists, timestamps)
-    return histories
 
 
 def write_events_tsv(log: EventLog, path) -> None:

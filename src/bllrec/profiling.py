@@ -6,8 +6,11 @@ aggregate distribution over all loaded users, via histogram intersection:
     ms(u) = sum over artists a of min(p_u(a), p_global(a))
 
 which is 1.0 when the two distributions coincide and 0.0 when their
-supports are disjoint. The measure is isolated here so alternative
-overlap measures can be swapped in later.
+supports are disjoint. Both distributions come from the pair rows of the
+``UserHistories`` table: p_u(a) is the pair's count over the user's
+events, p_global(a) the artist's total count over all events. The
+measure itself is isolated in ``mainstreaminess`` so alternative overlap
+measures can be swapped in later.
 """
 
 from __future__ import annotations
@@ -15,60 +18,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
-from .ingest import UserHistory
+from .ingest import UserHistories
 
 GROUP_NAMES = ("LowMS", "MedMS", "HighMS")
 
 
-def user_artist_distribution(history: UserHistory) -> dict[int, float]:
-    """Relative play frequency per artist for one user."""
-    if history.n_events == 0:
-        raise DataError(f"user {history.user}: cannot build distribution from empty history")
-    total = history.n_events
-    return {a: history.artist_counts[a] / total for a in sorted(history.artist_counts)}
+def global_artist_distribution(histories: UserHistories) -> np.ndarray:
+    """Relative play frequency of each artist id over all users' events combined.
 
-
-def global_artist_distribution(histories: dict[int, UserHistory]) -> dict[int, float]:
-    """Relative play frequency per artist over all users' events combined.
-
-    Counts are accumulated as integers before the final division, so the
-    result is independent of user iteration order.
+    Counts are summed as exact integers before the one division.
     """
-    totals: dict[int, int] = {}
-    total_events = 0
-    for user in sorted(histories):
-        for artist, count in histories[user].artist_counts.items():
-            totals[artist] = totals.get(artist, 0) + count
-        total_events += histories[user].n_events
+    total_events = int(histories.pair_counts.sum())
     if total_events == 0:
         raise DataError("cannot build global distribution: no events loaded")
-    return {a: totals[a] / total_events for a in sorted(totals)}
+    totals = np.bincount(histories.pair_artists, weights=histories.pair_counts)
+    return totals / total_events
 
 
-def mainstreaminess(user_dist: dict[int, float], global_dist: dict[int, float]) -> float:
-    """Histogram intersection of the two distributions, in [0, 1].
+def mainstreaminess(user_shares, global_shares) -> float:
+    """Histogram intersection of two distributions over the user's artists, in [0, 1].
 
-    fsum makes the result independent of artist id order, so the score
-    is symmetric and invariant under consistent relabeling.
+    ``user_shares`` and ``global_shares`` give the two probabilities of the
+    same artists, in the same order. fsum makes the result independent of
+    that order, so the score is symmetric and invariant under consistent
+    relabeling.
     """
-    shared = user_dist.keys() & global_dist.keys()
-    return math.fsum(min(user_dist[a], global_dist[a]) for a in shared)
+    return math.fsum(np.minimum(user_shares, global_shares).tolist())
 
 
-def score_users(histories: dict[int, UserHistory], min_events: int = 2) -> dict[int, float]:
+def score_users(histories: UserHistories, min_events: int = 2) -> dict[int, float]:
     """Mainstreaminess per user with at least ``min_events`` events.
 
     The global distribution is built from all loaded histories; the
     min-events filter only controls which users receive a score.
     """
     global_dist = global_artist_distribution(histories)
-    scores: dict[int, float] = {}
-    for user in sorted(histories):
-        history = histories[user]
-        if history.n_events >= min_events:
-            scores[user] = mainstreaminess(user_artist_distribution(history), global_dist)
-    return scores
+    n_events = histories.n_events
+    user_shares = histories.pair_counts / n_events[histories.pair_users]
+    global_shares = global_dist[histories.pair_artists]
+    offsets = histories.pair_offsets.tolist()
+    scored = np.flatnonzero((n_events >= min_events) & (n_events > 0)).tolist()
+    return {
+        u: mainstreaminess(user_shares[offsets[u]:offsets[u + 1]], global_shares[offsets[u]:offsets[u + 1]])
+        for u in scored
+    }
 
 
 @dataclass(frozen=True)
@@ -116,28 +112,21 @@ class GroupStats:
 
 def group_stats(
     members,
-    histories: dict[int, UserHistory],
+    histories: UserHistories,
     scores: dict[int, float],
 ) -> GroupStats:
     """Aggregate statistics over one group's members."""
     members = sorted(members)
     if not members:
         raise DataError("cannot compute statistics for an empty group")
-    artists: set[int] = set()
-    events = 0
-    distinct_sum = 0
-    score_sum = 0.0
-    for user in members:
-        history = histories[user]
-        artists.update(history.artist_counts)
-        events += history.n_events
-        distinct_sum += history.n_distinct_artists
-        score_sum += scores[user]
+    in_group = np.zeros(len(histories.starts), dtype=bool)
+    in_group[members] = True
+    rows = in_group[histories.pair_users] & (histories.pair_counts > 0)
     n = len(members)
     return GroupStats(
         users=n,
-        distinct_artists=len(artists),
-        listening_events=events,
-        avg_artists_per_user=distinct_sum / n,
-        avg_mainstreaminess=score_sum / n,
+        distinct_artists=len(np.unique(histories.pair_artists[rows])),
+        listening_events=int(histories.n_events[members].sum()),
+        avg_artists_per_user=int(np.count_nonzero(rows)) / n,
+        avg_mainstreaminess=sum(scores[u] for u in members) / n,
     )

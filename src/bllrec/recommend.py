@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError
-from .ingest import UserHistory
+from .ingest import UserHistories, UserHistory
 
 ALGORITHMS = ("bll", "cf", "pop", "time", "top")
 
@@ -104,57 +104,59 @@ def recommend_bll(train: UserHistory, params: BllParams, k: int) -> Recommendati
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
     ref = _resolve_ref_time(train, params)
-    uniq = np.unique(train.artists)
-    local = np.searchsorted(uniq, train.artists).astype(np.int64)
-    sums = _kernels.bll_sums(local, train.timestamps, ref, len(uniq), params.d)
+    artists = train.pair_artists
+    local = np.searchsorted(artists, train.artists)
+    sums = _kernels.bll_sums(local, train.timestamps, ref, len(artists), params.d)
     # libm log keeps scores bit-identical to the oracles.
     scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
-    order = np.lexsort((uniq, -scores))[:k]
+    order = np.lexsort((artists, -scores))[:k]
     return RecommendationList(
         user=train.user,
-        ranked=[(int(uniq[i]), float(scores[i])) for i in order],
+        ranked=[(int(artists[i]), float(scores[i])) for i in order],
         k=k,
     )
+
+
+def _ranked(user: int, artists: np.ndarray, scores: np.ndarray, order: np.ndarray, k: int) -> RecommendationList:
+    order = order[:k]
+    return RecommendationList(user, list(zip(artists[order].tolist(), map(float, scores[order].tolist()))), k)
 
 
 def recommend_pop(train: UserHistory, k: int) -> RecommendationList:
     """Rank by the user's own play counts; ties by most recent, then artist id."""
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    counts = train.artist_counts
-    last = train.artist_last_played
-    order = sorted(counts, key=lambda a: (-counts[a], -last[a], a))[:k]
-    return RecommendationList(train.user, [(a, float(counts[a])) for a in order], k)
+    order = np.lexsort((train.pair_artists, -train.pair_last, -train.pair_counts))
+    return _ranked(train.user, train.pair_artists, train.pair_counts, order, k)
 
 
 def recommend_time(train: UserHistory, k: int) -> RecommendationList:
     """Rank by last-played time; ties by play count, then artist id."""
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    counts = train.artist_counts
-    last = train.artist_last_played
-    order = sorted(counts, key=lambda a: (-last[a], -counts[a], a))[:k]
-    return RecommendationList(train.user, [(a, float(last[a])) for a in order], k)
+    order = np.lexsort((train.pair_artists, -train.pair_counts, -train.pair_last))
+    return _ranked(train.user, train.pair_artists, train.pair_last, order, k)
 
 
-def global_train_counts(train_histories: dict[int, UserHistory]) -> dict[int, int]:
-    """Total training plays per artist over all users."""
-    totals: dict[int, int] = {}
-    for user in sorted(train_histories):
-        for artist, count in train_histories[user].artist_counts.items():
-            totals[artist] = totals.get(artist, 0) + count
-    return totals
+def global_train_counts(train_histories: UserHistories) -> np.ndarray:
+    """Total training plays of each artist id over all users.
+
+    The float sums of ``bincount`` are exact integers below 2**53 plays.
+    """
+    return np.bincount(train_histories.pair_artists, weights=train_histories.pair_counts).astype(np.int64)
 
 
-def recommend_top(global_counts: dict[int, int], k: int) -> RecommendationList:
+def recommend_top(global_counts: np.ndarray, k: int) -> RecommendationList:
     """Rank artists by total play count over all users; ties by artist id.
 
-    The list is the same for every user, so its ``user`` is -1.
+    ``global_counts`` holds the count of each artist id. The list is the
+    same for every user, so its ``user`` is -1.
     """
-    if not global_counts:
+    played = np.flatnonzero(global_counts)
+    if played.size == 0:
         raise DataError("cannot rank: global play counts are empty")
-    order = sorted(global_counts, key=lambda a: (-global_counts[a], a))[:k]
-    return RecommendationList(-1, [(a, float(global_counts[a])) for a in order], k)
+    counts = global_counts[played]
+    return _ranked(-1, played, counts, np.lexsort((played, -counts)), k)
 
 
 class CfIndex:
@@ -165,29 +167,20 @@ class CfIndex:
     largest artist id in the index. Not modified after it is built.
     """
 
-    def __init__(self, train_histories: dict[int, UserHistory]):
-        if not train_histories:
+    def __init__(self, train_histories: UserHistories):
+        self.user_ids = np.flatnonzero(train_histories.n_events > 0)
+        if self.user_ids.size == 0:
             raise DataError("CfIndex needs at least one training history")
-        self.user_ids = np.array(sorted(train_histories), dtype=np.int64)
-        self._row_of = {int(u): i for i, u in enumerate(self.user_ids)}
-        self.artist_sets = [
-            np.unique(train_histories[int(u)].artists).astype(np.int64) for u in self.user_ids
-        ]
-        self.set_sizes = np.array([len(s) for s in self.artist_sets], dtype=np.int64)
-        if self.set_sizes.min() == 0:
-            raise DataError("CfIndex: every user needs a non-empty training history")
-        max_artist = max(int(s[-1]) for s in self.artist_sets)
+        self._row_of = {u: i for i, u in enumerate(self.user_ids.tolist())}
+        # Pair rows are sorted by user then artist, so each user's set comes out sorted.
+        played = np.flatnonzero(train_histories.pair_counts)
+        rows = np.searchsorted(self.user_ids, train_histories.pair_users[played])
+        artists = train_histories.pair_artists[played].astype(np.int64)
+        self.set_sizes = np.bincount(rows, minlength=len(self.user_ids))
+        self.artist_sets = np.split(artists, np.cumsum(self.set_sizes)[:-1])
 
-        counts = np.zeros(max_artist + 2, dtype=np.int64)
-        for s in self.artist_sets:
-            counts[s + 1] += 1
-        self.indptr = np.cumsum(counts)
-        members = np.empty(int(self.indptr[-1]), dtype=np.int64)
-        fill = self.indptr[:-1].copy()
-        for row, s in enumerate(self.artist_sets):
-            members[fill[s]] = row
-            fill[s] += 1
-        self.members = members
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(artists))))
+        self.members = rows[np.argsort(artists, kind="stable")]
 
     def recommend(self, user: int, params: CfParams, k: int) -> RecommendationList:
         """Score artists by summed similarity of the neighbors that played them.
@@ -221,7 +214,7 @@ class CfIndex:
 
 
 def build_recommenders(
-    train_histories: dict[int, UserHistory],
+    train_histories: UserHistories,
     algorithms=ALGORITHMS,
     bll_params: BllParams | None = None,
     cf_params: CfParams | None = None,

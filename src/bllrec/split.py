@@ -4,72 +4,91 @@ Each user's most recent fraction of events goes into the test set; the
 number of test events is max(1, floor(fraction * n)), so every split
 user keeps at least one training and one test event. Ties at the split
 boundary follow the stable chronological order from ingest.
+
+A split cuts each user's slice of the ``UserHistories`` table in two, so
+train and test are two tables over the same event arrays, not copies.
+Their pair rows count each (user, artist) pair's plays on either side of
+the cut. A pair's events are in time order in the table's ``by_pair``
+order, so its training plays are a prefix of them and its latest
+training play is the last of that prefix.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DataError
-from .ingest import UserHistory, history_from_arrays
-
-
-@dataclass
-class UserSplit:
-    train: UserHistory
-    test: UserHistory
+from .ingest import UserHistories
 
 
 @dataclass
 class SplitDataset:
-    """Per-user (train, test) partitions for one split fraction."""
+    """The train and test tables of one split fraction; only split users have events in them."""
 
-    per_user: dict[int, UserSplit]
+    train: UserHistories
+    test: UserHistories
     fraction: float
     dropped: int  # users with too few events to split
 
+    @property
+    def per_user(self) -> UserHistories:
+        """The split users' training histories; ``perfbench/tracer.py`` counts split users by its length."""
+        return self.train
+
     def test_event_count(self, users=None) -> int:
+        n_test = self.test.n_events
         if users is None:
-            users = self.per_user.keys()
-        return sum(self.per_user[u].test.n_events for u in users if u in self.per_user)
+            return int(n_test.sum())
+        return int(n_test[np.fromiter(users, dtype=np.int64)].sum())
 
 
-def n_test_events(n_events: int, fraction: float) -> int:
-    return max(1, math.floor(fraction * n_events))
+def n_test_events(n_events, fraction: float):
+    """max(1, floor(fraction * n)), for one event count or an array of them."""
+    return np.maximum(1, np.floor(fraction * np.asarray(n_events))).astype(np.int64)
 
 
-def time_split(history: UserHistory, fraction: float) -> tuple[UserHistory, UserHistory]:
-    """Split one history into (train, test) with the most recent events as test."""
+def split_histories(histories: UserHistories, fraction: float, users=None) -> SplitDataset:
+    """Split each given user's history by time; users with fewer than 2 events are dropped and counted.
+
+    ``histories`` is a table from ``build_user_histories``; ``users``
+    defaults to every user in it.
+    """
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0,1), got {fraction}")
-    n = history.n_events
-    if n < 2:
-        raise DataError(f"user {history.user}: need at least 2 events to split, got {n}")
-    n_test = n_test_events(n, fraction)
-    cut = n - n_test
-    train = history_from_arrays(history.user, history.artists[:cut], history.timestamps[:cut])
-    test = history_from_arrays(history.user, history.artists[cut:], history.timestamps[cut:])
-    return train, test
-
-
-def split_histories(
-    histories: dict[int, UserHistory],
-    fraction: float,
-    users=None,
-) -> SplitDataset:
-    """Apply time_split per user; users with fewer than 2 events are dropped and counted."""
+    n_events = histories.n_events
     if users is None:
-        users = histories.keys()
-    per_user: dict[int, UserSplit] = {}
-    dropped = 0
-    for user in sorted(users):
-        history = histories[user]
-        if history.n_events < 2:
-            dropped += 1
-            continue
-        train, test = time_split(history, fraction)
-        per_user[user] = UserSplit(train=train, test=test)
-    if not per_user:
+        chosen = n_events > 0
+    else:
+        chosen = np.zeros(len(n_events), dtype=bool)
+        chosen[np.fromiter(users, dtype=np.int64)] = True
+    split = chosen & (n_events >= 2)
+    if not split.any():
         raise DataError("no splittable users (all histories have fewer than 2 events)")
-    return SplitDataset(per_user=per_user, fraction=fraction, dropped=dropped)
+    n_test = np.where(split, n_test_events(n_events, fraction), 0)
+    cut = histories.ends - n_test  # each user's first test event
+
+    # Find the pair row of every test event by its (user, artist) key.
+    n_artists = int(histories.pair_artists.max()) + 1
+    pair_users = histories.pair_users
+    pair_keys = pair_users * n_artists + histories.pair_artists
+    test_users = np.repeat(np.arange(len(cut)), n_test)
+    # Each user's test events are cut[u], cut[u] + 1, ..., ends[u] - 1.
+    test_events = np.arange(len(test_users)) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
+    test_pairs = np.searchsorted(pair_keys, test_users * n_artists + histories.artists[test_events])
+    test_counts = np.bincount(test_pairs, minlength=len(pair_keys))
+
+    train_counts = np.where(split[pair_users], histories.pair_counts - test_counts, 0)
+    first = np.cumsum(histories.pair_counts) - histories.pair_counts  # of each pair, in by_pair
+    train_last = histories.timestamps[histories.by_pair[first + np.maximum(train_counts - 1, 0)]]
+    train = replace(
+        histories,
+        ends=np.where(split, cut, histories.starts),
+        pair_counts=train_counts,
+        pair_last=train_last,
+        by_pair=None,
+    )
+    # Test events are the latest of their pair, so the pair's latest play is a test play.
+    test = replace(histories, starts=cut, pair_counts=test_counts, by_pair=None)
+    return SplitDataset(train=train, test=test, fraction=fraction, dropped=int(np.count_nonzero(chosen & ~split)))

@@ -190,7 +190,7 @@ def _check_oracle_bounds(train_histories: dict[int, UserHistory]) -> None:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_EVENTS} events")
     artists = set()
     for history in train_histories.values():
-        artists.update(history.artist_counts)
+        artists.update(history.artists.tolist())
     if len(artists) > ORACLE_MAX_ARTISTS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
 

@@ -1,6 +1,8 @@
 import io
 
-from bllrec.ingest import ColumnSchema, build_user_histories, load_events
+import numpy as np
+
+from bllrec.ingest import ColumnSchema, EventLog, IdMaps, build_user_histories, load_events
 from bllrec.synth import SynthConfig, generate_synthetic
 
 SIMPLE_SCHEMA = ColumnSchema(user=0, artist=1, ts=2)
@@ -16,6 +18,17 @@ def log_from_events(events):
 
 def histories_from_events(events):
     return build_user_histories(log_from_events(events))
+
+
+def histories_from_ids(users, artists, timestamps):
+    """UserHistories from parallel user ids, artist ids and timestamps, in input order."""
+    log = EventLog(
+        users=np.asarray(users, dtype=np.int32),
+        artists=np.asarray(artists, dtype=np.int32),
+        timestamps=np.asarray(timestamps, dtype=np.int64),
+        id_maps=IdMaps(),
+    )
+    return build_user_histories(log)
 
 
 def oracle_instances():

@@ -14,21 +14,18 @@ import pytest
 
 from bllrec.cli import main
 from bllrec.evaluation import evaluate_algorithm, hits_at_k
-from bllrec.ingest import build_user_histories, history_from_arrays, load_events
+from bllrec.ingest import build_user_histories, load_events
 from bllrec.profiling import assign_groups, group_stats, score_users
 from bllrec.recommend import BllParams, CfParams, bll_activation, build_recommenders, recommend_bll
-from bllrec.split import n_test_events, split_histories, time_split
+from bllrec.split import n_test_events, split_histories
 from bllrec.synth import SynthConfig, brute_force_ranking, generate_synthetic
 
-from conftest import oracle_instances
+from conftest import histories_from_ids, oracle_instances
 
 
 def _history_from_pairs(user, pairs):
     """UserHistory from unordered (artist, timestamp) pairs."""
-    pairs = sorted(pairs, key=lambda p: p[1])
-    artists = np.array([a for a, _ in pairs], dtype=np.int32)
-    timestamps = np.array([t for _, t in pairs], dtype=np.int64)
-    return history_from_arrays(user, artists, timestamps)
+    return histories_from_ids([user] * len(pairs), [a for a, _ in pairs], [t for _, t in pairs])[user]
 
 
 def _decimal_oracle(timestamps, ref_time, d):
@@ -142,20 +139,16 @@ def test_c4_metric_identities_hold_exactly():
         (int(rng.integers(0, 10)), int(rng.integers(0, 60)), int(rng.integers(0, 100_000)))
         for _ in range(2500)
     ]
-    by_user = {}
-    for user, artist, t in events:
-        by_user.setdefault(user, []).append((artist, t))
-    histories = {u: _history_from_pairs(u, pairs) for u, pairs in by_user.items()}
+    histories = histories_from_ids(*zip(*events))
     split = split_histories(histories, 0.1)
-    trains = {u: s.train for u, s in split.per_user.items()}
     k_max = 20
 
     checked_users = 0
-    for name, fn in build_recommenders(trains).items():
-        report = evaluate_algorithm(split, fn, split.per_user, k_max, name, "ALL")
+    for name, fn in build_recommenders(split.train).items():
+        report = evaluate_algorithm(split, fn, split.train, k_max, name, "ALL")
         for result in report.user_results:
-            test_artists = set(split.per_user[result.user].test.artist_counts)
-            ranking = fn(result.user, split.per_user[result.user].train, k_max)
+            test_artists = set(split.test[result.user].pair_artists.tolist())
+            ranking = fn(result.user, split.train[result.user], k_max)
             assert result.hits_at_k.tolist() == hits_at_k(ranking.artists, test_artists, k_max).tolist()
             t_size = result.test_set_size
             for i in range(k_max):
@@ -173,21 +166,24 @@ def test_c4_metric_identities_hold_exactly():
     print(f"criterion 4 PASS: identities exact on {checked_users} user evaluations")
 
 
+def _time_split(pairs, fraction):
+    """(train, test) of one user's (artist, timestamp) pairs."""
+    split = split_histories(histories_from_ids([0] * len(pairs), *zip(*pairs)), fraction)
+    return split.train[0], split.test[0]
+
+
 def test_c5_split_protocol():
     for n, expected in [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)]:
-        history = _history_from_pairs(0, [(i % 7, i) for i in range(n)])
-        train, test = time_split(history, 0.01)
+        train, test = _time_split([(i % 7, i) for i in range(n)], 0.01)
         assert test.n_events == expected, (n, test.n_events)
         assert train.n_events == n - expected
 
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n = int(rng.integers(2, 600))
-        history = _history_from_pairs(
-            0, [(int(rng.integers(0, 12)), int(rng.integers(0, 10_000))) for _ in range(n)]
-        )
+        pairs = [(int(rng.integers(0, 12)), int(rng.integers(0, 10_000))) for _ in range(n)]
         fraction = float(rng.uniform(0.002, 0.98))
-        train, test = time_split(history, fraction)
+        train, test = _time_split(pairs, fraction)
         assert train.n_events + test.n_events == n
         assert test.n_events == n_test_events(n, fraction) >= 1
         assert train.n_events >= 1
@@ -236,8 +232,7 @@ def test_c7_bll_wins_on_synthetic_groups():
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 166)  # 500 users cannot fill 3 groups of 1000
     split = split_histories(histories, 0.01, users=scores.keys())
-    trains = {u: s.train for u, s in split.per_user.items()}
-    recommenders = build_recommenders(trains)
+    recommenders = build_recommenders(split.train)
 
     recall_at = {}
     for name in ("bll", "pop", "time", "top", "cf"):

@@ -86,31 +86,25 @@ class TestSubcommands:
         assert len(stats_lines) == 4
         assert all(line.split(",")[1] == "20" for line in stats_lines[1:])
 
-        manifest = tmp_path / "split.csv"
+        capsys.readouterr()
         assert main(
-            [
-                "split", "--events", str(synth_tsv), "--fraction", "0.1",
-                "--groups", str(groups), "--out", str(manifest),
-            ]
+            ["split", "--events", str(synth_tsv), "--fraction", "0.1", "--groups", str(groups)]
         ) == 0
-        out = capsys.readouterr().out
-        assert "group=LowMS" in out and "test_events=" in out
-        assert manifest.read_text().splitlines()[0] == "user_key,n_train,n_test"
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in out] == [
+            [f"group={name}", "users=20"] for name in ("LowMS", "MedMS", "HighMS")
+        ]
+        assert all(line.split()[2].startswith("test_events=") for line in out)
 
         results = tmp_path / "results.csv"
-        curves = tmp_path / "curves"
         assert main(
             [
                 "eval", "--events", str(synth_tsv), "--groups", str(groups),
                 "--algo", "bll,pop", "--k-max", "5", "--out", str(results),
-                "--plot-data", str(curves),
             ]
         ) == 0
         lines = results.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3 * 5
-        assert sorted(p.name for p in curves.iterdir()) == [
-            f"curve_{algo}_{grp}.csv" for algo in ("bll", "pop") for grp in ("HighMS", "LowMS", "MedMS")
-        ]
 
     def test_split_without_groups_reports_all(self, synth_tsv, capsys):
         assert main(["split", "--events", str(synth_tsv), "--fraction", "0.05"]) == 0
@@ -323,6 +317,22 @@ class TestRunPipeline:
         path.write_text("".join(lines))
         code = main(["run", "--events", str(path), "--group-size", "1", "--algo", "bll", "--out-dir", str(tmp_path / "o")])
         assert code == 0
+
+    @pytest.mark.parametrize("subcommand", ["run", "profile", "split"])
+    @pytest.mark.parametrize("events", ["", "u0\ta0\t0\t0\t10\nu1\ta0\t0\t0\t11\nu2\ta1\t0\t0\t12\n"],
+                             ids=["empty", "one-event-per-user"])
+    def test_degenerate_log_is_data_error(self, tmp_path, capsys, subcommand, events):
+        path = tmp_path / "events.tsv"
+        path.write_text(events)
+        args = {
+            "run": ["--group-size", "1", "--out-dir", str(tmp_path / "o")],
+            "profile": ["--group-size", "1", "--out", str(tmp_path / "groups.csv")],
+            "split": [],
+        }[subcommand]
+        assert main([subcommand, "--events", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not (tmp_path / "o" / "groups.csv").exists() and not (tmp_path / "groups.csv").exists()
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -5,7 +5,6 @@ from bllrec.errors import DataError
 from bllrec.evaluation import (
     EvalReport,
     UserResult,
-    emit_plot_data,
     emit_report,
     evaluate_algorithm,
     hits_at_k,
@@ -67,9 +66,8 @@ def _clone_split():
 class TestEvaluateAlgorithm:
     def test_clone_users_cf_reaches_full_recall(self):
         split = _clone_split()
-        trains = {u: s.train for u, s in split.per_user.items()}
-        recommenders = build_recommenders(trains, algorithms=("cf",), cf_params=CfParams())
-        report = evaluate_algorithm(split, recommenders["cf"], split.per_user, 5, "cf", "ALL")
+        recommenders = build_recommenders(split.train, algorithms=("cf",), cf_params=CfParams())
+        report = evaluate_algorithm(split, recommenders["cf"], split.train, 5, "cf", "ALL")
         assert report.points[1][0] == 1.0  # recall@2 == 1: both test artists are clone train artists
         assert report.users_evaluated == 2
 
@@ -79,7 +77,7 @@ class TestEvaluateAlgorithm:
         def cold(user, train, k):
             return RecommendationList(user, [], k)
 
-        report = evaluate_algorithm(split, cold, split.per_user, 3, "cf", "ALL")
+        report = evaluate_algorithm(split, cold, split.train, 3, "cf", "ALL")
         assert report.users_evaluated == 2
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
@@ -98,9 +96,8 @@ class TestEvaluateAlgorithm:
             events += [(user, rare, 99)]
         histories = histories_from_events(events)
         split = split_histories(histories, 0.01)  # exactly the rare artist in each test set
-        trains = {u: s.train for u, s in split.per_user.items()}
-        recommenders = build_recommenders(trains, algorithms=("top",))
-        report = evaluate_algorithm(split, recommenders["top"], split.per_user, 2, "top", "ALL")
+        recommenders = build_recommenders(split.train, algorithms=("top",))
+        report = evaluate_algorithm(split, recommenders["top"], split.train, 2, "top", "ALL")
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
     def test_deterministic(self):
@@ -111,11 +108,10 @@ class TestEvaluateAlgorithm:
         ]
         histories = histories_from_events(events)
         split = split_histories(histories, 0.1)
-        trains = {u: s.train for u, s in split.per_user.items()}
-        recommenders = build_recommenders(trains)
+        recommenders = build_recommenders(split.train)
         for name, fn in recommenders.items():
-            first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
-            second = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
+            first = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
+            second = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
             assert first.points == second.points
             assert [r.hits_at_k.tolist() for r in first.user_results] == (
                 [r.hits_at_k.tolist() for r in second.user_results]
@@ -123,16 +119,14 @@ class TestEvaluateAlgorithm:
 
     def test_recommenders_never_see_test_events(self):
         split = _clone_split()
-        boundaries = {
-            u: int(s.test.timestamps.min()) for u, s in split.per_user.items()
-        }
+        boundaries = {u: int(split.test[u].timestamps.min()) for u in split.test}
         seen = {}
 
         def spy(user, train, k):
             seen[user] = int(train.timestamps.max())
-            return RecommendationList(user, [(a, 1.0) for a in sorted(train.artist_counts)][:k], k)
+            return RecommendationList(user, [(a, 1.0) for a in train.pair_artists.tolist()][:k], k)
 
-        evaluate_algorithm(split, spy, split.per_user, 3, "spy", "ALL")
+        evaluate_algorithm(split, spy, split.train, 3, "spy", "ALL")
         for user, max_train_ts in seen.items():
             assert max_train_ts <= boundaries[user]
 
@@ -144,9 +138,8 @@ class TestEvaluateAlgorithm:
         ]
         histories = histories_from_events(events)
         split = split_histories(histories, 0.2)
-        trains = {u: s.train for u, s in split.per_user.items()}
-        for name, fn in build_recommenders(trains).items():
-            report = evaluate_algorithm(split, fn, split.per_user, 15, name, "ALL")
+        for name, fn in build_recommenders(split.train).items():
+            report = evaluate_algorithm(split, fn, split.train, 15, name, "ALL")
             recalls = [r for r, _ in report.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
 
@@ -183,13 +176,6 @@ class TestEmitReport:
         emit_report(reports, first)
         emit_report(reports, second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_plot_data_files(self, tmp_path):
-        paths = emit_plot_data([self._report("bll", "LowMS"), self._report("cf", "LowMS")], tmp_path)
-        assert [p.name for p in paths] == ["curve_bll_LowMS.csv", "curve_cf_LowMS.csv"]
-        lines = paths[0].read_text().splitlines()
-        assert lines[0] == "recall,precision"
-        assert len(lines) == 3
 
     def test_no_reports(self, tmp_path):
         with pytest.raises(DataError):

@@ -377,6 +377,11 @@ class TestChunkBoundaries:
         assert log.timestamps.tolist() == [10, 11, 12]
 
 
+def _pairs(h):
+    """One user's pair rows as {artist: (count, last played)}."""
+    return dict(zip(h.pair_artists.tolist(), zip(h.pair_counts.tolist(), h.pair_last.tolist())))
+
+
 class TestBuildUserHistories:
     def test_hand_sorted_example(self):
         histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)])
@@ -384,13 +389,13 @@ class TestBuildUserHistories:
         a0, a1 = 0, 1  # first-seen densification
         assert h.artists.tolist() == [a1, a0, a0]
         assert h.timestamps.tolist() == [5, 7, 10]
-        assert h.artist_counts == {a0: 2, a1: 1}
-        assert h.artist_last_played == {a0: 10, a1: 5}
+        assert _pairs(h) == {a0: (2, 10), a1: (1, 5)}
+        assert h.pair_artists.tolist() == [a0, a1]
 
     def test_single_event(self):
         histories = histories_from_events([("u", "a", 3)])
         assert histories[0].n_events == 1
-        assert histories[0].artist_counts == {0: 1}
+        assert _pairs(histories[0]) == {0: (1, 3)}
 
     def test_equal_timestamps_keep_input_order(self):
         histories = histories_from_events([("u", "a", 5), ("u", "b", 5), ("u", "c", 5)])
@@ -398,7 +403,8 @@ class TestBuildUserHistories:
 
     def test_empty_log(self):
         log = log_from_events([])
-        assert build_user_histories(log) == {}
+        histories = build_user_histories(log)
+        assert histories == {} and len(histories) == 0 and 0 not in histories
 
     def test_conservation_and_sortedness_random(self):
         rng = np.random.default_rng(7)
@@ -413,8 +419,10 @@ class TestBuildUserHistories:
             assert sum(h.n_events for h in histories.values()) == len(log) == n
             for h in histories.values():
                 assert (np.diff(h.timestamps) >= 0).all()
-                assert sum(h.artist_counts.values()) == h.n_events
-                for artist, last in h.artist_last_played.items():
+                assert sum(h.pair_counts.tolist()) == h.n_events
+                assert (np.diff(h.pair_artists) > 0).all()
+                for artist, (count, last) in _pairs(h).items():
+                    assert count == (h.artists == artist).sum()
                     assert last == h.timestamps[h.artists == artist].max()
 
 

@@ -33,8 +33,14 @@ def test_traced_run_records_layer_spans(tmp_path, capsys):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span[2] for span in json.loads(trace.read_text())["spans"]}
+    trace = json.loads(trace.read_text())
+    names = {span[2] for span in trace["spans"]}
     for name in (
+        "ingest.build_user_histories",
+        "profiling.score_users",
+        "profiling.group_stats",
+        "split.split_histories",
+        "evaluation.bll",
         "recommend.build_recommenders",
         "recommend.top.build",
         "recommend.cf.build",
@@ -42,3 +48,6 @@ def test_traced_run_records_layer_spans(tmp_path, capsys):
         "kernels.overlap_counts",
     ):
         assert name in names
+    # The tracer reads the split's user count and test event count.
+    assert trace["counters"]["split.users"] == 30
+    assert trace["counters"]["split.test_events"] >= 30

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from bllrec.profiling import (
     group_stats,
     mainstreaminess,
     score_users,
-    user_artist_distribution,
 )
 
 from bllrec.ingest import build_user_histories
@@ -22,26 +24,38 @@ def _history(events):
     return next(iter(histories.values()))
 
 
+def _score(events, user="u"):
+    """The mainstreaminess of ``user`` in a log of (user key, artist key, timestamp) events."""
+    log = log_from_events(events)
+    return score_users(build_user_histories(log), min_events=1)[log.id_maps.users.id_of(user)]
+
+
 class TestUserDistribution:
+    # A user's distribution is its play counts over its event count: each
+    # score below is the hand-computed overlap of that distribution with
+    # the global one.
     def test_direct_normalization(self):
-        h = _history([("u", "a", 1), ("u", "a", 2), ("u", "a", 3), ("u", "b", 4)])
-        assert user_artist_distribution(h) == {0: 0.75, 1: 0.25}
+        events = [("u", "a", 1), ("u", "a", 2), ("u", "a", 3), ("u", "b", 4)]
+        # u: a 3/4, b 1/4; global: a 3/8, b 5/8
+        assert _score(events + [("v", "b", t) for t in range(4)]) == 3 / 8 + 1 / 4
 
     def test_single_artist(self):
-        h = _history([("u", "a", t) for t in range(5)])
-        assert user_artist_distribution(h) == {0: 1.0}
+        # u: a 1; global: a 5/8
+        assert _score([("u", "a", t) for t in range(5)] + [("v", "b", t) for t in range(3)]) == 5 / 8
 
     def test_three_artists(self):
-        h = _history([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)])
-        assert user_artist_distribution(h) == {0: 0.25, 1: 0.25, 2: 0.5}
+        events = [("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)]
+        # u: a 1/4, b 1/4, c 1/2; global: a 1/8, b 1/8, c 3/4
+        assert _score(events + [("v", "c", t) for t in range(4)]) == 1 / 8 + 1 / 8 + 1 / 2
 
     def test_sums_to_one(self):
+        # Alone in the log, a user's distribution is the global one.
         rng = np.random.default_rng(11)
         for _ in range(20):
             events = [("u", f"a{rng.integers(0, 9)}", int(t)) for t in range(int(rng.integers(1, 60)))]
-            dist = user_artist_distribution(_history(events))
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-            assert all(v >= 0 for v in dist.values())
+            h = _history(events)
+            assert (h.pair_counts / h.n_events).sum() == pytest.approx(1.0, abs=1e-9)
+            assert _score(events) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGlobalDistribution:
@@ -49,12 +63,12 @@ class TestGlobalDistribution:
         histories = histories_from_events(
             [("u1", "a", 1), ("u2", "a", 2), ("u2", "b", 3), ("u2", "b", 4)]
         )
-        assert global_artist_distribution(histories) == {0: 0.5, 1: 0.5}
+        assert global_artist_distribution(histories).tolist() == [0.5, 0.5]
 
     def test_single_user_identity(self):
         histories = histories_from_events([("u", "a", 1), ("u", "b", 2), ("u", "a", 3)])
         h = next(iter(histories.values()))
-        assert global_artist_distribution(histories) == user_artist_distribution(h)
+        assert global_artist_distribution(histories)[h.pair_artists].tolist() == (h.pair_counts / h.n_events).tolist()
 
     def test_order_independence(self):
         events = [("u2", "b", 3), ("u1", "a", 1), ("u2", "a", 2)]
@@ -63,26 +77,28 @@ class TestGlobalDistribution:
         def by_key(event_list):
             log = log_from_events(event_list)
             dist = global_artist_distribution(build_user_histories(log))
-            return {log.id_maps.artists.key_of(a): p for a, p in dist.items()}
+            return {log.id_maps.artists.key_of(a): p for a, p in enumerate(dist.tolist())}
 
         assert by_key(events) == by_key(permuted)
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            global_artist_distribution({})
+            global_artist_distribution(histories_from_events([]))
 
 
 class TestMainstreaminess:
+    # Both arguments give the shares of the same artists, in the same order.
     def test_identical_distributions(self):
-        d = {0: 0.5, 1: 0.25, 2: 0.25}
+        d = [0.5, 0.25, 0.25]
         assert mainstreaminess(d, d) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_supports(self):
-        assert mainstreaminess({0: 1.0}, {1: 0.6, 2: 0.4}) == 0.0
+        # the user's only artist has no global share
+        assert mainstreaminess([1.0], [0.0]) == 0.0
 
     def test_hand_evaluation(self):
-        user = {0: 0.5, 1: 0.5}
-        global_ = {0: 0.5, 1: 0.25, 2: 0.25}
+        user = [0.5, 0.5]
+        global_ = [0.5, 0.25]  # of the same two artists; a third holds the other 0.25
         assert mainstreaminess(user, global_) == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry_and_bounds(self):
@@ -100,17 +116,17 @@ class TestMainstreaminess:
         for _ in range(20):
             a = _random_dist(rng, support=8)
             b = _random_dist(rng, support=8)
-            perm = rng.permutation(100).tolist()
-            a2 = {perm[k]: v for k, v in a.items()}
-            b2 = {perm[k]: v for k, v in b.items()}
-            assert mainstreaminess(a, b) == mainstreaminess(a2, b2)
+            perm = rng.permutation(len(a))
+            assert mainstreaminess(a, b) == mainstreaminess(a[perm], b[perm])
 
 
 def _random_dist(rng, support):
-    keys = rng.choice(20, size=int(support), replace=False).tolist()
+    """Shares of 20 artists, nonzero on ``support`` of them."""
+    keys = rng.choice(20, size=int(support), replace=False)
     weights = rng.random(len(keys)) + 1e-3
-    total = weights.sum()
-    return {int(k): float(w / total) for k, w in zip(keys, weights)}
+    dist = np.zeros(20)
+    dist[keys] = weights / weights.sum()
+    return dist
 
 
 class TestScoreUsers:
@@ -130,6 +146,28 @@ class TestScoreUsers:
         scores = score_users(histories, min_events=2)
         busy = [u for u, h in histories.items() if h.n_events == 3][0]
         assert scores[busy] == pytest.approx(0.75)  # min(1.0, 3/4)
+
+
+    def test_equals_counter_fsum_oracle(self):
+        rng = np.random.default_rng(19)
+        unscored = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            events = [(f"u{rng.integers(0, 12)}", f"a{rng.integers(0, 25)}", int(rng.integers(0, 50))) for _ in range(n)]
+            min_events = int(rng.integers(1, 30))
+            log = log_from_events(events)
+            by_user = {}
+            for u, a in zip(log.users.tolist(), log.artists.tolist()):
+                by_user.setdefault(u, Counter())[a] += 1
+            totals = sum(by_user.values(), Counter())  # users below min_events count here too
+            expected = {
+                u: math.fsum(min(c / counts.total(), totals[a] / n) for a, c in counts.items())
+                for u, counts in by_user.items()
+                if counts.total() >= min_events
+            }
+            unscored += len(by_user) - len(expected)
+            assert score_users(build_user_histories(log), min_events) == expected
+        assert unscored > 20
 
 
 class TestAssignGroups:
@@ -193,4 +231,4 @@ class TestGroupStats:
 
     def test_empty_group(self):
         with pytest.raises(DataError):
-            group_stats([], {}, {})
+            group_stats([], histories_from_events([]), {})

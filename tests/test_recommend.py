@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.ingest import history_from_arrays
+from bllrec.ingest import EventLog, IdMaps, UserHistory, build_user_histories
 from bllrec.recommend import (
     BllParams,
     CfIndex,
@@ -134,7 +134,7 @@ class TestRecommendBll:
                     events.append(("u", f"a{artist}", t))
             train = _history(events)
             ranked = recommend_bll(train, BllParams(d=1e-6), n_artists).artists
-            by_count = sorted(train.artist_counts, key=lambda a: -train.artist_counts[a])
+            by_count = train.pair_artists[np.argsort(-train.pair_counts)].tolist()
             assert ranked == by_count
 
 
@@ -153,7 +153,8 @@ class TestRecommendPop:
         assert result.artists == [2]
 
     def test_empty_train(self):
-        empty = history_from_arrays(0, np.array([], dtype=np.int32), np.array([], dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        empty = UserHistory(0, none.astype(np.int32), none, none.astype(np.int32), none, none)
         with pytest.raises(DataError):
             recommend_pop(empty, 1)
         with pytest.raises(DataError):
@@ -178,29 +179,31 @@ class TestRecommendTime:
 
 
 class TestRecommendTop:
+    # Global counts are indexed by artist id; unplayed artists hold 0.
     def test_tie_by_artist_id(self):
-        counts = {0: 10, 1: 7, 2: 7}
+        counts = np.array([10, 7, 7])
         assert recommend_top(counts, 3).artists == [0, 1, 2]
 
     def test_k_larger_than_artist_count(self):
-        counts = {0: 3, 1: 1}
-        assert len(recommend_top(counts, 10).artists) == 2
+        counts = np.array([3, 0, 1])
+        assert recommend_top(counts, 10).artists == [0, 2]
 
     def test_promotion_after_extra_plays(self):
-        counts = {0: 10, 1: 9, 2: 1}
+        counts = np.array([10, 9, 1])
         assert 2 not in recommend_top(counts, 2).artists
         counts[2] = 11
         assert recommend_top(counts, 2).artists[0] == 2
 
     def test_empty_counts(self):
-        with pytest.raises(DataError):
-            recommend_top({}, 5)
+        for counts in (np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64)):
+            with pytest.raises(DataError):
+                recommend_top(counts, 5)
 
     def test_global_counts(self):
         histories = histories_from_events(
             [("u1", "a", 1), ("u1", "a", 2), ("u2", "a", 3), ("u2", "b", 4)]
         )
-        assert global_train_counts(histories) == {0: 3, 1: 1}
+        assert global_train_counts(histories).tolist() == [3, 1]
 
 
 class TestRecommendCf:
@@ -262,9 +265,9 @@ class TestBuildRecommenders:
         ]
         histories = histories_from_events(events)
         recommenders = build_recommenders(histories)
-        global_artists = set(global_train_counts(histories))
+        global_artists = set(np.flatnonzero(global_train_counts(histories)).tolist())
         for user, train in histories.items():
-            own = set(train.artist_counts)
+            own = set(train.pair_artists.tolist())
             for name, fn in recommenders.items():
                 result = fn(user, train, 6)
                 artists = result.artists
@@ -291,19 +294,23 @@ class TestBuildRecommenders:
 
 def _spread_ids(histories):
     """The same histories with artist id a renamed to a * 100_003 + 7 (up to ~3M)."""
-    return {
-        u: history_from_arrays(u, (h.artists.astype(np.int64) * 100_003 + 7).astype(np.int32), h.timestamps)
-        for u, h in histories.items()
-    }
+    users = [u for u, h in histories.items() for _ in range(h.n_events)]
+    log = EventLog(
+        users=np.array(users, dtype=np.int32),
+        artists=np.concatenate([h.artists.astype(np.int64) * 100_003 + 7 for h in histories.values()]).astype(np.int32),
+        timestamps=np.concatenate([h.timestamps for h in histories.values()]),
+        id_maps=IdMaps(),
+    )
+    return build_user_histories(log)
 
 
 @pytest.mark.parametrize("remap", [lambda h: h, _spread_ids], ids=["dense", "sparse-wide"])
 def test_cf_and_top_scores_equal_oracle_exactly(remap):
-    # The instances of the c3 acceptance test; here the float scores must match too.
+    # The instances of the c3 acceptance test; here the float scores of all five algorithms must match too.
     compared = nonempty_cf = 0
     for seed, histories in oracle_instances():
         histories = remap(histories)
-        recommenders = build_recommenders(histories, algorithms=("cf", "top"))
+        recommenders = build_recommenders(histories)
         for user, train in histories.items():
             for name, fn in recommenders.items():
                 got = fn(user, train, 10)
@@ -311,4 +318,4 @@ def test_cf_and_top_scores_equal_oracle_exactly(remap):
                 assert got.ranked == brute_force_ranking(name, histories, user, 10).ranked, (seed, user, name)
                 compared += 1
                 nonempty_cf += name == "cf" and bool(got.ranked)
-    assert compared > 1000 and nonempty_cf > 400
+    assert compared > 3000 and nonempty_cf > 400

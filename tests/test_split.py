@@ -1,16 +1,26 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.split import n_test_events, split_histories, time_split
+from bllrec.recommend import global_train_counts
+from bllrec.split import n_test_events, split_histories
 
-from conftest import histories_from_events
+from conftest import histories_from_events, histories_from_ids
 
 
 def _history(n_events, user="u", start=0):
     events = [(user, f"a{i % 7}", start + i) for i in range(n_events)]
-    histories = histories_from_events(events)
-    return next(iter(histories.values()))
+    return histories_from_events(events)
+
+
+def _time_split(histories, fraction):
+    """(train, test) of the one user in ``histories``."""
+    split = split_histories(histories, fraction)
+    (user,) = split.train
+    return split.train[user], split.test[user]
 
 
 class TestTimeSplit:
@@ -19,37 +29,40 @@ class TestTimeSplit:
         [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)],
     )
     def test_one_percent_sizes(self, n, expected_test):
-        train, test = time_split(_history(n), 0.01)
+        train, test = _time_split(_history(n), 0.01)
         assert test.n_events == expected_test
         assert train.n_events == n - expected_test
 
     def test_half_fraction(self):
-        train, test = time_split(_history(4), 0.5)
+        train, test = _time_split(_history(4), 0.5)
         assert (train.n_events, test.n_events) == (2, 2)
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            time_split(_history(1), 0.01)
+            split_histories(_history(1), 0.01)
 
     def test_bad_fraction(self):
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DataError):
-                time_split(_history(10), fraction)
+                split_histories(_history(10), fraction)
 
     def test_equal_timestamps_stable(self):
         histories = histories_from_events([("u", f"a{i}", 5) for i in range(100)])
-        train, test = time_split(histories[0], 0.01)
+        train, test = _time_split(histories, 0.01)
         assert test.n_events == 1
         assert test.artists.tolist() == [99]  # last input event under tie stability
+        assert test.pair_artists.tolist() == [99]
+        assert 99 not in train.pair_artists
 
     def test_conservation_ordering_monotonic_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(2, 400))
             events = [("u", f"a{rng.integers(0, 9)}", int(rng.integers(0, 5000))) for _ in range(n)]
-            history = next(iter(histories_from_events(events).values()))
+            histories = histories_from_events(events)
+            history = histories[0]
             fraction = float(rng.uniform(0.005, 0.95))
-            train, test = time_split(history, fraction)
+            train, test = _time_split(histories, fraction)
             assert train.n_events + test.n_events == n
             assert test.n_events >= 1 and train.n_events >= 1
             assert train.timestamps.max() <= test.timestamps.min()
@@ -70,6 +83,7 @@ class TestSplitHistories:
         histories = histories_from_events(events)
         split = split_histories(histories, 0.01)
         assert split.test_event_count() == 1 + 2
+        assert split.test_event_count([1]) == 2
         assert split.dropped == 0
 
     def test_short_histories_dropped_with_count(self):
@@ -78,6 +92,7 @@ class TestSplitHistories:
         split = split_histories(histories, 0.1)
         assert split.dropped == 1
         assert len(split.per_user) == 1
+        assert 0 not in split.train and 0 not in split.test
 
     def test_all_users_too_short(self):
         histories = histories_from_events([("u1", "a", 1), ("u2", "b", 2)])
@@ -87,6 +102,35 @@ class TestSplitHistories:
     def test_user_subset(self):
         events = [("u1", "a", i) for i in range(10)] + [("u2", "b", i) for i in range(10)]
         histories = histories_from_events(events)
-        only = [u for u in histories if histories[u].artist_counts.get(0)]
+        only = [u for u in histories if 0 in histories[u].pair_artists]
         split = split_histories(histories, 0.2, users=only)
-        assert set(split.per_user) == set(only)
+        assert list(split.train) == list(split.test) == only
+        assert split.test_event_count() == 2
+        # u2 is outside the split, so none of its plays count as training plays
+        assert global_train_counts(split.train).tolist() == [8, 0]
+
+    def test_pair_rows_equal_counter_oracle(self):
+        # Six distinct timestamps, so runs of equal timestamps straddle most cuts.
+        rng = np.random.default_rng(31)
+        straddled = 0
+        for _ in range(40):
+            n = int(rng.integers(20, 400))
+            users, artists, stamps = (rng.integers(0, hi, n).tolist() for hi in (8, 15, 6))
+            fraction = float(rng.uniform(0.01, 0.6))
+            split = split_histories(histories_from_ids(users, artists, stamps), fraction)
+            for u in set(users):
+                # (timestamp, input index, artist): chronological, ties in input order
+                events = sorted((t, i, a) for i, (v, a, t) in enumerate(zip(users, artists, stamps)) if v == u)
+                if len(events) < 2:
+                    assert u not in split.train and u not in split.test
+                    continue
+                cut = len(events) - max(1, math.floor(fraction * len(events)))
+                straddled += events[cut - 1][0] == events[cut][0]
+                for side, part in ((split.train[u], events[:cut]), (split.test[u], events[cut:])):
+                    counts = Counter(a for _, _, a in part)
+                    last = {a: t for t, _, a in part}
+                    assert side.artists.tolist() == [a for _, _, a in part]
+                    assert side.pair_artists.tolist() == sorted(counts)
+                    assert side.pair_counts.tolist() == [counts[a] for a in sorted(counts)]
+                    assert side.pair_last.tolist() == [last[a] for a in sorted(counts)]
+        assert straddled > 100
