@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -292,10 +291,7 @@ def _config_from_args(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             raw[f.name] = value
-    config = validate_config(raw)
-    if "out_dir" not in raw and os.environ.get("BLLREC_OUT_DIR"):
-        config.out_dir = os.environ["BLLREC_OUT_DIR"]
-    return config
+    return validate_config(raw)
 
 
 def cmd_ingest(args) -> int:

@@ -4,13 +4,14 @@ Parses newline-delimited, tab-separated listening events (LFM-1b column
 layout by default) and assigns dense integer ids to users and artists in
 first-seen order. All produced arrays are read-only after loading.
 
-``load_events`` reads its source once, ``CHUNK_SIZE`` bytes at a time, and
-hashes those same bytes for the run manifest. numpy parses each block of
-whole lines at once; ``parse_event_line`` remains the only judge of the
-line rules and sees every line numpy cannot vouch for: other column
-counts, timestamps that are not 1 to 18 ASCII digits, keys longer than 8
-bytes, every line of a block holding a ``\\r`` outside ``\\r\\n``, a NUL or
-bytes that are not UTF-8, and every line of a text stream.
+``load_events`` reads a path or binary stream once, ``CHUNK_SIZE`` bytes
+at a time, and hashes those same bytes for the run manifest. Lines end as
+under universal newlines. numpy parses each block of whole lines at once;
+``parse_event_line`` remains the only judge of the line rules and sees
+only the lines numpy cannot vouch for: other column counts, timestamps
+that are not 1 to 18 ASCII digits, keys longer than 8 bytes, lines
+holding a NUL, and, in a block that is not valid UTF-8, lines holding a
+byte that is not ASCII.
 
 ``build_user_histories`` turns the log into one ``UserHistories`` table
 with two stable sorts. The first, by user then timestamp, gives every
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -79,9 +79,6 @@ class ColumnSchema:
         if missing:
             raise UsageError(f"schema is missing columns: {', '.join(sorted(missing))}")
         return cls(**fields)
-
-    def spec(self) -> str:
-        return f"user={self.user},artist={self.artist},ts={self.ts}"
 
 
 class IdMap:
@@ -275,8 +272,6 @@ against 0.56 s, medians of 10 alternating runs on a 2-core Xeon)."""
 _PAD = 18  # the widest window read around a field: an 18-digit timestamp
 _POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-_NO_KEYS = np.zeros(0, dtype="<u8")
-_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
 class _Sha256Reader:
@@ -335,24 +330,6 @@ def _is_utf8(data: bytes) -> bool:
     return True
 
 
-def _binary_units(read) -> Iterator[bytes | list[str]]:
-    """Each block of whole lines, or its decoded lines when numpy may not parse it.
-
-    Universal newlines read ``\\r\\n`` as ``\\n``, so numpy gets the block
-    with that done. A block goes line by line when it holds any other
-    ``\\r`` (universal newlines end lines there too), a NUL (keys viewed as
-    ``S8`` drop trailing NULs) or bytes that are not UTF-8. Its lines are
-    then decoded as a text file decodes them: UTF-8 with surrogateescape,
-    universal newlines.
-    """
-    for block in _byte_blocks(read):
-        lf_block = block.replace(b"\r\n", b"\n")
-        if b"\r" in lf_block or b"\x00" in lf_block or not _is_utf8(lf_block):
-            yield io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="surrogateescape").readlines()
-        else:
-            yield lf_block
-
-
 def _parse_digits(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the fields ``[start:end]`` of a ``_pad`` block and which are 1 to 18 ASCII digits.
 
@@ -397,26 +374,21 @@ def _densify(id_map: IdMap, keys: np.ndarray, index: np.ndarray, more_keys: list
 
 
 class _ChunkParser:
-    """Turns units (a block of bytes, or a list of lines) into event arrays and the id maps."""
+    """Turns blocks of whole lines into event arrays and the id maps."""
 
     def __init__(self, schema: ColumnSchema, on_error: str):
         self.schema = schema
         self.on_error = on_error
         self.id_maps = IdMaps()
-        self.lines = 0  # lines consumed, so line numbers continue across units
+        self.lines = 0  # lines consumed, so line numbers continue across blocks
         self.skipped = 0
         self.size = 0  # events stored
         # Grown in place (realloc), so the events are never held twice.
         self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
 
-    def add(self, unit: bytes | list[str]) -> None:
-        if isinstance(unit, bytes):
-            self._add_block(unit)
-        else:
-            self._append(_NO_INDEX, _NO_KEYS, _NO_KEYS, np.zeros(0, dtype=np.int64), enumerate(unit))
-            self.lines += len(unit)
-
-    def _add_block(self, data: bytes) -> None:
+    def add(self, data: bytes) -> None:
+        if b"\r" in data:  # universal newlines: \r\n, then any other \r, ends a line
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not data.endswith(b"\n"):
             data += b"\n"  # the input's last line lacks its newline
         buf = np.frombuffer(data, dtype=np.uint8)
@@ -430,6 +402,13 @@ class _ChunkParser:
         counts[: self.schema.min_columns] = 0
         width = int(counts.argmax())
         take = n_columns == width if counts[width] else np.zeros(len(line_ends), dtype=bool)
+        # Leave to parse_event_line the lines with a NUL (keys viewed as S8 lose trailing
+        # NULs) and, where the block is not UTF-8, those with a non-ASCII byte.
+        odd = buf == 0
+        if not _is_utf8(data):
+            odd |= buf >= 0x80
+        line_bounds = np.concatenate(([-1], delims[line_ends]))  # -1, then each line's newline
+        take[np.searchsorted(line_bounds, np.flatnonzero(odd)) - 1] = False
         bounds = np.concatenate(([-1], delims))
         first_delim = line_ends[take] - width + 1
 
@@ -444,10 +423,9 @@ class _ChunkParser:
         take[take] = ok
 
         rest = np.flatnonzero(~take)
-        line_bounds = np.concatenate(([-1], delims[line_ends]))  # -1, then each line's newline
         starts = (line_bounds[rest] + 1).tolist()
         ends = line_bounds[rest + 1].tolist()
-        rest_lines = zip(rest.tolist(), (data[s:e].decode("utf-8") for s, e in zip(starts, ends)))
+        rest_lines = zip(rest.tolist(), (data[s:e].decode("utf-8", "surrogateescape") for s, e in zip(starts, ends)))
         self._append(
             np.flatnonzero(take),
             _gather_keys(padded, user_start[ok], user_end[ok]),
@@ -497,36 +475,34 @@ class _ChunkParser:
 
 
 @contextmanager
-def _open_units(source):
-    """Units of lines from ``source`` and, for a path, the reader hashing its raw bytes."""
+def _open_blocks(source):
+    """Blocks of whole lines from ``source`` and, for a path, the reader hashing its raw bytes."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         with open(path, "rb") as raw:
             reader = _Sha256Reader(raw)
             if path.suffix == ".gz":
                 with gzip.GzipFile(fileobj=reader, mode="rb") as decompressed:
-                    yield _binary_units(decompressed.read1), reader
+                    yield _byte_blocks(decompressed.read1), reader
             else:
-                yield _binary_units(reader.read), reader
-    elif isinstance(source, io.TextIOBase):
-        yield iter(lambda: source.readlines(CHUNK_SIZE), []), None
+                yield _byte_blocks(reader.read), reader
     else:  # a caller's binary stream, which stays open
-        yield _binary_units(source.read), None
+        yield _byte_blocks(source.read), None
 
 
 def load_events(source, schema: ColumnSchema | None = None, on_error: str = "skip") -> tuple[EventLog, int]:
-    """Load an event log from a path or file-like object in one pass.
+    """Load an event log from a path or binary stream in one pass.
 
     The source is read once, ``CHUNK_SIZE`` bytes at a time. For a path the
     same raw bytes (compressed ones for ``.gz``) feed the SHA-256 stored as
-    ``EventLog.sha256``. numpy parses each block of whole lines at once: the
-    lines with the block's most common column count whose timestamp is 1 to
-    18 ASCII digits and whose keys are at most 8 bytes. Every other line goes
-    through ``parse_event_line``, which alone decides the line rules, with its
-    1-based line number, and so does every line of a block holding a ``\\r``
-    outside ``\\r\\n``, a NUL or bytes that are not UTF-8, and every line of a
-    text stream, which is read ``CHUNK_SIZE`` characters' worth of lines at a
-    time.
+    ``EventLog.sha256``. ``\\r\\n``, then any other ``\\r``, ends a line as
+    ``\\n`` does. numpy parses each block of whole lines at once: the lines
+    with the block's most common column count whose timestamp is 1 to 18
+    ASCII digits, whose keys are at most 8 bytes and which hold no NUL nor,
+    in a block that is not valid UTF-8, any byte that is not ASCII. Every
+    other line is decoded as UTF-8 with surrogateescape and goes through
+    ``parse_event_line``, which alone decides the line rules, with its
+    1-based line number.
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
     ``"fail"`` (abort on the first malformed line). A ``.gz`` input that
@@ -540,10 +516,10 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
 
     parser = _ChunkParser(schema, on_error)
-    with _open_units(source) as (units, reader):
+    with _open_blocks(source) as (blocks, reader):
         try:
-            for unit in units:
-                parser.add(unit)
+            for block in blocks:
+                parser.add(block)
         except EOFError:  # raised by the gzip reader when the stream is cut short
             raise DataError(f"compressed input is truncated after line {parser.lines}") from None
 

@@ -11,7 +11,7 @@ SIMPLE_SCHEMA = ColumnSchema(user=0, artist=1, ts=2)
 def log_from_events(events):
     """EventLog from (user_key, artist_key, timestamp) triples, in order."""
     text = "".join(f"{u}\t{a}\t{t}\n" for u, a, t in events)
-    log, skipped = load_events(io.StringIO(text), SIMPLE_SCHEMA)
+    log, skipped = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
     assert skipped == 0
     return log
 

@@ -150,7 +150,7 @@ class TestColumnSchema:
 class TestLoadEvents:
     def test_counts(self):
         text = "u1\ta1\t10\nu2\ta1\t11\nu1\ta2\t12\n"
-        log, skipped = load_events(io.StringIO(text), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
         assert len(log) == 3
         assert len(log.id_maps.users) == 2
         assert len(log.id_maps.artists) == 2
@@ -158,20 +158,20 @@ class TestLoadEvents:
 
     def test_skip_and_count(self):
         text = "u1\ta1\t10\nbroken line\nu1\ta2\t12\n"
-        log, skipped = load_events(io.StringIO(text), SIMPLE_SCHEMA, on_error="skip")
+        log, skipped = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA, on_error="skip")
         assert len(log) == 2
         assert skipped == 1
 
     def test_fail_fast_carries_line_number(self):
         text = "u1\ta1\t10\nu1\ta2\tbad\n"
         with pytest.raises(ParseError) as info:
-            load_events(io.StringIO(text), SIMPLE_SCHEMA, on_error="fail")
+            load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA, on_error="fail")
         assert info.value.line_no == 2
 
     def test_deterministic_reload(self):
         text = "b\tx\t5\na\tx\t4\nb\ty\t6\n"
-        log1, _ = load_events(io.StringIO(text), SIMPLE_SCHEMA)
-        log2, _ = load_events(io.StringIO(text), SIMPLE_SCHEMA)
+        log1, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
+        log2, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
         assert np.array_equal(log1.users, log2.users)
         assert np.array_equal(log1.artists, log2.artists)
         assert np.array_equal(log1.timestamps, log2.timestamps)
@@ -197,7 +197,7 @@ class TestLoadEvents:
 
     def test_bad_policy(self):
         with pytest.raises(UsageError):
-            load_events(io.StringIO(""), SIMPLE_SCHEMA, on_error="explode")
+            load_events(io.BytesIO(b""), SIMPLE_SCHEMA, on_error="explode")
 
     def test_binary_stream_left_open(self):
         stream = io.BytesIO(b"u1\ta1\t10\n")
@@ -256,8 +256,7 @@ _TIMESTAMP = st.one_of(
 
 def _log(odd: bool):
     """Logs of well-formed, ragged and (when ``odd``) arbitrary lines; only ``odd``
-    logs have NULs, bytes that are not UTF-8 or \\r, which send whole blocks
-    line by line."""
+    logs have NULs, bytes that are not UTF-8 and lone \\r line ends."""
     key = st.one_of(_CLEAN_KEY, _CLEAN_KEY, _ODD_KEY) if odd else _CLEAN_KEY
     well_formed = st.tuples(key, key, _TIMESTAMP).map(b"\t".join)
     ragged = st.lists(st.one_of(key, _TIMESTAMP), max_size=5).map(b"\t".join)
@@ -282,7 +281,7 @@ class TestAgainstLineOracle:
     @settings(max_examples=400, deadline=None)
     @given(
         data=_LOG,
-        kind=st.sampled_from(["path", "gz", "bytes", "text"]),
+        kind=st.sampled_from(["path", "gz", "bytes"]),
         schema=st.sampled_from([SIMPLE_SCHEMA, ColumnSchema(user=2, artist=0, ts=1)]),
         on_error=st.sampled_from(["skip", "fail"]),
         chunk_size=st.sampled_from([1, 3, 16, 64, ingest.CHUNK_SIZE]),
@@ -293,11 +292,8 @@ class TestAgainstLineOracle:
             path = scratch_dir / ("events.tsv.gz" if kind == "gz" else "events.tsv")
             path.write_bytes(gzip.compress(data) if kind == "gz" else data)
             sources = (path, path)
-        elif kind == "bytes":
-            sources = (io.BytesIO(data), io.BytesIO(data))
         else:
-            text = data.decode("utf-8", "surrogateescape")
-            sources = (io.StringIO(text), io.StringIO(text))
+            sources = (io.BytesIO(data), io.BytesIO(data))
         expected = oracle_outcome(sources[0], schema, on_error)
         with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
             try:
@@ -307,15 +303,6 @@ class TestAgainstLineOracle:
                 return
         assert ("ok", summary(log, skipped)) == expected
         assert log.sha256 == (hashlib.sha256(path.read_bytes()).hexdigest() if path else None)
-
-
-@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
-@pytest.mark.parametrize("data", [b"u1\ta1\t10\nu2\ta2\t11\n", b"u1\ta1\t10\r\nu2\ta2\t11\ru3\ta3\t12\n"])
-def test_text_stream_newline_modes_match_oracle(newline, data):
-    def stream():
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
-
-    assert summary(*load_events(stream(), SIMPLE_SCHEMA)) == oracle_load(stream(), SIMPLE_SCHEMA)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 5, ingest.CHUNK_SIZE])
@@ -333,8 +320,8 @@ def test_crlf_matches_oracle(chunk_size, data):
 def _mixed_log(path: Path, compress: bool) -> None:
     """A synth log with lines of every kind the chunk parser hands to ``parse_event_line``.
 
-    The lines that send a whole block line by line come last, so that the
-    blocks before them mix vectorized lines with lines parsed one at a time.
+    A line with a byte that is not UTF-8, one with a NUL and one ending in
+    ``\\r\\n`` come last, so that the blocks before them hold valid UTF-8.
     """
     plain = path.with_suffix(".plain")
     write_events_tsv(generate_synthetic(SynthConfig(n_users=40, n_artists=60, events_per_user=(15, 30))), plain)
@@ -375,6 +362,22 @@ class TestChunkBoundaries:
         log, skipped = load_events(path, SIMPLE_SCHEMA)
         assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
         assert log.timestamps.tolist() == [10, 11, 12]
+
+
+def test_only_odd_lines_go_to_parse_event_line():
+    """In one block of good lines, only the line with \\xff and the line with a NUL
+    go through ``parse_event_line``; the line ending in a lone \\r does not."""
+    lines = [f"u{i % 7}\ta{i % 13}\t{1000 + i}\n".encode() for i in range(300)]
+    lines[100] = b"u1\ta\xff\t5\n"
+    lines[150] = b"u\x00\ta2\t6\n"
+    lines[200] = b"u3\ta3\t7\r"
+    data = b"".join(lines)
+    assert len(data) < ingest.CHUNK_SIZE
+    with mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+    assert [call.args[2] for call in spy.call_args_list] == [101, 151]
+    assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
+    assert skipped == 1 and "u\x00" in log.id_maps.users
 
 
 def _pairs(h):
