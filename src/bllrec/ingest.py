@@ -171,14 +171,12 @@ class UserHistories(Mapping):
 
     The events sit in ``artists``/``timestamps``, sorted by user, then
     timestamp, then input order; user u's are ``[starts[u]:ends[u]]``.
-    There is one pair row per (user, artist), sorted by user then artist;
-    user u's rows are ``[pair_offsets[u]:pair_offsets[u + 1]]``, and each
-    holds the plays of that artist among the user's events in this table
-    and the latest of them. The train and test tables of a split share the
-    event arrays, ``pair_offsets`` and ``pair_artists`` of the table they
-    were cut from: each has its own bounds, counts and latest plays, and a
-    pair row with no plays in it (count 0) is no part of that history.
-    Users without events are not in the mapping.
+    The pair rows are one per (user, artist) played in this table, sorted
+    by user then artist, with the play count and latest play; user u's
+    are ``[pair_offsets[u]:pair_offsets[u + 1]]``. The train and test
+    tables of a split share the event arrays of the table they were cut
+    from, each with its own bounds and pair rows, and every history is
+    slices of them. Users without events are not in the mapping.
     """
 
     artists: np.ndarray  # int32, per event
@@ -188,7 +186,7 @@ class UserHistories(Mapping):
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
     pair_counts: np.ndarray  # int64, per pair row
-    pair_last: np.ndarray  # int64, per pair row; meaningless where the count is 0
+    pair_last: np.ndarray  # int64, per pair row
     # Only in a table built from a log: the event indices sorted by user, artist,
     # timestamp, input order. A pair's events are contiguous and in time order.
     by_pair: np.ndarray | None = None
@@ -216,8 +214,7 @@ class UserHistories(Mapping):
         if user not in self:
             raise KeyError(user)
         events = slice(self.starts[user], self.ends[user])
-        lo, hi = self.pair_offsets[user], self.pair_offsets[user + 1]
-        rows = lo + np.flatnonzero(self.pair_counts[lo:hi])
+        rows = slice(self.pair_offsets[user], self.pair_offsets[user + 1])
         return UserHistory(
             user=int(user),
             artists=self.artists[events],
@@ -287,21 +284,27 @@ class _Sha256Reader:
         return data
 
 
+def _whole_lines(data: bytes) -> int:
+    """Bytes up to ``data``'s last line end; a final ``\\r`` is none yet, as a ``\\n`` may follow it."""
+    return max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+
+
 def _byte_blocks(read) -> Iterator[bytes]:
     """Blocks of at least ``CHUNK_SIZE`` bytes of whole lines from ``read(CHUNK_SIZE)``.
 
-    Only the last block may be shorter or lack its newline. Each block ends
-    just after a ``\\n``, which ends a line under universal newlines and is
-    never part of a multi-byte UTF-8 character, so a block splits and decodes
-    as it would inside the whole stream. When ``read`` raises EOFError (a
-    gzip stream cut short), the whole lines read before it come out first.
+    Only the last block may be shorter or lack its line end. Each block ends
+    just after a ``\\n`` or a lone ``\\r``, which end a line under universal
+    newlines and are never part of a multi-byte UTF-8 character, so a block
+    splits and decodes as it would inside the whole stream. When ``read``
+    raises EOFError (a gzip stream cut short), the whole lines read before
+    it come out first.
     """
     pending: list[bytes] = []
     size = 0
     try:
         while chunk := read(CHUNK_SIZE):
             size += len(chunk)
-            cut = chunk.rfind(b"\n") + 1
+            cut = _whole_lines(chunk)
             if size < CHUNK_SIZE or not cut:
                 pending.append(chunk)
                 continue
@@ -311,7 +314,7 @@ def _byte_blocks(read) -> Iterator[bytes]:
             size = len(pending[0])
     except EOFError:
         data = b"".join(pending)
-        cut = data.rfind(b"\n") + 1
+        cut = _whole_lines(data)
         if cut:
             yield data[:cut]
         raise

@@ -121,7 +121,7 @@ def group_stats(
         raise DataError("cannot compute statistics for an empty group")
     in_group = np.zeros(len(histories.starts), dtype=bool)
     in_group[members] = True
-    rows = in_group[histories.pair_users] & (histories.pair_counts > 0)
+    rows = in_group[histories.pair_users]
     n = len(members)
     return GroupStats(
         users=n,

@@ -109,12 +109,7 @@ def recommend_bll(train: UserHistory, params: BllParams, k: int) -> Recommendati
     sums = _kernels.bll_sums(local, train.timestamps, ref, len(artists), params.d)
     # libm log keeps scores bit-identical to the oracles.
     scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
-    order = np.lexsort((artists, -scores))[:k]
-    return RecommendationList(
-        user=train.user,
-        ranked=[(int(artists[i]), float(scores[i])) for i in order],
-        k=k,
-    )
+    return _ranked(train.user, artists, scores, np.lexsort((artists, -scores)), k)
 
 
 def _ranked(user: int, artists: np.ndarray, scores: np.ndarray, order: np.ndarray, k: int) -> RecommendationList:
@@ -162,25 +157,19 @@ def recommend_top(global_counts: np.ndarray, k: int) -> RecommendationList:
 class CfIndex:
     """Read-only neighbor-search index over users' training artist sets.
 
-    Holds one sorted distinct-artist array per user plus a CSR inverted
-    index (artist -> user rows) for overlap counting, sized by the
-    largest artist id in the index. Not modified after it is built.
+    Each user id's set is a view of its slice of the train table's sorted
+    pair rows. A CSR inverted index (artist -> user ids), sized by the
+    largest artist id, counts overlaps. Not modified after it is built.
     """
 
     def __init__(self, train_histories: UserHistories):
-        self.user_ids = np.flatnonzero(train_histories.n_events > 0)
-        if self.user_ids.size == 0:
+        artists = train_histories.pair_artists
+        if artists.size == 0:
             raise DataError("CfIndex needs at least one training history")
-        self._row_of = {u: i for i, u in enumerate(self.user_ids.tolist())}
-        # Pair rows are sorted by user then artist, so each user's set comes out sorted.
-        played = np.flatnonzero(train_histories.pair_counts)
-        rows = np.searchsorted(self.user_ids, train_histories.pair_users[played])
-        artists = train_histories.pair_artists[played].astype(np.int64)
-        self.set_sizes = np.bincount(rows, minlength=len(self.user_ids))
-        self.artist_sets = np.split(artists, np.cumsum(self.set_sizes)[:-1])
-
+        self.artist_sets = np.split(artists, train_histories.pair_offsets[1:-1])
+        self.set_sizes = np.diff(train_histories.pair_offsets)
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(artists))))
-        self.members = rows[np.argsort(artists, kind="stable")]
+        self.members = train_histories.pair_users[np.argsort(artists, kind="stable")]
 
     def recommend(self, user: int, params: CfParams, k: int) -> RecommendationList:
         """Score artists by summed similarity of the neighbors that played them.
@@ -192,25 +181,23 @@ class CfIndex:
         temporal test sets are dominated by re-listens. An empty list
         signals a cold user.
         """
-        row = self._row_of.get(user)
-        if row is None:
+        if not 0 <= user < len(self.set_sizes) or self.set_sizes[user] == 0:
             raise DataError(f"user {user} has no training history in the index")
-        query = self.artist_sets[row]
-        overlaps = _kernels.overlap_counts(query, self.indptr, self.members, len(self.user_ids))
-        overlaps[row] = 0
+        query = self.artist_sets[user]
+        overlaps = _kernels.overlap_counts(query, self.indptr, self.members, len(self.set_sizes))
+        overlaps[user] = 0
         candidates = np.flatnonzero(overlaps)
         if candidates.size == 0:
             return RecommendationList(user, [], k)
         sims = overlaps[candidates] / np.sqrt(float(len(query)) * self.set_sizes[candidates])
-        order = np.lexsort((self.user_ids[candidates], -sims))[: params.neighborhood_size]
-        neighbor_rows = candidates[order]
+        order = np.lexsort((candidates, -sims))[: params.neighborhood_size]
+        neighbors = candidates[order]
 
-        played = np.concatenate([self.artist_sets[r] for r in neighbor_rows.tolist()])
+        played = np.concatenate([self.artist_sets[v] for v in neighbors.tolist()])
         artists, inverse = np.unique(played, return_inverse=True)
         # bincount adds weights in input order, i.e. neighbor order, so each sum has the oracle's bits.
-        scores = np.bincount(inverse, weights=np.repeat(sims[order], self.set_sizes[neighbor_rows]))
-        top = np.lexsort((artists, -scores))[:k]
-        return RecommendationList(user, [(int(artists[i]), float(scores[i])) for i in top], k)
+        scores = np.bincount(inverse, weights=np.repeat(sims[order], self.set_sizes[neighbors]))
+        return _ranked(user, artists, scores, np.lexsort((artists, -scores)), k)
 
 
 def build_recommenders(

@@ -7,10 +7,10 @@ boundary follow the stable chronological order from ingest.
 
 A split cuts each user's slice of the ``UserHistories`` table in two, so
 train and test are two tables over the same event arrays, not copies.
-Their pair rows count each (user, artist) pair's plays on either side of
-the cut. A pair's events are in time order in the table's ``by_pair``
-order, so its training plays are a prefix of them and its latest
-training play is the last of that prefix.
+Each keeps only the pair rows played on its side of the cut, as a table
+built from a log does. A pair's events are in time order in the table's
+``by_pair`` order, so its training plays are a prefix of them and its
+latest training play is the last of that prefix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class SplitDataset:
 
     train: UserHistories
     test: UserHistories
-    fraction: float
     dropped: int  # users with too few events to split
 
     @property
@@ -80,15 +79,25 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
     test_counts = np.bincount(test_pairs, minlength=len(pair_keys))
 
     train_counts = np.where(split[pair_users], histories.pair_counts - test_counts, 0)
-    first = np.cumsum(histories.pair_counts) - histories.pair_counts  # of each pair, in by_pair
-    train_last = histories.timestamps[histories.by_pair[first + np.maximum(train_counts - 1, 0)]]
-    train = replace(
+    trained = train_counts > 0
+    train_counts = train_counts[trained]
+    first = (np.cumsum(histories.pair_counts) - histories.pair_counts)[trained]  # of each pair, in by_pair
+    train_last = histories.timestamps[histories.by_pair[first + train_counts - 1]]
+    train = _with_rows(histories, trained, train_counts, train_last, ends=np.where(split, cut, histories.starts))
+    # Test events are the latest of their pair, so the pair's latest play is a test play.
+    tested = test_counts > 0
+    test = _with_rows(histories, tested, test_counts[tested], histories.pair_last[tested], starts=cut)
+    return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
+
+
+def _with_rows(histories: UserHistories, rows: np.ndarray, counts: np.ndarray, last: np.ndarray, **bounds):
+    """``histories`` with new ``bounds`` and only the pair rows in the mask ``rows``, with ``counts`` and ``last``."""
+    return replace(
         histories,
-        ends=np.where(split, cut, histories.starts),
-        pair_counts=train_counts,
-        pair_last=train_last,
+        **bounds,
+        pair_offsets=np.concatenate(([0], np.cumsum(rows)))[histories.pair_offsets],
+        pair_artists=histories.pair_artists[rows],
+        pair_counts=counts,
+        pair_last=last,
         by_pair=None,
     )
-    # Test events are the latest of their pair, so the pair's latest play is a test play.
-    test = replace(histories, starts=cut, pair_counts=test_counts, by_pair=None)
-    return SplitDataset(train=train, test=test, fraction=fraction, dropped=int(np.count_nonzero(chosen & ~split)))

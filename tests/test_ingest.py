@@ -317,6 +317,21 @@ def test_crlf_matches_oracle(chunk_size, data):
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
 
 
+def test_lone_cr_line_ends_cut_blocks():
+    """A log whose lines end in a lone \\r is parsed in blocks near ``CHUNK_SIZE``, not as one block."""
+    data = b"".join(f"u{i % 7}\ta{i % 13}\t{1000 + i}\r".encode() for i in range(400))
+    chunk_size = 256
+    assert len(data) > 10 * chunk_size
+    with (
+        mock.patch.object(ingest, "CHUNK_SIZE", chunk_size),
+        mock.patch.object(ingest._ChunkParser, "add", autospec=True, side_effect=ingest._ChunkParser.add) as spy,
+    ):
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+    blocks = [len(call.args[1]) for call in spy.call_args_list]
+    assert len(blocks) > 1 and max(blocks) < 2 * chunk_size
+    assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
+
+
 def _mixed_log(path: Path, compress: bool) -> None:
     """A synth log with lines of every kind the chunk parser hands to ``parse_event_line``.
 

@@ -6,6 +6,7 @@ import pytest
 
 from bllrec.errors import DataError
 from bllrec.profiling import (
+    GroupStats,
     assign_groups,
     global_artist_distribution,
     group_stats,
@@ -14,6 +15,8 @@ from bllrec.profiling import (
 )
 
 from bllrec.ingest import build_user_histories
+from bllrec.split import split_histories
+from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_events, log_from_events
 
@@ -232,3 +235,22 @@ class TestGroupStats:
     def test_empty_group(self):
         with pytest.raises(DataError):
             group_stats([], histories_from_events([]), {})
+
+    def test_three_groups_equal_counter_oracle(self):
+        histories = build_user_histories(
+            generate_synthetic(SynthConfig(n_users=45, n_artists=60, events_per_user=(5, 40), seed=7))
+        )
+        scores = score_users(histories)
+        for table in (histories, split_histories(histories, 0.3).train):
+            for members in assign_groups(scores, 15).as_dict().values():
+                played = {u: Counter(table[u].artists.tolist()) for u in members}
+                union = set().union(*played.values())
+                assert len(union) < sum(map(len, played.values()))  # members share artists
+                expected = GroupStats(
+                    users=15,
+                    distinct_artists=len(union),
+                    listening_events=sum(counts.total() for counts in played.values()),
+                    avg_artists_per_user=sum(map(len, played.values())) / 15,
+                    avg_mainstreaminess=sum(scores[u] for u in members) / 15,
+                )
+                assert group_stats(members, table, scores) == expected

@@ -18,6 +18,7 @@ from bllrec.recommend import (
     recommend_top,
 )
 
+from bllrec.split import split_histories
 from bllrec.synth import brute_force_ranking
 
 from conftest import histories_from_events, oracle_instances
@@ -254,6 +255,14 @@ class TestRecommendCf:
         )
         result = CfIndex(histories).recommend(0, CfParams(), 5)
         assert result.ranked == []
+
+    def test_user_without_training_rows_is_data_error(self):
+        # u0 is in the table but outside the split, so it has no training rows.
+        index = CfIndex(split_histories(self._fixture(), 0.4, users=[1, 2]).train)
+        assert index.recommend(1, CfParams(), 4).artists == [1]
+        for user in (0, 3, -1):
+            with pytest.raises(DataError, match=f"user {user} has no training history"):
+                index.recommend(user, CfParams(), 4)
 
 
 class TestBuildRecommenders:

@@ -107,7 +107,8 @@ class TestSplitHistories:
         assert list(split.train) == list(split.test) == only
         assert split.test_event_count() == 2
         # u2 is outside the split, so none of its plays count as training plays
-        assert global_train_counts(split.train).tolist() == [8, 0]
+        assert split.train.pair_artists.tolist() == [0]
+        assert global_train_counts(split.train).tolist() == [8]
 
     def test_pair_rows_equal_counter_oracle(self):
         # Six distinct timestamps, so runs of equal timestamps straddle most cuts.
@@ -118,6 +119,8 @@ class TestSplitHistories:
             users, artists, stamps = (rng.integers(0, hi, n).tolist() for hi in (8, 15, 6))
             fraction = float(rng.uniform(0.01, 0.6))
             split = split_histories(histories_from_ids(users, artists, stamps), fraction)
+            tables = {"train": split.train, "test": split.test}
+            distinct = {name: [0] * (max(users) + 1) for name in tables}
             for u in set(users):
                 # (timestamp, input index, artist): chronological, ties in input order
                 events = sorted((t, i, a) for i, (v, a, t) in enumerate(zip(users, artists, stamps)) if v == u)
@@ -126,11 +129,18 @@ class TestSplitHistories:
                     continue
                 cut = len(events) - max(1, math.floor(fraction * len(events)))
                 straddled += events[cut - 1][0] == events[cut][0]
-                for side, part in ((split.train[u], events[:cut]), (split.test[u], events[cut:])):
+                for name, part in (("train", events[:cut]), ("test", events[cut:])):
+                    side = tables[name][u]
                     counts = Counter(a for _, _, a in part)
                     last = {a: t for t, _, a in part}
+                    distinct[name][u] = len(counts)
                     assert side.artists.tolist() == [a for _, _, a in part]
                     assert side.pair_artists.tolist() == sorted(counts)
                     assert side.pair_counts.tolist() == [counts[a] for a in sorted(counts)]
                     assert side.pair_last.tolist() == [last[a] for a in sorted(counts)]
+                    assert np.shares_memory(side.pair_artists, tables[name].pair_artists)  # a view, not a copy
+            # Each table holds only its played pair rows, like a table built from a log.
+            for name, table in tables.items():
+                assert (table.pair_counts >= 1).all()
+                assert np.diff(table.pair_offsets).tolist() == distinct[name]
         assert straddled > 100
