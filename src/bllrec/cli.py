@@ -32,7 +32,7 @@ from .ingest import (
     write_events_tsv,
 )
 from .evaluation import emit_report, evaluate_algorithm
-from .profiling import GROUP_NAMES, assign_groups, group_stats, score_users
+from .profiling import GROUP_NAMES, assign_groups, eligible_users, group_stats, score_users
 from .recommend import ALGORITHMS, BllParams, CfParams, build_recommenders
 from .split import split_histories
 from .synth import DEFAULT_TIME_SPAN, SynthConfig, generate_synthetic
@@ -185,11 +185,6 @@ def _load(config: RunConfig) -> tuple[EventLog, int]:
     return load_events(config.events, schema, on_error=config.on_error)
 
 
-def _eligible(histories, config: RunConfig):
-    """The users with at least ``min_events`` events."""
-    return (histories.n_events >= config.min_events).nonzero()[0]
-
-
 def _write_groups_csv(path, assignment, scores, id_maps) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -332,7 +327,7 @@ def cmd_split(args) -> int:
     config = _config_from_args(args)
     log, _ = _load(config)
     histories = build_user_histories(log)
-    split = split_histories(histories, config.fraction, users=_eligible(histories, config))
+    split = split_histories(histories, config.fraction, users=eligible_users(histories, config.min_events))
     if args.groups:
         named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
     else:
@@ -349,7 +344,7 @@ def cmd_eval(args) -> int:
     log, _ = _load(config)
     histories = build_user_histories(log)
     named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
-    split = split_histories(histories, config.fraction, users=_eligible(histories, config))
+    split = split_histories(histories, config.fraction, users=eligible_users(histories, config.min_events))
     reports = _evaluate_groups(split, named_groups, config)
     emit_report(reports, args.out)
     print(f"wrote {args.out}")
@@ -377,7 +372,10 @@ def cmd_synth(args) -> int:
         time_span=args.time_span,
         seed=args.seed,
     )
-    config.validate()
+    try:
+        config.validate()
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     log = generate_synthetic(config)
     write_events_tsv(log, args.out)
     print(f"wrote {args.out} ({len(log)} events, {len(log.id_maps.users)} users, "

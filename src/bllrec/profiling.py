@@ -49,18 +49,23 @@ def mainstreaminess(user_shares, global_shares) -> float:
     return math.fsum(np.minimum(user_shares, global_shares).tolist())
 
 
+def eligible_users(histories: UserHistories, min_events: int) -> np.ndarray:
+    """Ascending ids of the users with at least ``min_events`` events (and at least one)."""
+    n_events = histories.n_events
+    return np.flatnonzero((n_events >= min_events) & (n_events > 0))
+
+
 def score_users(histories: UserHistories, min_events: int = 2) -> dict[int, float]:
-    """Mainstreaminess per user with at least ``min_events`` events.
+    """Mainstreaminess per user of ``eligible_users(histories, min_events)``.
 
     The global distribution is built from all loaded histories; the
     min-events filter only controls which users receive a score.
     """
     global_dist = global_artist_distribution(histories)
-    n_events = histories.n_events
-    user_shares = histories.pair_counts / n_events[histories.pair_users]
+    user_shares = histories.pair_counts / histories.n_events[histories.pair_users]
     global_shares = global_dist[histories.pair_artists]
     offsets = histories.pair_offsets.tolist()
-    scored = np.flatnonzero((n_events >= min_events) & (n_events > 0)).tolist()
+    scored = eligible_users(histories, min_events).tolist()
     return {
         u: mainstreaminess(user_shares[offsets[u]:offsets[u + 1]], global_shares[offsets[u]:offsets[u + 1]])
         for u in scored
@@ -122,11 +127,12 @@ def group_stats(
     in_group = np.zeros(len(histories.starts), dtype=bool)
     in_group[members] = True
     rows = in_group[histories.pair_users]
+    artists = np.sort(histories.pair_artists[rows])
     n = len(members)
     return GroupStats(
         users=n,
-        distinct_artists=len(np.unique(histories.pair_artists[rows])),
+        distinct_artists=artists.size - int(np.count_nonzero(artists[1:] == artists[:-1])),
         listening_events=int(histories.n_events[members].sum()),
-        avg_artists_per_user=int(np.count_nonzero(rows)) / n,
+        avg_artists_per_user=artists.size / n,
         avg_mainstreaminess=sum(scores[u] for u in members) / n,
     )

@@ -1,8 +1,10 @@
 """The five artist-ranking strategies.
 
 bll   scores each artist the user has played by base-level activation,
-      ln(sum over that artist's listens of (delta_seconds + 1) ** -d),
-      so both frequent and recent listening raise the score.
+      ln(sum over that artist's listens of (ref - t + 1) ** -d), so both
+      frequent and recent listening raise the score. The reference time
+      ref is the user's latest training listen plus one second, which
+      aligns recency scales across users with different activity periods.
 top   most played artists over all users' training events.
 pop   the user's own most played artists.
 time  the user's most recently played artists.
@@ -29,15 +31,9 @@ ALGORITHMS = ("bll", "cf", "pop", "time", "top")
 
 @dataclass(frozen=True)
 class BllParams:
-    """Decay exponent and reference time for base-level activation.
-
-    ``ref_time`` of None means "per user": the user's latest training
-    timestamp plus one second, which aligns recency scales across users
-    with different activity periods.
-    """
+    """Decay exponent of base-level activation."""
 
     d: float = 0.5
-    ref_time: int | None = None
 
     def __post_init__(self):
         if not self.d > 0:
@@ -66,48 +62,15 @@ class RecommendationList:
         return [a for a, _ in self.ranked]
 
 
-def bll_activation(timestamps, ref_time: int, d: float = 0.5) -> float:
-    """Base-level activation of one artist given its listen timestamps.
-
-    Returns ln(sum over listens of (ref_time - t + 1) ** -d). The +1
-    keeps the zero-delta term finite so a listen at ref_time still
-    contributes. Deltas are in seconds.
-    """
-    if not d > 0:
-        raise DataError(f"decay exponent d must be > 0, got {d}")
-    times = list(timestamps)
-    if not times:
-        raise DataError("bll_activation needs at least one timestamp")
-    exponent = -d
-    total = 0.0
-    for t in times:
-        delta = ref_time - t
-        if delta < 0:
-            raise DataError(f"timestamp {t} is after reference time {ref_time}")
-        total += float(delta + 1) ** exponent
-    if total == 0.0:  # every term underflowed (extreme d); rank last, deterministically
-        return float("-inf")
-    return math.log(total)
-
-
-def _resolve_ref_time(train: UserHistory, params: BllParams) -> int:
-    if params.ref_time is None:
-        return int(train.timestamps[-1]) + 1
-    ref = params.ref_time
-    if ref < int(train.timestamps[-1]):
-        raise DataError(f"ref_time {ref} precedes the latest training timestamp")
-    return ref
-
-
 def recommend_bll(train: UserHistory, params: BllParams, k: int) -> RecommendationList:
     """Rank the user's own training artists by base-level activation."""
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    ref = _resolve_ref_time(train, params)
+    ref = int(train.timestamps[-1]) + 1
     artists = train.pair_artists
     local = np.searchsorted(artists, train.artists)
     sums = _kernels.bll_sums(local, train.timestamps, ref, len(artists), params.d)
-    # libm log keeps scores bit-identical to the oracles.
+    # libm log keeps scores bit-identical to the brute-force oracle.
     scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
     return _ranked(train.user, artists, scores, np.lexsort((artists, -scores)), k)
 

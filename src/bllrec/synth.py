@@ -226,7 +226,7 @@ def brute_force_ranking(
     events = _events_of(history)
 
     if algorithm == "bll":
-        ref = bll_params.ref_time if bll_params.ref_time is not None else max(t for _, t in events) + 1
+        ref = max(t for _, t in events) + 1
         scores = {}
         for artist in sorted({a for a, _ in events}):
             total = 0.0

@@ -1,7 +1,9 @@
 import io
+import math
 
 import numpy as np
 
+from bllrec import _kernels
 from bllrec.ingest import ColumnSchema, EventLog, IdMaps, build_user_histories, load_events
 from bllrec.synth import SynthConfig, generate_synthetic
 
@@ -18,6 +20,19 @@ def log_from_events(events):
 
 def histories_from_events(events):
     return build_user_histories(log_from_events(events))
+
+
+def kernel_activations(local_idx, timestamps, ref, n_artists, d=0.5):
+    """Activation of each artist by the shipped kernel at a fixed ``ref``: ln of its ``bll_sums`` entry."""
+    sums = _kernels.bll_sums(
+        np.asarray(local_idx, dtype=np.int64), np.asarray(timestamps, dtype=np.int64), ref, n_artists, d
+    )
+    return [math.log(s) for s in sums.tolist()]
+
+
+def kernel_activation(timestamps, ref, d=0.5):
+    """Activation of one artist's listens at the fixed reference time ``ref``."""
+    return kernel_activations([0] * len(timestamps), timestamps, ref, 1, d)[0]
 
 
 def histories_from_ids(users, artists, timestamps):

@@ -16,48 +16,43 @@ from bllrec.cli import main
 from bllrec.evaluation import evaluate_algorithm, hits_at_k
 from bllrec.ingest import build_user_histories, load_events
 from bllrec.profiling import assign_groups, group_stats, score_users
-from bllrec.recommend import BllParams, CfParams, bll_activation, build_recommenders, recommend_bll
+from bllrec.recommend import BllParams, CfParams, build_recommenders
 from bllrec.split import n_test_events, split_histories
 from bllrec.synth import SynthConfig, brute_force_ranking, generate_synthetic
 
-from conftest import histories_from_ids, oracle_instances
+from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances
 
 
-def _history_from_pairs(user, pairs):
-    """UserHistory from unordered (artist, timestamp) pairs."""
-    return histories_from_ids([user] * len(pairs), [a for a, _ in pairs], [t for _, t in pairs])[user]
-
-
-def _decimal_oracle(timestamps, ref_time, d):
+def _decimal_oracle(timestamps, ref, d):
     """High-precision activation: 25 significant digits via stdlib decimal."""
     with localcontext() as ctx:
         ctx.prec = 25
         total = Decimal(0)
         exponent = -Decimal(d)
         for t in timestamps:
-            total += Decimal(ref_time - t + 1) ** exponent
+            total += Decimal(ref - t + 1) ** exponent
         return float(total.ln())
 
 
 def test_c1_bll_arithmetic_matches_high_precision_oracle():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    elapsed = 0.0  # time in bll_activation only; the decimal oracle is not under test
+    elapsed = 0.0  # time in the kernel only; the decimal oracle is not under test
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         ref = int(rng.integers(1_000_000, 2_000_000_000))
         timestamps = rng.integers(0, ref + 1, n).tolist()
         d = float(rng.uniform(0.05, 3.0))
         started = time.perf_counter()
-        got = bll_activation(timestamps, ref, d)
+        got = kernel_activation(timestamps, ref, d)
         elapsed += time.perf_counter() - started
         worst = max(worst, abs(got - _decimal_oracle(timestamps, ref, d)))
     assert worst < 1e-9
 
     # worked examples at their stated precision
-    assert bll_activation([100], ref_time=100, d=0.5) == 0.0
-    assert round(bll_activation([100, 97], ref_time=100, d=0.5), 6) == 0.405465
-    assert round(bll_activation([100, 100, 100], ref_time=100, d=0.5), 6) == 1.098612
+    assert kernel_activation([100], 100, 0.5) == 0.0
+    assert round(kernel_activation([100, 97], 100, 0.5), 6) == 0.405465
+    assert round(kernel_activation([100, 100, 100], 100, 0.5), 6) == 1.098612
 
     assert elapsed < 1.0
     print(f"criterion 1 PASS: 1000 oracle comparisons, worst |err|={worst:.2e}, {elapsed:.2f}s")
@@ -75,7 +70,7 @@ def test_c2_monotonicity_and_scaling_invariance():
         pick = int(rng.integers(0, n))
         bumped = list(timestamps)
         bumped[pick] = int(rng.integers(bumped[pick] + 1, ref + 1))
-        if bll_activation(bumped, ref, d) <= bll_activation(timestamps, ref, d):
+        if kernel_activation(bumped, ref, d) <= kernel_activation(timestamps, ref, d):
             violations += 1
 
     for _ in range(5000):  # frequency: an extra listen strictly raises activation
@@ -84,7 +79,7 @@ def test_c2_monotonicity_and_scaling_invariance():
         timestamps = rng.integers(0, ref + 1, n).tolist()
         d = float(rng.uniform(0.05, 2.5))
         extra = timestamps + [int(rng.integers(0, ref + 1))]
-        if bll_activation(extra, ref, d) <= bll_activation(timestamps, ref, d):
+        if kernel_activation(extra, ref, d) <= kernel_activation(timestamps, ref, d):
             violations += 1
     assert violations == 0
 
@@ -99,14 +94,13 @@ def test_c2_monotonicity_and_scaling_invariance():
             for a in range(n_artists)
         }
         ref = 10**12
-        base = _history_from_pairs(0, [(a, ref + 1 - d0) for a, ds in deltas.items() for d0 in ds])
-        scaled = _history_from_pairs(
-            0, [(a, ref + 1 - d0 * scale) for a, ds in deltas.items() for d0 in ds]
+        artists = [a for a, ds in deltas.items() for _ in ds]
+        base = kernel_activations(artists, [ref + 1 - d0 for ds in deltas.values() for d0 in ds], ref, n_artists)
+        scaled = kernel_activations(
+            artists, [ref + 1 - d0 * scale for ds in deltas.values() for d0 in ds], ref, n_artists
         )
-        params = BllParams(d=0.5, ref_time=ref)
-        if (
-            recommend_bll(base, params, n_artists).artists
-            != recommend_bll(scaled, params, n_artists).artists
+        if sorted(range(n_artists), key=lambda a: (-base[a], a)) != sorted(
+            range(n_artists), key=lambda a: (-scaled[a], a)
         ):
             mismatches += 1
     assert mismatches == 0

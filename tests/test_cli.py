@@ -63,6 +63,17 @@ class TestValidateConfig:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--users", "0"], ["--events", "5..2"], ["--zipf", "0"], ["--time-span", "0"]],
+        ids=["users", "events", "zipf", "time-span"],
+    )
+    def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.tsv"
+        assert main(["synth", *flag, "--out", str(out)]) == 1
+        assert "usage error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ingest_summary(self, synth_tsv, capsys):
         assert main(["ingest", "--events", str(synth_tsv)]) == 0
         out = capsys.readouterr().out

@@ -9,7 +9,6 @@ from bllrec.recommend import (
     BllParams,
     CfIndex,
     CfParams,
-    bll_activation,
     build_recommenders,
     global_train_counts,
     recommend_bll,
@@ -21,7 +20,7 @@ from bllrec.recommend import (
 from bllrec.split import split_histories
 from bllrec.synth import brute_force_ranking
 
-from conftest import histories_from_events, oracle_instances
+from conftest import histories_from_events, kernel_activation, oracle_instances
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -35,38 +34,30 @@ def _history(events):
 class TestBllActivation:
     def test_single_unit_delta(self):
         # ref - t + 1 == 1, so the only term is 1 ** -d == 1 and ln(1) == 0.
-        assert bll_activation([100], ref_time=100, d=0.5) == 0.0
+        assert kernel_activation([100], ref=100) == 0.0
 
     def test_two_deltas(self):
         # adjusted deltas 1 and 4: ln(1 + 4**-0.5) == ln(1.5)
-        got = bll_activation([100, 97], ref_time=100, d=0.5)
+        got = kernel_activation([100, 97], ref=100)
         assert got == pytest.approx(math.log(1.5), abs=1e-12)
         assert round(got, 6) == 0.405465
 
     def test_three_equal_deltas(self):
-        got = bll_activation([100, 100, 100], ref_time=100, d=0.5)
+        got = kernel_activation([100, 100, 100], ref=100)
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
         assert round(got, 6) == 1.098612
 
-    def test_empty_timestamps(self):
-        with pytest.raises(DataError):
-            bll_activation([], ref_time=10)
-
-    def test_future_timestamp(self):
-        with pytest.raises(DataError):
-            bll_activation([11], ref_time=10)
-
     def test_bad_decay(self):
         with pytest.raises(DataError):
-            bll_activation([5], ref_time=10, d=0.0)
+            BllParams(d=0.0)
 
     def test_recency_monotone(self):
-        base = bll_activation([50, 80], ref_time=100, d=0.5)
-        assert bll_activation([50, 90], ref_time=100, d=0.5) > base
+        base = kernel_activation([50, 80], ref=100)
+        assert kernel_activation([50, 90], ref=100) > base
 
     def test_frequency_monotone(self):
-        base = bll_activation([50, 80], ref_time=100, d=0.5)
-        assert bll_activation([50, 80, 10], ref_time=100, d=0.5) > base
+        base = kernel_activation([50, 80], ref=100)
+        assert kernel_activation([50, 80, 10], ref=100) > base
 
 
 class TestRecommendBll:
@@ -82,29 +73,26 @@ class TestRecommendBll:
         assert ranked.ranked[0][1] == ranked.ranked[1][1]
 
     def test_frequency_outweighs_moderate_recency(self):
-        # adjusted deltas a: {10,20,30}, b: {5}, with explicit ref_time
-        ref = 1000
-        train = _history(
-            [
-                ("u", "a", ref - 9),
-                ("u", "a", ref - 19),
-                ("u", "a", ref - 29),
-                ("u", "b", ref - 4),
-            ]
-        )
-        result = recommend_bll(train, BllParams(d=0.5, ref_time=ref), 2)
+        # ref is the latest listen (b at 996) plus one, so the adjusted
+        # deltas ref - t + 1 are a: {7, 17, 27} and b: {2}
+        train = _history([("u", "a", 991), ("u", "a", 981), ("u", "a", 971), ("u", "b", 996)])
+        result = recommend_bll(train, BllParams(d=0.5), 2)
         a, b = 0, 1
         assert result.artists == [a, b]
         scores = dict(result.ranked)
-        assert scores[a] == pytest.approx(math.log(10**-0.5 + 20**-0.5 + 30**-0.5), abs=1e-12)
-        assert scores[b] == pytest.approx(math.log(5**-0.5), abs=1e-12)
-        assert round(scores[a], 4) == -0.3252
-        assert round(scores[b], 4) == -0.8047
+        assert scores[a] == pytest.approx(math.log(7**-0.5 + 17**-0.5 + 27**-0.5), abs=1e-12)
+        assert scores[b] == pytest.approx(math.log(2**-0.5), abs=1e-12)
+        assert round(scores[a], 4) == -0.2071
+        assert round(scores[b], 4) == -0.3466
 
-    def test_ref_time_before_training_data(self):
-        train = _history([("u", "a", 100), ("u", "a", 200)])
-        with pytest.raises(DataError):
-            recommend_bll(train, BllParams(ref_time=150), 1)
+    def test_every_term_underflows_to_minus_inf(self):
+        # the smallest adjusted delta is 2, and 2.0 ** -2000 underflows to 0.0
+        trains = histories_from_events([("u", "b", 10), ("u", "a", 20), ("u", "c", 5), ("u", "a", 30)])
+        (user,) = trains
+        params = BllParams(d=2000.0)
+        got = recommend_bll(trains[user], params, 5)
+        assert got.ranked == brute_force_ranking("bll", trains, user, 5, bll_params=params).ranked
+        assert got.ranked == [(0, float("-inf")), (1, float("-inf")), (2, float("-inf"))]
 
     @pytest.mark.parametrize(
         "events",
