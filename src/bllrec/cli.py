@@ -391,11 +391,9 @@ def cmd_run(args) -> int:
     stage = "ingest"
     try:
         log, skipped = _load(config)
-        id_maps, sha256 = log.id_maps, log.sha256
 
         stage = "profile"
         histories = build_user_histories(log)
-        del log  # the table holds every event from here on
         scores = score_users(histories, min_events=config.min_events)
         assignment = assign_groups(scores, config.group_size)
         named_groups = assignment.as_dict()
@@ -410,7 +408,7 @@ def cmd_run(args) -> int:
 
         stage = "report"
         groups_path = out_dir / "groups.csv"
-        _write_groups_csv(groups_path, assignment, scores, id_maps)
+        _write_groups_csv(groups_path, assignment, scores, log.id_maps)
         written.append(groups_path)
 
         stats_path = out_dir / "stats.csv"
@@ -427,7 +425,7 @@ def cmd_run(args) -> int:
             "config": {**asdict(config), "algorithms": list(config.algorithms)},
             "input": {
                 "path": str(config.events),
-                "sha256": sha256,
+                "sha256": log.sha256,
             },
             "skipped_lines": skipped,
             "dropped_users": split.dropped,

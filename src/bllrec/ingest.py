@@ -127,11 +127,14 @@ class IdMaps:
 
 @dataclass
 class EventLog:
-    """Flat event store: parallel arrays of user id, artist id, timestamp."""
+    """Flat event store: parallel arrays of user id, artist id, timestamp.
 
-    users: np.ndarray  # int32, one entry per event
-    artists: np.ndarray  # int32
-    timestamps: np.ndarray  # int64, Unix seconds
+    ``build_user_histories`` takes the three arrays over and leaves them None.
+    """
+
+    users: np.ndarray | None  # int32, one entry per event
+    artists: np.ndarray | None  # int32
+    timestamps: np.ndarray | None  # int64, Unix seconds
     id_maps: IdMaps
     sha256: str | None = None  # of the source file's bytes, as read; None for streams
 
@@ -548,6 +551,11 @@ def build_user_histories(log: EventLog) -> UserHistories:
     after a stable sort of the user ids, which is quick on a log already
     grouped by user, so most temporaries are the size of one history. The
     per-event ones are int32 or bool where the values fit.
+
+    The table takes over the log's columns: ``log.users``, ``log.artists``
+    and ``log.timestamps`` are set to None as soon as each has been read,
+    so the log's events and the table's are never all held at once. The
+    log keeps ``id_maps`` and ``sha256``.
     """
     n = len(log)
     n_users = int(log.users.max()) + 1 if n else 0
@@ -555,9 +563,13 @@ def build_user_histories(log: EventLog) -> UserHistories:
     offsets = np.zeros(n_users + 1, dtype=np.int64)
     np.cumsum(np.bincount(log.users, minlength=n_users), out=offsets[1:])
 
-    order = np.argsort(log.users, kind="stable").astype(index_type)
+    order = np.argsort(log.users, kind="stable")
+    log.users = None
+    order = order.astype(index_type, copy=False)  # frees the int64 argsort once the copy exists
     artists = log.artists[order]
+    log.artists = None
     timestamps = log.timestamps[order]
+    log.timestamps = None
     del order
     by_pair = np.empty(n, dtype=index_type)
     first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event

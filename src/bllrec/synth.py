@@ -25,6 +25,7 @@ from .ingest import EventLog, IdMaps, UserHistory
 from .recommend import BllParams, CfParams, RecommendationList
 
 DEFAULT_TIME_SPAN = 94_608_000  # three years of seconds
+INT32_MAX = 2**31 - 1
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,8 +76,9 @@ class SynthConfig:
 
     def validate(self) -> None:
         lo, hi = self.events_per_user
-        if self.n_users < 1 or self.n_artists < 1:
-            raise DataError("n_users and n_artists must be >= 1")
+        # User and artist ids are int32 everywhere; reject before anything is sized by them.
+        if not (1 <= self.n_users <= INT32_MAX and 1 <= self.n_artists <= INT32_MAX):
+            raise DataError(f"n_users and n_artists must be in 1..{INT32_MAX}")
         if lo < 1 or hi < lo:
             raise DataError(f"events_per_user range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
         if not self.zipf_exponent > 0:
@@ -85,8 +87,9 @@ class SynthConfig:
             raise DataError("reconsume_prob must be in [0, 1]")
         if not self.recency_bias > 0:
             raise DataError("recency_bias must be > 0")
-        if self.time_span < 1:
-            raise DataError("time_span must be >= 1")
+        # Timestamps are below(time_span) and must fit in int64.
+        if not 1 <= self.time_span <= 2**63:
+            raise DataError(f"time_span must be in 1..{2**63}")
 
 
 def _zipf_cumulative(n_artists: int, exponent: float) -> list[float]:

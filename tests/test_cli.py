@@ -65,8 +65,15 @@ class TestValidateConfig:
 class TestSubcommands:
     @pytest.mark.parametrize(
         "flag",
-        [["--users", "0"], ["--events", "5..2"], ["--zipf", "0"], ["--time-span", "0"]],
-        ids=["users", "events", "zipf", "time-span"],
+        [
+            ["--users", "0"],
+            ["--events", "5..2"],
+            ["--zipf", "0"],
+            ["--time-span", "0"],
+            ["--time-span", "100000000000000000000"],
+            ["--artists", "100000000000"],
+        ],
+        ids=["users", "events", "zipf", "time-span", "time-span-over-int64", "artists-over-int32"],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flag):
         out = tmp_path / "x.tsv"

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import io
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -424,6 +425,18 @@ class TestBuildUserHistories:
         histories = build_user_histories(log)
         assert histories == {} and len(histories) == 0 and 0 not in histories
 
+    def test_takes_over_the_log_columns(self):
+        # The log's events and the table's are never all alive at once: the build drops each column it has read.
+        log = log_from_events([("u1", "a1", 10), ("u2", "a1", 11), ("u1", "a2", 12)])
+        columns = [weakref.ref(arr) for arr in (log.users, log.artists, log.timestamps)]
+        id_maps = log.id_maps
+        histories = build_user_histories(log)
+        assert [ref() for ref in columns] == [None, None, None]
+        assert (log.users, log.artists, log.timestamps) == (None, None, None)
+        assert log.id_maps is id_maps
+        assert [id_maps.users.key_of(u) for u in histories] == ["u1", "u2"]
+        assert [id_maps.artists.key_of(a) for a in histories[0].artists.tolist()] == ["a1", "a2"]
+
     def test_conservation_and_sortedness_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -433,8 +446,9 @@ class TestBuildUserHistories:
                 for _ in range(n)
             ]
             log = log_from_events(events)
+            n_logged = len(log)  # the build takes the log's columns
             histories = build_user_histories(log)
-            assert sum(h.n_events for h in histories.values()) == len(log) == n
+            assert sum(h.n_events for h in histories.values()) == n_logged == n
             for h in histories.values():
                 assert (np.diff(h.timestamps) >= 0).all()
                 assert sum(h.pair_counts.tolist()) == h.n_events

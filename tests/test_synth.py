@@ -135,6 +135,21 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             generate_synthetic(config)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_users": 2**31}, {"n_artists": 2**31}, {"time_span": 2**63 + 1}],
+        ids=["users-over-int32", "artists-over-int32", "time-span-over-int64"],
+    )
+    def test_ids_and_timestamps_must_fit_their_dtypes(self, overrides):
+        # validate() alone: generating with these values would size arrays by them
+        with pytest.raises(DataError):
+            SynthConfig(**{**SMALL.__dict__, **overrides}).validate()
+
+    def test_largest_ids_and_time_span_are_valid(self):
+        SynthConfig(**{**SMALL.__dict__, "n_users": 2**31 - 1, "n_artists": 2**31 - 1}).validate()
+        log = generate_synthetic(SynthConfig(**{**SMALL.__dict__, "time_span": 2**63}))
+        assert log.timestamps.dtype == np.int64 and int(log.timestamps.min()) >= 0
+
 
 def _spearman(x, y):
     def ranks(values):
