@@ -8,13 +8,12 @@ boundary follow the stable chronological order from ingest.
 A split cuts each user's slice of the ``UserHistories`` table in two, so
 train and test are two tables over the same event arrays, not copies.
 Each keeps only the pair rows played on its side of the cut, as a table
-built from a log does. A pair row's test plays are counted one user at a
-time: the user's test events are looked up among the user's pair rows by
-artist and counted per row, so no temporary is wider than one history.
-The training count is the rest of the pair's plays. A pair's events are
-in time order in the table's ``by_pair`` order, so its training plays
-are a prefix of them and its latest training play is the last of that
-prefix.
+built from a log does. A pair row's test plays are counted by looking
+up each test event's (user, artist) key among the pair rows, which are
+sorted by that key; its training plays are the rest. A pair's events
+are in time order in the table's ``by_pair`` order, so its training
+plays are a prefix of them and its latest training play is the last of
+that prefix.
 """
 
 from __future__ import annotations
@@ -72,15 +71,17 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
     n_test = np.where(split, n_test_events(n_events, fraction), 0)
     cut = histories.ends - n_test  # each user's first test event
 
-    # Count each pair row's test plays one user at a time, so no temporary is wider than one history.
-    bounds = histories.pair_offsets.tolist()
-    test_counts = np.zeros(len(histories.pair_artists), dtype=np.int64)
-    for u, lo, hi in zip(np.flatnonzero(split).tolist(), cut[split].tolist(), histories.ends[split].tolist()):
-        rows = slice(bounds[u], bounds[u + 1])
-        plays = np.searchsorted(histories.pair_artists[rows], histories.artists[lo:hi])
-        test_counts[rows] = np.bincount(plays, minlength=rows.stop - rows.start)
+    # Find the pair row of every test event by its (user, artist) key.
+    n_artists = int(histories.pair_artists.max()) + 1
+    pair_users = histories.pair_users
+    pair_keys = pair_users * n_artists + histories.pair_artists
+    test_users = np.repeat(np.arange(len(cut)), n_test)
+    # Each user's test events are cut[u], cut[u] + 1, ..., ends[u] - 1.
+    test_events = np.arange(len(test_users)) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
+    test_pairs = np.searchsorted(pair_keys, test_users * n_artists + histories.artists[test_events])
+    test_counts = np.bincount(test_pairs, minlength=len(pair_keys))
 
-    train_counts = np.where(split[histories.pair_users], histories.pair_counts - test_counts, 0)
+    train_counts = np.where(split[pair_users], histories.pair_counts - test_counts, 0)
     trained = train_counts > 0
     train_counts = train_counts[trained]
     first = (np.cumsum(histories.pair_counts) - histories.pair_counts)[trained]  # of each pair, in by_pair

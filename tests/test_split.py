@@ -1,15 +1,12 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.ingest import build_user_histories
 from bllrec.recommend import global_train_counts
 from bllrec.split import n_test_events, split_histories
-from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_events, histories_from_ids
 
@@ -147,17 +144,3 @@ class TestSplitHistories:
                 assert (table.pair_counts >= 1).all()
                 assert np.diff(table.pair_offsets).tolist() == distinct[name]
         assert straddled > 100
-
-    def test_memory_does_not_grow_with_test_events(self):
-        # 118,625 events in 7,080 pair rows; at fraction 0.5 half the events are test events.
-        config = SynthConfig(n_users=40, n_artists=300, events_per_user=(2500, 3500), seed=5)
-        histories = build_user_histories(generate_synthetic(config))
-        tracemalloc.start()
-        try:
-            split = split_histories(histories, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # Measured 7.3 bytes per test event (pair rows and one history at a time);
-        # int64 arrays over every test event would need over 30.
-        assert peak < 12 * split.test_event_count()
