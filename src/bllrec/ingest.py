@@ -3,6 +3,9 @@
 Parses newline-delimited, tab-separated listening events (LFM-1b column
 layout by default) and assigns dense integer ids to users and artists in
 first-seen order. All produced arrays are read-only after loading.
+Timestamps are uint32, which holds every Unix second until 2106, unless
+the log holds one of 2**32 or more: the first block that does widens the
+column to int64, once, and it stays int64.
 
 ``load_events`` reads a path or binary stream once, ``CHUNK_SIZE`` bytes
 at a time, and hashes those same bytes for the run manifest. Lines end as
@@ -134,7 +137,7 @@ class EventLog:
 
     users: np.ndarray | None  # int32, one entry per event
     artists: np.ndarray | None  # int32
-    timestamps: np.ndarray | None  # int64, Unix seconds
+    timestamps: np.ndarray | None  # uint32 Unix seconds; int64 if any is >= 2**32
     id_maps: IdMaps
     sha256: str | None = None  # of the source file's bytes, as read; None for streams
 
@@ -154,7 +157,7 @@ class UserHistory:
 
     user: int
     artists: np.ndarray  # int32, chronological
-    timestamps: np.ndarray  # int64, non-decreasing
+    timestamps: np.ndarray  # the log's dtype (uint32 or int64), non-decreasing
     pair_artists: np.ndarray  # int32, distinct, ascending
     pair_counts: np.ndarray  # int64, plays of each
     pair_last: np.ndarray  # int64, latest play of each
@@ -162,10 +165,6 @@ class UserHistory:
     @property
     def n_events(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def n_distinct_artists(self) -> int:
-        return len(self.pair_artists)
 
 
 @dataclass(eq=False)
@@ -183,13 +182,13 @@ class UserHistories(Mapping):
     """
 
     artists: np.ndarray  # int32, per event
-    timestamps: np.ndarray  # int64, per event
+    timestamps: np.ndarray  # the log's dtype (uint32 or int64), per event
     starts: np.ndarray  # int64, per user id
     ends: np.ndarray  # int64, per user id
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
     pair_counts: np.ndarray  # int64, per pair row
-    pair_last: np.ndarray  # int64, per pair row
+    pair_last: np.ndarray  # int64 whatever the event dtype, as pop/time rank by -pair_last
     # Only in a table built from a log: the event indices sorted by user, artist,
     # timestamp, input order. A pair's events are contiguous and in time order.
     by_pair: np.ndarray | None = None
@@ -390,7 +389,7 @@ class _ChunkParser:
         self.skipped = 0
         self.size = 0  # events stored
         # Grown in place (realloc), so the events are never held twice.
-        self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+        self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint32))
 
     def add(self, data: bytes) -> None:
         if b"\r" in data:  # universal newlines: \r\n, then any other \r, ends a line
@@ -466,6 +465,8 @@ class _ChunkParser:
         if rest_index and index.size:
             order = np.argsort(np.concatenate((index, rest_index)), kind="stable")
             users, artists, timestamps = users[order], artists[order], timestamps[order]
+        if self.columns[2].dtype == np.uint32 and timestamps.size and timestamps.max() >= 2**32:
+            self.columns = (*self.columns[:2], self.columns[2].astype(np.int64))
         size = self.size + len(timestamps)
         for column, values in zip(self.columns, (users, artists, timestamps)):
             if size > len(column):
@@ -593,7 +594,7 @@ def build_user_histories(log: EventLog) -> UserHistories:
         pair_offsets=np.searchsorted(first, offsets),
         pair_artists=artists[by_pair[first]],
         pair_counts=pair_counts,
-        pair_last=timestamps[by_pair[first + pair_counts - 1]],
+        pair_last=timestamps[by_pair[first + pair_counts - 1]].astype(np.int64, copy=False),
         by_pair=by_pair,
     )
 

@@ -85,7 +85,7 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
     trained = train_counts > 0
     train_counts = train_counts[trained]
     first = (np.cumsum(histories.pair_counts) - histories.pair_counts)[trained]  # of each pair, in by_pair
-    train_last = histories.timestamps[histories.by_pair[first + train_counts - 1]]
+    train_last = histories.timestamps[histories.by_pair[first + train_counts - 1]].astype(np.int64, copy=False)
     train = _with_rows(histories, trained, train_counts, train_last, ends=np.where(split, cut, histories.starts))
     # Test events are the latest of their pair, so the pair's latest play is a test play.
     tested = test_counts > 0

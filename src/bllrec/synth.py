@@ -26,6 +26,9 @@ from .recommend import BllParams, CfParams, RecommendationList
 
 DEFAULT_TIME_SPAN = 94_608_000  # three years of seconds
 INT32_MAX = 2**31 - 1
+MAX_EVENTS_PER_USER = 2**20
+"""The top of ``events_per_user``. The recency table holds one float per possible
+event, about 40 bytes each with its Python list, so this keeps it near 40 MiB."""
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -79,8 +82,10 @@ class SynthConfig:
         # User and artist ids are int32 everywhere; reject before anything is sized by them.
         if not (1 <= self.n_users <= INT32_MAX and 1 <= self.n_artists <= INT32_MAX):
             raise DataError(f"n_users and n_artists must be in 1..{INT32_MAX}")
-        if lo < 1 or hi < lo:
-            raise DataError(f"events_per_user range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
+        if not 1 <= lo <= hi <= MAX_EVENTS_PER_USER:
+            raise DataError(
+                f"events_per_user range must satisfy 1 <= lo <= hi <= {MAX_EVENTS_PER_USER}, got {lo}..{hi}"
+            )
         if not self.zipf_exponent > 0:
             raise DataError("zipf_exponent must be > 0")
         if not 0.0 <= self.reconsume_prob <= 1.0:

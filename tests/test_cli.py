@@ -72,8 +72,9 @@ class TestSubcommands:
             ["--time-span", "0"],
             ["--time-span", "100000000000000000000"],
             ["--artists", "100000000000"],
+            ["--events", "3..100000000000"],
         ],
-        ids=["users", "events", "zipf", "time-span", "time-span-over-int64", "artists-over-int32"],
+        ids=["users", "events", "zipf", "time-span", "time-span-over-int64", "artists-over-int32", "events-too-many"],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flag):
         out = tmp_path / "x.tsv"

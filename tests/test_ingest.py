@@ -72,10 +72,14 @@ def _keys(id_maps):
 
 
 def summary(log, skipped):
-    """What ``oracle_load`` returns, from a loaded log; also checks the arrays' types."""
-    assert (log.users.dtype, log.artists.dtype, log.timestamps.dtype) == (np.int32, np.int32, np.int64)
-    assert not any(arr.flags.writeable for arr in (log.users, log.artists, log.timestamps))
+    """What ``oracle_load`` returns, from a loaded log; also checks the arrays' types.
+
+    Timestamps are uint32 unless some timestamp is 2**32 or more; then they are int64.
+    """
     events = list(zip(log.users.tolist(), log.artists.tolist(), log.timestamps.tolist()))
+    ts_type = np.int64 if any(ts >= 2**32 for _, _, ts in events) else np.uint32
+    assert (log.users.dtype, log.artists.dtype, log.timestamps.dtype) == (np.int32, np.int32, ts_type)
+    assert not any(arr.flags.writeable for arr in (log.users, log.artists, log.timestamps))
     return events, _keys(log.id_maps), skipped
 
 
@@ -331,6 +335,26 @@ def test_lone_cr_line_ends_cut_blocks():
     blocks = [len(call.args[1]) for call in spy.call_args_list]
     assert len(blocks) > 1 and max(blocks) < 2 * chunk_size
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+@pytest.mark.parametrize("line", [0, 300], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("value", [2**32 - 1, 2**32])
+def test_timestamp_column_widens_once_past_uint32(tmp_path, compress, line, value):
+    """Timestamps stay uint32 up to 2**32 - 1; a 2**32 in any block makes the whole column int64."""
+    lines = [f"u{i % 7}\ta{i % 13}\t{1000 + i}\n".encode() for i in range(400)]
+    lines[line] = f"u1\ta1\t{value}\n".encode()
+    lines[-1] = f"u2\ta2\t{2**32 - 1}\n".encode()
+    data = b"".join(lines)
+    chunk_size = 256
+    assert len(data) > 10 * chunk_size
+    path = tmp_path / ("events.tsv.gz" if compress else "events.tsv")
+    path.write_bytes(gzip.compress(data) if compress else data)
+    with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+        log, skipped = load_events(path, SIMPLE_SCHEMA)
+    assert log.timestamps.dtype == (np.int64 if value >= 2**32 else np.uint32)
+    assert log.timestamps[line] == value and log.timestamps[-1] == 2**32 - 1
+    assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
 
 
 def _mixed_log(path: Path, compress: bool) -> None:

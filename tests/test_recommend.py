@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from bllrec.recommend import (
     recommend_top,
 )
 
-from bllrec.split import split_histories
+from bllrec.split import n_test_events, split_histories
 from bllrec.synth import brute_force_ranking
 
-from conftest import histories_from_events, kernel_activation, oracle_instances
+from conftest import histories_from_events, kernel_activation, log_from_events, oracle_instances
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -165,6 +166,35 @@ class TestRecommendTime:
     def test_short_list_allowed(self):
         train = _history([("u", "a", 1), ("u", "a", 2)])
         assert len(recommend_time(train, 20).artists) == 1
+
+
+def test_pop_and_time_rank_uint32_timestamps_as_signed():
+    # A log of timestamps below 2**32 loads as uint32. pop and time rank by -pair_last,
+    # which on an unsigned array wraps and puts a play at 0 above every later one.
+    top = 2**32 - 1
+    plays = {  # chronological, with ties on play count and on last play
+        "u1": [("a", 0), ("c", 0), ("a", top - 5), ("e", top - 5), ("b", top - 5), ("b", top - 4),
+               ("d", top - 4), ("a", top - 2), ("e", top - 1), ("b", top)],
+        "u2": [("x", top - 9), ("y", top - 9), ("z", top - 8), ("x", top - 7), ("y", top - 7),
+               ("w", top - 7), ("z", top - 1), ("w", top)],
+    }
+    log = log_from_events([(u, a, t) for u, events in plays.items() for a, t in events])
+    assert log.timestamps.dtype == np.uint32
+    users, artists = log.id_maps.users, log.id_maps.artists
+    histories = build_user_histories(log)
+    split = split_histories(histories, 0.3)
+    for table in (histories, split.train):
+        for user in table:
+            for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
+                assert recommend(table[user], 10).ranked == brute_force_ranking(name, table, user, 10).ranked
+    for key, events in plays.items():
+        train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
+        counts = Counter(artists.id_of(a) for a, _ in train_events)
+        last = {artists.id_of(a): t for a, t in train_events}
+        train = split.train[users.id_of(key)]
+        assert train.pair_artists.tolist() == sorted(counts)
+        assert train.pair_counts.tolist() == [counts[a] for a in sorted(counts)]
+        assert train.pair_last.tolist() == [last[a] for a in sorted(counts)]
 
 
 class TestRecommendTop:

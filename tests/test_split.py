@@ -1,12 +1,15 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bllrec.errors import DataError
+from bllrec.ingest import build_user_histories, load_events, write_events_tsv
 from bllrec.recommend import global_train_counts
 from bllrec.split import n_test_events, split_histories
+from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_events, histories_from_ids
 
@@ -21,6 +24,22 @@ def _time_split(histories, fraction):
     split = split_histories(histories, fraction)
     (user,) = split.train
     return split.train[user], split.test[user]
+
+
+def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
+    # A synth log holds int64 timestamps; the same events read back from a file are uint32.
+    wide = generate_synthetic(SynthConfig(n_users=30, n_artists=80, events_per_user=(10, 60), seed=4))
+    path = tmp_path / "events.tsv"
+    write_events_tsv(wide, path)
+    narrow, _ = load_events(path)
+    assert (wide.timestamps.dtype, narrow.timestamps.dtype) == (np.int64, np.uint32)
+    tables = [build_user_histories(log) for log in (wide, narrow)]
+    splits = [split_histories(table, 0.2) for table in tables]
+    for a, b in (tables, [s.train for s in splits], [s.test for s in splits]):
+        for column in fields(a):
+            x, y = getattr(a, column.name), getattr(b, column.name)
+            assert (x is None and y is None) or np.array_equal(x, y), column.name
+        assert a.pair_last.dtype == b.pair_last.dtype == np.int64
 
 
 class TestTimeSplit:

@@ -5,6 +5,7 @@ from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, load_events, write_events_tsv
 from bllrec.recommend import BllParams, CfParams
 from bllrec.synth import (
+    MAX_EVENTS_PER_USER,
     SplitMix64,
     SynthConfig,
     brute_force_ranking,
@@ -71,14 +72,14 @@ class TestGenerateSynthetic:
                              reconsume_prob=1.0, time_span=1000, seed=5)
         histories = build_user_histories(generate_synthetic(config))
         for history in histories.values():
-            assert history.n_distinct_artists == 1
+            assert len(history.pair_artists) == 1
 
     def test_never_reconsume_spreads_over_catalog(self):
         config = SynthConfig(n_users=4, n_artists=10_000, events_per_user=(50, 50),
                              zipf_exponent=0.5, reconsume_prob=0.0, time_span=1000, seed=5)
         histories = build_user_histories(generate_synthetic(config))
         for history in histories.values():
-            assert history.n_distinct_artists > 40  # fresh Zipf draws, few collisions
+            assert len(history.pair_artists) > 40  # fresh Zipf draws, few collisions
 
     def test_extreme_zipf_concentrates_on_top_artist(self):
         config = SynthConfig(n_users=20, n_artists=100, events_per_user=(50, 50),
@@ -144,6 +145,12 @@ class TestGenerateSynthetic:
         # validate() alone: generating with these values would size arrays by them
         with pytest.raises(DataError):
             SynthConfig(**{**SMALL.__dict__, **overrides}).validate()
+
+    def test_events_per_user_bound(self):
+        # validate() alone: generating at the bound would draw a million events per user
+        SynthConfig(**{**SMALL.__dict__, "events_per_user": (3, MAX_EVENTS_PER_USER)}).validate()
+        with pytest.raises(DataError):
+            SynthConfig(**{**SMALL.__dict__, "events_per_user": (3, MAX_EVENTS_PER_USER + 1)}).validate()
 
     def test_largest_ids_and_time_span_are_valid(self):
         SynthConfig(**{**SMALL.__dict__, "n_users": 2**31 - 1, "n_artists": 2**31 - 1}).validate()
