@@ -42,6 +42,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 
+MAX_K = 1000
+"""The largest ``k_max``. Each report keeps one int64 hit array of length k_max per
+user, so this bounds that to 8 KB per user and report."""
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems via UsageError (exit code 1)."""
@@ -133,8 +137,8 @@ def validate_config(raw: dict) -> RunConfig:
             raise UsageError("fraction must be in (0,1)")
     if "k_max" in raw:
         config.k_max = _to_int("k_max", raw["k_max"])
-        if config.k_max < 1:
-            raise UsageError("k_max must be >= 1")
+        if not 1 <= config.k_max <= MAX_K:
+            raise UsageError(f"k_max must be in 1..{MAX_K}")
     if "bll_d" in raw:
         config.bll_d = _to_float("bll_d", raw["bll_d"])
         if not 0 < config.bll_d < math.inf:
@@ -185,11 +189,11 @@ def _load(config: RunConfig) -> tuple[EventLog, int]:
     return load_events(config.events, schema, on_error=config.on_error)
 
 
-def _write_groups_csv(path, assignment, scores, id_maps) -> None:
+def _write_groups_csv(path, named_groups, scores, id_maps) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["user_key", "score", "group"])
-        for name, members in assignment.as_dict().items():
+        for name, members in named_groups.items():
             for user in members:
                 writer.writerow([id_maps.users.key_of(user), f"{scores[user]:.6f}", name])
 
@@ -304,8 +308,7 @@ def cmd_profile(args) -> int:
     log, _ = _load(config)
     histories = build_user_histories(log)
     scores = score_users(histories, min_events=config.min_events)
-    assignment = assign_groups(scores, config.group_size)
-    _write_groups_csv(args.out, assignment, scores, log.id_maps)
+    _write_groups_csv(args.out, assign_groups(scores, config.group_size), scores, log.id_maps)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -395,8 +398,7 @@ def cmd_run(args) -> int:
         stage = "profile"
         histories = build_user_histories(log)
         scores = score_users(histories, min_events=config.min_events)
-        assignment = assign_groups(scores, config.group_size)
-        named_groups = assignment.as_dict()
+        named_groups = assign_groups(scores, config.group_size)
 
         stage = "split"
         split = split_histories(histories, config.fraction, users=scores.keys())
@@ -408,7 +410,7 @@ def cmd_run(args) -> int:
 
         stage = "report"
         groups_path = out_dir / "groups.csv"
-        _write_groups_csv(groups_path, assignment, scores, log.id_maps)
+        _write_groups_csv(groups_path, named_groups, scores, log.id_maps)
         written.append(groups_path)
 
         stats_path = out_dir / "stats.csv"

@@ -41,6 +41,9 @@ from .errors import DataError, ParseError, UsageError
 
 DEFAULT_SCHEMA_SPEC = "user=0,artist=1,ts=4"
 INT64_MAX = 2**63 - 1
+MAX_COLUMN = 2**31 - 1
+"""The largest schema column index. Larger ones would overflow the int64 offset
+arithmetic that locates each field, and no log has that many columns."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class ColumnSchema:
 
     def __post_init__(self):
         cols = (self.user, self.artist, self.ts)
-        if any(c < 0 for c in cols):
-            raise UsageError("schema column indices must be non-negative")
+        if not all(0 <= c <= MAX_COLUMN for c in cols):
+            raise UsageError(f"schema column indices must be in 0..{MAX_COLUMN}")
         if len(set(cols)) != 3:
             raise UsageError("schema column indices must be distinct")
 
@@ -91,16 +94,8 @@ class IdMap:
         self._ids: dict[str, int] = {}
         self._keys: list[str] = []
 
-    def intern(self, key: str) -> int:
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = len(self._keys)
-            self._ids[key] = idx
-            self._keys.append(key)
-        return idx
-
     def intern_all(self, keys: list[str]) -> None:
-        """``intern`` each key, in order."""
+        """Give each key not seen before the next index, in order."""
         fresh = [key for key in dict.fromkeys(keys) if key not in self._ids]
         self._ids.update(zip(fresh, range(len(self._keys), len(self._keys) + len(fresh))))
         self._keys.extend(fresh)

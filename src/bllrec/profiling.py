@@ -72,20 +72,11 @@ def score_users(histories: UserHistories, min_events: int = 2) -> dict[int, floa
     }
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Disjoint LowMS/MedMS/HighMS user sets, each of the requested size."""
-
-    low: tuple[int, ...]
-    med: tuple[int, ...]
-    high: tuple[int, ...]
-
-    def as_dict(self) -> dict[str, tuple[int, ...]]:
-        return {"LowMS": self.low, "MedMS": self.med, "HighMS": self.high}
-
-
-def assign_groups(scores: dict[int, float], group_size: int) -> GroupAssignment:
+def assign_groups(scores: dict[int, float], group_size: int) -> dict[str, tuple[int, ...]]:
     """Partition users into the lowest, median-centered and highest score blocks.
+
+    Returns disjoint member tuples of ``group_size`` ascending ids, keyed by
+    ``GROUP_NAMES`` in order.
 
     Users are ordered by (score, user id) so the assignment is a pure
     function of the score set. Requires at least 3 * group_size users.
@@ -97,11 +88,8 @@ def assign_groups(scores: dict[int, float], group_size: int) -> GroupAssignment:
         raise DataError(f"need at least {3 * group_size} scored users for group size {group_size}, got {n}")
     order = sorted(scores, key=lambda u: (scores[u], u))
     med_start = (n - group_size) // 2
-    return GroupAssignment(
-        low=tuple(sorted(order[:group_size])),
-        med=tuple(sorted(order[med_start:med_start + group_size])),
-        high=tuple(sorted(order[n - group_size:])),
-    )
+    blocks = (order[:group_size], order[med_start:med_start + group_size], order[n - group_size:])
+    return {name: tuple(sorted(block)) for name, block in zip(GROUP_NAMES, blocks)}
 
 
 @dataclass(frozen=True)

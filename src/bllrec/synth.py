@@ -1,4 +1,4 @@
-"""Seeded synthetic listening-log generation and brute-force rank oracles.
+"""Seeded synthetic listening-log generation.
 
 The generator exists for verification, not realism: it draws a global
 artist popularity from a Zipf law and makes users re-listen to their own
@@ -13,16 +13,13 @@ run in parallel without changing the output.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import EventLog, IdMaps, UserHistory
-from .recommend import BllParams, CfParams, RecommendationList
+from .ingest import EventLog, IdMaps
 
 DEFAULT_TIME_SPAN = 94_608_000  # three years of seconds
 INT32_MAX = 2**31 - 1
@@ -156,131 +153,25 @@ def generate_synthetic(config: SynthConfig) -> EventLog:
     zipf_cum = _zipf_cumulative(config.n_artists, config.zipf_exponent)
     recency_cum = _recency_cumulative(hi, config.recency_bias)
 
-    id_maps = IdMaps()
-    users: list[int] = []
-    artists: list[int] = []
+    counts: list[int] = []
+    ranks: list[int] = []
     timestamps: list[int] = []
     for u in range(config.n_users):
-        ts, ranks = user_events(config, u, zipf_cum, recency_cum)
-        uid = id_maps.users.intern(str(u))
-        for t, rank in zip(ts, ranks):
-            users.append(uid)
-            artists.append(id_maps.artists.intern(str(rank)))
-            timestamps.append(t)
+        ts, user_ranks = user_events(config, u, zipf_cum, recency_cum)
+        counts.append(len(ts))
+        timestamps += ts
+        ranks += user_ranks
 
+    id_maps = IdMaps()
+    id_maps.users.intern_all([str(u) for u in range(config.n_users)])
+    rank_keys = list(map(str, ranks))
+    id_maps.artists.intern_all(rank_keys)
     log = EventLog(
-        users=np.asarray(users, dtype=np.int32),
-        artists=np.asarray(artists, dtype=np.int32),
+        users=np.repeat(np.arange(config.n_users, dtype=np.int32), counts),
+        artists=np.asarray(id_maps.artists.lookup(rank_keys), dtype=np.int32),
         timestamps=np.asarray(timestamps, dtype=np.int64),
         id_maps=id_maps,
     )
     for arr in (log.users, log.artists, log.timestamps):
         arr.flags.writeable = False
     return log
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles. Deliberately unoptimized and textually independent of
-# recommend.py: direct enumeration with the same tie-breaking keys, for
-# cross-checking the real recommenders on small instances.
-# ---------------------------------------------------------------------------
-
-ORACLE_MAX_USERS = 10
-ORACLE_MAX_ARTISTS = 30
-ORACLE_MAX_EVENTS = 200
-
-
-def _check_oracle_bounds(train_histories: dict[int, UserHistory]) -> None:
-    if len(train_histories) > ORACLE_MAX_USERS:
-        raise DataError(f"oracle instance exceeds {ORACLE_MAX_USERS} users")
-    events = sum(h.n_events for h in train_histories.values())
-    if events > ORACLE_MAX_EVENTS:
-        raise DataError(f"oracle instance exceeds {ORACLE_MAX_EVENTS} events")
-    artists = set()
-    for history in train_histories.values():
-        artists.update(history.artists.tolist())
-    if len(artists) > ORACLE_MAX_ARTISTS:
-        raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
-
-
-def _events_of(history: UserHistory) -> list[tuple[int, int]]:
-    return list(zip(history.artists.tolist(), history.timestamps.tolist()))
-
-
-def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, int]]:
-    counts: Counter = Counter()
-    last: dict[int, int] = {}
-    for artist, t in events:
-        counts[artist] += 1
-        last[artist] = t  # chronological scan, so the final write is the latest
-    return counts, last
-
-
-def brute_force_ranking(
-    algorithm: str,
-    train_histories: dict[int, UserHistory],
-    user: int,
-    k: int,
-    bll_params: BllParams | None = None,
-    cf_params: CfParams | None = None,
-) -> RecommendationList:
-    """Reference top-k for one user on a small instance, by direct enumeration."""
-    _check_oracle_bounds(train_histories)
-    bll_params = bll_params or BllParams()
-    cf_params = cf_params or CfParams()
-    history = train_histories[user]
-    if history.n_events == 0:
-        raise DataError("oracle: empty training history")
-    events = _events_of(history)
-
-    if algorithm == "bll":
-        ref = max(t for _, t in events) + 1
-        scores = {}
-        for artist in sorted({a for a, _ in events}):
-            total = 0.0
-            for a, t in events:
-                if a == artist:
-                    total += float(ref - t + 1) ** (-bll_params.d)
-            scores[artist] = math.log(total) if total > 0.0 else float("-inf")
-        order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
-        return RecommendationList(user, [(a, scores[a]) for a in order], k)
-
-    if algorithm == "pop":
-        counts, last = _counts_and_last(events)
-        order = sorted(counts, key=lambda a: (-counts[a], -last[a], a))[:k]
-        return RecommendationList(user, [(a, float(counts[a])) for a in order], k)
-
-    if algorithm == "time":
-        counts, last = _counts_and_last(events)
-        order = sorted(counts, key=lambda a: (-last[a], -counts[a], a))[:k]
-        return RecommendationList(user, [(a, float(last[a])) for a in order], k)
-
-    if algorithm == "top":
-        totals: Counter = Counter()
-        for u in sorted(train_histories):
-            for artist, t in _events_of(train_histories[u]):
-                totals[artist] += 1
-        order = sorted(totals, key=lambda a: (-totals[a], a))[:k]
-        return RecommendationList(user, [(a, float(totals[a])) for a in order], k)
-
-    if algorithm == "cf":
-        own = {a for a, _ in events}
-        sims: dict[int, float] = {}
-        for v in sorted(train_histories):
-            if v == user:
-                continue
-            other = {a for a, _ in _events_of(train_histories[v])}
-            shared = len(own & other)
-            if shared:
-                sims[v] = shared / math.sqrt(len(own) * len(other))
-        if not sims:
-            return RecommendationList(user, [], k)
-        neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
-        scores: dict[int, float] = {}
-        for v in neighbors:
-            for artist in sorted({a for a, _ in _events_of(train_histories[v])}):
-                scores[artist] = scores.get(artist, 0.0) + sims[v]
-        order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
-        return RecommendationList(user, [(a, scores[a]) for a in order], k)
-
-    raise DataError(f"unknown algorithm {algorithm!r}")

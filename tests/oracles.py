@@ -1,0 +1,116 @@
+"""Brute-force rank oracles for the recommender tests.
+
+Deliberately unoptimized and textually independent of ``bllrec.recommend``:
+direct enumeration with the same tie-breaking keys, for cross-checking the
+real recommenders on small instances. Tests import it the way they import
+``conftest``: ``from oracles import brute_force_ranking``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+
+from bllrec.errors import DataError
+from bllrec.ingest import UserHistory
+from bllrec.recommend import BllParams, CfParams, RecommendationList
+
+ORACLE_MAX_USERS = 10
+ORACLE_MAX_ARTISTS = 30
+ORACLE_MAX_EVENTS = 200
+
+
+def _check_oracle_bounds(train_histories: dict[int, UserHistory]) -> None:
+    if len(train_histories) > ORACLE_MAX_USERS:
+        raise DataError(f"oracle instance exceeds {ORACLE_MAX_USERS} users")
+    events = sum(h.n_events for h in train_histories.values())
+    if events > ORACLE_MAX_EVENTS:
+        raise DataError(f"oracle instance exceeds {ORACLE_MAX_EVENTS} events")
+    artists = set()
+    for history in train_histories.values():
+        artists.update(history.artists.tolist())
+    if len(artists) > ORACLE_MAX_ARTISTS:
+        raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
+
+
+def _events_of(history: UserHistory) -> list[tuple[int, int]]:
+    return list(zip(history.artists.tolist(), history.timestamps.tolist()))
+
+
+def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, int]]:
+    counts: Counter = Counter()
+    last: dict[int, int] = {}
+    for artist, t in events:
+        counts[artist] += 1
+        last[artist] = t  # chronological scan, so the final write is the latest
+    return counts, last
+
+
+def brute_force_ranking(
+    algorithm: str,
+    train_histories: dict[int, UserHistory],
+    user: int,
+    k: int,
+    bll_params: BllParams | None = None,
+    cf_params: CfParams | None = None,
+) -> RecommendationList:
+    """Reference top-k for one user on a small instance, by direct enumeration."""
+    _check_oracle_bounds(train_histories)
+    bll_params = bll_params or BllParams()
+    cf_params = cf_params or CfParams()
+    history = train_histories[user]
+    if history.n_events == 0:
+        raise DataError("oracle: empty training history")
+    events = _events_of(history)
+
+    if algorithm == "bll":
+        ref = max(t for _, t in events) + 1
+        scores = {}
+        for artist in sorted({a for a, _ in events}):
+            total = 0.0
+            for a, t in events:
+                if a == artist:
+                    total += float(ref - t + 1) ** (-bll_params.d)
+            scores[artist] = math.log(total) if total > 0.0 else float("-inf")
+        order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
+        return RecommendationList(user, [(a, scores[a]) for a in order], k)
+
+    if algorithm == "pop":
+        counts, last = _counts_and_last(events)
+        order = sorted(counts, key=lambda a: (-counts[a], -last[a], a))[:k]
+        return RecommendationList(user, [(a, float(counts[a])) for a in order], k)
+
+    if algorithm == "time":
+        counts, last = _counts_and_last(events)
+        order = sorted(counts, key=lambda a: (-last[a], -counts[a], a))[:k]
+        return RecommendationList(user, [(a, float(last[a])) for a in order], k)
+
+    if algorithm == "top":
+        totals: Counter = Counter()
+        for u in sorted(train_histories):
+            for artist, t in _events_of(train_histories[u]):
+                totals[artist] += 1
+        order = sorted(totals, key=lambda a: (-totals[a], a))[:k]
+        return RecommendationList(user, [(a, float(totals[a])) for a in order], k)
+
+    if algorithm == "cf":
+        own = {a for a, _ in events}
+        sims: dict[int, float] = {}
+        for v in sorted(train_histories):
+            if v == user:
+                continue
+            other = {a for a, _ in _events_of(train_histories[v])}
+            shared = len(own & other)
+            if shared:
+                sims[v] = shared / math.sqrt(len(own) * len(other))
+        if not sims:
+            return RecommendationList(user, [], k)
+        neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
+        scores: dict[int, float] = {}
+        for v in neighbors:
+            for artist in sorted({a for a, _ in _events_of(train_histories[v])}):
+                scores[artist] = scores.get(artist, 0.0) + sims[v]
+        order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
+        return RecommendationList(user, [(a, scores[a]) for a in order], k)
+
+    raise DataError(f"unknown algorithm {algorithm!r}")

@@ -18,9 +18,10 @@ from bllrec.ingest import build_user_histories, load_events
 from bllrec.profiling import assign_groups, group_stats, score_users
 from bllrec.recommend import BllParams, CfParams, build_recommenders
 from bllrec.split import n_test_events, split_histories
-from bllrec.synth import SynthConfig, brute_force_ranking, generate_synthetic
+from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances
+from oracles import brute_force_ranking
 
 
 def _decimal_oracle(timestamps, ref, d):
@@ -202,10 +203,9 @@ def test_c6_group_assignment_matches_sort_oracle():
         scores = {u: float(rng.random()) for u in range(30)}
         size = sizes[i % 3]
         groups = assign_groups(scores, size)
-        assert (groups.low, groups.med, groups.high) == oracle(scores, size)
-        means = [
-            float(np.mean([scores[u] for u in g])) for g in (groups.low, groups.med, groups.high)
-        ]
+        assert list(groups) == ["LowMS", "MedMS", "HighMS"]
+        assert tuple(groups.values()) == oracle(scores, size)
+        means = [float(np.mean([scores[u] for u in g])) for g in groups.values()]
         assert means[0] <= means[1] <= means[2]
     print("criterion 6 PASS: 100 random assignments match the sort oracle, means monotone")
 
@@ -230,7 +230,7 @@ def test_c7_bll_wins_on_synthetic_groups():
 
     recall_at = {}
     for name in ("bll", "pop", "time", "top", "cf"):
-        for group_name, members in groups.as_dict().items():
+        for group_name, members in groups.items():
             report = evaluate_algorithm(split, recommenders[name], members, 20, name, group_name)
             recall_at[(name, group_name)] = [r for r, _ in report.points]
 
@@ -291,7 +291,7 @@ def test_c9_full_dataset_group_stats():
     histories = build_user_histories(log)
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 1000)
-    for name, members in groups.as_dict().items():
+    for name, members in groups.items():
         stats = group_stats(members, histories, scores)
         assert stats.users == 1000
         expected = TABLE1_EVENTS[name]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bllrec.cli import main, validate_config
+from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
 
 
@@ -285,6 +285,20 @@ class TestRunPipeline:
         code = main(["run", "--events", str(synth_tsv), "--fraction", "1.5"])
         assert code == 1
         assert "fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", [str(MAX_K + 1), "100000000000", "100000000000000000000"])
+    def test_k_max_above_bound_is_usage_error(self, synth_tsv, tmp_path, capsys, k_max):
+        groups = tmp_path / "groups.csv"
+        assert main(["profile", "--events", str(synth_tsv), "--group-size", "20", "--out", str(groups)]) == 0
+        assert main(["run", "--events", str(synth_tsv), "--group-size", "20", "--k-max", str(MAX_K),
+                     "--algo", "pop", "--out-dir", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        for args in (["run", "--group-size", "20", "--out-dir", str(tmp_path / "o")],
+                     ["eval", "--groups", str(groups), "--out", str(tmp_path / "results.csv")]):
+            assert main([*args, "--events", str(synth_tsv), "--k-max", k_max]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "k_max" in err and "Traceback" not in err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_malformed_line_under_fail_policy_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -16,8 +16,8 @@ from bllrec.cli import main
 from bllrec.errors import DataError, ParseError, UsageError
 from bllrec.ingest import (
     INT64_MAX,
+    MAX_COLUMN,
     ColumnSchema,
-    IdMaps,
     build_user_histories,
     load_events,
     parse_event_line,
@@ -51,7 +51,8 @@ def _open_text(source):
 def oracle_load(source, schema, on_error="skip"):
     """The line-at-a-time loader, kept as the reference: ``parse_event_line`` over
     the lines a text handle yields, ids interned in line order."""
-    id_maps = IdMaps()
+    users: dict[str, int] = {}
+    artists: dict[str, int] = {}
     events = []
     skipped = 0
     with _open_text(source) as handle:
@@ -63,8 +64,8 @@ def oracle_load(source, schema, on_error="skip"):
                     raise
                 skipped += 1
                 continue
-            events.append((id_maps.users.intern(user_key), id_maps.artists.intern(artist_key), ts))
-    return events, _keys(id_maps), skipped
+            events.append((users.setdefault(user_key, len(users)), artists.setdefault(artist_key, len(artists)), ts))
+    return events, [list(users), list(artists)], skipped
 
 
 def _keys(id_maps):
@@ -145,9 +146,11 @@ class TestColumnSchema:
         schema = ColumnSchema.parse("user=0,artist=1,ts=4")
         assert (schema.user, schema.artist, schema.ts) == (0, 1, 4)
         assert schema.min_columns == 5
+        assert ColumnSchema.parse(f"user=0,artist=1,ts={MAX_COLUMN}").ts == MAX_COLUMN
 
     def test_bad_specs(self):
-        for spec in ("user=0,artist=1", "user=x,artist=1,ts=2", "nope=1", "user=0,artist=0,ts=1"):
+        for spec in ("user=0,artist=1", "user=x,artist=1,ts=2", "nope=1", "user=0,artist=0,ts=1",
+                     f"user=0,artist=1,ts={MAX_COLUMN + 1}", "user=0,artist=1,ts=99999999999999999999"):
             with pytest.raises(UsageError):
                 ColumnSchema.parse(spec)
 

@@ -177,15 +177,11 @@ class TestAssignGroups:
     def test_nine_users_three_per_group(self):
         scores = {u: 0.1 * (u + 1) for u in range(9)}
         groups = assign_groups(scores, 3)
-        assert groups.low == (0, 1, 2)
-        assert groups.med == (3, 4, 5)
-        assert groups.high == (6, 7, 8)
+        assert list(groups.items()) == [("LowMS", (0, 1, 2)), ("MedMS", (3, 4, 5)), ("HighMS", (6, 7, 8))]
 
     def test_three_users_group_of_one(self):
         groups = assign_groups({0: 0.9, 1: 0.1, 2: 0.5}, 1)
-        assert groups.low == (1,)
-        assert groups.med == (2,)
-        assert groups.high == (0,)
+        assert list(groups.items()) == [("LowMS", (1,)), ("MedMS", (2,)), ("HighMS", (0,))]
 
     def test_too_few_users(self):
         with pytest.raises(DataError):
@@ -204,15 +200,13 @@ class TestAssignGroups:
             scores = {u: float(rng.random()) for u in range(int(rng.integers(9, 40)))}
             size = int(rng.integers(1, len(scores) // 3 + 1))
             groups = assign_groups(scores, size)
-            means = [float(np.mean([scores[u] for u in g])) for g in (groups.low, groups.med, groups.high)]
+            means = [float(np.mean([scores[u] for u in g])) for g in groups.values()]
             assert means[0] <= means[1] <= means[2]
 
     def test_score_tie_broken_by_user_id(self):
         scores = {u: 0.5 for u in range(6)}
         groups = assign_groups(scores, 2)
-        assert groups.low == (0, 1)
-        assert groups.med == (2, 3)
-        assert groups.high == (4, 5)
+        assert list(groups.items()) == [("LowMS", (0, 1)), ("MedMS", (2, 3)), ("HighMS", (4, 5))]
 
 
 class TestGroupStats:
@@ -242,7 +236,7 @@ class TestGroupStats:
         )
         scores = score_users(histories)
         for table in (histories, split_histories(histories, 0.3).train):
-            for members in assign_groups(scores, 15).as_dict().values():
+            for members in assign_groups(scores, 15).values():
                 played = {u: Counter(table[u].artists.tolist()) for u in members}
                 union = set().union(*played.values())
                 assert len(union) < sum(map(len, played.values()))  # members share artists

@@ -17,11 +17,10 @@ from bllrec.recommend import (
     recommend_time,
     recommend_top,
 )
-
 from bllrec.split import n_test_events, split_histories
-from bllrec.synth import brute_force_ranking
 
 from conftest import histories_from_events, kernel_activation, log_from_events, oracle_instances
+from oracles import brute_force_ranking
 
 INT64_MAX = np.iinfo(np.int64).max
 

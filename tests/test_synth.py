@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bllrec.cli import main
 from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, load_events, write_events_tsv
 from bllrec.recommend import BllParams, CfParams
@@ -8,12 +15,14 @@ from bllrec.synth import (
     MAX_EVENTS_PER_USER,
     SplitMix64,
     SynthConfig,
-    brute_force_ranking,
     generate_synthetic,
     user_events,
     user_stream,
 )
 
+from oracles import brute_force_ranking
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 SMALL = SynthConfig(n_users=6, n_artists=25, events_per_user=(5, 30), time_span=10_000, seed=3)
 
 
@@ -118,6 +127,23 @@ class TestGenerateSynthetic:
         assert np.array_equal(reloaded.users, log.users)
         assert np.array_equal(reloaded.artists, log.artists)
         assert np.array_equal(reloaded.timestamps, log.timestamps)
+
+    def test_golden_digest(self, tmp_path, capsys):
+        # Every byte of the written log: ids, event order, timestamps and TSV layout.
+        out = tmp_path / "s.tsv"
+        args = ["synth", "--users", "30", "--artists", "200", "--events", "20..40", "--seed", "1"]
+        assert main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "fbd89fcde85bcc25617aa18474f2d29c439b4eec7340fe1b4c0edac5f44f0990"
+
+    def test_import_leaves_recommenders_unloaded(self):
+        # bllrec.cli imports synth on every command; generating a log needs no recommender.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        code = "import sys, bllrec.synth; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        modules = proc.stdout.split()
+        assert "bllrec.synth" in modules and "bllrec.recommend" not in modules
 
     @pytest.mark.parametrize(
         "overrides",
