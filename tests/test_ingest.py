@@ -150,7 +150,8 @@ class TestColumnSchema:
 
     def test_bad_specs(self):
         for spec in ("user=0,artist=1", "user=x,artist=1,ts=2", "nope=1", "user=0,artist=0,ts=1",
-                     f"user=0,artist=1,ts={MAX_COLUMN + 1}", "user=0,artist=1,ts=99999999999999999999"):
+                     f"user=0,artist=1,ts={MAX_COLUMN + 1}", "user=0,artist=1,ts=99999999999999999999",
+                     "user=0,artist=1,ts=4,ts=2"):
             with pytest.raises(UsageError):
                 ColumnSchema.parse(spec)
 
@@ -360,15 +361,28 @@ def test_timestamp_column_widens_once_past_uint32(tmp_path, compress, line, valu
     assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
 
 
-def _mixed_log(path: Path, compress: bool) -> None:
-    """A synth log with lines of every kind the chunk parser hands to ``parse_event_line``.
+VECTOR_EDGE_LINES = [
+    b"u1\ta1\t0\t0\t0\n",
+    b"u1\ta2\t0\t0\t999999999999999999\n",  # 18 digits, the most numpy parses
+    b"u2\ta1\t0\t0\t007\n",
+    b"u2\ta2\t0\t0\t000000000000000042\n",
+    b"user-008\t" + "ключ".encode() + b"\t0\t0\t11\n",  # keys of 8 bytes, one of them 4 two-byte letters
+    "ключ\tartist08\t0\t0\t12\n".encode(),
+]
+
+
+def _mixed_log(path: Path, compress: bool) -> bytes:
+    """Write a synth log with lines of every kind the chunk parser hands to
+    ``parse_event_line``; returns its uncompressed bytes.
 
     A line with a byte that is not UTF-8, one with a NUL and one ending in
     ``\\r\\n`` come last, so that the blocks before them hold valid UTF-8.
+    ``VECTOR_EDGE_LINES`` come first, so that a first block of 4096 bytes or
+    more holds at once every width of timestamp and key that numpy parses.
     """
     plain = path.with_suffix(".plain")
     write_events_tsv(generate_synthetic(SynthConfig(n_users=40, n_artists=60, events_per_user=(15, 30))), plain)
-    lines = plain.read_bytes().splitlines(keepends=True)
+    lines = VECTOR_EDGE_LINES + plain.read_bytes().splitlines(keepends=True)
     one_at_a_time = [
         b"u1\ta1\t0\t0\n",  # too few columns
         b"u1\ta1\t0\t0\t+5\n",
@@ -384,19 +398,25 @@ def _mixed_log(path: Path, compress: bool) -> None:
     lines[-4:-4] = [b"u1\ta\xff\t0\t0\t12\n", b"u\x00\ta1\t0\t0\t12\n", b"u1\ta1\t0\t0\t3\r\n"]
     data = b"".join(lines).rstrip(b"\n")
     path.write_bytes(gzip.compress(data) if compress else data)
+    return data
 
 
 class TestChunkBoundaries:
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
     def test_any_chunk_size_gives_the_same_log(self, tmp_path, compress):
         path = tmp_path / ("events.tsv.gz" if compress else "events.tsv")
-        _mixed_log(path, compress)
+        data = _mixed_log(path, compress)
         expected = oracle_load(path, LFM_SCHEMA)
         assert expected[2] == 3  # the short line, the empty line and the undecodable line
         for size in (1, 2, 7, 4096, path.stat().st_size + 1):
-            with mock.patch.object(ingest, "CHUNK_SIZE", size):
+            with mock.patch.object(ingest, "CHUNK_SIZE", size), \
+                    mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
                 log, skipped = load_events(path, LFM_SCHEMA)
             assert summary(log, skipped) == expected, size
+            # Read as one block, which also holds the \\xff line, the edge lines with a
+            # byte that is not ASCII are left to parse_event_line.
+            one_at_a_time = {call.args[2] for call in spy.call_args_list} & set(range(1, len(VECTOR_EDGE_LINES) + 1))
+            assert one_at_a_time == ({5, 6} if size > len(data) else set()), size
             assert log.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_two_member_gzip_loads_like_gzip_open(self, tmp_path):
