@@ -1,7 +1,8 @@
 """Command-line entry point wiring ingest -> profile -> split -> evaluate -> report.
 
-Subcommands: ingest, profile, stats, split, eval, synth, run. The run
-subcommand executes the whole pipeline and writes groups.csv, stats.csv,
+Subcommands: ingest, profile, stats, split, eval, synth, run. All but
+synth run ``run_stages`` up to the stage they need. The run subcommand
+executes the whole pipeline and writes groups.csv, stats.csv,
 results.csv and a manifest.json that records the normalized config, the
 input checksum and the package version, so a run is fully reproducible
 from manifest plus input bytes.
@@ -27,14 +28,15 @@ from .ingest import (
     ColumnSchema,
     DEFAULT_SCHEMA_SPEC,
     EventLog,
+    UserHistories,
     build_user_histories,
     load_events,
     write_events_tsv,
 )
-from .evaluation import emit_report, evaluate_algorithm
-from .profiling import GROUP_NAMES, assign_groups, eligible_users, group_stats, score_users
+from .evaluation import EvalReport, emit_report, evaluate_algorithm
+from .profiling import GROUP_NAMES, GroupStats, assign_groups, eligible_users, group_stats, score_users
 from .recommend import ALGORITHMS, BllParams, CfParams, build_recommenders
-from .split import split_histories
+from .split import SplitDataset, split_histories
 from .synth import DEFAULT_TIME_SPAN, SynthConfig, generate_synthetic
 
 EXIT_OK = 0
@@ -178,24 +180,11 @@ def read_config_file(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise UsageError(f"config line {line_no}: key {key!r} is set twice")
+        raw[key] = value.strip()
     return raw
-
-
-def _load(config: RunConfig) -> tuple[EventLog, int]:
-    if not config.events:
-        raise UsageError("an events file is required (--events or config key 'events')")
-    schema = ColumnSchema.parse(config.schema)
-    return load_events(config.events, schema, on_error=config.on_error)
-
-
-def _write_groups_csv(path, named_groups, scores, id_maps) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user_key", "score", "group"])
-        for name, members in named_groups.items():
-            for user in members:
-                writer.writerow([id_maps.users.key_of(user), f"{scores[user]:.6f}", name])
 
 
 def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, float]]:
@@ -228,52 +217,104 @@ def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, flo
     return groups, scores
 
 
-def _write_stats_csv(path_or_handle, named_groups, histories, scores) -> None:
-    own = isinstance(path_or_handle, (str, Path))
-    handle = open(path_or_handle, "w", encoding="utf-8", newline="") if own else path_or_handle
+@dataclass
+class Staged:
+    """What the stages of one ``run_stages`` call produced; the fields of stages not run stay None."""
+
+    log: EventLog
+    skipped: int
+    histories: UserHistories | None = None
+    groups: dict[str, list[int]] | None = None
+    scores: dict[int, float] | None = None
+    stats: dict[str, GroupStats] | None = None
+    split: SplitDataset | None = None
+    reports: list[EvalReport] | None = None
+
+
+def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = False) -> Staged:
+    """Run ingest -> profile -> split -> evaluate, stopping after the stage named ``until``; write nothing.
+
+    The groups come from ``groups_csv`` when given, else from scoring, which a
+    split summary without a groups file skips. ``stats`` adds each group's
+    statistics to the profile stage. A ``BllrecError`` is re-raised prefixed
+    with the name of the stage it came from.
+    """
+    stage = "ingest"
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["group", "users", "artists", "events", "avg_artists_per_user", "avg_mainstreaminess"]
+        if not config.events:
+            raise UsageError("an events file is required (--events or config key 'events')")
+        log, skipped = load_events(config.events, ColumnSchema.parse(config.schema), on_error=config.on_error)
+        out = Staged(log, skipped)
+        if until == stage:
+            return out
+
+        stage = "profile"
+        out.histories = build_user_histories(log)
+        if groups_csv is not None:
+            out.groups, out.scores = _read_groups_csv(groups_csv, log.id_maps)
+        elif until != "split":
+            out.scores = score_users(out.histories, min_events=config.min_events)
+            out.groups = assign_groups(out.scores, config.group_size)
+        if stats:
+            out.stats = {name: group_stats(users, out.histories, out.scores) for name, users in out.groups.items()}
+        if until == stage:
+            return out
+
+        stage = "split"
+        users = eligible_users(out.histories, config.min_events)
+        out.split = split_histories(out.histories, config.fraction, users=users)
+        if until == stage:
+            return out
+
+        stage = "evaluate"
+        recommenders = build_recommenders(
+            out.split.train,
+            algorithms=config.algorithms,
+            bll_params=BllParams(d=config.bll_d),
+            cf_params=CfParams(neighborhood_size=config.cf_neighbors),
         )
-        for name, members in named_groups.items():
-            stats = group_stats(members, histories, scores)
-            writer.writerow(
-                [
-                    name,
-                    stats.users,
-                    stats.distinct_artists,
-                    stats.listening_events,
-                    f"{stats.avg_artists_per_user:.6f}",
-                    f"{stats.avg_mainstreaminess:.6f}",
-                ]
+        out.reports = [
+            evaluate_algorithm(
+                out.split, recommenders[algorithm], members, config.k_max, algorithm=algorithm, group=group_name
             )
-    finally:
-        if own:
-            handle.close()
+            for algorithm in config.algorithms
+            for group_name, members in out.groups.items()
+        ]
+        return out
+    except BllrecError as exc:
+        raise type(exc)(f"{stage}: {exc}") from exc
 
 
-def _evaluate_groups(split, named_groups, config: RunConfig):
-    recommenders = build_recommenders(
-        split.train,
-        algorithms=config.algorithms,
-        bll_params=BllParams(d=config.bll_d),
-        cf_params=CfParams(neighborhood_size=config.cf_neighbors),
-    )
-    reports = []
-    for algorithm in config.algorithms:
-        for group_name, members in named_groups.items():
-            reports.append(
-                evaluate_algorithm(
-                    split,
-                    recommenders[algorithm],
-                    members,
-                    config.k_max,
-                    algorithm=algorithm,
-                    group=group_name,
-                )
-            )
-    return reports
+def _groups_rows(out: Staged) -> list[list]:
+    rows = [["user_key", "score", "group"]]
+    for name, members in out.groups.items():
+        rows.extend([out.log.id_maps.users.key_of(user), f"{out.scores[user]:.6f}", name] for user in members)
+    return rows
+
+
+def _stats_rows(out: Staged) -> list[list]:
+    rows = [["group", "users", "artists", "events", "avg_artists_per_user", "avg_mainstreaminess"]]
+    for name, stats in out.stats.items():
+        rows.append(
+            [
+                name,
+                stats.users,
+                stats.distinct_artists,
+                stats.listening_events,
+                f"{stats.avg_artists_per_user:.6f}",
+                f"{stats.avg_mainstreaminess:.6f}",
+            ]
+        )
+    return rows
+
+
+def _write_csv(path, rows) -> None:
+    """Write ``rows`` to the CSV file ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -294,62 +335,41 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    log, skipped = _load(config)
-    print(f"events={len(log)}")
-    print(f"users={len(log.id_maps.users)}")
-    print(f"artists={len(log.id_maps.artists)}")
-    print(f"skipped={skipped}")
+    out = run_stages(_config_from_args(args), "ingest")
+    print(f"events={len(out.log)}")
+    print(f"users={len(out.log.id_maps.users)}")
+    print(f"artists={len(out.log.id_maps.artists)}")
+    print(f"skipped={out.skipped}")
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
-    config = _config_from_args(args)
-    log, _ = _load(config)
-    histories = build_user_histories(log)
-    scores = score_users(histories, min_events=config.min_events)
-    _write_groups_csv(args.out, assign_groups(scores, config.group_size), scores, log.id_maps)
+    out = run_stages(_config_from_args(args), "profile")
+    _write_csv(args.out, _groups_rows(out))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    config = _config_from_args(args)
-    log, _ = _load(config)
-    histories = build_user_histories(log)
-    named_groups, scores = _read_groups_csv(args.groups, log.id_maps)
+    out = run_stages(_config_from_args(args), "profile", groups_csv=args.groups, stats=True)
+    _write_csv(args.out, _stats_rows(out))
     if args.out:
-        _write_stats_csv(args.out, named_groups, histories, scores)
         print(f"wrote {args.out}")
-    else:
-        _write_stats_csv(sys.stdout, named_groups, histories, scores)
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    config = _config_from_args(args)
-    log, _ = _load(config)
-    histories = build_user_histories(log)
-    split = split_histories(histories, config.fraction, users=eligible_users(histories, config.min_events))
-    if args.groups:
-        named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
-    else:
-        named_groups = {"ALL": list(split.train)}
-    for name, members in named_groups.items():
-        count = split.test_event_count(members)
-        evaluable = sum(1 for u in members if u in split.train)
+    out = run_stages(_config_from_args(args), "split", groups_csv=args.groups)
+    for name, members in (out.groups or {"ALL": list(out.split.train)}).items():
+        count = out.split.test_event_count(members)
+        evaluable = sum(1 for u in members if u in out.split.train)
         print(f"group={name} users={evaluable} test_events={count}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(args)
-    log, _ = _load(config)
-    histories = build_user_histories(log)
-    named_groups, _ = _read_groups_csv(args.groups, log.id_maps)
-    split = split_histories(histories, config.fraction, users=eligible_users(histories, config.min_events))
-    reports = _evaluate_groups(split, named_groups, config)
-    emit_report(reports, args.out)
+    out = run_stages(_config_from_args(args), "evaluate", groups_csv=args.groups)
+    emit_report(out.reports, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -388,62 +408,41 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
+    out = run_stages(config, "evaluate", stats=True)
+    for name, members in out.groups.items():
+        print(f"group={name} test_events={out.split.test_event_count(members)}")
+    tables = {"groups.csv": _groups_rows(out), "stats.csv": _stats_rows(out)}
+    manifest = {
+        "version": __version__,
+        "kernel_backend": BACKEND_NAME,
+        "config": {**asdict(config), "algorithms": list(config.algorithms)},
+        "input": {
+            "path": str(config.events),
+            "sha256": out.log.sha256,
+        },
+        "skipped_lines": out.skipped,
+        "dropped_users": out.split.dropped,
+        "outputs": [*tables, "results.csv"],
+    }
+
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    stage = "ingest"
     try:
-        log, skipped = _load(config)
-
-        stage = "profile"
-        histories = build_user_histories(log)
-        scores = score_users(histories, min_events=config.min_events)
-        named_groups = assign_groups(scores, config.group_size)
-
-        stage = "split"
-        split = split_histories(histories, config.fraction, users=scores.keys())
-        for name, members in named_groups.items():
-            print(f"group={name} test_events={split.test_event_count(members)}")
-
-        stage = "evaluate"
-        reports = _evaluate_groups(split, named_groups, config)
-
-        stage = "report"
-        groups_path = out_dir / "groups.csv"
-        _write_groups_csv(groups_path, named_groups, scores, log.id_maps)
-        written.append(groups_path)
-
-        stats_path = out_dir / "stats.csv"
-        _write_stats_csv(stats_path, named_groups, histories, scores)
-        written.append(stats_path)
-
-        results_path = out_dir / "results.csv"
-        emit_report(reports, results_path)
-        written.append(results_path)
-
-        manifest = {
-            "version": __version__,
-            "kernel_backend": BACKEND_NAME,
-            "config": {**asdict(config), "algorithms": list(config.algorithms)},
-            "input": {
-                "path": str(config.events),
-                "sha256": log.sha256,
-            },
-            "skipped_lines": skipped,
-            "dropped_users": split.dropped,
-            "outputs": [p.name for p in written],
-        }
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, rows in tables.items():
+            _write_csv(out_dir / name, rows)
+            written.append(out_dir / name)
+        emit_report(out.reports, out_dir / "results.csv")
+        written.append(out_dir / "results.csv")
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
         written.append(manifest_path)
-    except (BllrecError, OSError) as exc:
+    except OSError:
         for path in written:
             try:
                 path.unlink()
             except OSError:
                 pass
-        if isinstance(exc, BllrecError):
-            raise type(exc)(f"{stage}: {exc}") from exc
         raise
     for path in written:
         print(f"wrote {path}")
@@ -455,14 +454,28 @@ def cmd_run(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_input_flags(parser, with_min_events=False):
-    parser.add_argument("--events", help="listening-events TSV file (.gz supported)")
-    parser.add_argument("--schema", help=f"column layout, default {DEFAULT_SCHEMA_SPEC}")
-    parser.add_argument("--on-error", dest="on_error", choices=("skip", "fail"),
-                        help="malformed-line policy (default skip)")
-    if with_min_events:
-        parser.add_argument("--min-events", dest="min_events", type=int,
-                            help="minimum events per scored user (default 2)")
+_CONFIG_FLAGS = {
+    # RunConfig field: (flag, further add_argument keywords)
+    "events": ("--events", {"help": "listening-events TSV file (.gz supported)"}),
+    "schema": ("--schema", {"help": f"column layout, default {DEFAULT_SCHEMA_SPEC}"}),
+    "on_error": ("--on-error", {"choices": ("skip", "fail"), "help": "malformed-line policy (default skip)"}),
+    "min_events": ("--min-events", {"type": int, "help": "minimum events per scored user (default 2)"}),
+    "group_size": ("--group-size", {"type": int, "help": "users per group (default 1000)"}),
+    "fraction": ("--fraction", {"type": float, "help": "test fraction per user (default 0.01)"}),
+    "algorithms": ("--algo", {"help": "comma-separated subset of bll,cf,pop,time,top"}),
+    "k_max": ("--k-max", {"type": int, "help": "largest list length k (default 20)"}),
+    "bll_d": ("--bll-d", {"type": float, "help": "decay exponent (default 0.5)"}),
+    "cf_neighbors": ("--cf-neighbors", {"type": int, "help": "neighborhood size (default 20)"}),
+    "threads": ("--threads", {"type": int, "help": "must be 1; evaluation runs on one thread"}),
+    "out_dir": ("--out-dir", {"help": "output directory (default: out)"}),
+}
+_INPUT_FLAGS = ("events", "schema", "on_error")
+
+
+def _add_config_flags(parser, *names) -> None:
+    for name in names:
+        flag, kwargs = _CONFIG_FLAGS[name]
+        parser.add_argument(flag, dest=name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,36 +483,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bllrec {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("ingest", parents=[], help="parse an events file and print summary counts")
-    _add_input_flags(p)
+    p = sub.add_parser("ingest", help="parse an events file and print summary counts")
+    _add_config_flags(p, *_INPUT_FLAGS)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("profile", help="score mainstreaminess and assign user groups")
-    _add_input_flags(p, with_min_events=True)
-    p.add_argument("--group-size", dest="group_size", type=int, help="users per group (default 1000)")
+    _add_config_flags(p, *_INPUT_FLAGS, "min_events", "group_size")
     p.add_argument("--out", default="groups.csv", help="output CSV (user_key,score,group)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("stats", help="per-group dataset statistics from a groups CSV")
-    _add_input_flags(p)
+    _add_config_flags(p, *_INPUT_FLAGS)
     p.add_argument("--groups", required=True, help="groups.csv from the profile subcommand")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", help="time-based train/test split summary")
-    _add_input_flags(p, with_min_events=True)
-    p.add_argument("--fraction", type=float, help="test fraction per user (default 0.01)")
+    _add_config_flags(p, *_INPUT_FLAGS, "min_events", "fraction")
     p.add_argument("--groups", help="optional groups.csv for per-group counts")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("eval", help="evaluate recommenders over the groups")
-    _add_input_flags(p, with_min_events=True)
+    _add_config_flags(p, *_INPUT_FLAGS, "min_events", "fraction", "algorithms", "k_max", "bll_d", "cf_neighbors")
     p.add_argument("--groups", required=True, help="groups.csv from the profile subcommand")
-    p.add_argument("--fraction", type=float, help="test fraction per user (default 0.01)")
-    p.add_argument("--algo", dest="algorithms", help="comma-separated subset of bll,cf,pop,time,top")
-    p.add_argument("--k-max", dest="k_max", type=int, help="largest list length k (default 20)")
-    p.add_argument("--bll-d", dest="bll_d", type=float, help="decay exponent (default 0.5)")
-    p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int, help="neighborhood size (default 20)")
     p.add_argument("--out", default="results.csv", help="output CSV")
     p.set_defaults(func=cmd_eval)
 
@@ -517,16 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="full pipeline: ingest, profile, split, evaluate, report")
-    _add_input_flags(p, with_min_events=True)
+    _add_config_flags(p, *_INPUT_FLAGS, "min_events", "group_size", "fraction", "algorithms", "k_max", "bll_d",
+                      "cf_neighbors", "threads", "out_dir")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--algo", dest="algorithms", help="comma-separated subset of bll,cf,pop,time,top")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--bll-d", dest="bll_d", type=float)
-    p.add_argument("--cf-neighbors", dest="cf_neighbors", type=int)
-    p.add_argument("--threads", type=int, help="must be 1; evaluation runs on one thread")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
     p.set_defaults(func=cmd_run)
 
     return parser

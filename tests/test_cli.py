@@ -184,7 +184,18 @@ class TestBadGroupsAndConfigFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and f"dup.csv line {len(groups_rows) + 1}" in err and "twice" in err
+        assert err.startswith("data error: profile: ")  # reading a groups file is the profile stage
         assert not (tmp_path / "results.csv").exists()
+
+    def test_stats_with_an_empty_group_writes_nothing(self, synth_tsv, tmp_path, groups_rows, capsys):
+        path = tmp_path / "no-med.csv"
+        path.write_text("\n".join(row for row in groups_rows if not row.endswith(",MedMS")) + "\n")
+        out = tmp_path / "stats.csv"
+        capsys.readouterr()
+        assert main(["stats", "--events", str(synth_tsv), "--groups", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: profile: ") and "empty group" in err
+        assert not out.exists()
 
     def test_undecodable_config_file_is_usage_error(self, synth_tsv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -193,6 +204,15 @@ class TestBadGroupsAndConfigFiles:
         assert code == 1
         assert "usage error: " in (err := capsys.readouterr().err)
         assert "run.cfg line 3: not valid UTF-8" in err
+
+    def test_repeated_config_key_is_usage_error(self, synth_tsv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"events={synth_tsv}\ngroup_size=20\n# group_size=5\ngroup_size=1000\n")
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "line 4" in err and "'group_size'" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunPipeline:
@@ -280,6 +300,10 @@ class TestRunPipeline:
         code = main(["run", "--events", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert "nope.tsv" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["run", "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ingest: an events file is required")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_fraction_is_usage_error(self, synth_tsv, capsys):
         code = main(["run", "--events", str(synth_tsv), "--fraction", "1.5"])
@@ -323,8 +347,8 @@ class TestRunPipeline:
         code = main(["run", "--events", str(synth_tsv), "--out-dir", str(tmp_path / "o2")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "profile" in err
-        assert not (tmp_path / "o2" / "results.csv").exists()  # partial outputs removed
+        assert err.startswith("data error: profile: ")
+        assert not (tmp_path / "o2").exists()  # no out dir before every stage has run
 
     def test_threads_do_not_change_results(self, synth_tsv, tmp_path, capsys):
         base = ["run", "--events", str(synth_tsv), "--group-size", "20", "--k-max", "10"]
@@ -378,3 +402,5 @@ class TestRunPipeline:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+        assert main(["run", "--help"]) == 0
+        assert "--k-max K_MAX largest list length k (default 20)" in " ".join(capsys.readouterr().out.split())
