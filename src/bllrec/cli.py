@@ -45,8 +45,8 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 MAX_K = 1000
-"""The largest ``k_max``. Each report keeps one int64 hit array of length k_max per
-user, so this bounds that to 8 KB per user and report."""
+"""The largest ``k_max``. Each report keeps a users x k_max int64 hit matrix, so
+this bounds it to 8 KB per user and report."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,9 +178,9 @@ def read_config_file(path) -> dict[str, str]:
         if not line:
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
         key = key.strip()
+        if not sep or not key:
+            raise UsageError(f"config line {line_no}: expected key=value, got {line!r}")
         if key in raw:
             raise UsageError(f"config line {line_no}: key {key!r} is set twice")
         raw[key] = value.strip()
@@ -262,6 +262,8 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
 
         stage = "split"
         users = eligible_users(out.histories, config.min_events)
+        if not len(users):
+            raise DataError(f"no user has at least {config.min_events} events (min_events={config.min_events})")
         out.split = split_histories(out.histories, config.fraction, users=users)
         if until == stage:
             return out
@@ -455,27 +457,30 @@ def cmd_run(args) -> int:
 
 
 _CONFIG_FLAGS = {
-    # RunConfig field: (flag, further add_argument keywords)
-    "events": ("--events", {"help": "listening-events TSV file (.gz supported)"}),
-    "schema": ("--schema", {"help": f"column layout, default {DEFAULT_SCHEMA_SPEC}"}),
-    "on_error": ("--on-error", {"choices": ("skip", "fail"), "help": "malformed-line policy (default skip)"}),
-    "min_events": ("--min-events", {"type": int, "help": "minimum events per scored user (default 2)"}),
-    "group_size": ("--group-size", {"type": int, "help": "users per group (default 1000)"}),
-    "fraction": ("--fraction", {"type": float, "help": "test fraction per user (default 0.01)"}),
-    "algorithms": ("--algo", {"help": "comma-separated subset of bll,cf,pop,time,top"}),
-    "k_max": ("--k-max", {"type": int, "help": "largest list length k (default 20)"}),
-    "bll_d": ("--bll-d", {"type": float, "help": "decay exponent (default 0.5)"}),
-    "cf_neighbors": ("--cf-neighbors", {"type": int, "help": "neighborhood size (default 20)"}),
-    "threads": ("--threads", {"type": int, "help": "must be 1; evaluation runs on one thread"}),
-    "out_dir": ("--out-dir", {"help": "output directory (default: out)"}),
+    # RunConfig field: (flag, help); validate_config parses the value, as it does a config file's
+    "events": ("--events", "listening-events TSV file (.gz supported)"),
+    "schema": ("--schema", "column layout"),
+    "on_error": ("--on-error", "malformed-line policy, skip or fail"),
+    "min_events": ("--min-events", "minimum events per scored user"),
+    "group_size": ("--group-size", "users per group"),
+    "fraction": ("--fraction", "test fraction per user"),
+    "algorithms": ("--algo", "comma-separated subset of bll,cf,pop,time,top"),
+    "k_max": ("--k-max", "largest list length k"),
+    "bll_d": ("--bll-d", "decay exponent"),
+    "cf_neighbors": ("--cf-neighbors", "neighborhood size"),
+    "threads": ("--threads", "must be 1; evaluation runs on one thread"),
+    "out_dir": ("--out-dir", "output directory"),
 }
 _INPUT_FLAGS = ("events", "schema", "on_error")
 
 
 def _add_config_flags(parser, *names) -> None:
     for name in names:
-        flag, kwargs = _CONFIG_FLAGS[name]
-        parser.add_argument(flag, dest=name, **kwargs)
+        flag, text = _CONFIG_FLAGS[name]
+        default = getattr(RunConfig, name)
+        if default is not None:
+            text += f" (default {','.join(default) if isinstance(default, tuple) else default})"
+        parser.add_argument(flag, dest=name, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

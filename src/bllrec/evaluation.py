@@ -20,50 +20,13 @@ from .split import SplitDataset
 
 
 @dataclass
-class UserResult:
-    user: int
-    hits_at_k: np.ndarray  # cumulative hit count for k = 1..k_max
-    test_set_size: int  # distinct artists in the user's test events
-
-
-@dataclass
 class EvalReport:
     algorithm: str
     group: str
     points: list[tuple[float, float]]  # (recall, precision) for k = 1..k_max
     users_evaluated: int
-    user_results: list[UserResult] = field(repr=False, default_factory=list)
-
-
-def hits_at_k(ranked_artists, test_artists: set[int], k_max: int) -> np.ndarray:
-    """Cumulative hit counts of the top-k prefix for each k up to k_max.
-
-    Rankings shorter than k_max keep their final hit count for larger k.
-    """
-    if not test_artists:
-        raise DataError("empty test artist set; exclude the user upstream")
-    hits = np.zeros(k_max, dtype=np.int64)
-    count = 0
-    for i in range(k_max):
-        if i < len(ranked_artists) and ranked_artists[i] in test_artists:
-            count += 1
-        hits[i] = count
-    return hits
-
-
-def recall_precision_points(user_results: list[UserResult], k_max: int) -> list[tuple[float, float]]:
-    """Macro-averaged (recall, precision) per k over the given users."""
-    if not user_results:
-        raise DataError("no user results to aggregate")
-    ks = np.arange(1, k_max + 1, dtype=np.float64)
-    recall_sum = np.zeros(k_max)
-    precision_sum = np.zeros(k_max)
-    for result in user_results:
-        hits = result.hits_at_k.astype(np.float64)
-        recall_sum += hits / result.test_set_size
-        precision_sum += hits / ks
-    n = len(user_results)
-    return [(float(r / n), float(p / n)) for r, p in zip(recall_sum, precision_sum)]
+    # users_evaluated x k_max int64: each user's cumulative hits for k = 1..k_max, rows in id order
+    hits: np.ndarray | None = field(default=None, repr=False)
 
 
 def evaluate_algorithm(
@@ -79,31 +42,32 @@ def evaluate_algorithm(
     ``recommend_fn(user, train_history, k_max)`` must return a
     RecommendationList built from training data only. Users whose
     recommender returns an empty list are counted with zero hits, not
-    skipped. Users are evaluated one after another in sorted id order,
-    which fixes the aggregation order.
+    skipped, and a list shorter than k_max keeps its final hit count for
+    larger k. Users are evaluated one after another in sorted id order,
+    and their terms are summed in that order, row after row.
     """
     evaluable = [u for u in sorted(users) if u in split.train]
     if not evaluable:
         raise DataError(f"group {group or '?'}: no evaluable users")
+    offsets = split.test.pair_offsets
+    test_sizes = np.diff(offsets)[evaluable]  # distinct artists in each user's test events
+    if not test_sizes.all():
+        user = evaluable[int(np.argmin(test_sizes))]
+        raise DataError(f"user {user}: empty test artist set; exclude the user upstream")
 
-    def one_user(user: int) -> UserResult:
-        recommendation = recommend_fn(user, split.train[user], k_max)
-        test_artists = set(split.test[user].pair_artists.tolist())
-        return UserResult(
-            user=user,
-            hits_at_k=hits_at_k(recommendation.artists, test_artists, k_max),
-            test_set_size=len(test_artists),
-        )
+    hits = np.zeros((len(evaluable), k_max), dtype=np.int64)
+    for row, user in enumerate(evaluable):
+        relevant = set(split.test.pair_artists[offsets[user]:offsets[user + 1]].tolist())
+        ranked = recommend_fn(user, split.train[user], k_max).artists[:k_max]
+        hits[row, :len(ranked)] = [artist in relevant for artist in ranked]
+    np.cumsum(hits, axis=1, out=hits)
 
-    results = [one_user(u) for u in evaluable]
-
-    return EvalReport(
-        algorithm=algorithm,
-        group=group,
-        points=recall_precision_points(results, k_max),
-        users_evaluated=len(results),
-        user_results=results,
-    )
+    # accumulate adds row after row; .sum(axis=0) may sum pairwise and change the last bits.
+    recall = np.add.accumulate(hits / test_sizes[:, None], axis=0)[-1]
+    precision = np.add.accumulate(hits / np.arange(1, k_max + 1, dtype=np.float64), axis=0)[-1]
+    n = len(evaluable)
+    points = [(float(r / n), float(p / n)) for r, p in zip(recall, precision)]
+    return EvalReport(algorithm, group, points, n, hits)
 
 
 def emit_report(reports: list[EvalReport], path) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bllrec.cli import main
-from bllrec.evaluation import evaluate_algorithm, hits_at_k
+from bllrec.evaluation import evaluate_algorithm
 from bllrec.ingest import build_user_histories, load_events
 from bllrec.profiling import assign_groups, group_stats, score_users
 from bllrec.recommend import BllParams, CfParams, build_recommenders
@@ -141,13 +141,16 @@ def test_c4_metric_identities_hold_exactly():
     checked_users = 0
     for name, fn in build_recommenders(split.train).items():
         report = evaluate_algorithm(split, fn, split.train, k_max, name, "ALL")
-        for result in report.user_results:
-            test_artists = set(split.test[result.user].pair_artists.tolist())
-            ranking = fn(result.user, split.train[result.user], k_max)
-            assert result.hits_at_k.tolist() == hits_at_k(ranking.artists, test_artists, k_max).tolist()
-            t_size = result.test_set_size
+        users = sorted(split.train)
+        assert report.hits.shape == (len(users), k_max)
+        for user, hits in zip(users, report.hits.tolist()):
+            test_artists = set(split.test[user].pair_artists.tolist())
+            ranked = fn(user, split.train[user], k_max).artists
+            # the cumulative hit count of each top-k prefix, counted by hand
+            assert hits == [sum(a in test_artists for a in ranked[: i + 1]) for i in range(k_max)]
+            t_size = len(test_artists)
             for i in range(k_max):
-                hit_count = int(result.hits_at_k[i])
+                hit_count = hits[i]
                 recall = hit_count / t_size
                 precision = hit_count / (i + 1)
                 # integer hit counts are recovered exactly from either metric

@@ -125,6 +125,17 @@ class TestSubcommands:
         lines = results.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3 * 5
 
+    def test_min_events_filtering_out_every_user_names_min_events(self, synth_tsv, tmp_path, capsys):
+        groups = tmp_path / "groups.csv"
+        assert main(["profile", "--events", str(synth_tsv), "--group-size", "20", "--out", str(groups)]) == 0
+        capsys.readouterr()
+        results = tmp_path / "results.csv"
+        for args in (["split"], ["eval", "--groups", str(groups), "--out", str(results)]):
+            assert main([*args, "--events", str(synth_tsv), "--min-events", "1000"]) == 2
+            err = capsys.readouterr().err
+            assert err == "data error: split: no user has at least 1000 events (min_events=1000)\n"
+        assert not results.exists()
+
     def test_split_without_groups_reports_all(self, synth_tsv, capsys):
         assert main(["split", "--events", str(synth_tsv), "--fraction", "0.05"]) == 0
         assert "group=ALL" in capsys.readouterr().out
@@ -212,6 +223,36 @@ class TestBadGroupsAndConfigFiles:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "line 4" in err and "'group_size'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_line_without_key_is_usage_error(self, synth_tsv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"events={synth_tsv}\n=5\n")
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: config line 2: expected key=value, got '=5'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--k-max", "k_max", "abc"),
+            ("--on-error", "on_error", "sometimes"),
+            ("--fraction", "fraction", "half"),
+            ("--group-size", "group_size", "1.5"),
+            ("--bll-d", "bll_d", "x"),
+        ],
+    )
+    def test_flag_and_config_file_values_fail_alike(self, synth_tsv, tmp_path, capsys, flag, key, value):
+        base = ["run", "--events", str(synth_tsv), "--out-dir", str(tmp_path / "o")]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={value}\n")
+        capsys.readouterr()
+        assert main([*base, flag, value]) == 1
+        from_flag = capsys.readouterr().err
+        assert main([*base, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith(f"usage error: {key} ") and repr(value) in from_flag
         assert not (tmp_path / "o").exists()
 
 

@@ -2,57 +2,106 @@ import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.evaluation import (
-    EvalReport,
-    UserResult,
-    emit_report,
-    evaluate_algorithm,
-    hits_at_k,
-    recall_precision_points,
-)
+from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
 from bllrec.recommend import CfParams, RecommendationList, build_recommenders
-from bllrec.split import split_histories
+from bllrec.split import SplitDataset, split_histories
 
-from conftest import histories_from_events
+from conftest import histories_from_events, histories_from_ids
+
+
+FILLER = 99  # the artist every test user trains on; no test set below holds it
+
+
+def _fixed_rankings(test_sets, rankings, k_max):
+    """Evaluate ``rankings[u]`` for user u, whose test events play exactly ``test_sets[u]``."""
+    users, artists = [], []
+    for user, test in enumerate(test_sets):
+        played = [FILLER] * len(test) + list(test)  # fraction 0.5 puts exactly the test artists in test
+        users += [user] * len(played)
+        artists += played
+    split = split_histories(histories_from_ids(users, artists, range(len(users))), 0.5)
+
+    def spy(user, train, k):
+        assert train.pair_artists.tolist() == [FILLER] and k == k_max
+        return RecommendationList(user, [(a, 1.0) for a in rankings[user]], k)
+
+    return evaluate_algorithm(split, spy, split.train, k_max, "spy", "ALL")
 
 
 class TestHitsAtK:
     def test_hand_count(self):
-        hits = hits_at_k([0, 1, 2, 3, 4], {0, 2}, 5)
-        assert hits.tolist() == [1, 1, 2, 2, 2]
+        report = _fixed_rankings([{0, 2}], [[0, 1, 2, 3, 4]], 5)
+        assert report.hits.tolist() == [[1, 1, 2, 2, 2]]
 
     def test_disjoint(self):
-        assert hits_at_k([0, 1], {5, 6}, 4).tolist() == [0, 0, 0, 0]
+        assert _fixed_rankings([{5, 6}], [[0, 1]], 4).hits.tolist() == [[0, 0, 0, 0]]
 
     def test_short_ranking_keeps_final_count(self):
-        assert hits_at_k([7], {7}, 4).tolist() == [1, 1, 1, 1]
+        assert _fixed_rankings([{7}], [[7]], 4).hits.tolist() == [[1, 1, 1, 1]]
 
     def test_empty_test_set(self):
-        with pytest.raises(DataError):
-            hits_at_k([1], set(), 3)
+        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4])
+        both = split_histories(histories, 0.5)
+        only_user_0 = split_histories(histories, 0.5, users=[0])
+        split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
+        with pytest.raises(DataError, match="user 1: empty test artist set"):
+            evaluate_algorithm(split, lambda u, t, k: RecommendationList(u, [], k), split.train, 3)
 
 
 class TestRecallPrecision:
     def test_single_user(self):
-        result = UserResult(0, np.array([0, 1, 1, 2, 2]), 4)
-        points = recall_precision_points([result], 5)
-        recall5, precision5 = points[4]
+        report = _fixed_rankings([{1, 2, 3, 4}], [[0, 1, 5, 2, 6]], 5)
+        assert report.hits.tolist() == [[0, 1, 1, 2, 2]]
+        recall5, precision5 = report.points[4]
         assert recall5 == 0.5
         assert precision5 == pytest.approx(0.4)
 
     def test_perfect_recall_when_test_fits(self):
-        result = UserResult(0, np.array([1, 2, 2]), 2)
-        points = recall_precision_points([result], 3)
-        assert points[1][0] == 1.0 and points[2][0] == 1.0
+        report = _fixed_rankings([{0, 1}], [[0, 1, 2]], 3)
+        assert report.hits.tolist() == [[1, 2, 2]]
+        assert report.points[1][0] == 1.0 and report.points[2][0] == 1.0
 
     def test_macro_mean(self):
-        results = [UserResult(0, np.array([1]), 5), UserResult(1, np.array([2]), 5)]
-        points = recall_precision_points(results, 1)
-        assert points[0][0] == pytest.approx((0.2 + 0.4) / 2)
+        report = _fixed_rankings([set(range(5)), set(range(5))], [[0, 9], [0, 1]], 2)
+        assert report.hits[:, 1].tolist() == [1, 2]
+        assert report.users_evaluated == 2
+        assert report.points[1][0] == pytest.approx((0.2 + 0.4) / 2)
 
     def test_no_users(self):
-        with pytest.raises(DataError):
-            recall_precision_points([], 5)
+        with pytest.raises(DataError, match="no evaluable users"):
+            evaluate_algorithm(_clone_split(), lambda u, t, k: None, [], 5)
+
+    @pytest.mark.parametrize("k_max", [1, 20])
+    def test_points_are_sums_in_user_order(self, k_max):
+        # float sums depend on their order: the points must be the plain
+        # user-by-user sums, bit for bit, not a pairwise or blocked reduction
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_users = int(rng.integers(9, 120))
+            n_events = 40 * n_users
+            histories = histories_from_ids(
+                rng.integers(0, n_users, n_events), rng.integers(0, 50, n_events), rng.integers(0, 10**6, n_events)
+            )
+            split = split_histories(histories, 0.3)
+
+            def shuffled(user, train, k):
+                artists = rng.permutation(50)[: int(rng.integers(0, k + 1))]
+                return RecommendationList(user, [(int(a), 1.0) for a in artists], k)
+
+            state = rng.bit_generator.state
+            report = evaluate_algorithm(split, shuffled, split.train, k_max)
+            rng.bit_generator.state = state  # replay the same rankings
+            recall, precision = [0.0] * k_max, [0.0] * k_max
+            for user in sorted(split.train):
+                relevant = set(split.test[user].pair_artists.tolist())
+                ranked = shuffled(user, split.train[user], k_max).artists
+                count = 0
+                for i in range(k_max):
+                    count += i < len(ranked) and ranked[i] in relevant
+                    recall[i] += count / len(relevant)
+                    precision[i] += count / (i + 1)
+            n = len(split.train)
+            assert report.points == [(r / n, p / n) for r, p in zip(recall, precision)], seed
 
 
 def _clone_split():
@@ -113,9 +162,8 @@ class TestEvaluateAlgorithm:
             first = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
             second = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
             assert first.points == second.points
-            assert [r.hits_at_k.tolist() for r in first.user_results] == (
-                [r.hits_at_k.tolist() for r in second.user_results]
-            )
+            assert first.hits.shape == (len(split.train), 10)
+            assert first.hits.tolist() == second.hits.tolist()
 
     def test_recommenders_never_see_test_events(self):
         split = _clone_split()
