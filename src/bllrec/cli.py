@@ -17,9 +17,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+# The pipeline calls no BLAS; an OpenBLAS worker would only spin at numpy's import. Must precede it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from ._kernels import BACKEND_NAME

@@ -80,6 +80,19 @@ def _ranked(user: int, artists: np.ndarray, scores: np.ndarray, order: np.ndarra
     return RecommendationList(user, list(zip(artists[order].tolist(), map(float, scores[order].tolist()))), k)
 
 
+def _top_indices(scores: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n highest scores, highest first; equal scores by ascending index.
+
+    Only the scores at least as high as the n-th highest are sorted: a
+    partition finds that score, and every tie with it is kept.
+    """
+    neg = -scores
+    if neg.size > n:
+        kept = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+        return kept[np.argsort(neg[kept], kind="stable")[:n]]
+    return np.argsort(neg, kind="stable")[:n]
+
+
 def recommend_pop(train: UserHistory, k: int) -> RecommendationList:
     """Rank by the user's own play counts; ties by most recent, then artist id."""
     if train.n_events == 0:
@@ -120,17 +133,19 @@ def recommend_top(global_counts: np.ndarray, k: int) -> RecommendationList:
 class CfIndex:
     """Read-only neighbor-search index over users' training artist sets.
 
-    Each user id's set is a view of its slice of the train table's sorted
-    pair rows. A CSR inverted index (artist -> user ids), sized by the
-    largest artist id, counts overlaps. Not modified after it is built.
+    User id u's set is ``artists[offsets[u]:offsets[u + 1]]``, its slice of
+    the train table's sorted pair rows. A CSR inverted index (artist ->
+    user ids), sized by the largest artist id, counts overlaps. Not
+    modified after it is built.
     """
 
     def __init__(self, train_histories: UserHistories):
         artists = train_histories.pair_artists
         if artists.size == 0:
             raise DataError("CfIndex needs at least one training history")
-        self.artist_sets = np.split(artists, train_histories.pair_offsets[1:-1])
-        self.set_sizes = np.diff(train_histories.pair_offsets)
+        self.artists = artists
+        self.offsets = train_histories.pair_offsets
+        self.set_sizes = np.diff(self.offsets)
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(artists))))
         self.members = train_histories.pair_users[np.argsort(artists, kind="stable")]
 
@@ -146,21 +161,24 @@ class CfIndex:
         """
         if not 0 <= user < len(self.set_sizes) or self.set_sizes[user] == 0:
             raise DataError(f"user {user} has no training history in the index")
-        query = self.artist_sets[user]
+        query = self.artists[self.offsets[user] : self.offsets[user + 1]]
         overlaps = _kernels.overlap_counts(query, self.indptr, self.members, len(self.set_sizes))
         overlaps[user] = 0
         candidates = np.flatnonzero(overlaps)
         if candidates.size == 0:
             return RecommendationList(user, [], k)
         sims = overlaps[candidates] / np.sqrt(float(len(query)) * self.set_sizes[candidates])
-        order = np.lexsort((candidates, -sims))[: params.neighborhood_size]
+        # candidates ascend, so ties go to the lower user id.
+        order = _top_indices(sims, params.neighborhood_size)
         neighbors = candidates[order]
 
-        played = np.concatenate([self.artist_sets[v] for v in neighbors.tolist()])
+        bounds = zip(self.offsets[neighbors].tolist(), self.offsets[neighbors + 1].tolist())
+        played = np.concatenate([self.artists[start:stop] for start, stop in bounds])
         artists, inverse = np.unique(played, return_inverse=True)
         # bincount adds weights in input order, i.e. neighbor order, so each sum has the oracle's bits.
         scores = np.bincount(inverse, weights=np.repeat(sims[order], self.set_sizes[neighbors]))
-        return _ranked(user, artists, scores, np.lexsort((artists, -scores)), k)
+        # np.unique sorts the artists, so ties go to the lower artist id.
+        return _ranked(user, artists, scores, _top_indices(scores, k), k)
 
 
 def build_recommenders(

@@ -4,12 +4,16 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -445,3 +449,18 @@ class TestRunPipeline:
         capsys.readouterr()
         assert main(["run", "--help"]) == 0
         assert "--k-max K_MAX largest list length k (default 20)" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_import_keeps_numpy_on_one_thread_unless_the_caller_set_it():
+    # bllrec calls no BLAS, so an OpenBLAS worker thread would only burn CPU at start-up.
+    code = "import os, bllrec.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for preset, expected in ((None, "1"), ("2", "2")):
+        run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
+        proc = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True, text=True, check=True)
+        value, threads = proc.stdout.split()
+        assert value == expected
+        if preset is None:
+            assert threads == "1"

@@ -19,7 +19,7 @@ from bllrec.recommend import (
 )
 from bllrec.split import n_test_events, split_histories
 
-from conftest import histories_from_events, kernel_activation, log_from_events, oracle_instances
+from conftest import histories_from_events, histories_from_ids, kernel_activation, log_from_events, oracle_instances
 from oracles import brute_force_ranking
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -345,3 +345,35 @@ def test_cf_and_top_scores_equal_oracle_exactly(remap):
                 compared += 1
                 nonempty_cf += name == "cf" and bool(got.ranked)
     assert compared > 3000 and nonempty_cf > 400
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cf_neighborhood_truncation_equals_oracle_exactly(n):
+    # The instances have at most 9 users, under the default 20 neighbours; small n truncates.
+    params = CfParams(neighborhood_size=n)
+    truncated = 0
+    for seed, histories in oracle_instances():
+        index = CfIndex(histories)
+        sets = {user: set(h.pair_artists.tolist()) for user, h in histories.items()}
+        for user in histories:
+            got = index.recommend(user, params, 10)
+            assert got.ranked == brute_force_ranking("cf", histories, user, 10, cf_params=params).ranked, (seed, user)
+            truncated += sum(bool(sets[user] & other) for v, other in sets.items() if v != user) > n
+    assert truncated > 500
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_cf_boundary_ties_keep_the_lowest_ids(n):
+    # User 0 plays artists {0, 1}; users 1..25 each play {0, 1, 1 + v}, all tied at
+    # similarity 2 / sqrt(6); user 26 plays {0, 1} and is the single most similar.
+    users, artists = [0, 0, 26, 26], [0, 1, 0, 1]
+    for v in range(1, 26):
+        users += [v, v, v]
+        artists += [0, 1, 1 + v]
+    index = CfIndex(histories_from_ids(users, artists, range(len(users))))
+    got = index.recommend(0, CfParams(neighborhood_size=n), 100)
+    tied = 2 / math.sqrt(6)
+    # Each neighbour v from the tied block contributes its own artist 1 + v.
+    assert got.artists == [0, 1] + [1 + v for v in range(1, n)]
+    assert got.ranked[0][1] == pytest.approx(1.0 + (n - 1) * tied, abs=1e-12)
+    assert all(score == tied for _, score in got.ranked[2:])
