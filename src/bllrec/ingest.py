@@ -16,6 +16,16 @@ that are not 1 to 18 ASCII digits, keys longer than 8 bytes, lines
 holding a NUL, and, in a block that is not valid UTF-8, lines holding a
 byte that is not ASCII.
 
+Ids are dense and follow each key's first line. An ``IdMap`` holds a key
+of at most 8 UTF-8 bytes without a NUL as a uint64 code, its bytes read
+little-endian: 12 bytes in sorted runs of codes and ids, plus 8 in a
+code-per-id array with up to as much again spare from doubling. Each
+block's distinct codes, from ``np.unique``, are searched in the runs and
+the missing ones become a new run; no ``str`` is built for them. Other
+keys sit in a dict and a list, about 140 bytes each with their code-per-id
+mark. Both kinds share one id counter, so a key has one id whether a
+line reaches it through numpy or through ``parse_event_line``.
+
 ``build_user_histories`` turns the log into one ``UserHistories`` table
 with two stable sorts. The first, by user then timestamp, gives every
 user's events as one slice of two arrays. The second, by user then
@@ -32,6 +42,7 @@ import hashlib
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -88,34 +99,171 @@ class ColumnSchema:
         return cls(**fields)
 
 
+def _code(key: str) -> int | None:
+    """The code of a key of at most 8 UTF-8 bytes without a NUL: its bytes read as a
+    little-endian integer, as ``_gather_keys`` reads them. None for any other key."""
+    if len(key) > _MAX_VECTOR_KEY or "\x00" in key:  # more characters than bytes allowed
+        return None
+    try:
+        raw = key.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    return int.from_bytes(raw, "little") if len(raw) <= _MAX_VECTOR_KEY else None
+
+
+def _codes(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_code`` of each of ``keys``, which must encode as UTF-8: the codes, and which keys have one."""
+    raw = [key.encode("utf-8") for key in keys]
+    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    padded = _pad(np.frombuffer(b"".join(raw), dtype=np.uint8))
+    nuls = np.concatenate(([0], np.cumsum(padded[_PAD:-_PAD] == 0)))
+    fits = (lengths <= _MAX_VECTOR_KEY) & (nuls[ends] == nuls[starts])
+    return _gather_keys(padded, starts, np.minimum(ends, starts + _MAX_VECTOR_KEY)), fits
+
+
+_LONG = 0xFF << 56
+"""Marks the code-per-id entry of a key ``_code`` does not code; the low bits index
+``IdMap._long_keys``. No key's code reaches it, as 0xFF never occurs in UTF-8."""
+
+
 class IdMap:
-    """Bijection between external string keys and dense indices (first-seen order)."""
+    """Bijection between external string keys and dense ids, in first-seen order.
+
+    A key that ``_code`` codes is held as that uint64, in sorted runs of
+    codes with the id of each, and in a code-per-id array grown by
+    doubling. A new run is merged into the one below it while that one is
+    at most twice its size, so there are O(log n) runs and each code is
+    copied O(log n) times in all. Other keys sit in a dict and a list, and
+    their code-per-id entries are ``_LONG`` marks. Both kinds share one id
+    counter, and a ``str`` is built for a coded key only when a caller asks
+    for one.
+    """
 
     def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._keys: list[str] = []
+        self._size = 0
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted codes, their int32 ids), largest first
+        self._codes = np.zeros(0, dtype=np.uint64)  # each id's code or _LONG mark
+        self._long_ids: dict[str, int] = {}
+        self._long_keys: list[str] = []  # in id order
+
+    def densify(self, codes: np.ndarray, index: np.ndarray, keys: list[str], key_index: list[int]) -> np.ndarray:
+        """Ids of ``codes`` then of ``keys``; keys not seen before get the next ids in order of their line.
+
+        ``codes`` are coded keys and ``keys`` keys of any kind; ``index`` and
+        ``key_index`` give the line of each, ``key_index`` in ascending order.
+        A key in ``keys`` that ``_code`` codes joins ``codes``, so it has one
+        id whichever way it arrives.
+        """
+        n_codes = len(codes)
+        long_new: dict[str, int] = {}  # each long key not seen before, with its first line
+        if keys:
+            # A long key seen before is in the dict; the rest are coded, or long and new.
+            key_ids = np.fromiter(map(self._long_ids.get, keys, repeat(-1)), np.int32, len(keys))
+            rest = np.flatnonzero(key_ids < 0)
+            rest_codes, fits = _codes([keys[i] for i in rest.tolist()])
+            coded, long_pos = rest[fits], rest[~fits].tolist()
+            codes = np.concatenate((codes, rest_codes[fits]))
+            index = np.concatenate((index, np.array([key_index[i] for i in coded.tolist()], dtype=np.intp)))
+            for i in long_pos:
+                long_new.setdefault(keys[i], key_index[i])
+        unique, inverse = np.unique(codes, return_inverse=True)
+        ids = self._find(unique)
+        new = np.flatnonzero(ids < 0)
+        if new.size or long_new:
+            first = np.full(unique.size, np.iinfo(np.intp).max, dtype=np.intp)
+            np.minimum.at(first, inverse, index)  # each unique code's first line
+            lines = np.concatenate((first[new], np.fromiter(long_new.values(), np.intp, len(long_new))))
+            size = self._size + lines.size
+            fresh = np.empty(lines.size, dtype=np.int32)
+            fresh[np.argsort(lines)] = np.arange(self._size, size)
+            if size > len(self._codes):
+                self._codes.resize(2 * size, refcheck=False)  # no views of it are kept; the new tail is zeros
+            ids[new] = fresh[: new.size]
+            self._codes[ids[new]] = unique[new]
+            if new.size:
+                self._add_run(unique[new], ids[new])
+            long_ids = fresh[new.size :]  # ascending, as the lines are
+            marks = np.arange(len(self._long_keys), len(self._long_keys) + len(long_ids), dtype=np.uint64)
+            self._codes[long_ids] = marks | np.uint64(_LONG)
+            self._long_ids.update(zip(long_new, long_ids.tolist()))
+            self._long_keys.extend(long_new)
+            self._size = size
+        ids = ids[inverse]
+        if not keys:
+            return ids
+        key_ids[coded] = ids[n_codes:]
+        key_ids[long_pos] = [self._long_ids[keys[i]] for i in long_pos]
+        return np.concatenate((ids[:n_codes], key_ids))
 
     def intern_all(self, keys: list[str]) -> None:
-        """Give each key not seen before the next index, in order."""
-        fresh = [key for key in dict.fromkeys(keys) if key not in self._ids]
-        self._ids.update(zip(fresh, range(len(self._keys), len(self._keys) + len(fresh))))
-        self._keys.extend(fresh)
+        """Give each key not seen before the next id, in order."""
+        self.densify(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp), keys, range(len(keys)))
 
-    def lookup(self, keys: list[str]) -> list[int | None]:
-        """The index of each key, None for keys not interned yet."""
-        return list(map(self._ids.get, keys))
+    def _add_run(self, codes: np.ndarray, ids: np.ndarray) -> None:
+        """Hold the sorted new ``codes`` and their ids as a run."""
+        self._runs.append((codes, ids))
+        while len(self._runs) > 1 and len(self._runs[-2][0]) <= 2 * len(self._runs[-1][0]):
+            self._merge_top()
+
+    def _merge_top(self) -> None:
+        """Merge the two smallest runs; their codes are distinct."""
+        (codes, ids), (top_codes, top_ids) = self._runs[-2:]
+        at = np.searchsorted(codes, top_codes)
+        self._runs[-2:] = [(np.insert(codes, at, top_codes), np.insert(ids, at, top_ids))]
+
+    def _find(self, codes: np.ndarray) -> np.ndarray:
+        """The id of each of the sorted ``codes``; -1 for codes not held."""
+        ids = np.full(len(codes), -1, dtype=np.int32)
+        for run_codes, run_ids in self._runs:
+            pos = np.searchsorted(run_codes, codes)
+            np.minimum(pos, len(run_codes) - 1, out=pos)
+            hit = run_codes[pos] == codes
+            ids[hit] = run_ids[pos[hit]]
+        return ids
+
+    def _id(self, key: str) -> int:
+        """The id of ``key``, or -1."""
+        code = _code(key)
+        if code is None:
+            return self._long_ids.get(key, -1)
+        while len(self._runs) > 1:  # lookups by key come after loading: one run makes each one search
+            self._merge_top()
+        return int(self._find(np.array([code], dtype=np.uint64))[0])
 
     def id_of(self, key: str) -> int:
-        return self._ids[key]
+        i = self._id(key)
+        if i < 0:
+            raise KeyError(key)
+        return i
 
     def key_of(self, idx: int) -> str:
-        return self._keys[idx]
+        if not 0 <= idx < self._size:
+            raise IndexError(idx)
+        code = int(self._codes[idx])
+        if code >= _LONG:
+            return self._long_keys[code - _LONG]
+        return code.to_bytes(8, "little").rstrip(b"\x00").decode("utf-8")
+
+    def keys(self) -> list[str]:
+        """Every key, in id order."""
+        if not self._size:
+            return []
+        codes = self._codes[: self._size].astype("<u8")
+        long = codes >= np.uint64(_LONG)
+        codes[long] = 0
+        # A coded key holds no NUL, and S8 drops the padding NULs.
+        keys = b"\x00".join(codes.view("S8").tolist()).decode("utf-8").split("\x00")
+        for i, key in zip(np.flatnonzero(long).tolist(), self._long_keys):
+            keys[i] = key
+        return keys
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._size
 
     def __contains__(self, key: str) -> bool:
-        return key in self._ids
+        return self._id(key) >= 0
 
 
 @dataclass
@@ -369,23 +517,6 @@ def _pad(buf: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _densify(id_map: IdMap, keys: np.ndarray, index: np.ndarray, more_keys: list[str], more_index) -> np.ndarray:
-    """Ids of ``keys`` then of ``more_keys``; new keys are interned in order of their line index."""
-    unique, inverse = np.unique(keys, return_inverse=True)
-    raw = unique.view(f"S{unique.itemsize}").tolist()
-    names = b"\n".join(raw).decode("utf-8").split("\n") if raw else []
-    names += more_keys
-    ids = id_map.lookup(names)
-    if None in ids:
-        first = np.full(unique.size, len(keys), dtype=np.intp)
-        np.minimum.at(first, inverse, np.arange(len(keys)))  # each unique key's first position
-        order = np.argsort(np.concatenate((index[first], more_index)), kind="stable").tolist()
-        id_map.intern_all([names[i] for i in order])
-        ids = id_map.lookup(names)
-    ids = np.array(ids, dtype=np.int32)
-    return np.concatenate((ids[: unique.size][inverse], ids[unique.size :]))
-
-
 class _ChunkParser:
     """Turns blocks of whole lines into event arrays and the id maps."""
 
@@ -467,8 +598,8 @@ class _ChunkParser:
             rest_artists.append(artist_key)
             rest_timestamps.append(ts)
 
-        users = _densify(self.id_maps.users, user_keys, index, rest_users, rest_index)
-        artists = _densify(self.id_maps.artists, artist_keys, index, rest_artists, rest_index)
+        users = self.id_maps.users.densify(user_keys, index, rest_users, rest_index)
+        artists = self.id_maps.artists.densify(artist_keys, index, rest_artists, rest_index)
         timestamps = np.concatenate((timestamps, np.array(rest_timestamps, dtype=np.int64)))
         if rest_index and index.size:
             order = np.argsort(np.concatenate((index, rest_index)), kind="stable")
@@ -610,7 +741,7 @@ def build_user_histories(log: EventLog) -> UserHistories:
 def write_events_tsv(log: EventLog, path) -> None:
     """Write a log back out in the default 5-column layout (album/track zeroed)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        user_key = log.id_maps.users.key_of
-        artist_key = log.id_maps.artists.key_of
+        user_keys = log.id_maps.users.keys()
+        artist_keys = log.id_maps.artists.keys()
         for u, a, t in zip(log.users.tolist(), log.artists.tolist(), log.timestamps.tolist()):
-            handle.write(f"{user_key(u)}\t{artist_key(a)}\t0\t0\t{t}\n")
+            handle.write(f"{user_keys[u]}\t{artist_keys[a]}\t0\t0\t{t}\n")

@@ -162,13 +162,20 @@ def generate_synthetic(config: SynthConfig) -> EventLog:
         timestamps += ts
         ranks += user_ranks
 
+    # Artist ids follow the first event of each rank, as ingest assigns them to a log's keys.
+    event_ranks = np.asarray(ranks, dtype=np.int64)
+    first = np.full(config.n_artists, len(ranks), dtype=np.intp)
+    np.minimum.at(first, event_ranks, np.arange(len(ranks)))
+    seen = np.flatnonzero(first < len(ranks))
+    seen = seen[np.argsort(first[seen])]
+    id_of_rank = np.zeros(config.n_artists, dtype=np.int32)
+    id_of_rank[seen] = np.arange(len(seen), dtype=np.int32)
     id_maps = IdMaps()
     id_maps.users.intern_all([str(u) for u in range(config.n_users)])
-    rank_keys = list(map(str, ranks))
-    id_maps.artists.intern_all(rank_keys)
+    id_maps.artists.intern_all([str(rank) for rank in seen.tolist()])
     log = EventLog(
         users=np.repeat(np.arange(config.n_users, dtype=np.int32), counts),
-        artists=np.asarray(id_maps.artists.lookup(rank_keys), dtype=np.int32),
+        artists=id_of_rank[event_ranks],
         timestamps=np.asarray(timestamps, dtype=np.int64),
         id_maps=id_maps,
     )

@@ -443,6 +443,84 @@ def test_only_odd_lines_go_to_parse_event_line():
     assert skipped == 1 and "u\x00" in log.id_maps.users
 
 
+def _load_keys(keys, chunk_size=ingest.CHUNK_SIZE):
+    """The user ids and user map of a log whose lines have ``keys`` as user keys, in order."""
+    data = b"".join(key.encode() + b"\ta\t" + str(i).encode() + b"\n" for i, key in enumerate(keys))
+    with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+    assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
+    return log.users.tolist(), log.id_maps.users
+
+
+class TestIdMap:
+    """Keys of at most 8 bytes without a NUL are held as uint64 codes, others in a dict."""
+
+    def test_nul_keys_stay_distinct_from_their_stripped_twins(self):
+        keys = ["u", "u\x00", "", "\x00", "\x00u", "u\x00\x00"]
+        for chunk_size in (1, ingest.CHUNK_SIZE):
+            users, id_map = _load_keys(keys + keys[::-1], chunk_size)
+            assert users == [0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]
+            assert id_map.keys() == keys
+
+    def test_keys_of_8_bytes_are_codes_and_longer_ones_are_not(self):
+        short = ["x" * 8, "ключ", "é", "a"]
+        long = ["x" * 9, "xxxxxxxxy", "ключи", "ü" * 5]
+        assert all(ingest._code(key) is not None for key in short)
+        assert all(ingest._code(key) is None for key in long)
+        odd = ["", "\x00", "u\x00", "abc\x00defg"]
+        codes, fits = ingest._codes(short + long + odd)
+        assert [int(c) if f else None for c, f in zip(codes, fits)] == [ingest._code(k) for k in short + long + odd]
+        users, id_map = _load_keys(short + long + short + long)
+        assert users == list(range(8)) * 2
+        assert [id_map.key_of(i) for i in range(8)] == short + long
+        assert sorted(id_map._long_ids) == sorted(long)
+
+    def test_short_key_first_on_the_slow_path_has_one_id(self):
+        # The first block's lines all go to parse_event_line: " 7" is a timestamp only it
+        # reads, and the block is not UTF-8 and has a line with an extra column. The second
+        # block is vectorized and brings both keys back.
+        first = "k\ta\t 7\nключ\tb\t8\tx\n".encode() + b"u\ta\xff\t9\n"
+        data = first + "k\tb\t10\nключ\ta\t11\n".encode()
+        with mock.patch.object(ingest, "CHUNK_SIZE", len(first)), \
+                mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
+            log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+        assert [call.args[2] for call in spy.call_args_list] == [1, 2, 3]
+        assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
+        assert log.users.tolist() == [0, 1, 0, 1] and log.id_maps.users.keys() == ["k", "ключ"]
+
+    def test_lookups_by_key(self):
+        seen = ["", "u", "ключ", "x" * 8, "x" * 9, "\x00", "é", "17"]
+        unseen = ["u\x00", "x" * 7, "xxxxxxxxy", "ключи", "\x00\x00", "v", "\udcff", "1"]
+        _, id_map = _load_keys(seen, chunk_size=4)
+        for key in seen:
+            assert key in id_map and id_map.key_of(id_map.id_of(key)) == key
+        for key in unseen:
+            assert key not in id_map
+            with pytest.raises(KeyError):
+                id_map.id_of(key)
+        with pytest.raises(IndexError):
+            id_map.key_of(len(seen))
+
+    def test_thousands_of_keys_one_block_each_match_the_oracle(self):
+        # One line per block: every block adds a run and the runs merge many times,
+        # yet each code is copied O(log n) times, not once per block.
+        keys = [f"k{i * 7919 % 6007}" for i in range(6007)]
+        keys[::1000] = [f"long-key-{i}" for i in range(0, 6007, 1000)]
+        copied = []
+        merge = ingest.IdMap._merge_top
+
+        def counting_merge(self):
+            copied.append(len(self._runs[-2][0]) + len(self._runs[-1][0]))
+            merge(self)
+
+        with mock.patch.object(ingest.IdMap, "_merge_top", counting_merge):
+            users, id_map = _load_keys(keys + keys[::-7], chunk_size=1)
+        assert len(id_map) == 6007 and id_map.keys() == keys
+        assert sum(copied) < 6000 * 13
+        sizes = [len(codes) for codes, _ in id_map._runs]
+        assert all(below > 2 * above for below, above in zip(sizes, sizes[1:]))
+
+
 def _pairs(h):
     """One user's pair rows as {artist: (count, last played)}."""
     return dict(zip(h.pair_artists.tolist(), zip(h.pair_counts.tolist(), h.pair_last.tolist())))
