@@ -9,22 +9,27 @@ column to int64, once, and it stays int64.
 
 ``load_events`` reads a path or binary stream once, ``CHUNK_SIZE`` bytes
 at a time, and hashes those same bytes for the run manifest. Lines end as
-under universal newlines. numpy parses each block of whole lines at once;
-``parse_event_line`` remains the only judge of the line rules and sees
-only the lines numpy cannot vouch for: other column counts, timestamps
-that are not 1 to 18 ASCII digits, keys longer than 8 bytes, lines
-holding a NUL, and, in a block that is not valid UTF-8, lines holding a
-byte that is not ASCII.
+under universal newlines. numpy parses each block of whole lines at once,
+each line by its own column count, so extra columns are ignored as
+``parse_event_line`` ignores them. ``parse_event_line`` remains the only
+judge of the line rules and sees only the lines numpy cannot vouch for:
+too few columns, timestamps that are not 1 to 18 ASCII digits, keys
+longer than 8 bytes, lines holding a NUL, and, in a block that is not
+valid UTF-8, lines holding a byte that is not ASCII.
 
-Ids are dense and follow each key's first line. An ``IdMap`` holds a key
-of at most 8 UTF-8 bytes without a NUL as a uint64 code, its bytes read
-little-endian: 12 bytes in sorted runs of codes and ids, plus 8 in a
-code-per-id array with up to as much again spare from doubling. Each
-block's distinct codes, from ``np.unique``, are searched in the runs and
-the missing ones become a new run; no ``str`` is built for them. Other
-keys sit in a dict and a list, about 140 bytes each with their code-per-id
-mark. Both kinds share one id counter, so a key has one id whether a
-line reaches it through numpy or through ``parse_event_line``.
+Every key has a uint64 code. A key of at most 8 UTF-8 bytes without a
+NUL is coded by its bytes read little-endian, which numpy reads straight
+from the block, so no ``str`` is built for it. Any other key is long: the
+first time it is coded it joins a list of long keys, and its code is its
+index there under a top byte of 0xFF, which no UTF-8 byte is. A dict maps
+each long key to its code. Each block becomes one array of user codes and one of artist
+codes, in line order, however each line was parsed. An ``IdMap`` looks a
+block's distinct codes, from ``np.unique``, up in sorted runs of codes
+and ids, and gives the missing ones the next ids in order of their first
+line, so ids are dense and follow each key's first line. A key takes 12
+bytes in the runs plus 8 in a code-per-id array, with up to as much again
+spare from doubling; a long key takes about 80 bytes more in the dict
+and the list, besides its ``str``.
 
 ``build_user_histories`` turns the log into one ``UserHistories`` table
 with two stable sorts. The first, by user then timestamp, gives every
@@ -99,20 +104,12 @@ class ColumnSchema:
         return cls(**fields)
 
 
-def _code(key: str) -> int | None:
-    """The code of a key of at most 8 UTF-8 bytes without a NUL: its bytes read as a
-    little-endian integer, as ``_gather_keys`` reads them. None for any other key."""
-    if len(key) > _MAX_VECTOR_KEY or "\x00" in key:  # more characters than bytes allowed
-        return None
-    try:
-        raw = key.encode("utf-8")
-    except UnicodeEncodeError:
-        return None
-    return int.from_bytes(raw, "little") if len(raw) <= _MAX_VECTOR_KEY else None
-
-
 def _codes(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``_code`` of each of ``keys``, which must encode as UTF-8: the codes, and which keys have one."""
+    """The codes of ``keys``, which must encode as UTF-8, and which keys their bytes code.
+
+    A key of at most 8 UTF-8 bytes without a NUL is coded by its bytes read as a
+    little-endian integer, as ``_gather_keys`` reads them; other keys get no usable code.
+    """
     raw = [key.encode("utf-8") for key in keys]
     lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
     ends = np.cumsum(lengths)
@@ -124,82 +121,67 @@ def _codes(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LONG = 0xFF << 56
-"""Marks the code-per-id entry of a key ``_code`` does not code; the low bits index
-``IdMap._long_keys``. No key's code reaches it, as 0xFF never occurs in UTF-8."""
+"""The code of a long key, one that its bytes do not code, is ``_LONG`` plus its index
+in ``IdMap._long_keys``. No key's bytes code that high, as 0xFF never occurs in UTF-8."""
 
 
 class IdMap:
     """Bijection between external string keys and dense ids, in first-seen order.
 
-    A key that ``_code`` codes is held as that uint64, in sorted runs of
-    codes with the id of each, and in a code-per-id array grown by
-    doubling. A new run is merged into the one below it while that one is
-    at most twice its size, so there are O(log n) runs and each code is
-    copied O(log n) times in all. Other keys sit in a dict and a list, and
-    their code-per-id entries are ``_LONG`` marks. Both kinds share one id
-    counter, and a ``str`` is built for a coded key only when a caller asks
-    for one.
+    Every key has a uint64 code: its bytes read little-endian if it is at
+    most 8 UTF-8 bytes without a NUL, else ``_LONG`` plus its index in a
+    list of long keys, which it joins the first time it is coded. A dict
+    maps each long key to its code. The codes are held in sorted runs with
+    the id of each, and in a code-per-id array grown by doubling. A new run
+    is merged into the one below it while that one is at most twice its
+    size, so there are O(log n) runs and each code is copied O(log n) times
+    in all. A ``str`` is built for a key coded by its bytes only when a
+    caller asks for one.
     """
 
     def __init__(self):
         self._size = 0
         self._runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted codes, their int32 ids), largest first
-        self._codes = np.zeros(0, dtype=np.uint64)  # each id's code or _LONG mark
-        self._long_ids: dict[str, int] = {}
+        self._codes = np.zeros(0, dtype=np.uint64)  # each id's code
+        self._long_codes: dict[str, int] = {}
         self._long_keys: list[str] = []  # in id order
 
-    def densify(self, codes: np.ndarray, index: np.ndarray, keys: list[str], key_index: list[int]) -> np.ndarray:
-        """Ids of ``codes`` then of ``keys``; keys not seen before get the next ids in order of their line.
+    def code_all(self, keys: list[str]) -> np.ndarray:
+        """The code of each of ``keys``, which must encode as UTF-8; new long keys get the next long codes."""
+        codes = np.fromiter(map(self._long_codes.get, keys, repeat(0)), np.uint64, len(keys))
+        rest = np.flatnonzero(codes < _LONG)  # keys coded by their bytes, and long keys not seen before
+        rest_keys = [keys[i] for i in rest.tolist()]
+        new = dict.fromkeys(rest_keys)  # each once, in order of first occurrence
+        new_codes, fits = _codes(list(new))
+        for key, code, fit in zip(new, new_codes.tolist(), fits.tolist()):
+            if not fit:
+                code = _LONG | len(self._long_keys)
+                self._long_codes[key] = code
+                self._long_keys.append(key)
+            new[key] = code
+        codes[rest] = np.fromiter(map(new.get, rest_keys), np.uint64, len(rest_keys))
+        return codes
 
-        ``codes`` are coded keys and ``keys`` keys of any kind; ``index`` and
-        ``key_index`` give the line of each, ``key_index`` in ascending order.
-        A key in ``keys`` that ``_code`` codes joins ``codes``, so it has one
-        id whichever way it arrives.
-        """
-        n_codes = len(codes)
-        long_new: dict[str, int] = {}  # each long key not seen before, with its first line
-        if keys:
-            # A long key seen before is in the dict; the rest are coded, or long and new.
-            key_ids = np.fromiter(map(self._long_ids.get, keys, repeat(-1)), np.int32, len(keys))
-            rest = np.flatnonzero(key_ids < 0)
-            rest_codes, fits = _codes([keys[i] for i in rest.tolist()])
-            coded, long_pos = rest[fits], rest[~fits].tolist()
-            codes = np.concatenate((codes, rest_codes[fits]))
-            index = np.concatenate((index, np.array([key_index[i] for i in coded.tolist()], dtype=np.intp)))
-            for i in long_pos:
-                long_new.setdefault(keys[i], key_index[i])
+    def densify(self, codes: np.ndarray) -> np.ndarray:
+        """Ids of ``codes``; codes not seen before get the next ids in order of their first occurrence."""
         unique, inverse = np.unique(codes, return_inverse=True)
         ids = self._find(unique)
         new = np.flatnonzero(ids < 0)
-        if new.size or long_new:
-            first = np.full(unique.size, np.iinfo(np.intp).max, dtype=np.intp)
-            np.minimum.at(first, inverse, index)  # each unique code's first line
-            lines = np.concatenate((first[new], np.fromiter(long_new.values(), np.intp, len(long_new))))
-            size = self._size + lines.size
-            fresh = np.empty(lines.size, dtype=np.int32)
-            fresh[np.argsort(lines)] = np.arange(self._size, size)
+        if new.size:
+            first = np.full(unique.size, len(codes), dtype=np.intp)
+            np.minimum.at(first, inverse, np.arange(len(codes)))  # each unique code's first occurrence
+            size = self._size + new.size
+            ids[new[np.argsort(first[new])]] = np.arange(self._size, size)
             if size > len(self._codes):
                 self._codes.resize(2 * size, refcheck=False)  # no views of it are kept; the new tail is zeros
-            ids[new] = fresh[: new.size]
             self._codes[ids[new]] = unique[new]
-            if new.size:
-                self._add_run(unique[new], ids[new])
-            long_ids = fresh[new.size :]  # ascending, as the lines are
-            marks = np.arange(len(self._long_keys), len(self._long_keys) + len(long_ids), dtype=np.uint64)
-            self._codes[long_ids] = marks | np.uint64(_LONG)
-            self._long_ids.update(zip(long_new, long_ids.tolist()))
-            self._long_keys.extend(long_new)
+            self._add_run(unique[new], ids[new])
             self._size = size
-        ids = ids[inverse]
-        if not keys:
-            return ids
-        key_ids[coded] = ids[n_codes:]
-        key_ids[long_pos] = [self._long_ids[keys[i]] for i in long_pos]
-        return np.concatenate((ids[:n_codes], key_ids))
+        return ids[inverse]
 
     def intern_all(self, keys: list[str]) -> None:
         """Give each key not seen before the next id, in order."""
-        self.densify(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp), keys, range(len(keys)))
+        self.densify(self.code_all(keys))
 
     def _add_run(self, codes: np.ndarray, ids: np.ndarray) -> None:
         """Hold the sorted new ``codes`` and their ids as a run."""
@@ -225,9 +207,15 @@ class IdMap:
 
     def _id(self, key: str) -> int:
         """The id of ``key``, or -1."""
-        code = _code(key)
+        code = self._long_codes.get(key)
         if code is None:
-            return self._long_ids.get(key, -1)
+            try:
+                codes, fits = _codes([key])
+            except UnicodeEncodeError:
+                return -1
+            if not fits[0]:
+                return -1
+            code = codes[0]
         while len(self._runs) > 1:  # lookups by key come after loading: one run makes each one search
             self._merge_top()
         return int(self._find(np.array([code], dtype=np.uint64))[0])
@@ -253,7 +241,7 @@ class IdMap:
         codes = self._codes[: self._size].astype("<u8")
         long = codes >= np.uint64(_LONG)
         codes[long] = 0
-        # A coded key holds no NUL, and S8 drops the padding NULs.
+        # A key coded by its bytes holds no NUL, and S8 drops the padding NULs.
         keys = b"\x00".join(codes.view("S8").tolist()).decode("utf-8").split("\x00")
         for i, key in zip(np.flatnonzero(long).tolist(), self._long_keys):
             keys[i] = key
@@ -541,46 +529,49 @@ class _ChunkParser:
         line_ends = np.flatnonzero(is_newline[delims])  # each line's newline, as an index into delims
         n_columns = np.diff(line_ends, prepend=-1)
 
-        # Take the lines with the block's most common column count among those the schema accepts.
-        counts = np.bincount(n_columns)
-        counts[: self.schema.min_columns] = 0
-        width = int(counts.argmax())
-        take = n_columns == width if counts[width] else np.zeros(len(line_ends), dtype=bool)
-        # Leave to parse_event_line the lines with a NUL (keys viewed as S8 lose trailing
-        # NULs) and, where the block is not UTF-8, those with a non-ASCII byte.
+        # Leave to parse_event_line the lines with too few columns, those with a NUL (keys
+        # viewed as S8 lose trailing NULs) and, where the block is not UTF-8, those with a
+        # non-ASCII byte.
+        take = n_columns >= self.schema.min_columns
         odd = buf == 0
         if not _is_utf8(data):
             odd |= buf >= 0x80
         line_bounds = np.concatenate(([-1], delims[line_ends]))  # -1, then each line's newline
         take[np.searchsorted(line_bounds, np.flatnonzero(odd)) - 1] = False
         bounds = np.concatenate(([-1], delims))
-        first_delim = line_ends[take] - width + 1
+        first_delim = (line_ends - n_columns + 1)[take]
 
         def field(column):
             return bounds[first_delim + column] + 1, bounds[first_delim + column + 1]
 
         padded = _pad(buf)
-        timestamps, ok = _parse_digits(padded, *field(self.schema.ts))
+        values, ok = _parse_digits(padded, *field(self.schema.ts))
         user_start, user_end = field(self.schema.user)
         artist_start, artist_end = field(self.schema.artist)
         ok &= (user_end - user_start <= _MAX_VECTOR_KEY) & (artist_end - artist_start <= _MAX_VECTOR_KEY)
         take[take] = ok
+        # Each line's key codes and timestamp; _append sets those of the other lines.
+        users = np.zeros(len(line_ends), dtype=np.uint64)
+        artists = np.zeros(len(line_ends), dtype=np.uint64)
+        timestamps = np.zeros(len(line_ends), dtype=np.int64)
+        users[take] = _gather_keys(padded, user_start[ok], user_end[ok])
+        artists[take] = _gather_keys(padded, artist_start[ok], artist_end[ok])
+        timestamps[take] = values[ok]
 
         rest = np.flatnonzero(~take)
         starts = (line_bounds[rest] + 1).tolist()
         ends = line_bounds[rest + 1].tolist()
-        rest_lines = zip(rest.tolist(), (data[s:e].decode("utf-8", "surrogateescape") for s, e in zip(starts, ends)))
-        self._append(
-            np.flatnonzero(take),
-            _gather_keys(padded, user_start[ok], user_end[ok]),
-            _gather_keys(padded, artist_start[ok], artist_end[ok]),
-            timestamps[ok],
-            rest_lines,
-        )
+        texts = (data[s:e].decode("utf-8", "surrogateescape") for s, e in zip(starts, ends))
+        self._append(take, users, artists, timestamps, zip(rest.tolist(), texts))
         self.lines += len(line_ends)
 
-    def _append(self, index, user_keys, artist_keys, timestamps, rest_lines) -> None:
-        """Add the vectorized lines and ``parse_event_line`` over (index, text) pairs, in line order."""
+    def _append(self, take, users, artists, timestamps, rest_lines) -> None:
+        """Add a block's accepted lines, in line order.
+
+        ``take`` marks the lines numpy parsed, whose key codes and timestamps are set.
+        The other lines come as (index, text) pairs; each that ``parse_event_line``
+        accepts gets its codes and timestamp set at its index and is taken too.
+        """
         rest_index: list[int] = []
         rest_users: list[str] = []
         rest_artists: list[str] = []
@@ -598,12 +589,14 @@ class _ChunkParser:
             rest_artists.append(artist_key)
             rest_timestamps.append(ts)
 
-        users = self.id_maps.users.densify(user_keys, index, rest_users, rest_index)
-        artists = self.id_maps.artists.densify(artist_keys, index, rest_artists, rest_index)
-        timestamps = np.concatenate((timestamps, np.array(rest_timestamps, dtype=np.int64)))
-        if rest_index and index.size:
-            order = np.argsort(np.concatenate((index, rest_index)), kind="stable")
-            users, artists, timestamps = users[order], artists[order], timestamps[order]
+        parsed = np.array(rest_index, dtype=np.intp)
+        take[parsed] = True
+        users[parsed] = self.id_maps.users.code_all(rest_users)
+        artists[parsed] = self.id_maps.artists.code_all(rest_artists)
+        timestamps[parsed] = rest_timestamps
+        users = self.id_maps.users.densify(users[take])
+        artists = self.id_maps.artists.densify(artists[take])
+        timestamps = timestamps[take]
         if self.columns[2].dtype == np.uint32 and timestamps.size and timestamps.max() >= 2**32:
             self.columns = (*self.columns[:2], self.columns[2].astype(np.int64))
         size = self.size + len(timestamps)
@@ -643,12 +636,13 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     same raw bytes (compressed ones for ``.gz``) feed the SHA-256 stored as
     ``EventLog.sha256``. ``\\r\\n``, then any other ``\\r``, ends a line as
     ``\\n`` does. numpy parses each block of whole lines at once: the lines
-    with the block's most common column count whose timestamp is 1 to 18
-    ASCII digits, whose keys are at most 8 bytes and which hold no NUL nor,
-    in a block that is not valid UTF-8, any byte that is not ASCII. Every
-    other line is decoded as UTF-8 with surrogateescape and goes through
+    with at least the schema's columns whose timestamp is 1 to 18 ASCII
+    digits, whose keys are at most 8 bytes and which hold no NUL nor, in a
+    block that is not valid UTF-8, any byte that is not ASCII. Every other
+    line is decoded as UTF-8 with surrogateescape and goes through
     ``parse_event_line``, which alone decides the line rules, with its
-    1-based line number.
+    1-based line number. Either way a line's keys become the same codes,
+    so a key has one id however its lines were parsed.
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
     ``"fail"`` (abort on the first malformed line). A ``.gz`` input that

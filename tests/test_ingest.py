@@ -429,11 +429,13 @@ class TestChunkBoundaries:
 
 def test_only_odd_lines_go_to_parse_event_line():
     """In one block of good lines, only the line with \\xff and the line with a NUL
-    go through ``parse_event_line``; the line ending in a lone \\r does not."""
+    go through ``parse_event_line``; the line ending in a lone \\r and the line
+    with an extra column do not."""
     lines = [f"u{i % 7}\ta{i % 13}\t{1000 + i}\n".encode() for i in range(300)]
     lines[100] = b"u1\ta\xff\t5\n"
     lines[150] = b"u\x00\ta2\t6\n"
     lines[200] = b"u3\ta3\t7\r"
+    lines[250] = b"u4\tnew\t8\textra\n"
     data = b"".join(lines)
     assert len(data) < ingest.CHUNK_SIZE
     with mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
@@ -465,20 +467,32 @@ class TestIdMap:
     def test_keys_of_8_bytes_are_codes_and_longer_ones_are_not(self):
         short = ["x" * 8, "ключ", "é", "a"]
         long = ["x" * 9, "xxxxxxxxy", "ключи", "ü" * 5]
-        assert all(ingest._code(key) is not None for key in short)
-        assert all(ingest._code(key) is None for key in long)
         odd = ["", "\x00", "u\x00", "abc\x00defg"]
-        codes, fits = ingest._codes(short + long + odd)
-        assert [int(c) if f else None for c, f in zip(codes, fits)] == [ingest._code(k) for k in short + long + odd]
+        keys = short + long + odd
+        codes, fits = ingest._codes(keys)
+        assert fits.tolist() == [True] * 4 + [False] * 4 + [True, False, False, False]
+        coded = [key for key, fit in zip(keys, fits) if fit]
+        assert codes[fits].tolist() == [int.from_bytes(key.encode(), "little") for key in coded]
         users, id_map = _load_keys(short + long + short + long)
         assert users == list(range(8)) * 2
         assert [id_map.key_of(i) for i in range(8)] == short + long
-        assert sorted(id_map._long_ids) == sorted(long)
+        assert id_map._long_codes == {key: ingest._LONG | i for i, key in enumerate(long)}
+
+    def test_each_key_is_coded_at_most_once_per_block(self):
+        # Long keys repeat within each block, and later blocks bring back those already seen.
+        keys = [f"long-user-{i // 40}" if i % 3 else f"u{i % 11}" for i in range(400)]
+        with mock.patch.object(ingest, "_codes", wraps=ingest._codes) as spy:
+            _, id_map = _load_keys(keys, chunk_size=1024)
+        coded = [call.args[0] for call in spy.call_args_list]
+        assert len(coded) > 2  # several blocks
+        assert all(len(block) == len(set(block)) for block in coded)
+        long_coded = [key for block in coded for key in block if key.startswith("long-")]
+        assert sorted(long_coded) == sorted(set(long_coded)) == sorted(id_map._long_codes)
 
     def test_short_key_first_on_the_slow_path_has_one_id(self):
         # The first block's lines all go to parse_event_line: " 7" is a timestamp only it
-        # reads, and the block is not UTF-8 and has a line with an extra column. The second
-        # block is vectorized and brings both keys back.
+        # reads, and the block is not UTF-8, so lines with a byte that is not ASCII go there
+        # too. The second block is vectorized and brings both keys back.
         first = "k\ta\t 7\nключ\tb\t8\tx\n".encode() + b"u\ta\xff\t9\n"
         data = first + "k\tb\t10\nключ\ta\t11\n".encode()
         with mock.patch.object(ingest, "CHUNK_SIZE", len(first)), \
