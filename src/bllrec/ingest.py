@@ -31,17 +31,19 @@ bytes in the runs plus 8 in a code-per-id array, with up to as much again
 spare from doubling; a long key takes about 80 bytes more in the dict
 and the list, besides its ``str``.
 
-``build_user_histories`` turns the log into one ``UserHistories`` table
-with two stable sorts. The first, by user then timestamp, gives every
-user's events as one slice of two arrays. The second, by user then
-artist, gives one row per (user, artist) pair with its play count and
-latest timestamp, which is all that mainstreaminess, ``pop``, ``time``,
-``top`` and ``cf`` read. ``split.split_histories`` cuts the same table
+``build_user_histories`` turns the log into one ``UserHistories`` table.
+It groups the log by user, then sorts batches of whole users twice, each
+time with ``np.sort`` on unique packed uint64 keys. The first sort, by
+user then timestamp, gives every user's events as one slice of two
+arrays. The second, by user then artist, gives one row per (user,
+artist) pair with its play count and latest timestamp, which is all that
+mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read. ``split.split_histories`` cuts the same table
 into train and test tables that share its event arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 import gzip
 import hashlib
 from collections.abc import Iterator, Mapping
@@ -401,8 +403,13 @@ faster than byte strings (ingest of the long-histories benchmark input took 0.33
 against 0.58 s for the same keys gathered as ``S8``, medians of 10 alternating runs
 on a 2-core Xeon)."""
 
-_PAD = 18  # the widest window read around a field: an 18-digit timestamp
+_PAD = 24  # the widest window read around a field: the three words of an 18-digit timestamp
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)  # '0' in every byte
+_SIXES = np.uint64(0x0606060606060606)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_DIGIT_PAIRS = np.uint64(0x00FF00FF00FF00FF)
+_DIGIT_QUADS = np.uint64(0x0000FFFF0000FFFF)
 
 
 class _Sha256Reader:
@@ -470,32 +477,44 @@ def _is_utf8(data: bytes) -> bool:
 def _parse_digits(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the fields ``[start:end]`` of a ``_pad`` block and which are 1 to 18 ASCII digits.
 
-    Horner's rule, one pass over all fields per digit column, with the fields
-    right-aligned at their ends: a pass zeroes the byte of each field shorter
-    than the column and checks that the others' byte is a digit. 18 digits
-    cannot exceed the int64 range; other fields get no usable value.
+    Eight digits per pass over all fields, from the last 8 bytes of each
+    field back: a pass reads 8 bytes as one word from the overlapping view
+    of ``_words``, turns the bytes before the field into ``'0'``, checks that
+    every byte is a digit (its high nibble is 3, and stays 3 when 6 is
+    added), and combines the digits in three multiply-shift steps. Horner's
+    rule in base 10**8 joins the passes. 18 digits cannot exceed the int64
+    range; other fields get no usable value.
     """
     length = end - start
     ok = (length >= 1) & (length <= 18)
     width = int(length[ok].max()) if ok.any() else 1
-    values = np.zeros(len(start), dtype=np.int64)
-    for j in range(width, 0, -1):
-        digit = padded[end + (_PAD - j)] - np.uint8(ord("0"))
-        digit *= length >= j
-        ok &= digit <= 9
-        values *= 10
-        values += digit
-    return values, ok
+    words = _words(padded)
+    values = np.zeros(len(start), dtype=np.uint64)
+    for j in range((width - 1) // 8, -1, -1):  # the word ending 8 * j bytes before each field's end
+        outside = _LOW_BYTES[8 - np.clip(length - 8 * j, 0, 8)]  # the bytes before the field
+        word = words[end + (_PAD - 8 - 8 * j)] & ~outside | _ZEROS & outside
+        ok &= (word & _HIGH_NIBBLES == _ZEROS) & ((word + _SIXES) & _HIGH_NIBBLES == _ZEROS)
+        word -= _ZEROS  # one digit per byte, the first one lowest
+        word = (word * np.uint64(10 << 8 | 1)) >> np.uint64(8) & _DIGIT_PAIRS
+        word = (word * np.uint64(100 << 16 | 1)) >> np.uint64(16) & _DIGIT_QUADS
+        word = (word * np.uint64(10_000 << 32 | 1)) >> np.uint64(32)
+        values *= np.uint64(10**8)
+        values += word
+    return values.view(np.int64), ok
 
 
 def _gather_keys(padded: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """The fields ``[start:end]`` of a ``_pad`` block, of at most 8 bytes each, as
     NUL-padded little-endian uint64, which view as ``S8`` gives the bytes back.
 
-    One gather from a view of the block as overlapping, unaligned uint64, one per byte offset.
+    One gather from ``_words``.
     """
-    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    return words[start + _PAD] & _LOW_BYTES[end - start]
+    return _words(padded)[start + _PAD] & _LOW_BYTES[end - start]
+
+
+def _words(padded: np.ndarray) -> np.ndarray:
+    """A view of ``padded`` as overlapping, unaligned little-endian uint64, one per byte offset."""
+    return np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
 
 
 def _pad(buf: np.ndarray) -> np.ndarray:
@@ -589,11 +608,12 @@ class _ChunkParser:
             rest_artists.append(artist_key)
             rest_timestamps.append(ts)
 
-        parsed = np.array(rest_index, dtype=np.intp)
-        take[parsed] = True
-        users[parsed] = self.id_maps.users.code_all(rest_users)
-        artists[parsed] = self.id_maps.artists.code_all(rest_artists)
-        timestamps[parsed] = rest_timestamps
+        if rest_index:
+            parsed = np.array(rest_index, dtype=np.intp)
+            take[parsed] = True
+            users[parsed] = self.id_maps.users.code_all(rest_users)
+            artists[parsed] = self.id_maps.artists.code_all(rest_artists)
+            timestamps[parsed] = rest_timestamps
         users = self.id_maps.users.densify(users[take])
         artists = self.id_maps.artists.densify(artists[take])
         timestamps = timestamps[take]
@@ -676,15 +696,28 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     return log, parser.skipped
 
 
+_BATCH_EVENTS = 1 << 14
+"""The history build sorts whole users together, up to this many events (a longer
+history is sorted alone) and ``_BATCH_USERS`` users at a time, so its temporaries
+stay small and each sort key fits in 64 bits."""
+_BATCH_USERS = 1 << 16
+_MAX_HISTORY = 1 << 31
+"""The most events one user may have: a history sorted alone packs each event's
+position and its timestamp, or the timestamp's rank, into one 64-bit key."""
+
+
 def build_user_histories(log: EventLog) -> UserHistories:
     """Sort the log into one table of per-user histories and (user, artist) pair rows.
 
-    Two stable sorts: the log by user then timestamp, so equal timestamps
-    keep input order, then each user's events by artist, so a pair's
-    events stay in time order. Both sort one user's events at a time
-    after a stable sort of the user ids, which is quick on a log already
-    grouped by user, so most temporaries are the size of one history. The
-    per-event ones are int32 or bool where the values fit.
+    A stable sort of the user ids groups the log by user. Then batches of
+    whole users are sorted twice with ``np.sort`` on unique uint64 keys
+    packed from the user in the batch, a value and the event's position in
+    the batch: by timestamp, so equal timestamps keep input order, then by
+    artist, so a pair's events stay in time order. An int64 log packs each
+    batch's timestamp ranks instead of the timestamps. Batches hold at most
+    ``_BATCH_EVENTS`` events and ``_BATCH_USERS`` users, or one longer
+    history, so most temporaries are the size of a batch. The per-event
+    index arrays kept are int32 where the values fit.
 
     The table takes over the log's columns: ``log.users``, ``log.artists``
     and ``log.timestamps`` are set to None as soon as each has been read,
@@ -707,13 +740,20 @@ def build_user_histories(log: EventLog) -> UserHistories:
     del order
     by_pair = np.empty(n, dtype=index_type)
     first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event
-    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        by_time = np.argsort(timestamps[lo:hi], kind="stable")
-        timestamps[lo:hi] = timestamps[lo:hi][by_time]
-        artists[lo:hi] = artists[lo:hi][by_time]
-        by_artist = np.argsort(artists[lo:hi], kind="stable")
-        by_pair[lo:hi] = by_artist + lo
-        first.append(lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1)))
+    bounds = offsets.tolist()
+    user = 0
+    while user < n_users:
+        stop = bisect.bisect_right(bounds, bounds[user] + _BATCH_EVENTS) - 1
+        stop = min(max(stop, user + 1), user + _BATCH_USERS)
+        lo, hi = bounds[user], bounds[stop]
+        if hi - lo > _MAX_HISTORY:
+            raise DataError(f"user {user} has {hi - lo} events; a history may hold at most {_MAX_HISTORY}")
+        if hi > lo:
+            batch = slice(lo, hi)
+            counts = np.diff(offsets[user : stop + 1])
+            first.append(lo + _sort_batch(artists[batch], timestamps[batch], counts, by_pair[batch]))
+            by_pair[batch] += lo
+        user = stop
     first = np.concatenate(first)
     pair_counts = np.diff(first, append=n)
 
@@ -730,6 +770,31 @@ def build_user_histories(log: EventLog) -> UserHistories:
         pair_last=timestamps[by_pair[first + pair_counts - 1]].astype(np.int64, copy=False),
         by_pair=by_pair,
     )
+
+
+def _sort_batch(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray, by_pair: np.ndarray) -> np.ndarray:
+    """Sort a batch of users' events in place by user, timestamp and position, and fill ``by_pair``.
+
+    User i of the batch holds the next ``counts[i]`` events. ``by_pair`` gets
+    the positions in the batch sorted by user, artist and position. Returns
+    the index in ``by_pair`` of each pair's first event.
+    """
+    bits = (len(artists) - 1).bit_length()  # of a position
+    positions = np.arange(len(artists), dtype=np.uint64)
+    users = np.repeat(np.arange(len(counts), dtype=np.uint64), counts)
+    if timestamps.dtype == np.uint32:
+        values, value_bits = timestamps, 32
+    else:
+        distinct, values = np.unique(timestamps, return_inverse=True)
+        value_bits = (len(distinct) - 1).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    by_time = np.sort(users << (value_bits + bits) | values.astype(np.uint64) << bits | positions) & mask
+    timestamps[:] = timestamps[by_time]
+    artists[:] = artists[by_time]
+    key = np.sort(users << (31 + bits) | artists.astype(np.uint64) << bits | positions)
+    by_pair[:] = key & mask
+    pairs = key >> np.uint64(bits)
+    return np.flatnonzero(np.diff(pairs, prepend=~pairs[0]))  # ~pairs[0] differs from pairs[0]
 
 
 def write_events_tsv(log: EventLog, path) -> None:

@@ -68,10 +68,13 @@ def recommend_bll(train: UserHistory, params: BllParams, k: int) -> Recommendati
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
     ref = int(train.timestamps[-1]) + 1
     artists = train.pair_artists
-    local = np.searchsorted(artists, train.artists)
-    sums = _kernels.bll_sums(local, train.timestamps, ref, len(artists), params.d)
+    slots = np.empty(int(artists[-1]) + 1, dtype=np.intp)  # each artist's pair row
+    slots[artists] = np.arange(len(artists))
+    sums = _kernels.bll_sums(slots[train.artists], train.timestamps, ref, len(artists), params.d)
     # libm log keeps scores bit-identical to the brute-force oracle.
-    scores = np.array([math.log(s) if s > 0.0 else float("-inf") for s in sums.tolist()])
+    scores = np.full(len(sums), -np.inf)
+    positive = sums > 0.0
+    scores[positive] = list(map(math.log, sums[positive].tolist()))
     return _ranked(train.user, artists, scores, np.lexsort((artists, -scores)), k)
 
 

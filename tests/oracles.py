@@ -1,8 +1,9 @@
-"""Brute-force rank oracles for the recommender tests.
+"""Brute-force oracles for the recommender tests and the history build.
 
 Deliberately unoptimized and textually independent of ``bllrec.recommend``:
 direct enumeration with the same tie-breaking keys, for cross-checking the
-real recommenders on small instances. Tests import it the way they import
+real recommenders on small instances. ``per_user_histories`` is the history
+build as two stable sorts per user. Tests import it the way they import
 ``conftest``: ``from oracles import brute_force_ranking``.
 """
 
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from bllrec.errors import DataError
-from bllrec.ingest import UserHistory
+from bllrec.ingest import UserHistories, UserHistory
 from bllrec.recommend import BllParams, CfParams, RecommendationList
 
 ORACLE_MAX_USERS = 10
@@ -114,3 +117,43 @@ def brute_force_ranking(
         return RecommendationList(user, [(a, scores[a]) for a in order], k)
 
     raise DataError(f"unknown algorithm {algorithm!r}")
+
+
+def per_user_histories(users, artists, timestamps) -> UserHistories:
+    """``build_user_histories`` of a log with these columns, by two stable sorts per user.
+
+    A stable sort of the user ids groups the log by user; then each user's
+    events are sorted stably by timestamp, and those by artist.
+    """
+    n = len(users)
+    n_users = int(users.max()) + 1 if n else 0
+    index_type = np.int32 if n < 2**31 else np.int64
+    offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
+    order = np.argsort(users, kind="stable")
+    artists = artists[order]
+    timestamps = timestamps[order]
+    by_pair = np.empty(n, dtype=index_type)
+    first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if lo == hi:
+            continue
+        by_time = np.argsort(timestamps[lo:hi], kind="stable")
+        timestamps[lo:hi] = timestamps[lo:hi][by_time]
+        artists[lo:hi] = artists[lo:hi][by_time]
+        by_artist = np.argsort(artists[lo:hi], kind="stable")
+        by_pair[lo:hi] = by_artist + lo
+        first.append(lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1)))
+    first = np.concatenate(first)
+    pair_counts = np.diff(first, append=n)
+    return UserHistories(
+        artists=artists,
+        timestamps=timestamps,
+        starts=offsets[:-1],
+        ends=offsets[1:],
+        pair_offsets=np.searchsorted(first, offsets),
+        pair_artists=artists[by_pair[first]],
+        pair_counts=pair_counts,
+        pair_last=timestamps[by_pair[first + pair_counts - 1]].astype(np.int64, copy=False),
+        by_pair=by_pair,
+    )

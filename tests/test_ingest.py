@@ -18,6 +18,8 @@ from bllrec.ingest import (
     INT64_MAX,
     MAX_COLUMN,
     ColumnSchema,
+    EventLog,
+    IdMaps,
     build_user_histories,
     load_events,
     parse_event_line,
@@ -26,6 +28,7 @@ from bllrec.ingest import (
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events
+from oracles import per_user_histories
 
 LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
 
@@ -595,6 +598,68 @@ class TestBuildUserHistories:
                 for artist, (count, last) in _pairs(h).items():
                     assert count == (h.artists == artist).sum()
                     assert last == h.timestamps[h.artists == artist].max()
+
+
+HISTORY_FIELDS = (
+    "artists", "timestamps", "starts", "ends", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "by_pair"
+)
+
+
+class TestBuildMatchesPerUserSorts:
+    """Every field of the batched build equals the per-user two-sort oracle's, dtype included."""
+
+    @staticmethod
+    def _check(users, artists, timestamps):
+        expected = per_user_histories(users, artists, timestamps)
+        got = build_user_histories(EventLog(users.copy(), artists.copy(), timestamps.copy(), IdMaps()))
+        for name in HISTORY_FIELDS:
+            want, have = getattr(expected, name), getattr(got, name)
+            assert have.dtype == want.dtype, name
+            assert np.array_equal(have, want), name
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_random_logs(self, dtype):
+        rng = np.random.default_rng(19)
+        base = 2**32 if dtype == np.int64 else 0
+        for case in range(12):
+            n = int(rng.integers(1, 3000))
+            # Few distinct timestamps make many equal ones; sparse user ids leave empty users between them.
+            users = rng.integers(0, [5, 300, 5000][case % 3], n).astype(np.int32)
+            timestamps = (base + rng.integers(0, [3, 50, 2**31][case % 3], n)).astype(dtype)
+            if dtype == np.int64 and case % 2:
+                timestamps[::5] = rng.integers(0, 2**32, len(timestamps[::5]))  # values below and above 2**32
+            self._check(users, rng.integers(0, 40, n).astype(np.int32), timestamps)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_a_history_longer_than_a_batch(self, dtype):
+        rng = np.random.default_rng(5)
+        n = ingest._BATCH_EVENTS + 3000
+        users = np.where(rng.random(n) < 0.9, 7, rng.integers(0, 12, n)).astype(np.int32)
+        artists = rng.integers(0, 500, n).astype(np.int32)
+        timestamps = ((2**40 if dtype == np.int64 else 0) + rng.integers(0, 1000, n)).astype(dtype)
+        assert np.bincount(users).max() > ingest._BATCH_EVENTS
+        self._check(users, artists, timestamps)
+
+    def test_single_event_users_across_batches(self):
+        rng = np.random.default_rng(6)
+        n = 2 * ingest._BATCH_EVENTS + 500
+        users = rng.permutation(n).astype(np.int32)
+        self._check(users, rng.integers(0, 9, n).astype(np.int32), rng.integers(0, 4, n).astype(np.uint32))
+
+    def test_user_ids_far_apart(self):
+        # Without the cap on users per batch, user 2**20 would share a batch with user 0 and overflow the key.
+        rng = np.random.default_rng(8)
+        half = ingest._BATCH_EVENTS // 2
+        users = np.repeat(np.array([0, 2**20], dtype=np.int32), half)
+        artists = rng.integers(0, 2**31 - 1, 2 * half).astype(np.int32)
+        self._check(users, artists, rng.integers(0, 9, 2 * half).astype(np.uint32))
+
+    def test_a_history_beyond_the_key_is_data_error(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BATCH_EVENTS", 4)
+        monkeypatch.setattr(ingest, "_MAX_HISTORY", 4)
+        log = log_from_events([("u", "a", 1)] * 4 + [("v", "a", 1)] * 5)
+        with pytest.raises(DataError, match="user 1 has 5 events"):
+            build_user_histories(log)
 
 
 class TestWriteEventsTsv:
