@@ -6,9 +6,6 @@ profiler can wrap them in place.
 
 from __future__ import annotations
 
-import math
-from itertools import repeat
-
 import numpy as np
 
 BACKEND_NAME = "numpy"
@@ -20,15 +17,15 @@ def bll_sums(local_idx: np.ndarray, timestamps: np.ndarray, ref: int, n_out: int
     The timestamps must lie in 0..ref, and ref in 0..2**63. The bases are
     then exact in uint64, and the cast to float64 rounds each to the
     nearest float, as ``float()`` of the Python int would. Each term is
-    ``math.pow``, which calls libm ``pow`` as the float ``**`` of the
-    brute-force oracle does; bases of at least 1 never make it raise.
-    ``np.power`` differs from libm by 1 ulp on about 5% of elements, which
+    ``np.float_power``, which on float64 calls libm ``pow`` as the float
+    ``**`` of the brute-force oracle does. ``np.power`` takes another
+    route that differs from libm by 1 ulp on about 5% of elements, which
     would break bit-identity with the oracle. ``np.bincount`` adds the
     terms one by one in event order, as a loop would. The logs of the sums
     are within 1e-9 of the decimal oracle.
     """
     bases = (np.uint64(ref + 1) - timestamps.astype(np.uint64)).astype(np.float64)
-    terms = np.fromiter(map(math.pow, bases.tolist(), repeat(-d)), dtype=np.float64, count=len(bases))
+    terms = np.float_power(bases, -d)
     # astype: with no events, bincount gives int zeros.
     return np.bincount(local_idx, weights=terms, minlength=n_out).astype(np.float64, copy=False)
 

@@ -293,8 +293,8 @@ class UserHistory:
     artists: np.ndarray  # int32, chronological
     timestamps: np.ndarray  # the log's dtype (uint32 or int64), non-decreasing
     pair_artists: np.ndarray  # int32, distinct, ascending
-    pair_counts: np.ndarray  # int64, plays of each
-    pair_last: np.ndarray  # int64, latest play of each
+    pair_counts: np.ndarray  # int32 (int64 in a log of 2**31 events or more), plays of each
+    pair_last: np.ndarray  # the log's dtype, latest play of each
 
     @property
     def n_events(self) -> int:
@@ -321,8 +321,8 @@ class UserHistories(Mapping):
     ends: np.ndarray  # int64, per user id
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
-    pair_counts: np.ndarray  # int64, per pair row
-    pair_last: np.ndarray  # int64 whatever the event dtype, as pop/time rank by -pair_last
+    pair_counts: np.ndarray  # int32 (int64 in a log of 2**31 events or more), per pair row
+    pair_last: np.ndarray  # the log's dtype, per pair row
     # Only in a table built from a log: the event indices sorted by user, artist,
     # timestamp, input order. A pair's events are contiguous and in time order.
     by_pair: np.ndarray | None = None
@@ -331,11 +331,6 @@ class UserHistories(Mapping):
     def n_events(self) -> np.ndarray:
         """Events per user id."""
         return self.ends - self.starts
-
-    @property
-    def pair_users(self) -> np.ndarray:
-        """The user id of each pair row."""
-        return np.repeat(np.arange(len(self.starts)), np.diff(self.pair_offsets))
 
     def __contains__(self, user) -> bool:
         return 0 <= user < len(self.starts) and bool(self.ends[user] > self.starts[user])
@@ -622,7 +617,8 @@ class _ChunkParser:
         size = self.size + len(timestamps)
         for column, values in zip(self.columns, (users, artists, timestamps)):
             if size > len(column):
-                column.resize(2 * size, refcheck=False)  # no views of a column are kept
+                # At most a quarter spare: resize zero-fills, so spare room costs memory at once.
+                column.resize(size + size // 4, refcheck=False)  # no views of a column are kept
             column[self.size : size] = values
         self.size = size
 
@@ -717,7 +713,8 @@ def build_user_histories(log: EventLog) -> UserHistories:
     batch's timestamp ranks instead of the timestamps. Batches hold at most
     ``_BATCH_EVENTS`` events and ``_BATCH_USERS`` users, or one longer
     history, so most temporaries are the size of a batch. The per-event
-    index arrays kept are int32 where the values fit.
+    index arrays and the pair counts kept are int32 where the values fit,
+    and the pair rows' latest plays keep the log's timestamp dtype.
 
     The table takes over the log's columns: ``log.users``, ``log.artists``
     and ``log.timestamps`` are set to None as soon as each has been read,
@@ -739,7 +736,7 @@ def build_user_histories(log: EventLog) -> UserHistories:
     log.timestamps = None
     del order
     by_pair = np.empty(n, dtype=index_type)
-    first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event
+    first = [np.zeros(0, dtype=index_type)]  # the position in by_pair of each pair's first event
     bounds = offsets.tolist()
     user = 0
     while user < n_users:
@@ -751,11 +748,12 @@ def build_user_histories(log: EventLog) -> UserHistories:
         if hi > lo:
             batch = slice(lo, hi)
             counts = np.diff(offsets[user : stop + 1])
-            first.append(lo + _sort_batch(artists[batch], timestamps[batch], counts, by_pair[batch]))
+            pairs = _sort_batch(artists[batch], timestamps[batch], counts, by_pair[batch])
+            first.append((lo + pairs).astype(index_type))
             by_pair[batch] += lo
         user = stop
     first = np.concatenate(first)
-    pair_counts = np.diff(first, append=n)
+    pair_counts = np.diff(first, append=index_type(n))
 
     for arr in (artists, timestamps, by_pair):
         arr.flags.writeable = False
@@ -764,10 +762,10 @@ def build_user_histories(log: EventLog) -> UserHistories:
         timestamps=timestamps,
         starts=offsets[:-1],
         ends=offsets[1:],
-        pair_offsets=np.searchsorted(first, offsets),
+        pair_offsets=np.searchsorted(first, offsets.astype(index_type)),  # of one dtype, so first is not copied
         pair_artists=artists[by_pair[first]],
         pair_counts=pair_counts,
-        pair_last=timestamps[by_pair[first + pair_counts - 1]].astype(np.int64, copy=False),
+        pair_last=timestamps[by_pair[first + pair_counts - 1]],
         by_pair=by_pair,
     )
 

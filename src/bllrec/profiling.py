@@ -62,7 +62,8 @@ def score_users(histories: UserHistories, min_events: int = 2) -> dict[int, floa
     min-events filter only controls which users receive a score.
     """
     global_dist = global_artist_distribution(histories)
-    user_shares = histories.pair_counts / histories.n_events[histories.pair_users]
+    user_shares = np.repeat(histories.n_events.astype(np.float64), np.diff(histories.pair_offsets))
+    np.divide(histories.pair_counts, user_shares, out=user_shares)
     global_shares = global_dist[histories.pair_artists]
     offsets = histories.pair_offsets.tolist()
     scored = eligible_users(histories, min_events).tolist()
@@ -114,7 +115,7 @@ def group_stats(
         raise DataError("cannot compute statistics for an empty group")
     in_group = np.zeros(len(histories.starts), dtype=bool)
     in_group[members] = True
-    rows = in_group[histories.pair_users]
+    rows = np.repeat(in_group, np.diff(histories.pair_offsets))
     artists = np.sort(histories.pair_artists[rows])
     n = len(members)
     return GroupStats(

@@ -100,7 +100,8 @@ def recommend_pop(train: UserHistory, k: int) -> RecommendationList:
     """Rank by the user's own play counts; ties by most recent, then artist id."""
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    order = np.lexsort((train.pair_artists, -train.pair_last, -train.pair_counts))
+    # ~ reverses the order of any integer dtype and, unlike negation, cannot wrap.
+    order = np.lexsort((train.pair_artists, ~train.pair_last, ~train.pair_counts))
     return _ranked(train.user, train.pair_artists, train.pair_counts, order, k)
 
 
@@ -108,7 +109,7 @@ def recommend_time(train: UserHistory, k: int) -> RecommendationList:
     """Rank by last-played time; ties by play count, then artist id."""
     if train.n_events == 0:
         raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    order = np.lexsort((train.pair_artists, -train.pair_counts, -train.pair_last))
+    order = np.lexsort((train.pair_artists, ~train.pair_counts, ~train.pair_last))
     return _ranked(train.user, train.pair_artists, train.pair_last, order, k)
 
 
@@ -149,8 +150,10 @@ class CfIndex:
         self.artists = artists
         self.offsets = train_histories.pair_offsets
         self.set_sizes = np.diff(self.offsets)
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(artists))))
-        self.members = train_histories.pair_users[np.argsort(artists, kind="stable")]
+        self.indptr = np.zeros(int(artists.max()) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(artists), out=self.indptr[1:])
+        users = np.repeat(np.arange(len(self.set_sizes), dtype=np.int32), self.set_sizes)
+        self.members = users[np.argsort(artists, kind="stable")]
 
     def recommend(self, user: int, params: CfParams, k: int) -> RecommendationList:
         """Score artists by summed similarity of the neighbors that played them.

@@ -9,11 +9,13 @@ A split cuts each user's slice of the ``UserHistories`` table in two, so
 train and test are two tables over the same event arrays, not copies.
 Each keeps only the pair rows played on its side of the cut, as a table
 built from a log does. A pair row's test plays are counted by looking
-up each test event's (user, artist) key among the pair rows, which are
-sorted by that key; its training plays are the rest. A pair's events
-are in time order in the table's ``by_pair`` order, so its training
-plays are a prefix of them and its latest training play is the last of
-that prefix.
+up each test event's artist among its own user's pair rows, which are
+sorted by artist; its training plays are the rest. A pair's events are
+in time order in the table's ``by_pair`` order, so its test plays are
+the last of them and its latest training play is the one before. The
+split builds no array of a wider dtype than the table's over every pair
+row: pair counts stay int32 below 2**31 events, and latest plays keep
+the log's timestamp dtype.
 """
 
 from __future__ import annotations
@@ -70,35 +72,63 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
         raise DataError("no splittable users (all histories have fewer than 2 events)")
     n_test = np.where(split, n_test_events(n_events, fraction), 0)
     cut = histories.ends - n_test  # each user's first test event
+    offsets = histories.pair_offsets
+    sizes = np.diff(offsets)
 
-    # Find the pair row of every test event by its (user, artist) key.
-    n_artists = int(histories.pair_artists.max()) + 1
-    pair_users = histories.pair_users
-    pair_keys = pair_users * n_artists + histories.pair_artists
-    test_users = np.repeat(np.arange(len(cut)), n_test)
     # Each user's test events are cut[u], cut[u] + 1, ..., ends[u] - 1.
-    test_events = np.arange(len(test_users)) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
-    test_pairs = np.searchsorted(pair_keys, test_users * n_artists + histories.artists[test_events])
-    test_counts = np.bincount(test_pairs, minlength=len(pair_keys))
+    test_events = np.arange(int(n_test.sum())) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
+    test_rows = _find_rows(histories.pair_artists, np.repeat(offsets[:-1], n_test), np.repeat(sizes, n_test),
+                           histories.artists[test_events])
+    tested, test_counts = np.unique(test_rows, return_counts=True)
+    test_counts = test_counts.astype(histories.pair_counts.dtype)
 
-    train_counts = np.where(split[pair_users], histories.pair_counts - test_counts, 0)
-    trained = train_counts > 0
+    train_counts = histories.pair_counts.copy()
+    train_counts[tested] -= test_counts
+    trained = np.repeat(split, sizes)
+    trained &= train_counts > 0
     train_counts = train_counts[trained]
-    first = (np.cumsum(histories.pair_counts) - histories.pair_counts)[trained]  # of each pair, in by_pair
-    train_last = histories.timestamps[histories.by_pair[first + train_counts - 1]].astype(np.int64, copy=False)
-    train = _with_rows(histories, trained, train_counts, train_last, ends=np.where(split, cut, histories.starts))
+    # A pair's events are contiguous in by_pair and its test plays are the last of them.
+    last_trained = np.cumsum(histories.pair_counts, dtype=train_counts.dtype)
+    last_trained -= 1
+    last_trained[tested] -= test_counts
+    train_last = histories.timestamps[histories.by_pair[last_trained[trained]]]
+    del last_trained
+    kept = np.zeros(len(trained) + 1, dtype=train_counts.dtype)  # trained rows before each row
+    np.cumsum(trained, dtype=kept.dtype, out=kept[1:])
+    train = _with_rows(histories, trained, kept[offsets].astype(np.int64), train_counts, train_last,
+                       ends=np.where(split, cut, histories.starts))
     # Test events are the latest of their pair, so the pair's latest play is a test play.
-    tested = test_counts > 0
-    test = _with_rows(histories, tested, test_counts[tested], histories.pair_last[tested], starts=cut)
+    test = _with_rows(histories, tested, np.searchsorted(tested, offsets), test_counts, histories.pair_last[tested],
+                      starts=cut)
     return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
 
 
-def _with_rows(histories: UserHistories, rows: np.ndarray, counts: np.ndarray, last: np.ndarray, **bounds):
-    """``histories`` with new ``bounds`` and only the pair rows in the mask ``rows``, with ``counts`` and ``last``."""
+def _find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artists: np.ndarray) -> np.ndarray:
+    """The row in ``lo[i]:lo[i] + size[i]`` whose pair artist is ``artists[i]``, for every i.
+
+    Each slice of ``pair_artists`` is ascending and holds the artist sought.
+    All slices are binary-searched at once: ``row`` stays the last row whose
+    artist is at most the one sought, in a window that halves each step.
+    """
+    row = lo
+    for _ in range(int(size.max() - 1).bit_length()):
+        half = size >> 1
+        mid = row + half
+        row = np.where(pair_artists[mid] <= artists, mid, row)
+        size = size - half
+    return row
+
+
+def _with_rows(histories: UserHistories, rows: np.ndarray, offsets, counts, last, **bounds) -> UserHistories:
+    """``histories`` with new ``bounds`` and only the pair ``rows`` (a mask or ascending indices).
+
+    ``offsets`` are the kept rows' per-user offsets, ``counts`` and ``last``
+    their play counts and latest plays.
+    """
     return replace(
         histories,
         **bounds,
-        pair_offsets=np.concatenate(([0], np.cumsum(rows)))[histories.pair_offsets],
+        pair_offsets=offsets,
         pair_artists=histories.pair_artists[rows],
         pair_counts=counts,
         pair_last=last,

@@ -134,7 +134,7 @@ def per_user_histories(users, artists, timestamps) -> UserHistories:
     artists = artists[order]
     timestamps = timestamps[order]
     by_pair = np.empty(n, dtype=index_type)
-    first = [np.zeros(0, dtype=np.intp)]  # the position in by_pair of each pair's first event
+    first = [np.zeros(0, dtype=index_type)]  # the position in by_pair of each pair's first event
     for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         if lo == hi:
             continue
@@ -143,9 +143,9 @@ def per_user_histories(users, artists, timestamps) -> UserHistories:
         artists[lo:hi] = artists[lo:hi][by_time]
         by_artist = np.argsort(artists[lo:hi], kind="stable")
         by_pair[lo:hi] = by_artist + lo
-        first.append(lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1)))
+        first.append((lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1))).astype(index_type))
     first = np.concatenate(first)
-    pair_counts = np.diff(first, append=n)
+    pair_counts = np.diff(first, append=index_type(n))
     return UserHistories(
         artists=artists,
         timestamps=timestamps,
@@ -154,6 +154,6 @@ def per_user_histories(users, artists, timestamps) -> UserHistories:
         pair_offsets=np.searchsorted(first, offsets),
         pair_artists=artists[by_pair[first]],
         pair_counts=pair_counts,
-        pair_last=timestamps[by_pair[first + pair_counts - 1]].astype(np.int64, copy=False),
+        pair_last=timestamps[by_pair[first + pair_counts - 1]],
         by_pair=by_pair,
     )

@@ -538,6 +538,24 @@ class TestIdMap:
         assert all(below > 2 * above for below, above in zip(sizes, sizes[1:]))
 
 
+def test_parser_columns_keep_at_most_a_quarter_spare():
+    # resize zero-fills the room it adds, so spare capacity is memory held at once.
+    parser = ingest._ChunkParser(SIMPLE_SCHEMA, "fail")
+    rng = np.random.default_rng(5)
+    expected = []
+    for block in range(300):
+        stamps = (block * 1000 + np.arange(int(rng.integers(1, 400)))).tolist()
+        if block == 150:
+            stamps[-1] = 2**40  # widens the timestamp column to int64
+        parser.add("".join(f"u{t % 7}\ta{t % 11}\t{t}\n" for t in stamps).encode())
+        expected += stamps
+        for column in parser.columns:
+            assert parser.size <= len(column) <= 1.25 * parser.size
+    users, artists, timestamps = parser.arrays()
+    assert timestamps.dtype == np.int64 and timestamps.tolist() == expected
+    assert len(users) == len(artists) == len(expected)
+
+
 def _pairs(h):
     """One user's pair rows as {artist: (count, last played)}."""
     return dict(zip(h.pair_artists.tolist(), zip(h.pair_counts.tolist(), h.pair_last.tolist())))

@@ -57,7 +57,7 @@ def _loop_bll_sums(local_idx, timestamps, ref, n_out, d):
     return out
 
 
-@pytest.mark.parametrize("d", [0.3, 0.5, 1.7])
+@pytest.mark.parametrize("d", [1e-6, 0.3, 0.5, 1.7, 40.0])
 @pytest.mark.parametrize("dtype, ref", [(np.uint32, 2**32 - 1), (np.int64, 2**40), (np.int64, 2**63 - 1)])
 def test_bll_sums_equal_the_event_loop_bit_for_bit(d, dtype, ref):
     rng = np.random.default_rng(3)

@@ -168,8 +168,9 @@ class TestRecommendTime:
 
 
 def test_pop_and_time_rank_uint32_timestamps_as_signed():
-    # A log of timestamps below 2**32 loads as uint32. pop and time rank by -pair_last,
-    # which on an unsigned array wraps and puts a play at 0 above every later one.
+    # A log of timestamps below 2**32 loads as uint32, and pair_last keeps that dtype. pop and
+    # time rank by ~pair_last, which reverses the order; -pair_last would wrap on the unsigned
+    # array and put a play at 0 above every later one.
     top = 2**32 - 1
     plays = {  # chronological, with ties on play count and on last play
         "u1": [("a", 0), ("c", 0), ("a", top - 5), ("e", top - 5), ("b", top - 5), ("b", top - 4),

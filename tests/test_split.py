@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -39,7 +40,25 @@ def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
         for column in fields(a):
             x, y = getattr(a, column.name), getattr(b, column.name)
             assert (x is None and y is None) or np.array_equal(x, y), column.name
-        assert a.pair_last.dtype == b.pair_last.dtype == np.int64
+        assert a.pair_counts.dtype == b.pair_counts.dtype == np.int32
+        assert (a.pair_last.dtype, b.pair_last.dtype) == (np.int64, np.uint32)
+
+
+def test_split_allocates_few_bytes_per_pair_row():
+    # Every array the split builds over all pair rows has the table's narrow dtypes: int32
+    # counts and positions, and masks. On this log (int64 timestamps) it takes about 33 B
+    # per pair row, its train and test tables included; int64 (user, artist) keys, counts
+    # and offsets over every pair row would take about 77.
+    log = generate_synthetic(SynthConfig(n_users=1000, n_artists=20_000, events_per_user=(20, 60), seed=5))
+    histories = build_user_histories(log)
+    tracemalloc.start()
+    try:
+        split = split_histories(histories, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.test_event_count() == 1000
+    assert peak < 50 * len(histories.pair_artists)
 
 
 class TestTimeSplit:
