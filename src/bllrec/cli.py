@@ -366,9 +366,10 @@ def cmd_stats(args) -> int:
 
 def cmd_split(args) -> int:
     out = run_stages(_config_from_args(args), "split", groups_csv=args.groups)
-    for name, members in (out.groups or {"ALL": list(out.split.train)}).items():
+    train_events = out.split.train.n_events
+    for name, members in (out.groups or {"ALL": out.split.per_user}).items():
         count = out.split.test_event_count(members)
-        evaluable = sum(1 for u in members if u in out.split.train)
+        evaluable = int((train_events[members] > 0).sum())
         print(f"group={name} users={evaluable} test_events={count}")
     return EXIT_OK
 

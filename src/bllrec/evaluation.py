@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .split import SplitDataset
+from .split import SplitDataset, find_rows
 
 
 @dataclass
@@ -39,28 +39,34 @@ def evaluate_algorithm(
 ) -> EvalReport:
     """Run one recommender over a group and aggregate its metrics.
 
-    ``recommend_fn(user, train_history, k_max)`` must return a
-    RecommendationList built from training data only. Users whose
-    recommender returns an empty list are counted with zero hits, not
-    skipped, and a list shorter than k_max keeps its final hit count for
-    larger k. Users are evaluated one after another in sorted id order,
-    and their terms are summed in that order, row after row.
+    ``recommend_fn(user, split.train, k_max)`` must return a
+    RecommendationList that ranks for that user from the train table only.
+    It is called once per evaluable user, that is each group member with
+    training events, in ascending id order. Its artists, cut to k_max,
+    fill one row of a users x k_max matrix padded with -1, and every hit is
+    judged at once by ``find_rows`` in the user's test pair rows. A user
+    whose list is empty counts with zero hits, not skipped, and a list
+    shorter than k_max keeps its final hit count for larger k. The users'
+    terms are summed in id order, row after row.
     """
-    evaluable = [u for u in sorted(users) if u in split.train]
-    if not evaluable:
+    users = np.sort(np.fromiter(users, dtype=np.int64))
+    users = users[(users >= 0) & (users < len(split.train.starts))]  # an id the table lacks has no events
+    evaluable = users[split.train.n_events[users] > 0]
+    if not len(evaluable):
         raise DataError(f"group {group or '?'}: no evaluable users")
-    offsets = split.test.pair_offsets
-    test_sizes = np.diff(offsets)[evaluable]  # distinct artists in each user's test events
+    lo = split.test.pair_offsets[evaluable]
+    test_sizes = split.test.pair_offsets[evaluable + 1] - lo  # distinct artists in each user's test events
     if not test_sizes.all():
         user = evaluable[int(np.argmin(test_sizes))]
         raise DataError(f"user {user}: empty test artist set; exclude the user upstream")
 
-    hits = np.zeros((len(evaluable), k_max), dtype=np.int64)
-    for row, user in enumerate(evaluable):
-        relevant = set(split.test.pair_artists[offsets[user]:offsets[user + 1]].tolist())
-        ranked = recommend_fn(user, split.train[user], k_max).artists[:k_max]
-        hits[row, :len(ranked)] = [artist in relevant for artist in ranked]
-    np.cumsum(hits, axis=1, out=hits)
+    ranked = np.full((len(evaluable), k_max), -1, dtype=np.int32)
+    for row, user in enumerate(evaluable.tolist()):
+        # One call per user, not per group: the benchmark's tracer times each call as a recommend span.
+        artists = recommend_fn(user, split.train, k_max).artists[:k_max]
+        ranked[row, : len(artists)] = artists
+    found = find_rows(split.test.pair_artists, lo[:, None], test_sizes[:, None], ranked)
+    hits = np.cumsum(split.test.pair_artists[found] == ranked, axis=1, dtype=np.int64)
 
     # accumulate adds row after row; .sum(axis=0) may sum pairwise and change the last bits.
     recall = np.add.accumulate(hits / test_sizes[:, None], axis=0)[-1]

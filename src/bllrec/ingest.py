@@ -38,7 +38,8 @@ user then timestamp, gives every user's events as one slice of two
 arrays. The second, by user then artist, gives one row per (user,
 artist) pair with its play count and latest timestamp, which is all that
 mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read. ``split.split_histories`` cuts the same table
-into train and test tables that share its event arrays.
+into train and test tables that share its event arrays. The table is
+plain arrays: a user's history is its slices of them, read in place.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import bisect
 import gzip
 import hashlib
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -279,31 +280,9 @@ class EventLog:
         return len(self.timestamps)
 
 
-@dataclass
-class UserHistory:
-    """One user's events in chronological order, and one row per artist played.
-
-    ``artists`` and ``timestamps`` are parallel arrays sorted ascending by
-    timestamp with input order preserved among equal timestamps. The pair
-    rows list each distinct artist of those events, ascending, with its
-    play count and its latest timestamp.
-    """
-
-    user: int
-    artists: np.ndarray  # int32, chronological
-    timestamps: np.ndarray  # the log's dtype (uint32 or int64), non-decreasing
-    pair_artists: np.ndarray  # int32, distinct, ascending
-    pair_counts: np.ndarray  # int32 (int64 in a log of 2**31 events or more), plays of each
-    pair_last: np.ndarray  # the log's dtype, latest play of each
-
-    @property
-    def n_events(self) -> int:
-        return len(self.timestamps)
-
-
 @dataclass(eq=False)
-class UserHistories(Mapping):
-    """Every user's history in one columnar table, read as a mapping user id -> UserHistory.
+class UserHistories:
+    """Every user's history in one columnar table, indexed by user id.
 
     The events sit in ``artists``/``timestamps``, sorted by user, then
     timestamp, then input order; user u's are ``[starts[u]:ends[u]]``.
@@ -311,8 +290,9 @@ class UserHistories(Mapping):
     by user then artist, with the play count and latest play; user u's
     are ``[pair_offsets[u]:pair_offsets[u + 1]]``. The train and test
     tables of a split share the event arrays of the table they were cut
-    from, each with its own bounds and pair rows, and every history is
-    slices of them. Users without events are not in the mapping.
+    from, each with its own bounds and pair rows. Readers slice these
+    arrays themselves; no per-user object is built. A user id with no
+    events here has ``n_events`` 0 and no pair rows.
     """
 
     artists: np.ndarray  # int32, per event
@@ -331,29 +311,6 @@ class UserHistories(Mapping):
     def n_events(self) -> np.ndarray:
         """Events per user id."""
         return self.ends - self.starts
-
-    def __contains__(self, user) -> bool:
-        return 0 <= user < len(self.starts) and bool(self.ends[user] > self.starts[user])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self.ends > self.starts).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.ends > self.starts))
-
-    def __getitem__(self, user) -> UserHistory:
-        if user not in self:
-            raise KeyError(user)
-        events = slice(self.starts[user], self.ends[user])
-        rows = slice(self.pair_offsets[user], self.pair_offsets[user + 1])
-        return UserHistory(
-            user=int(user),
-            artists=self.artists[events],
-            timestamps=self.timestamps[events],
-            pair_artists=self.pair_artists[rows],
-            pair_counts=self.pair_counts[rows],
-            pair_last=self.pair_last[rows],
-        )
 
 
 def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple[str, str, int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError
-from .ingest import UserHistories, UserHistory
+from .ingest import UserHistories
 
 ALGORITHMS = ("bll", "cf", "pop", "time", "top")
 
@@ -62,20 +62,28 @@ class RecommendationList:
         return [a for a, _ in self.ranked]
 
 
-def recommend_bll(train: UserHistory, params: BllParams, k: int) -> RecommendationList:
+def _pair_rows(user: int, train: UserHistories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user's pair artists, play counts and latest plays in ``train``; a user without events is a DataError."""
+    if not 0 <= user < len(train.starts) or train.ends[user] == train.starts[user]:
+        raise DataError(f"user {user}: cannot recommend from empty training history")
+    rows = slice(train.pair_offsets[user], train.pair_offsets[user + 1])
+    return train.pair_artists[rows], train.pair_counts[rows], train.pair_last[rows]
+
+
+def recommend_bll(user: int, train: UserHistories, k: int, params: BllParams) -> RecommendationList:
     """Rank the user's own training artists by base-level activation."""
-    if train.n_events == 0:
-        raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    ref = int(train.timestamps[-1]) + 1
-    artists = train.pair_artists
+    artists, _, _ = _pair_rows(user, train)
+    events = slice(train.starts[user], train.ends[user])
+    timestamps = train.timestamps[events]
+    ref = int(timestamps[-1]) + 1
     slots = np.empty(int(artists[-1]) + 1, dtype=np.intp)  # each artist's pair row
     slots[artists] = np.arange(len(artists))
-    sums = _kernels.bll_sums(slots[train.artists], train.timestamps, ref, len(artists), params.d)
+    sums = _kernels.bll_sums(slots[train.artists[events]], timestamps, ref, len(artists), params.d)
     # libm log keeps scores bit-identical to the brute-force oracle.
     scores = np.full(len(sums), -np.inf)
     positive = sums > 0.0
     scores[positive] = list(map(math.log, sums[positive].tolist()))
-    return _ranked(train.user, artists, scores, np.lexsort((artists, -scores)), k)
+    return _ranked(user, artists, scores, np.lexsort((artists, -scores)), k)
 
 
 def _ranked(user: int, artists: np.ndarray, scores: np.ndarray, order: np.ndarray, k: int) -> RecommendationList:
@@ -96,21 +104,17 @@ def _top_indices(scores: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(neg, kind="stable")[:n]
 
 
-def recommend_pop(train: UserHistory, k: int) -> RecommendationList:
+def recommend_pop(user: int, train: UserHistories, k: int) -> RecommendationList:
     """Rank by the user's own play counts; ties by most recent, then artist id."""
-    if train.n_events == 0:
-        raise DataError(f"user {train.user}: cannot recommend from empty training history")
+    artists, counts, last = _pair_rows(user, train)
     # ~ reverses the order of any integer dtype and, unlike negation, cannot wrap.
-    order = np.lexsort((train.pair_artists, ~train.pair_last, ~train.pair_counts))
-    return _ranked(train.user, train.pair_artists, train.pair_counts, order, k)
+    return _ranked(user, artists, counts, np.lexsort((artists, ~last, ~counts)), k)
 
 
-def recommend_time(train: UserHistory, k: int) -> RecommendationList:
+def recommend_time(user: int, train: UserHistories, k: int) -> RecommendationList:
     """Rank by last-played time; ties by play count, then artist id."""
-    if train.n_events == 0:
-        raise DataError(f"user {train.user}: cannot recommend from empty training history")
-    order = np.lexsort((train.pair_artists, ~train.pair_counts, ~train.pair_last))
-    return _ranked(train.user, train.pair_artists, train.pair_last, order, k)
+    artists, counts, last = _pair_rows(user, train)
+    return _ranked(user, artists, last, np.lexsort((artists, ~counts, ~last)), k)
 
 
 def global_train_counts(train_histories: UserHistories) -> np.ndarray:
@@ -193,7 +197,7 @@ def build_recommenders(
     bll_params: BllParams | None = None,
     cf_params: CfParams | None = None,
 ):
-    """Uniform (user, train, k) -> RecommendationList callables.
+    """Uniform (user, train table, k) -> RecommendationList callables.
 
     What does not depend on the user is built here, once: the full
     ``top`` ranking, which each call slices, and the CF index. A call
@@ -209,11 +213,11 @@ def build_recommenders(
     recommenders = {}
     for name in algorithms:
         if name == "bll":
-            recommenders[name] = lambda u, train, k, p=bll_params: recommend_bll(train, p, k)
+            recommenders[name] = lambda u, train, k, p=bll_params: recommend_bll(u, train, k, p)
         elif name == "pop":
-            recommenders[name] = lambda u, train, k: recommend_pop(train, k)
+            recommenders[name] = recommend_pop
         elif name == "time":
-            recommenders[name] = lambda u, train, k: recommend_time(train, k)
+            recommenders[name] = recommend_time
         elif name == "top":
             counts = global_train_counts(train_histories)
             ranked = recommend_top(counts, len(counts)).ranked

@@ -37,9 +37,9 @@ class SplitDataset:
     dropped: int  # users with too few events to split
 
     @property
-    def per_user(self) -> UserHistories:
-        """The split users' training histories; ``perfbench/tracer.py`` counts split users by its length."""
-        return self.train
+    def per_user(self) -> np.ndarray:
+        """The split users' ids, ascending; ``perfbench/tracer.py`` counts split users by its length."""
+        return np.flatnonzero(self.train.n_events)
 
     def test_event_count(self, users=None) -> int:
         n_test = self.test.n_events
@@ -77,8 +77,8 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
 
     # Each user's test events are cut[u], cut[u] + 1, ..., ends[u] - 1.
     test_events = np.arange(int(n_test.sum())) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
-    test_rows = _find_rows(histories.pair_artists, np.repeat(offsets[:-1], n_test), np.repeat(sizes, n_test),
-                           histories.artists[test_events])
+    test_rows = find_rows(histories.pair_artists, np.repeat(offsets[:-1], n_test), np.repeat(sizes, n_test),
+                          histories.artists[test_events])
     tested, test_counts = np.unique(test_rows, return_counts=True)
     test_counts = test_counts.astype(histories.pair_counts.dtype)
 
@@ -103,10 +103,12 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
     return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
 
 
-def _find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artists: np.ndarray) -> np.ndarray:
-    """The row in ``lo[i]:lo[i] + size[i]`` whose pair artist is ``artists[i]``, for every i.
+def find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artists: np.ndarray) -> np.ndarray:
+    """The last row in ``lo[i]:lo[i] + size[i]`` whose pair artist is at most ``artists[i]``, for every i.
 
-    Each slice of ``pair_artists`` is ascending and holds the artist sought.
+    Each slice of ``pair_artists`` is ascending and not empty, and the
+    three index arrays broadcast together. If a slice holds the artist
+    sought, the row found holds it; if not, that row holds another artist.
     All slices are binary-searched at once: ``row`` stays the last row whose
     artist is at most the one sought, in a window that halves each step.
     """

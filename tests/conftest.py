@@ -22,6 +22,13 @@ def histories_from_events(events):
     return build_user_histories(log_from_events(events))
 
 
+def user_slice(table, user, column):
+    """One user's slice of a ``UserHistories`` column: its events, or its pair rows for a ``pair_*`` column."""
+    if column.startswith("pair_"):
+        return getattr(table, column)[table.pair_offsets[user] : table.pair_offsets[user + 1]]
+    return getattr(table, column)[table.starts[user] : table.ends[user]]
+
+
 def kernel_activations(local_idx, timestamps, ref, n_artists, d=0.5):
     """Activation of each artist by the shipped kernel at a fixed ``ref``: ln of its ``bll_sums`` entry."""
     sums = _kernels.bll_sums(

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from bllrec.errors import DataError
-from bllrec.ingest import UserHistories, UserHistory
+from bllrec.ingest import UserHistories
 from bllrec.recommend import BllParams, CfParams, RecommendationList
 
 ORACLE_MAX_USERS = 10
@@ -23,21 +23,31 @@ ORACLE_MAX_ARTISTS = 30
 ORACLE_MAX_EVENTS = 200
 
 
-def _check_oracle_bounds(train_histories: dict[int, UserHistory]) -> None:
-    if len(train_histories) > ORACLE_MAX_USERS:
+def _users_of(train: UserHistories) -> list[int]:
+    """The user ids with events in ``train``, ascending."""
+    return [u for u in range(len(train.starts)) if train.ends[u] > train.starts[u]]
+
+
+def _events_of(train: UserHistories, user: int) -> list[tuple[int, int]]:
+    """The user's (artist, timestamp) events in ``train``, in time order; none for an id the table lacks."""
+    if not 0 <= user < len(train.starts):
+        return []
+    lo, hi = int(train.starts[user]), int(train.ends[user])
+    return list(zip(train.artists[lo:hi].tolist(), train.timestamps[lo:hi].tolist()))
+
+
+def _check_oracle_bounds(train: UserHistories) -> None:
+    users = _users_of(train)
+    if len(users) > ORACLE_MAX_USERS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_USERS} users")
-    events = sum(h.n_events for h in train_histories.values())
+    events = sum(len(_events_of(train, u)) for u in users)
     if events > ORACLE_MAX_EVENTS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_EVENTS} events")
     artists = set()
-    for history in train_histories.values():
-        artists.update(history.artists.tolist())
+    for u in users:
+        artists.update(a for a, _ in _events_of(train, u))
     if len(artists) > ORACLE_MAX_ARTISTS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
-
-
-def _events_of(history: UserHistory) -> list[tuple[int, int]]:
-    return list(zip(history.artists.tolist(), history.timestamps.tolist()))
 
 
 def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, int]]:
@@ -51,20 +61,22 @@ def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, 
 
 def brute_force_ranking(
     algorithm: str,
-    train_histories: dict[int, UserHistory],
+    train: UserHistories,
     user: int,
     k: int,
     bll_params: BllParams | None = None,
     cf_params: CfParams | None = None,
 ) -> RecommendationList:
-    """Reference top-k for one user on a small instance, by direct enumeration."""
-    _check_oracle_bounds(train_histories)
+    """Reference top-k for one user on a small instance, by direct enumeration.
+
+    Reads only the users' events in ``train``, never its pair rows.
+    """
+    _check_oracle_bounds(train)
     bll_params = bll_params or BllParams()
     cf_params = cf_params or CfParams()
-    history = train_histories[user]
-    if history.n_events == 0:
+    events = _events_of(train, user)
+    if not events:
         raise DataError("oracle: empty training history")
-    events = _events_of(history)
 
     if algorithm == "bll":
         ref = max(t for _, t in events) + 1
@@ -90,8 +102,8 @@ def brute_force_ranking(
 
     if algorithm == "top":
         totals: Counter = Counter()
-        for u in sorted(train_histories):
-            for artist, t in _events_of(train_histories[u]):
+        for u in _users_of(train):
+            for artist, t in _events_of(train, u):
                 totals[artist] += 1
         order = sorted(totals, key=lambda a: (-totals[a], a))[:k]
         return RecommendationList(user, [(a, float(totals[a])) for a in order], k)
@@ -99,10 +111,10 @@ def brute_force_ranking(
     if algorithm == "cf":
         own = {a for a, _ in events}
         sims: dict[int, float] = {}
-        for v in sorted(train_histories):
+        for v in _users_of(train):
             if v == user:
                 continue
-            other = {a for a, _ in _events_of(train_histories[v])}
+            other = {a for a, _ in _events_of(train, v)}
             shared = len(own & other)
             if shared:
                 sims[v] = shared / math.sqrt(len(own) * len(other))
@@ -111,7 +123,7 @@ def brute_force_ranking(
         neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
         scores: dict[int, float] = {}
         for v in neighbors:
-            for artist in sorted({a for a, _ in _events_of(train_histories[v])}):
+            for artist in sorted({a for a, _ in _events_of(train, v)}):
                 scores[artist] = scores.get(artist, 0.0) + sims[v]
         order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
         return RecommendationList(user, [(a, scores[a]) for a in order], k)

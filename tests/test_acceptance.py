@@ -20,7 +20,7 @@ from bllrec.recommend import BllParams, CfParams, build_recommenders
 from bllrec.split import n_test_events, split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances
+from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances, user_slice
 from oracles import brute_force_ranking
 
 
@@ -115,9 +115,9 @@ def test_c3_all_recommenders_match_brute_force_oracle():
         bll_params = BllParams()
         cf_params = CfParams()
         recommenders = build_recommenders(histories, bll_params=bll_params, cf_params=cf_params)
-        for user, train in histories.items():
+        for user in np.flatnonzero(histories.n_events).tolist():
             for name, fn in recommenders.items():
-                got = fn(user, train, 10)
+                got = fn(user, histories, 10)
                 want = brute_force_ranking(
                     name, histories, user, 10, bll_params=bll_params, cf_params=cf_params
                 )
@@ -140,12 +140,12 @@ def test_c4_metric_identities_hold_exactly():
 
     checked_users = 0
     for name, fn in build_recommenders(split.train).items():
-        report = evaluate_algorithm(split, fn, split.train, k_max, name, "ALL")
-        users = sorted(split.train)
+        users = split.per_user.tolist()
+        report = evaluate_algorithm(split, fn, users, k_max, name, "ALL")
         assert report.hits.shape == (len(users), k_max)
         for user, hits in zip(users, report.hits.tolist()):
-            test_artists = set(split.test[user].pair_artists.tolist())
-            ranked = fn(user, split.train[user], k_max).artists
+            test_artists = set(user_slice(split.test, user, "pair_artists").tolist())
+            ranked = fn(user, split.train, k_max).artists
             # the cumulative hit count of each top-k prefix, counted by hand
             assert hits == [sum(a in test_artists for a in ranked[: i + 1]) for i in range(k_max)]
             t_size = len(test_artists)
@@ -165,16 +165,16 @@ def test_c4_metric_identities_hold_exactly():
 
 
 def _time_split(pairs, fraction):
-    """(train, test) of one user's (artist, timestamp) pairs."""
+    """The train and test timestamps of one user's (artist, timestamp) pairs."""
     split = split_histories(histories_from_ids([0] * len(pairs), *zip(*pairs)), fraction)
-    return split.train[0], split.test[0]
+    return user_slice(split.train, 0, "timestamps"), user_slice(split.test, 0, "timestamps")
 
 
 def test_c5_split_protocol():
     for n, expected in [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)]:
         train, test = _time_split([(i % 7, i) for i in range(n)], 0.01)
-        assert test.n_events == expected, (n, test.n_events)
-        assert train.n_events == n - expected
+        assert len(test) == expected, (n, len(test))
+        assert len(train) == n - expected
 
     rng = np.random.default_rng(99)
     for _ in range(1000):
@@ -182,10 +182,10 @@ def test_c5_split_protocol():
         pairs = [(int(rng.integers(0, 12)), int(rng.integers(0, 10_000))) for _ in range(n)]
         fraction = float(rng.uniform(0.002, 0.98))
         train, test = _time_split(pairs, fraction)
-        assert train.n_events + test.n_events == n
-        assert test.n_events == n_test_events(n, fraction) >= 1
-        assert train.n_events >= 1
-        assert int(train.timestamps.max()) <= int(test.timestamps.min())
+        assert len(train) + len(test) == n
+        assert len(test) == n_test_events(n, fraction) >= 1
+        assert len(train) >= 1
+        assert int(train.max()) <= int(test.min())
     print("criterion 5 PASS: fixture sizes {1,1,1,2,10}; 1000 random splits hold invariants")
 
 

@@ -3,9 +3,11 @@ import gzip
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -142,7 +144,21 @@ class TestSubcommands:
 
     def test_split_without_groups_reports_all(self, synth_tsv, capsys):
         assert main(["split", "--events", str(synth_tsv), "--fraction", "0.05"]) == 0
-        assert "group=ALL" in capsys.readouterr().out
+        per_user = Counter(line.split("\t")[0] for line in synth_tsv.read_text(encoding="utf-8").splitlines())
+        test_events = sum(max(1, math.floor(0.05 * n)) for n in per_user.values())
+        assert capsys.readouterr().out == f"group=ALL users={len(per_user)} test_events={test_events}\n"
+
+    def test_split_counts_only_split_members(self, tmp_path, capsys):
+        # "solo" has one event, so it has a group under --min-events 1 but the split drops it.
+        events, groups = tmp_path / "events.tsv", tmp_path / "groups.csv"
+        plays = [("u1", "a", 1), ("u1", "b", 2), ("u1", "a", 3), ("solo", "a", 4), ("u2", "b", 5), ("u2", "c", 6)]
+        events.write_text("".join(f"{u}\t{a}\t0\t0\t{t}\n" for u, a, t in plays), encoding="utf-8")
+        groups.write_text("user_key,score,group\nu1,0.1,LowMS\nsolo,0.2,LowMS\nu2,0.9,HighMS\n", encoding="utf-8")
+        args = ["split", "--events", str(events), "--groups", str(groups), "--min-events", "1", "--fraction", "0.5"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            "group=LowMS users=1 test_events=1\ngroup=MedMS users=0 test_events=0\ngroup=HighMS users=1 test_events=1\n"
+        )
 
     def test_stats_defaults_to_stdout(self, synth_tsv, tmp_path, capsys):
         groups = tmp_path / "groups.csv"

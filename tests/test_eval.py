@@ -6,7 +6,7 @@ from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
 from bllrec.recommend import CfParams, RecommendationList, build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
-from conftest import histories_from_events, histories_from_ids
+from conftest import histories_from_events, histories_from_ids, user_slice
 
 
 FILLER = 99  # the artist every test user trains on; no test set below holds it
@@ -22,10 +22,10 @@ def _fixed_rankings(test_sets, rankings, k_max):
     split = split_histories(histories_from_ids(users, artists, range(len(users))), 0.5)
 
     def spy(user, train, k):
-        assert train.pair_artists.tolist() == [FILLER] and k == k_max
+        assert user_slice(train, user, "pair_artists").tolist() == [FILLER] and k == k_max
         return RecommendationList(user, [(a, 1.0) for a in rankings[user]], k)
 
-    return evaluate_algorithm(split, spy, split.train, k_max, "spy", "ALL")
+    return evaluate_algorithm(split, spy, split.per_user, k_max, "spy", "ALL")
 
 
 class TestHitsAtK:
@@ -45,7 +45,7 @@ class TestHitsAtK:
         only_user_0 = split_histories(histories, 0.5, users=[0])
         split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
         with pytest.raises(DataError, match="user 1: empty test artist set"):
-            evaluate_algorithm(split, lambda u, t, k: RecommendationList(u, [], k), split.train, 3)
+            evaluate_algorithm(split, lambda u, t, k: RecommendationList(u, [], k), split.per_user, 3)
 
 
 class TestRecallPrecision:
@@ -85,22 +85,24 @@ class TestRecallPrecision:
             split = split_histories(histories, 0.3)
 
             def shuffled(user, train, k):
-                artists = rng.permutation(50)[: int(rng.integers(0, k + 1))]
+                # Repeated artists, ids above every test artist (0..49), and lists
+                # longer than k, which evaluation cuts to k.
+                artists = rng.choice(np.r_[:60, 2**31 - 1], int(rng.integers(0, k + 6)))
                 return RecommendationList(user, [(int(a), 1.0) for a in artists], k)
 
             state = rng.bit_generator.state
-            report = evaluate_algorithm(split, shuffled, split.train, k_max)
+            report = evaluate_algorithm(split, shuffled, split.per_user, k_max)
             rng.bit_generator.state = state  # replay the same rankings
             recall, precision = [0.0] * k_max, [0.0] * k_max
-            for user in sorted(split.train):
-                relevant = set(split.test[user].pair_artists.tolist())
-                ranked = shuffled(user, split.train[user], k_max).artists
+            for user in split.per_user.tolist():
+                relevant = set(user_slice(split.test, user, "pair_artists").tolist())
+                ranked = shuffled(user, split.train, k_max).artists
                 count = 0
                 for i in range(k_max):
                     count += i < len(ranked) and ranked[i] in relevant
                     recall[i] += count / len(relevant)
                     precision[i] += count / (i + 1)
-            n = len(split.train)
+            n = len(split.per_user)
             assert report.points == [(r / n, p / n) for r, p in zip(recall, precision)], seed
 
 
@@ -116,7 +118,7 @@ class TestEvaluateAlgorithm:
     def test_clone_users_cf_reaches_full_recall(self):
         split = _clone_split()
         recommenders = build_recommenders(split.train, algorithms=("cf",), cf_params=CfParams())
-        report = evaluate_algorithm(split, recommenders["cf"], split.train, 5, "cf", "ALL")
+        report = evaluate_algorithm(split, recommenders["cf"], split.per_user, 5, "cf", "ALL")
         assert report.points[1][0] == 1.0  # recall@2 == 1: both test artists are clone train artists
         assert report.users_evaluated == 2
 
@@ -126,7 +128,7 @@ class TestEvaluateAlgorithm:
         def cold(user, train, k):
             return RecommendationList(user, [], k)
 
-        report = evaluate_algorithm(split, cold, split.train, 3, "cf", "ALL")
+        report = evaluate_algorithm(split, cold, split.per_user, 3, "cf", "ALL")
         assert report.users_evaluated == 2
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
@@ -146,7 +148,7 @@ class TestEvaluateAlgorithm:
         histories = histories_from_events(events)
         split = split_histories(histories, 0.01)  # exactly the rare artist in each test set
         recommenders = build_recommenders(split.train, algorithms=("top",))
-        report = evaluate_algorithm(split, recommenders["top"], split.train, 2, "top", "ALL")
+        report = evaluate_algorithm(split, recommenders["top"], split.per_user, 2, "top", "ALL")
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
     def test_deterministic(self):
@@ -159,22 +161,22 @@ class TestEvaluateAlgorithm:
         split = split_histories(histories, 0.1)
         recommenders = build_recommenders(split.train)
         for name, fn in recommenders.items():
-            first = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
-            second = evaluate_algorithm(split, fn, split.train, 10, name, "ALL")
+            first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
+            second = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
             assert first.points == second.points
-            assert first.hits.shape == (len(split.train), 10)
+            assert first.hits.shape == (len(split.per_user), 10)
             assert first.hits.tolist() == second.hits.tolist()
 
     def test_recommenders_never_see_test_events(self):
         split = _clone_split()
-        boundaries = {u: int(split.test[u].timestamps.min()) for u in split.test}
+        boundaries = {u: int(user_slice(split.test, u, "timestamps").min()) for u in split.per_user.tolist()}
         seen = {}
 
         def spy(user, train, k):
-            seen[user] = int(train.timestamps.max())
-            return RecommendationList(user, [(a, 1.0) for a in train.pair_artists.tolist()][:k], k)
+            seen[user] = int(user_slice(train, user, "timestamps").max())
+            return RecommendationList(user, [(a, 1.0) for a in user_slice(train, user, "pair_artists").tolist()][:k], k)
 
-        evaluate_algorithm(split, spy, split.train, 3, "spy", "ALL")
+        evaluate_algorithm(split, spy, split.per_user, 3, "spy", "ALL")
         for user, max_train_ts in seen.items():
             assert max_train_ts <= boundaries[user]
 
@@ -187,7 +189,7 @@ class TestEvaluateAlgorithm:
         histories = histories_from_events(events)
         split = split_histories(histories, 0.2)
         for name, fn in build_recommenders(split.train).items():
-            report = evaluate_algorithm(split, fn, split.train, 15, name, "ALL")
+            report = evaluate_algorithm(split, fn, split.per_user, 15, name, "ALL")
             recalls = [r for r, _ in report.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
 

@@ -27,7 +27,7 @@ from bllrec.ingest import (
 )
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events
+from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events, user_slice
 from oracles import per_user_histories
 
 LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
@@ -556,34 +556,34 @@ def test_parser_columns_keep_at_most_a_quarter_spare():
     assert len(users) == len(artists) == len(expected)
 
 
-def _pairs(h):
+def _pairs(table, user):
     """One user's pair rows as {artist: (count, last played)}."""
-    return dict(zip(h.pair_artists.tolist(), zip(h.pair_counts.tolist(), h.pair_last.tolist())))
+    artists, counts, last = (user_slice(table, user, c).tolist() for c in ("pair_artists", "pair_counts", "pair_last"))
+    return dict(zip(artists, zip(counts, last)))
 
 
 class TestBuildUserHistories:
     def test_hand_sorted_example(self):
         histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)])
-        h = histories[0]
         a0, a1 = 0, 1  # first-seen densification
-        assert h.artists.tolist() == [a1, a0, a0]
-        assert h.timestamps.tolist() == [5, 7, 10]
-        assert _pairs(h) == {a0: (2, 10), a1: (1, 5)}
-        assert h.pair_artists.tolist() == [a0, a1]
+        assert user_slice(histories, 0, "artists").tolist() == [a1, a0, a0]
+        assert user_slice(histories, 0, "timestamps").tolist() == [5, 7, 10]
+        assert _pairs(histories, 0) == {a0: (2, 10), a1: (1, 5)}
+        assert user_slice(histories, 0, "pair_artists").tolist() == [a0, a1]
 
     def test_single_event(self):
         histories = histories_from_events([("u", "a", 3)])
-        assert histories[0].n_events == 1
-        assert _pairs(histories[0]) == {0: (1, 3)}
+        assert histories.n_events.tolist() == [1]
+        assert _pairs(histories, 0) == {0: (1, 3)}
 
     def test_equal_timestamps_keep_input_order(self):
         histories = histories_from_events([("u", "a", 5), ("u", "b", 5), ("u", "c", 5)])
-        assert histories[0].artists.tolist() == [0, 1, 2]
+        assert user_slice(histories, 0, "artists").tolist() == [0, 1, 2]
 
     def test_empty_log(self):
         log = log_from_events([])
         histories = build_user_histories(log)
-        assert histories == {} and len(histories) == 0 and 0 not in histories
+        assert len(histories.starts) == len(histories.artists) == len(histories.pair_artists) == 0
 
     def test_takes_over_the_log_columns(self):
         # The log's events and the table's are never all alive at once: the build drops each column it has read.
@@ -594,8 +594,8 @@ class TestBuildUserHistories:
         assert [ref() for ref in columns] == [None, None, None]
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
         assert log.id_maps is id_maps
-        assert [id_maps.users.key_of(u) for u in histories] == ["u1", "u2"]
-        assert [id_maps.artists.key_of(a) for a in histories[0].artists.tolist()] == ["a1", "a2"]
+        assert [id_maps.users.key_of(u) for u in np.flatnonzero(histories.n_events).tolist()] == ["u1", "u2"]
+        assert [id_maps.artists.key_of(a) for a in user_slice(histories, 0, "artists").tolist()] == ["a1", "a2"]
 
     def test_conservation_and_sortedness_random(self):
         rng = np.random.default_rng(7)
@@ -608,14 +608,15 @@ class TestBuildUserHistories:
             log = log_from_events(events)
             n_logged = len(log)  # the build takes the log's columns
             histories = build_user_histories(log)
-            assert sum(h.n_events for h in histories.values()) == n_logged == n
-            for h in histories.values():
-                assert (np.diff(h.timestamps) >= 0).all()
-                assert sum(h.pair_counts.tolist()) == h.n_events
-                assert (np.diff(h.pair_artists) > 0).all()
-                for artist, (count, last) in _pairs(h).items():
-                    assert count == (h.artists == artist).sum()
-                    assert last == h.timestamps[h.artists == artist].max()
+            assert int(histories.n_events.sum()) == n_logged == n
+            for user in np.flatnonzero(histories.n_events).tolist():
+                artists, timestamps = user_slice(histories, user, "artists"), user_slice(histories, user, "timestamps")
+                assert (np.diff(timestamps) >= 0).all()
+                assert sum(user_slice(histories, user, "pair_counts").tolist()) == len(timestamps)
+                assert (np.diff(user_slice(histories, user, "pair_artists")) > 0).all()
+                for artist, (count, last) in _pairs(histories, user).items():
+                    assert count == (artists == artist).sum()
+                    assert last == timestamps[artists == artist].max()
 
 
 HISTORY_FIELDS = (

@@ -8,6 +8,7 @@ would break the benchmark's per-layer metrics fails here.
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from bllrec.cli import main
@@ -51,3 +52,7 @@ def test_traced_run_records_layer_spans(tmp_path, capsys):
     # The tracer reads the split's user count and test event count.
     assert trace["counters"]["split.users"] == 30
     assert trace["counters"]["split.test_events"] >= 30
+    # recommend.*.calls, user_p50_ms and busy_over_wall read one span per user call:
+    # 3 groups of 10 users, each evaluated by every algorithm.
+    calls = Counter(span[2] for span in trace["spans"] if span[2].endswith(".user"))
+    assert calls == {f"recommend.{algorithm}.user": 30 for algorithm in ("bll", "cf", "pop", "time", "top")}

@@ -18,13 +18,7 @@ from bllrec.ingest import build_user_histories
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, log_from_events
-
-
-def _history(events):
-    histories = histories_from_events(events)
-    assert len(histories) == 1
-    return next(iter(histories.values()))
+from conftest import histories_from_events, log_from_events, user_slice
 
 
 def _score(events, user="u"):
@@ -56,8 +50,8 @@ class TestUserDistribution:
         rng = np.random.default_rng(11)
         for _ in range(20):
             events = [("u", f"a{rng.integers(0, 9)}", int(t)) for t in range(int(rng.integers(1, 60)))]
-            h = _history(events)
-            assert (h.pair_counts / h.n_events).sum() == pytest.approx(1.0, abs=1e-9)
+            histories = histories_from_events(events)  # one user, id 0
+            assert (histories.pair_counts / histories.n_events[0]).sum() == pytest.approx(1.0, abs=1e-9)
             assert _score(events) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -70,8 +64,9 @@ class TestGlobalDistribution:
 
     def test_single_user_identity(self):
         histories = histories_from_events([("u", "a", 1), ("u", "b", 2), ("u", "a", 3)])
-        h = next(iter(histories.values()))
-        assert global_artist_distribution(histories)[h.pair_artists].tolist() == (h.pair_counts / h.n_events).tolist()
+        # One user, id 0, so every pair row is its own.
+        shares = histories.pair_counts / histories.n_events[0]
+        assert global_artist_distribution(histories)[histories.pair_artists].tolist() == shares.tolist()
 
     def test_order_independence(self):
         events = [("u2", "b", 3), ("u1", "a", 1), ("u2", "a", 2)]
@@ -138,7 +133,7 @@ class TestScoreUsers:
             [("solo", "a", 1)] + [("busy", "a", t) for t in range(5)]
         )
         scores = score_users(histories, min_events=2)
-        busy = [u for u, h in histories.items() if h.n_events == 5][0]
+        busy = histories.n_events.tolist().index(5)
         assert set(scores) == {busy}
 
     def test_filtered_users_still_shape_global(self):
@@ -147,7 +142,7 @@ class TestScoreUsers:
             [("solo", "b", 1)] + [("busy", "a", t) for t in range(3)]
         )
         scores = score_users(histories, min_events=2)
-        busy = [u for u, h in histories.items() if h.n_events == 3][0]
+        busy = histories.n_events.tolist().index(3)
         assert scores[busy] == pytest.approx(0.75)  # min(1.0, 3/4)
 
 
@@ -212,8 +207,7 @@ class TestAssignGroups:
 class TestGroupStats:
     def test_single_user(self):
         histories = histories_from_events([("u", "a", 1), ("u", "b", 2), ("u", "a", 3)])
-        user = next(iter(histories))
-        stats = group_stats([user], histories, {user: 0.5})
+        stats = group_stats([0], histories, {0: 0.5})
         assert (stats.users, stats.distinct_artists, stats.listening_events) == (1, 2, 3)
         assert stats.avg_artists_per_user == 2.0
         assert stats.avg_mainstreaminess == 0.5
@@ -222,7 +216,7 @@ class TestGroupStats:
         histories = histories_from_events(
             [("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3), ("u2", "c", 4)]
         )
-        stats = group_stats(list(histories), histories, {u: 0.0 for u in histories})
+        stats = group_stats([0, 1], histories, {0: 0.0, 1: 0.0})
         assert stats.distinct_artists == 3
         assert stats.avg_artists_per_user == 2.0
 
@@ -237,7 +231,7 @@ class TestGroupStats:
         scores = score_users(histories)
         for table in (histories, split_histories(histories, 0.3).train):
             for members in assign_groups(scores, 15).values():
-                played = {u: Counter(table[u].artists.tolist()) for u in members}
+                played = {u: Counter(user_slice(table, u, "artists").tolist()) for u in members}
                 union = set().union(*played.values())
                 assert len(union) < sum(map(len, played.values()))  # members share artists
                 expected = GroupStats(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.ingest import EventLog, IdMaps, UserHistory, build_user_histories
+from bllrec.ingest import EventLog, IdMaps, build_user_histories
 from bllrec.recommend import (
     BllParams,
     CfIndex,
@@ -19,16 +19,24 @@ from bllrec.recommend import (
 )
 from bllrec.split import n_test_events, split_histories
 
-from conftest import histories_from_events, histories_from_ids, kernel_activation, log_from_events, oracle_instances
+from conftest import (
+    histories_from_events,
+    histories_from_ids,
+    kernel_activation,
+    log_from_events,
+    oracle_instances,
+    user_slice,
+)
 from oracles import brute_force_ranking
 
 INT64_MAX = np.iinfo(np.int64).max
 
 
 def _history(events):
+    """The table of one user's events; the user is id 0."""
     histories = histories_from_events(events)
-    assert len(histories) == 1
-    return next(iter(histories.values()))
+    assert np.flatnonzero(histories.n_events).tolist() == [0]
+    return histories
 
 
 class TestBllActivation:
@@ -63,12 +71,12 @@ class TestBllActivation:
 class TestRecommendBll:
     def test_recency_wins_single_listens(self):
         train = _history([("u", "old", 10), ("u", "new", 95)])
-        ranked = recommend_bll(train, BllParams(), 2).artists
+        ranked = recommend_bll(0, train, 2, BllParams()).artists
         assert ranked == [1, 0]  # "new" interned second but ranked first
 
     def test_identical_timestamp_multisets_tie_by_id(self):
         train = _history([("u", "x", 10), ("u", "y", 10), ("u", "x", 20), ("u", "y", 20)])
-        ranked = recommend_bll(train, BllParams(), 2)
+        ranked = recommend_bll(0, train, 2, BllParams())
         assert ranked.artists == [0, 1]
         assert ranked.ranked[0][1] == ranked.ranked[1][1]
 
@@ -76,7 +84,7 @@ class TestRecommendBll:
         # ref is the latest listen (b at 996) plus one, so the adjusted
         # deltas ref - t + 1 are a: {7, 17, 27} and b: {2}
         train = _history([("u", "a", 991), ("u", "a", 981), ("u", "a", 971), ("u", "b", 996)])
-        result = recommend_bll(train, BllParams(d=0.5), 2)
+        result = recommend_bll(0, train, 2, BllParams(d=0.5))
         a, b = 0, 1
         assert result.artists == [a, b]
         scores = dict(result.ranked)
@@ -88,9 +96,9 @@ class TestRecommendBll:
     def test_every_term_underflows_to_minus_inf(self):
         # the smallest adjusted delta is 2, and 2.0 ** -2000 underflows to 0.0
         trains = histories_from_events([("u", "b", 10), ("u", "a", 20), ("u", "c", 5), ("u", "a", 30)])
-        (user,) = trains
+        (user,) = np.flatnonzero(trains.n_events).tolist()
         params = BllParams(d=2000.0)
-        got = recommend_bll(trains[user], params, 5)
+        got = recommend_bll(user, trains, 5, params)
         assert got.ranked == brute_force_ranking("bll", trains, user, 5, bll_params=params).ranked
         assert got.ranked == [(0, float("-inf")), (1, float("-inf")), (2, float("-inf"))]
 
@@ -105,9 +113,9 @@ class TestRecommendBll:
     )
     def test_timestamps_at_int64_extremes_match_oracle(self, events):
         trains = histories_from_events(events)
-        (user,) = trains
+        (user,) = np.flatnonzero(trains.n_events).tolist()
         expected = brute_force_ranking("bll", trains, user, 5)
-        assert recommend_bll(trains[user], BllParams(), 5).ranked == expected.ranked
+        assert recommend_bll(user, trains, 5, BllParams()).ranked == expected.ranked
 
     def test_low_decay_converges_to_play_counts(self):
         # with d -> 0+ every term -> 1, so activation -> ln(count)
@@ -122,7 +130,7 @@ class TestRecommendBll:
                     t += int(rng.integers(1, 50))
                     events.append(("u", f"a{artist}", t))
             train = _history(events)
-            ranked = recommend_bll(train, BllParams(d=1e-6), n_artists).artists
+            ranked = recommend_bll(0, train, n_artists, BllParams(d=1e-6)).artists
             by_count = train.pair_artists[np.argsort(-train.pair_counts)].tolist()
             assert ranked == by_count
 
@@ -130,41 +138,46 @@ class TestRecommendBll:
 class TestRecommendPop:
     def test_counts_rank(self):
         train = _history([("u", "a", t) for t in range(5)] + [("u", "b", 10), ("u", "b", 11)])
-        assert recommend_pop(train, 2).artists == [0, 1]
+        assert recommend_pop(0, train, 2).artists == [0, 1]
 
     def test_tie_broken_by_recency(self):
         train = _history([("u", "a", 1), ("u", "a", 2), ("u", "b", 3), ("u", "b", 4)])
-        assert recommend_pop(train, 2).artists == [1, 0]
+        assert recommend_pop(0, train, 2).artists == [1, 0]
 
     def test_truncation(self):
         train = _history([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)])
-        result = recommend_pop(train, 1)
+        result = recommend_pop(0, train, 1)
         assert result.artists == [2]
 
     def test_empty_train(self):
-        none = np.zeros(0, dtype=np.int64)
-        empty = UserHistory(0, none.astype(np.int32), none, none.astype(np.int32), none, none)
-        with pytest.raises(DataError):
-            recommend_pop(empty, 1)
-        with pytest.raises(DataError):
-            recommend_bll(empty, BllParams(), 1)
+        # u0 has one event, so the split drops it: it is in the train table with no events.
+        split = split_histories(histories_from_events([("u0", "a", 1), ("u1", "a", 1), ("u1", "b", 2)]), 0.5)
+        assert split.train.n_events.tolist() == [0, 1]
+        for user in (0, 2, -1):  # ids 2 and -1 are not in the table
+            message = f"user {user}: cannot recommend from empty training history"
+            with pytest.raises(DataError, match=message):
+                recommend_pop(user, split.train, 1)
+            with pytest.raises(DataError, match=message):
+                recommend_bll(user, split.train, 1, BllParams())
+            with pytest.raises(DataError, match=message):
+                recommend_time(user, split.train, 1)
 
 
 class TestRecommendTime:
     def test_last_played_rank(self):
         train = _history([("u", "a", 100), ("u", "b", 90)])
-        assert recommend_time(train, 2).artists == [0, 1]
+        assert recommend_time(0, train, 2).artists == [0, 1]
 
     def test_tie_broken_by_count(self):
         train = _history(
             [("u", "b", 1), ("u", "b", 2), ("u", "b", 3), ("u", "b", 50), ("u", "a", 50)]
         )
         b, a = 0, 1  # interned in first-seen order
-        assert recommend_time(train, 2).artists == [b, a]  # b has 4 plays, a has 1
+        assert recommend_time(0, train, 2).artists == [b, a]  # b has 4 plays, a has 1
 
     def test_short_list_allowed(self):
         train = _history([("u", "a", 1), ("u", "a", 2)])
-        assert len(recommend_time(train, 20).artists) == 1
+        assert len(recommend_time(0, train, 20).artists) == 1
 
 
 def test_pop_and_time_rank_uint32_timestamps_as_signed():
@@ -184,17 +197,17 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
     histories = build_user_histories(log)
     split = split_histories(histories, 0.3)
     for table in (histories, split.train):
-        for user in table:
+        for user in np.flatnonzero(table.n_events).tolist():
             for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
-                assert recommend(table[user], 10).ranked == brute_force_ranking(name, table, user, 10).ranked
+                assert recommend(user, table, 10).ranked == brute_force_ranking(name, table, user, 10).ranked
     for key, events in plays.items():
         train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
         counts = Counter(artists.id_of(a) for a, _ in train_events)
         last = {artists.id_of(a): t for a, t in train_events}
-        train = split.train[users.id_of(key)]
-        assert train.pair_artists.tolist() == sorted(counts)
-        assert train.pair_counts.tolist() == [counts[a] for a in sorted(counts)]
-        assert train.pair_last.tolist() == [last[a] for a in sorted(counts)]
+        user = users.id_of(key)
+        assert user_slice(split.train, user, "pair_artists").tolist() == sorted(counts)
+        assert user_slice(split.train, user, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
+        assert user_slice(split.train, user, "pair_last").tolist() == [last[a] for a in sorted(counts)]
 
 
 class TestRecommendTop:
@@ -293,10 +306,10 @@ class TestBuildRecommenders:
         histories = histories_from_events(events)
         recommenders = build_recommenders(histories)
         global_artists = set(np.flatnonzero(global_train_counts(histories)).tolist())
-        for user, train in histories.items():
-            own = set(train.pair_artists.tolist())
+        for user in np.flatnonzero(histories.n_events).tolist():
+            own = set(user_slice(histories, user, "pair_artists").tolist())
             for name, fn in recommenders.items():
-                result = fn(user, train, 6)
+                result = fn(user, histories, 6)
                 artists = result.artists
                 assert len(artists) == len(set(artists))
                 if name in ("bll", "pop", "time"):
@@ -305,7 +318,7 @@ class TestBuildRecommenders:
                 else:
                     assert set(artists) <= global_artists
                 # determinism: run twice
-                assert fn(user, train, 6).ranked == result.ranked
+                assert fn(user, histories, 6).ranked == result.ranked
 
     def test_unknown_algorithm(self):
         histories = histories_from_events([("u", "a", 1), ("v", "a", 2)])
@@ -321,11 +334,11 @@ class TestBuildRecommenders:
 
 def _spread_ids(histories):
     """The same histories with artist id a renamed to a * 100_003 + 7 (up to ~3M)."""
-    users = [u for u, h in histories.items() for _ in range(h.n_events)]
+    # A table built from a log holds its events in user order, each user's in one slice.
     log = EventLog(
-        users=np.array(users, dtype=np.int32),
-        artists=np.concatenate([h.artists.astype(np.int64) * 100_003 + 7 for h in histories.values()]).astype(np.int32),
-        timestamps=np.concatenate([h.timestamps for h in histories.values()]),
+        users=np.repeat(np.arange(len(histories.starts), dtype=np.int32), histories.n_events),
+        artists=(histories.artists.astype(np.int64) * 100_003 + 7).astype(np.int32),
+        timestamps=histories.timestamps,
         id_maps=IdMaps(),
     )
     return build_user_histories(log)
@@ -338,9 +351,9 @@ def test_cf_and_top_scores_equal_oracle_exactly(remap):
     for seed, histories in oracle_instances():
         histories = remap(histories)
         recommenders = build_recommenders(histories)
-        for user, train in histories.items():
+        for user in np.flatnonzero(histories.n_events).tolist():
             for name, fn in recommenders.items():
-                got = fn(user, train, 10)
+                got = fn(user, histories, 10)
                 assert got.user == user
                 assert got.ranked == brute_force_ranking(name, histories, user, 10).ranked, (seed, user, name)
                 compared += 1
@@ -355,8 +368,9 @@ def test_cf_neighborhood_truncation_equals_oracle_exactly(n):
     truncated = 0
     for seed, histories in oracle_instances():
         index = CfIndex(histories)
-        sets = {user: set(h.pair_artists.tolist()) for user, h in histories.items()}
-        for user in histories:
+        sets = {user: set(user_slice(histories, user, "pair_artists").tolist())
+                for user in np.flatnonzero(histories.n_events).tolist()}
+        for user in sets:
             got = index.recommend(user, params, 10)
             assert got.ranked == brute_force_ranking("cf", histories, user, 10, cf_params=params).ranked, (seed, user)
             truncated += sum(bool(sets[user] & other) for v, other in sets.items() if v != user) > n

@@ -12,7 +12,7 @@ from bllrec.recommend import global_train_counts
 from bllrec.split import n_test_events, split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, histories_from_ids
+from conftest import histories_from_events, histories_from_ids, user_slice
 
 
 def _history(n_events, user="u", start=0):
@@ -21,10 +21,10 @@ def _history(n_events, user="u", start=0):
 
 
 def _time_split(histories, fraction):
-    """(train, test) of the one user in ``histories``."""
+    """The split of ``histories`` and its one split user."""
     split = split_histories(histories, fraction)
-    (user,) = split.train
-    return split.train[user], split.test[user]
+    (user,) = split.per_user.tolist()
+    return split, user
 
 
 def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
@@ -67,13 +67,13 @@ class TestTimeSplit:
         [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)],
     )
     def test_one_percent_sizes(self, n, expected_test):
-        train, test = _time_split(_history(n), 0.01)
-        assert test.n_events == expected_test
-        assert train.n_events == n - expected_test
+        split, user = _time_split(_history(n), 0.01)
+        assert split.test.n_events[user] == expected_test
+        assert split.train.n_events[user] == n - expected_test
 
     def test_half_fraction(self):
-        train, test = _time_split(_history(4), 0.5)
-        assert (train.n_events, test.n_events) == (2, 2)
+        split, user = _time_split(_history(4), 0.5)
+        assert (split.train.n_events[user], split.test.n_events[user]) == (2, 2)
 
     def test_too_short(self):
         with pytest.raises(DataError):
@@ -86,11 +86,11 @@ class TestTimeSplit:
 
     def test_equal_timestamps_stable(self):
         histories = histories_from_events([("u", f"a{i}", 5) for i in range(100)])
-        train, test = _time_split(histories, 0.01)
-        assert test.n_events == 1
-        assert test.artists.tolist() == [99]  # last input event under tie stability
-        assert test.pair_artists.tolist() == [99]
-        assert 99 not in train.pair_artists
+        split, user = _time_split(histories, 0.01)
+        assert split.test.n_events[user] == 1
+        assert user_slice(split.test, user, "artists").tolist() == [99]  # last input event under tie stability
+        assert user_slice(split.test, user, "pair_artists").tolist() == [99]
+        assert 99 not in user_slice(split.train, user, "pair_artists")
 
     def test_conservation_ordering_monotonic_random(self):
         rng = np.random.default_rng(23)
@@ -98,16 +98,19 @@ class TestTimeSplit:
             n = int(rng.integers(2, 400))
             events = [("u", f"a{rng.integers(0, 9)}", int(rng.integers(0, 5000))) for _ in range(n)]
             histories = histories_from_events(events)
-            history = histories[0]
             fraction = float(rng.uniform(0.005, 0.95))
-            train, test = _time_split(histories, fraction)
-            assert train.n_events + test.n_events == n
-            assert test.n_events >= 1 and train.n_events >= 1
-            assert train.timestamps.max() <= test.timestamps.min()
+            split, user = _time_split(histories, fraction)
+            (train_ts, train_artists), (test_ts, test_artists) = (
+                (user_slice(table, user, "timestamps"), user_slice(table, user, "artists"))
+                for table in (split.train, split.test)
+            )
+            assert len(train_ts) + len(test_ts) == n
+            assert len(test_ts) >= 1 and len(train_ts) >= 1
+            assert train_ts.max() <= test_ts.min()
             # multiset conservation
-            merged = sorted(zip(train.timestamps.tolist() + test.timestamps.tolist(),
-                                train.artists.tolist() + test.artists.tolist()))
-            original = sorted(zip(history.timestamps.tolist(), history.artists.tolist()))
+            merged = sorted(zip(train_ts.tolist() + test_ts.tolist(), train_artists.tolist() + test_artists.tolist()))
+            original = sorted(zip(user_slice(histories, 0, "timestamps").tolist(),
+                                  user_slice(histories, 0, "artists").tolist()))
             assert merged == original
             # larger fraction never shrinks the test side
             larger = min(0.99, fraction * 2)
@@ -130,7 +133,7 @@ class TestSplitHistories:
         split = split_histories(histories, 0.1)
         assert split.dropped == 1
         assert len(split.per_user) == 1
-        assert 0 not in split.train and 0 not in split.test
+        assert split.train.n_events[0] == split.test.n_events[0] == 0
 
     def test_all_users_too_short(self):
         histories = histories_from_events([("u1", "a", 1), ("u2", "b", 2)])
@@ -140,9 +143,9 @@ class TestSplitHistories:
     def test_user_subset(self):
         events = [("u1", "a", i) for i in range(10)] + [("u2", "b", i) for i in range(10)]
         histories = histories_from_events(events)
-        only = [u for u in histories if 0 in histories[u].pair_artists]
+        only = [u for u in np.flatnonzero(histories.n_events).tolist() if 0 in user_slice(histories, u, "pair_artists")]
         split = split_histories(histories, 0.2, users=only)
-        assert list(split.train) == list(split.test) == only
+        assert split.per_user.tolist() == np.flatnonzero(split.test.n_events).tolist() == only
         assert split.test_event_count() == 2
         # u2 is outside the split, so none of its plays count as training plays
         assert split.train.pair_artists.tolist() == [0]
@@ -156,27 +159,29 @@ class TestSplitHistories:
             n = int(rng.integers(20, 400))
             users, artists, stamps = (rng.integers(0, hi, n).tolist() for hi in (8, 15, 6))
             fraction = float(rng.uniform(0.01, 0.6))
-            split = split_histories(histories_from_ids(users, artists, stamps), fraction)
+            histories = histories_from_ids(users, artists, stamps)
+            split = split_histories(histories, fraction)
             tables = {"train": split.train, "test": split.test}
+            for table in tables.values():  # the split's tables read the source table's events, not copies
+                assert table.artists is histories.artists and table.timestamps is histories.timestamps
             distinct = {name: [0] * (max(users) + 1) for name in tables}
             for u in set(users):
                 # (timestamp, input index, artist): chronological, ties in input order
                 events = sorted((t, i, a) for i, (v, a, t) in enumerate(zip(users, artists, stamps)) if v == u)
                 if len(events) < 2:
-                    assert u not in split.train and u not in split.test
+                    assert split.train.n_events[u] == split.test.n_events[u] == 0
                     continue
                 cut = len(events) - max(1, math.floor(fraction * len(events)))
                 straddled += events[cut - 1][0] == events[cut][0]
                 for name, part in (("train", events[:cut]), ("test", events[cut:])):
-                    side = tables[name][u]
+                    side = tables[name]
                     counts = Counter(a for _, _, a in part)
                     last = {a: t for t, _, a in part}
                     distinct[name][u] = len(counts)
-                    assert side.artists.tolist() == [a for _, _, a in part]
-                    assert side.pair_artists.tolist() == sorted(counts)
-                    assert side.pair_counts.tolist() == [counts[a] for a in sorted(counts)]
-                    assert side.pair_last.tolist() == [last[a] for a in sorted(counts)]
-                    assert np.shares_memory(side.pair_artists, tables[name].pair_artists)  # a view, not a copy
+                    assert user_slice(side, u, "artists").tolist() == [a for _, _, a in part]
+                    assert user_slice(side, u, "pair_artists").tolist() == sorted(counts)
+                    assert user_slice(side, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
+                    assert user_slice(side, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
             # Each table holds only its played pair rows, like a table built from a log.
             for name, table in tables.items():
                 assert (table.pair_counts >= 1).all()

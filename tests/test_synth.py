@@ -20,6 +20,7 @@ from bllrec.synth import (
     user_stream,
 )
 
+from conftest import user_slice
 from oracles import brute_force_ranking
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,24 +72,21 @@ class TestGenerateSynthetic:
         for u in range(SMALL.n_users):
             timestamps, ranks = user_events(SMALL, u)
             uid = log.id_maps.users.id_of(str(u))
-            history = histories[uid]
-            assert history.timestamps.tolist() == timestamps
-            keys = [log.id_maps.artists.key_of(a) for a in history.artists.tolist()]
+            assert user_slice(histories, uid, "timestamps").tolist() == timestamps
+            keys = [log.id_maps.artists.key_of(a) for a in user_slice(histories, uid, "artists").tolist()]
             assert keys == [str(r) for r in ranks]
 
     def test_always_reconsume_yields_one_artist_per_user(self):
         config = SynthConfig(n_users=4, n_artists=50, events_per_user=(10, 10),
                              reconsume_prob=1.0, time_span=1000, seed=5)
         histories = build_user_histories(generate_synthetic(config))
-        for history in histories.values():
-            assert len(history.pair_artists) == 1
+        assert np.diff(histories.pair_offsets).tolist() == [1] * 4
 
     def test_never_reconsume_spreads_over_catalog(self):
         config = SynthConfig(n_users=4, n_artists=10_000, events_per_user=(50, 50),
                              zipf_exponent=0.5, reconsume_prob=0.0, time_span=1000, seed=5)
         histories = build_user_histories(generate_synthetic(config))
-        for history in histories.values():
-            assert len(history.pair_artists) > 40  # fresh Zipf draws, few collisions
+        assert (np.diff(histories.pair_offsets) > 40).all()  # fresh Zipf draws, few collisions
 
     def test_extreme_zipf_concentrates_on_top_artist(self):
         config = SynthConfig(n_users=20, n_artists=100, events_per_user=(50, 50),
@@ -115,8 +113,9 @@ class TestGenerateSynthetic:
         log = generate_synthetic(SMALL)
         assert int(log.timestamps.min()) >= 0
         assert int(log.timestamps.max()) < SMALL.time_span
-        for history in build_user_histories(log).values():
-            assert (np.diff(history.timestamps) >= 0).all()
+        histories = build_user_histories(log)
+        for user in range(len(histories.starts)):
+            assert (np.diff(user_slice(histories, user, "timestamps")) >= 0).all()
 
     def test_tsv_round_trip(self, tmp_path):
         log = generate_synthetic(SMALL)
@@ -240,7 +239,7 @@ class TestBruteForceOracle:
 
     def test_params_respected(self):
         histories = self._instance()
-        user = next(iter(histories))
+        user = 0
         deep = brute_force_ranking("bll", histories, user, 5, bll_params=BllParams(d=2.5))
         shallow = brute_force_ranking("bll", histories, user, 5, bll_params=BllParams(d=1e-6))
         assert deep.k == shallow.k == 5
