@@ -194,6 +194,7 @@ def read_config_file(path) -> dict[str, str]:
 def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, float]]:
     groups: dict[str, list[int]] = {name: [] for name in GROUP_NAMES}
     scores: dict[int, float] = {}
+    ids = {key: user for user, key in enumerate(id_maps.users.keys())}
     reader = csv.DictReader(io.StringIO(_read_utf8(path, DataError), newline=""))
     required = {"user_key", "score", "group"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -201,7 +202,8 @@ def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, flo
     for row in reader:
         where = f"{path} line {reader.line_num}"
         key = row["user_key"]
-        if key not in id_maps.users:
+        user = ids.get(key)
+        if user is None:
             raise DataError(f"{where}: user key {key!r} not present in the events file")
         if row["group"] not in groups:
             raise DataError(f"{where}: unknown group {row['group']!r}")
@@ -211,7 +213,6 @@ def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, flo
             raise DataError(f"{where}: score {row['score']!r} is not a number") from None
         if not math.isfinite(score):
             raise DataError(f"{where}: score {row['score']!r} is not finite")
-        user = id_maps.users.id_of(key)
         if user in scores:
             raise DataError(f"{where}: user key {key!r} is listed twice")
         groups[row["group"]].append(user)
@@ -293,8 +294,9 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
 
 def _groups_rows(out: Staged) -> list[list]:
     rows = [["user_key", "score", "group"]]
+    keys = out.log.id_maps.users.keys()
     for name, members in out.groups.items():
-        rows.extend([out.log.id_maps.users.key_of(user), f"{out.scores[user]:.6f}", name] for user in members)
+        rows.extend([keys[user], f"{out.scores[user]:.6f}", name] for user in members)
     return rows
 
 
@@ -436,18 +438,18 @@ def cmd_run(args) -> int:
     written: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # Each path joins written before its write, so a write that fails is removed too.
         for name, rows in tables.items():
-            _write_csv(out_dir / name, rows)
             written.append(out_dir / name)
-        emit_report(out.reports, out_dir / "results.csv")
+            _write_csv(written[-1], rows)
         written.append(out_dir / "results.csv")
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
-        written.append(manifest_path)
+        emit_report(out.reports, written[-1])
+        written.append(out_dir / "manifest.json")
+        written[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     except OSError:
         for path in written:
             try:
-                path.unlink()
+                path.unlink(missing_ok=True)
             except OSError:
                 pass
         raise

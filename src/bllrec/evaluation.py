@@ -42,12 +42,12 @@ def evaluate_algorithm(
     ``recommend_fn(user, split.train, k_max)`` must return a
     RecommendationList that ranks for that user from the train table only.
     It is called once per evaluable user, that is each group member with
-    training events, in ascending id order. Its artists, cut to k_max,
-    fill one row of a users x k_max matrix padded with -1, and every hit is
-    judged at once by ``find_rows`` in the user's test pair rows. A user
-    whose list is empty counts with zero hits, not skipped, and a list
-    shorter than k_max keeps its final hit count for larger k. The users'
-    terms are summed in id order, row after row.
+    training events, in ascending id order. Its ``artists`` array, cut to
+    k_max, fills one row of a users x k_max matrix padded with -1, and
+    every hit is judged at once by ``find_rows`` in the user's test pair
+    rows. A user whose list is empty counts with zero hits, not skipped,
+    and a list shorter than k_max keeps its final hit count for larger k.
+    The users' terms are summed in id order, row after row.
     """
     users = np.sort(np.fromiter(users, dtype=np.int64))
     users = users[(users >= 0) & (users < len(split.train.starts))]  # an id the table lacks has no events

@@ -138,8 +138,9 @@ class IdMap:
     the id of each, and in a code-per-id array grown by doubling. A new run
     is merged into the one below it while that one is at most twice its
     size, so there are O(log n) runs and each code is copied O(log n) times
-    in all. A ``str`` is built for a key coded by its bytes only when a
-    caller asks for one.
+    in all. A ``str`` is built for a key coded by its bytes only when
+    ``keys()`` is called; it is the only way from ids back to keys, and a
+    caller that looks keys up builds one dict from it.
     """
 
     def __init__(self):
@@ -208,35 +209,6 @@ class IdMap:
             ids[hit] = run_ids[pos[hit]]
         return ids
 
-    def _id(self, key: str) -> int:
-        """The id of ``key``, or -1."""
-        code = self._long_codes.get(key)
-        if code is None:
-            try:
-                codes, fits = _codes([key])
-            except UnicodeEncodeError:
-                return -1
-            if not fits[0]:
-                return -1
-            code = codes[0]
-        while len(self._runs) > 1:  # lookups by key come after loading: one run makes each one search
-            self._merge_top()
-        return int(self._find(np.array([code], dtype=np.uint64))[0])
-
-    def id_of(self, key: str) -> int:
-        i = self._id(key)
-        if i < 0:
-            raise KeyError(key)
-        return i
-
-    def key_of(self, idx: int) -> str:
-        if not 0 <= idx < self._size:
-            raise IndexError(idx)
-        code = int(self._codes[idx])
-        if code >= _LONG:
-            return self._long_keys[code - _LONG]
-        return code.to_bytes(8, "little").rstrip(b"\x00").decode("utf-8")
-
     def keys(self) -> list[str]:
         """Every key, in id order."""
         if not self._size:
@@ -252,9 +224,6 @@ class IdMap:
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, key: str) -> bool:
-        return self._id(key) >= 0
 
 
 @dataclass

@@ -12,7 +12,9 @@ cf    user-based collaborative filtering with binary cosine similarity.
 
 Every ranking uses a total ordering (score descending, then artist id
 ascending, with documented secondary keys for pop/time), so identical
-inputs always produce identical lists.
+inputs always produce identical lists. A ranking is computed and
+returned as numpy arrays; ``RecommendationList.ranked`` builds Python
+(artist, score) pairs only when it is read.
 """
 
 from __future__ import annotations
@@ -51,15 +53,15 @@ class CfParams:
 
 @dataclass
 class RecommendationList:
-    """Ranked (artist, score) pairs for one user; at most k entries."""
+    """One user's top k: artist ids and their scores, best first, in two arrays of equal length."""
 
-    user: int
-    ranked: list[tuple[int, float]]
-    k: int
+    artists: np.ndarray
+    scores: np.ndarray
 
     @property
-    def artists(self) -> list[int]:
-        return [a for a, _ in self.ranked]
+    def ranked(self) -> list[tuple[int, float]]:
+        """The (artist, score) pairs, built anew on each read."""
+        return list(zip(self.artists.tolist(), map(float, self.scores.tolist())))
 
 
 def _pair_rows(user: int, train: UserHistories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,12 +85,9 @@ def recommend_bll(user: int, train: UserHistories, k: int, params: BllParams) ->
     scores = np.full(len(sums), -np.inf)
     positive = sums > 0.0
     scores[positive] = list(map(math.log, sums[positive].tolist()))
-    return _ranked(user, artists, scores, np.lexsort((artists, -scores)), k)
-
-
-def _ranked(user: int, artists: np.ndarray, scores: np.ndarray, order: np.ndarray, k: int) -> RecommendationList:
-    order = order[:k]
-    return RecommendationList(user, list(zip(artists[order].tolist(), map(float, scores[order].tolist()))), k)
+    # The pair artists ascend, so ties go to the lower artist id.
+    order = _top_indices(scores, k)
+    return RecommendationList(artists[order], scores[order])
 
 
 def _top_indices(scores: np.ndarray, n: int) -> np.ndarray:
@@ -108,13 +107,15 @@ def recommend_pop(user: int, train: UserHistories, k: int) -> RecommendationList
     """Rank by the user's own play counts; ties by most recent, then artist id."""
     artists, counts, last = _pair_rows(user, train)
     # ~ reverses the order of any integer dtype and, unlike negation, cannot wrap.
-    return _ranked(user, artists, counts, np.lexsort((artists, ~last, ~counts)), k)
+    order = np.lexsort((artists, ~last, ~counts))[:k]
+    return RecommendationList(artists[order], counts[order])
 
 
 def recommend_time(user: int, train: UserHistories, k: int) -> RecommendationList:
     """Rank by last-played time; ties by play count, then artist id."""
     artists, counts, last = _pair_rows(user, train)
-    return _ranked(user, artists, last, np.lexsort((artists, ~counts, ~last)), k)
+    order = np.lexsort((artists, ~counts, ~last))[:k]
+    return RecommendationList(artists[order], last[order])
 
 
 def global_train_counts(train_histories: UserHistories) -> np.ndarray:
@@ -129,13 +130,15 @@ def recommend_top(global_counts: np.ndarray, k: int) -> RecommendationList:
     """Rank artists by total play count over all users; ties by artist id.
 
     ``global_counts`` holds the count of each artist id. The list is the
-    same for every user, so its ``user`` is -1.
+    same for every user.
     """
     played = np.flatnonzero(global_counts)
     if played.size == 0:
         raise DataError("cannot rank: global play counts are empty")
     counts = global_counts[played]
-    return _ranked(-1, played, counts, np.lexsort((played, -counts)), k)
+    # played ascends, so ties go to the lower artist id.
+    order = _top_indices(counts, k)
+    return RecommendationList(played[order], counts[order])
 
 
 class CfIndex:
@@ -176,7 +179,7 @@ class CfIndex:
         overlaps[user] = 0
         candidates = np.flatnonzero(overlaps)
         if candidates.size == 0:
-            return RecommendationList(user, [], k)
+            return RecommendationList(candidates, np.zeros(0))
         sims = overlaps[candidates] / np.sqrt(float(len(query)) * self.set_sizes[candidates])
         # candidates ascend, so ties go to the lower user id.
         order = _top_indices(sims, params.neighborhood_size)
@@ -188,7 +191,8 @@ class CfIndex:
         # bincount adds weights in input order, i.e. neighbor order, so each sum has the oracle's bits.
         scores = np.bincount(inverse, weights=np.repeat(sims[order], self.set_sizes[neighbors]))
         # np.unique sorts the artists, so ties go to the lower artist id.
-        return _ranked(user, artists, scores, _top_indices(scores, k), k)
+        order = _top_indices(scores, k)
+        return RecommendationList(artists[order], scores[order])
 
 
 def build_recommenders(
@@ -200,9 +204,10 @@ def build_recommenders(
     """Uniform (user, train table, k) -> RecommendationList callables.
 
     What does not depend on the user is built here, once: the full
-    ``top`` ranking, which each call slices, and the CF index. A call
-    then reads only that user's data (for ``cf``, also the neighbors'
-    artist sets), never the whole catalogue.
+    ``top`` ranking, kept as two arrays whose first k entries each call
+    returns as views, and the CF index. A call then reads only that
+    user's data (for ``cf``, also the neighbors' artist sets), never the
+    whole catalogue.
     """
     bll_params = bll_params or BllParams()
     cf_params = cf_params or CfParams()
@@ -220,8 +225,10 @@ def build_recommenders(
             recommenders[name] = recommend_time
         elif name == "top":
             counts = global_train_counts(train_histories)
-            ranked = recommend_top(counts, len(counts)).ranked
-            recommenders[name] = lambda u, train, k, r=ranked: RecommendationList(u, r[:k], k)
+            ranking = recommend_top(counts, len(counts))
+            # Each call returns views of these arrays, so no caller may write to them.
+            ranking.artists.flags.writeable = ranking.scores.flags.writeable = False
+            recommenders[name] = lambda u, train, k, r=ranking: RecommendationList(r.artists[:k], r.scores[:k])
         elif name == "cf":
             index = CfIndex(train_histories)
             recommenders[name] = lambda u, train, k, idx=index, p=cf_params: idx.recommend(u, p, k)

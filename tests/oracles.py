@@ -50,6 +50,13 @@ def _check_oracle_bounds(train: UserHistories) -> None:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
 
 
+def ranking_of(pairs: list[tuple[int, float]]) -> RecommendationList:
+    """The RecommendationList of these (artist, score) pairs, in their order."""
+    return RecommendationList(
+        np.array([a for a, _ in pairs], dtype=np.int64), np.array([s for _, s in pairs], dtype=np.float64)
+    )
+
+
 def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, int]]:
     counts: Counter = Counter()
     last: dict[int, int] = {}
@@ -88,17 +95,17 @@ def brute_force_ranking(
                     total += float(ref - t + 1) ** (-bll_params.d)
             scores[artist] = math.log(total) if total > 0.0 else float("-inf")
         order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
-        return RecommendationList(user, [(a, scores[a]) for a in order], k)
+        return ranking_of([(a, scores[a]) for a in order])
 
     if algorithm == "pop":
         counts, last = _counts_and_last(events)
         order = sorted(counts, key=lambda a: (-counts[a], -last[a], a))[:k]
-        return RecommendationList(user, [(a, float(counts[a])) for a in order], k)
+        return ranking_of([(a, float(counts[a])) for a in order])
 
     if algorithm == "time":
         counts, last = _counts_and_last(events)
         order = sorted(counts, key=lambda a: (-last[a], -counts[a], a))[:k]
-        return RecommendationList(user, [(a, float(last[a])) for a in order], k)
+        return ranking_of([(a, float(last[a])) for a in order])
 
     if algorithm == "top":
         totals: Counter = Counter()
@@ -106,7 +113,7 @@ def brute_force_ranking(
             for artist, t in _events_of(train, u):
                 totals[artist] += 1
         order = sorted(totals, key=lambda a: (-totals[a], a))[:k]
-        return RecommendationList(user, [(a, float(totals[a])) for a in order], k)
+        return ranking_of([(a, float(totals[a])) for a in order])
 
     if algorithm == "cf":
         own = {a for a, _ in events}
@@ -119,14 +126,14 @@ def brute_force_ranking(
             if shared:
                 sims[v] = shared / math.sqrt(len(own) * len(other))
         if not sims:
-            return RecommendationList(user, [], k)
+            return ranking_of([])
         neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
         scores: dict[int, float] = {}
         for v in neighbors:
             for artist in sorted({a for a, _ in _events_of(train, v)}):
                 scores[artist] = scores.get(artist, 0.0) + sims[v]
         order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
-        return RecommendationList(user, [(a, scores[a]) for a in order], k)
+        return ranking_of([(a, scores[a]) for a in order])
 
     raise DataError(f"unknown algorithm {algorithm!r}")
 

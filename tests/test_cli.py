@@ -1,4 +1,5 @@
 import builtins
+import errno
 import gzip
 import hashlib
 import io
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from bllrec import cli
 from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
 
@@ -365,6 +367,19 @@ class TestRunPipeline:
         assert main(["run", "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("usage error: ingest: an events file is required")
         assert not (tmp_path / "o").exists()
+
+    def test_failed_write_leaves_no_output(self, synth_tsv, tmp_path, monkeypatch, capsys):
+        def full_disk(reports, path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("algorithm,gro")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "emit_report", full_disk)
+        out_dir = tmp_path / "out"
+        code = main(["run", "--events", str(synth_tsv), "--group-size", "20", "--k-max", "3", "--out-dir", str(out_dir)])
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_fraction_is_usage_error(self, synth_tsv, capsys):
         code = main(["run", "--events", str(synth_tsv), "--fraction", "1.5"])

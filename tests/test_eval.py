@@ -3,10 +3,11 @@ import pytest
 
 from bllrec.errors import DataError
 from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
-from bllrec.recommend import CfParams, RecommendationList, build_recommenders
+from bllrec.recommend import CfParams, build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
 from conftest import histories_from_events, histories_from_ids, user_slice
+from oracles import ranking_of
 
 
 FILLER = 99  # the artist every test user trains on; no test set below holds it
@@ -23,7 +24,7 @@ def _fixed_rankings(test_sets, rankings, k_max):
 
     def spy(user, train, k):
         assert user_slice(train, user, "pair_artists").tolist() == [FILLER] and k == k_max
-        return RecommendationList(user, [(a, 1.0) for a in rankings[user]], k)
+        return ranking_of([(a, 1.0) for a in rankings[user]])
 
     return evaluate_algorithm(split, spy, split.per_user, k_max, "spy", "ALL")
 
@@ -45,7 +46,7 @@ class TestHitsAtK:
         only_user_0 = split_histories(histories, 0.5, users=[0])
         split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
         with pytest.raises(DataError, match="user 1: empty test artist set"):
-            evaluate_algorithm(split, lambda u, t, k: RecommendationList(u, [], k), split.per_user, 3)
+            evaluate_algorithm(split, lambda u, t, k: ranking_of([]), split.per_user, 3)
 
 
 class TestRecallPrecision:
@@ -88,7 +89,7 @@ class TestRecallPrecision:
                 # Repeated artists, ids above every test artist (0..49), and lists
                 # longer than k, which evaluation cuts to k.
                 artists = rng.choice(np.r_[:60, 2**31 - 1], int(rng.integers(0, k + 6)))
-                return RecommendationList(user, [(int(a), 1.0) for a in artists], k)
+                return ranking_of([(int(a), 1.0) for a in artists])
 
             state = rng.bit_generator.state
             report = evaluate_algorithm(split, shuffled, split.per_user, k_max)
@@ -96,7 +97,7 @@ class TestRecallPrecision:
             recall, precision = [0.0] * k_max, [0.0] * k_max
             for user in split.per_user.tolist():
                 relevant = set(user_slice(split.test, user, "pair_artists").tolist())
-                ranked = shuffled(user, split.train, k_max).artists
+                ranked = shuffled(user, split.train, k_max).artists.tolist()
                 count = 0
                 for i in range(k_max):
                     count += i < len(ranked) and ranked[i] in relevant
@@ -126,7 +127,7 @@ class TestEvaluateAlgorithm:
         split = _clone_split()
 
         def cold(user, train, k):
-            return RecommendationList(user, [], k)
+            return ranking_of([])
 
         report = evaluate_algorithm(split, cold, split.per_user, 3, "cf", "ALL")
         assert report.users_evaluated == 2
@@ -174,7 +175,7 @@ class TestEvaluateAlgorithm:
 
         def spy(user, train, k):
             seen[user] = int(user_slice(train, user, "timestamps").max())
-            return RecommendationList(user, [(a, 1.0) for a in user_slice(train, user, "pair_artists").tolist()][:k], k)
+            return ranking_of([(a, 1.0) for a in user_slice(train, user, "pair_artists").tolist()][:k])
 
         evaluate_algorithm(split, spy, split.per_user, 3, "spy", "ALL")
         for user, max_train_ts in seen.items():

@@ -72,7 +72,7 @@ def oracle_load(source, schema, on_error="skip"):
 
 
 def _keys(id_maps):
-    return [[ids.key_of(i) for i in range(len(ids))] for ids in (id_maps.users, id_maps.artists)]
+    return [id_maps.users.keys(), id_maps.artists.keys()]
 
 
 def summary(log, skipped):
@@ -188,8 +188,7 @@ class TestLoadEvents:
         assert np.array_equal(log1.artists, log2.artists)
         assert np.array_equal(log1.timestamps, log2.timestamps)
         # first-seen id assignment: user "b" was seen first
-        assert log1.id_maps.users.id_of("b") == 0
-        assert log1.id_maps.users.id_of("a") == 1
+        assert log1.id_maps.users.keys() == ["b", "a"]
 
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "events.tsv.gz"
@@ -251,8 +250,8 @@ class TestArbitraryBytes:
         n_lines = len(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape").readlines())
         assert len(log) + skipped == n_lines
         for ids in (log.id_maps.users, log.id_maps.artists):
-            for i in range(len(ids)):
-                ids.key_of(i).encode("utf-8")
+            for key in ids.keys():
+                key.encode("utf-8")
 
 
 _CLEAN_KEY = st.sampled_from([b"u1", b"u2", b"a", b"17", b"", "é".encode(), "ключ".encode(), b"x" * 8, b"x" * 9])
@@ -445,7 +444,7 @@ def test_only_odd_lines_go_to_parse_event_line():
         log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
     assert [call.args[2] for call in spy.call_args_list] == [101, 151]
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
-    assert skipped == 1 and "u\x00" in log.id_maps.users
+    assert skipped == 1 and "u\x00" in log.id_maps.users.keys()
 
 
 def _load_keys(keys, chunk_size=ingest.CHUNK_SIZE):
@@ -478,7 +477,7 @@ class TestIdMap:
         assert codes[fits].tolist() == [int.from_bytes(key.encode(), "little") for key in coded]
         users, id_map = _load_keys(short + long + short + long)
         assert users == list(range(8)) * 2
-        assert [id_map.key_of(i) for i in range(8)] == short + long
+        assert id_map.keys() == short + long
         assert id_map._long_codes == {key: ingest._LONG | i for i, key in enumerate(long)}
 
     def test_each_key_is_coded_at_most_once_per_block(self):
@@ -509,14 +508,9 @@ class TestIdMap:
         seen = ["", "u", "ключ", "x" * 8, "x" * 9, "\x00", "é", "17"]
         unseen = ["u\x00", "x" * 7, "xxxxxxxxy", "ключи", "\x00\x00", "v", "\udcff", "1"]
         _, id_map = _load_keys(seen, chunk_size=4)
-        for key in seen:
-            assert key in id_map and id_map.key_of(id_map.id_of(key)) == key
-        for key in unseen:
-            assert key not in id_map
-            with pytest.raises(KeyError):
-                id_map.id_of(key)
-        with pytest.raises(IndexError):
-            id_map.key_of(len(seen))
+        ids = {key: i for i, key in enumerate(id_map.keys())}
+        assert [ids[key] for key in seen] == list(range(len(seen)))
+        assert not any(key in ids for key in unseen)
 
     def test_thousands_of_keys_one_block_each_match_the_oracle(self):
         # One line per block: every block adds a run and the runs merge many times,
@@ -594,8 +588,9 @@ class TestBuildUserHistories:
         assert [ref() for ref in columns] == [None, None, None]
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
         assert log.id_maps is id_maps
-        assert [id_maps.users.key_of(u) for u in np.flatnonzero(histories.n_events).tolist()] == ["u1", "u2"]
-        assert [id_maps.artists.key_of(a) for a in user_slice(histories, 0, "artists").tolist()] == ["a1", "a2"]
+        user_keys, artist_keys = id_maps.users.keys(), id_maps.artists.keys()
+        assert [user_keys[u] for u in np.flatnonzero(histories.n_events).tolist()] == ["u1", "u2"]
+        assert [artist_keys[a] for a in user_slice(histories, 0, "artists").tolist()] == ["a1", "a2"]
 
     def test_conservation_and_sortedness_random(self):
         rng = np.random.default_rng(7)
@@ -691,4 +686,4 @@ class TestWriteEventsTsv:
         assert np.array_equal(reloaded.users, log.users)
         assert np.array_equal(reloaded.artists, log.artists)
         assert np.array_equal(reloaded.timestamps, log.timestamps)
-        assert reloaded.id_maps.users.key_of(0) == "u1"
+        assert reloaded.id_maps.users.keys()[0] == "u1"

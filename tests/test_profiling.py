@@ -24,7 +24,7 @@ from conftest import histories_from_events, log_from_events, user_slice
 def _score(events, user="u"):
     """The mainstreaminess of ``user`` in a log of (user key, artist key, timestamp) events."""
     log = log_from_events(events)
-    return score_users(build_user_histories(log), min_events=1)[log.id_maps.users.id_of(user)]
+    return score_users(build_user_histories(log), min_events=1)[log.id_maps.users.keys().index(user)]
 
 
 class TestUserDistribution:
@@ -75,7 +75,7 @@ class TestGlobalDistribution:
         def by_key(event_list):
             log = log_from_events(event_list)
             dist = global_artist_distribution(build_user_histories(log))
-            return {log.id_maps.artists.key_of(a): p for a, p in enumerate(dist.tolist())}
+            return dict(zip(log.id_maps.artists.keys(), dist.tolist()))
 
         assert by_key(events) == by_key(permuted)
 

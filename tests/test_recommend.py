@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,8 +17,10 @@ from bllrec.recommend import (
     recommend_pop,
     recommend_time,
     recommend_top,
+    _top_indices,
 )
 from bllrec.split import n_test_events, split_histories
+from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import (
     histories_from_events,
@@ -71,13 +74,13 @@ class TestBllActivation:
 class TestRecommendBll:
     def test_recency_wins_single_listens(self):
         train = _history([("u", "old", 10), ("u", "new", 95)])
-        ranked = recommend_bll(0, train, 2, BllParams()).artists
+        ranked = recommend_bll(0, train, 2, BllParams()).artists.tolist()
         assert ranked == [1, 0]  # "new" interned second but ranked first
 
     def test_identical_timestamp_multisets_tie_by_id(self):
         train = _history([("u", "x", 10), ("u", "y", 10), ("u", "x", 20), ("u", "y", 20)])
         ranked = recommend_bll(0, train, 2, BllParams())
-        assert ranked.artists == [0, 1]
+        assert ranked.artists.tolist() == [0, 1]
         assert ranked.ranked[0][1] == ranked.ranked[1][1]
 
     def test_frequency_outweighs_moderate_recency(self):
@@ -86,7 +89,7 @@ class TestRecommendBll:
         train = _history([("u", "a", 991), ("u", "a", 981), ("u", "a", 971), ("u", "b", 996)])
         result = recommend_bll(0, train, 2, BllParams(d=0.5))
         a, b = 0, 1
-        assert result.artists == [a, b]
+        assert result.artists.tolist() == [a, b]
         scores = dict(result.ranked)
         assert scores[a] == pytest.approx(math.log(7**-0.5 + 17**-0.5 + 27**-0.5), abs=1e-12)
         assert scores[b] == pytest.approx(math.log(2**-0.5), abs=1e-12)
@@ -130,7 +133,7 @@ class TestRecommendBll:
                     t += int(rng.integers(1, 50))
                     events.append(("u", f"a{artist}", t))
             train = _history(events)
-            ranked = recommend_bll(0, train, n_artists, BllParams(d=1e-6)).artists
+            ranked = recommend_bll(0, train, n_artists, BllParams(d=1e-6)).artists.tolist()
             by_count = train.pair_artists[np.argsort(-train.pair_counts)].tolist()
             assert ranked == by_count
 
@@ -138,16 +141,16 @@ class TestRecommendBll:
 class TestRecommendPop:
     def test_counts_rank(self):
         train = _history([("u", "a", t) for t in range(5)] + [("u", "b", 10), ("u", "b", 11)])
-        assert recommend_pop(0, train, 2).artists == [0, 1]
+        assert recommend_pop(0, train, 2).artists.tolist() == [0, 1]
 
     def test_tie_broken_by_recency(self):
         train = _history([("u", "a", 1), ("u", "a", 2), ("u", "b", 3), ("u", "b", 4)])
-        assert recommend_pop(0, train, 2).artists == [1, 0]
+        assert recommend_pop(0, train, 2).artists.tolist() == [1, 0]
 
     def test_truncation(self):
         train = _history([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)])
         result = recommend_pop(0, train, 1)
-        assert result.artists == [2]
+        assert result.artists.tolist() == [2]
 
     def test_empty_train(self):
         # u0 has one event, so the split drops it: it is in the train table with no events.
@@ -166,14 +169,14 @@ class TestRecommendPop:
 class TestRecommendTime:
     def test_last_played_rank(self):
         train = _history([("u", "a", 100), ("u", "b", 90)])
-        assert recommend_time(0, train, 2).artists == [0, 1]
+        assert recommend_time(0, train, 2).artists.tolist() == [0, 1]
 
     def test_tie_broken_by_count(self):
         train = _history(
             [("u", "b", 1), ("u", "b", 2), ("u", "b", 3), ("u", "b", 50), ("u", "a", 50)]
         )
         b, a = 0, 1  # interned in first-seen order
-        assert recommend_time(0, train, 2).artists == [b, a]  # b has 4 plays, a has 1
+        assert recommend_time(0, train, 2).artists.tolist() == [b, a]  # b has 4 plays, a has 1
 
     def test_short_list_allowed(self):
         train = _history([("u", "a", 1), ("u", "a", 2)])
@@ -193,7 +196,7 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
     }
     log = log_from_events([(u, a, t) for u, events in plays.items() for a, t in events])
     assert log.timestamps.dtype == np.uint32
-    users, artists = log.id_maps.users, log.id_maps.artists
+    users, artists = log.id_maps.users.keys(), log.id_maps.artists.keys()
     histories = build_user_histories(log)
     split = split_histories(histories, 0.3)
     for table in (histories, split.train):
@@ -202,9 +205,9 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
                 assert recommend(user, table, 10).ranked == brute_force_ranking(name, table, user, 10).ranked
     for key, events in plays.items():
         train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
-        counts = Counter(artists.id_of(a) for a, _ in train_events)
-        last = {artists.id_of(a): t for a, t in train_events}
-        user = users.id_of(key)
+        counts = Counter(artists.index(a) for a, _ in train_events)
+        last = {artists.index(a): t for a, t in train_events}
+        user = users.index(key)
         assert user_slice(split.train, user, "pair_artists").tolist() == sorted(counts)
         assert user_slice(split.train, user, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
         assert user_slice(split.train, user, "pair_last").tolist() == [last[a] for a in sorted(counts)]
@@ -214,15 +217,15 @@ class TestRecommendTop:
     # Global counts are indexed by artist id; unplayed artists hold 0.
     def test_tie_by_artist_id(self):
         counts = np.array([10, 7, 7])
-        assert recommend_top(counts, 3).artists == [0, 1, 2]
+        assert recommend_top(counts, 3).artists.tolist() == [0, 1, 2]
 
     def test_k_larger_than_artist_count(self):
         counts = np.array([3, 0, 1])
-        assert recommend_top(counts, 10).artists == [0, 2]
+        assert recommend_top(counts, 10).artists.tolist() == [0, 2]
 
     def test_promotion_after_extra_plays(self):
         counts = np.array([10, 9, 1])
-        assert 2 not in recommend_top(counts, 2).artists
+        assert 2 not in recommend_top(counts, 2).artists.tolist()
         counts[2] = 11
         assert recommend_top(counts, 2).artists[0] == 2
 
@@ -257,7 +260,7 @@ class TestRecommendCf:
         histories = self._fixture()
         result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=2), 4)
         a, b, c, d = 0, 1, 2, 3
-        assert result.artists == [b, a, c, d]
+        assert result.artists.tolist() == [b, a, c, d]
         scores = dict(result.ranked)
         sim1 = 2 / math.sqrt(2 * 3)
         sim2 = 1 / math.sqrt(2 * 2)
@@ -271,14 +274,14 @@ class TestRecommendCf:
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
         )
         result = CfIndex(histories).recommend(0, CfParams(), 5)
-        assert result.artists == [0, 1]
+        assert result.artists.tolist() == [0, 1]
         assert all(score == 1.0 for _, score in result.ranked)
 
     def test_single_neighbor(self):
         histories = self._fixture()
         result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=1), 4)
         # only u1 (the most similar) contributes
-        assert result.artists == [0, 1, 2]
+        assert result.artists.tolist() == [0, 1, 2]
 
     def test_cold_user_returns_empty(self):
         histories = histories_from_events(
@@ -290,7 +293,7 @@ class TestRecommendCf:
     def test_user_without_training_rows_is_data_error(self):
         # u0 is in the table but outside the split, so it has no training rows.
         index = CfIndex(split_histories(self._fixture(), 0.4, users=[1, 2]).train)
-        assert index.recommend(1, CfParams(), 4).artists == [1]
+        assert index.recommend(1, CfParams(), 4).artists.tolist() == [1]
         for user in (0, 3, -1):
             with pytest.raises(DataError, match=f"user {user} has no training history"):
                 index.recommend(user, CfParams(), 4)
@@ -310,7 +313,7 @@ class TestBuildRecommenders:
             own = set(user_slice(histories, user, "pair_artists").tolist())
             for name, fn in recommenders.items():
                 result = fn(user, histories, 6)
-                artists = result.artists
+                artists = result.artists.tolist()
                 assert len(artists) == len(set(artists))
                 if name in ("bll", "pop", "time"):
                     assert set(artists) <= own
@@ -354,7 +357,6 @@ def test_cf_and_top_scores_equal_oracle_exactly(remap):
         for user in np.flatnonzero(histories.n_events).tolist():
             for name, fn in recommenders.items():
                 got = fn(user, histories, 10)
-                assert got.user == user
                 assert got.ranked == brute_force_ranking(name, histories, user, 10).ranked, (seed, user, name)
                 compared += 1
                 nonempty_cf += name == "cf" and bool(got.ranked)
@@ -389,6 +391,38 @@ def test_cf_boundary_ties_keep_the_lowest_ids(n):
     got = index.recommend(0, CfParams(neighborhood_size=n), 100)
     tied = 2 / math.sqrt(6)
     # Each neighbour v from the tied block contributes its own artist 1 + v.
-    assert got.artists == [0, 1] + [1 + v for v in range(1, n)]
+    assert got.artists.tolist() == [0, 1] + [1 + v for v in range(1, n)]
     assert got.ranked[0][1] == pytest.approx(1.0 + (n - 1) * tied, abs=1e-12)
     assert all(score == tied for _, score in got.ranked[2:])
+
+
+def test_top_indices_match_a_stable_lexsort():
+    # Heavy ties, -inf, and 0.0 beside -0.0, which compare equal; and int64 counts.
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        n = int(rng.integers(0, 12)) if trial % 4 else int(rng.integers(12, 300))
+        if trial % 2:
+            scores = rng.choice([-np.inf, -2.5, -0.0, 0.0, 0.5, 3.0], n)
+        else:
+            scores = rng.integers(0, 5, n, dtype=np.int64) * int(rng.choice([1, 2**40]))
+        want = np.lexsort((np.arange(n), -scores))
+        for k in range(1, n + 3):
+            assert _top_indices(scores, k).tolist() == want[:k].tolist(), (trial, k)
+
+
+def test_top_keeps_few_bytes_per_played_artist():
+    # The global ranking is kept as two 8-byte arrays, about 16 B per played artist on this
+    # log of 2451 played artists; as a list of (int, float) tuples it took about 110.
+    config = SynthConfig(n_users=300, n_artists=20_000, events_per_user=(20, 60), zipf_exponent=0.8, seed=5)
+    histories = build_user_histories(generate_synthetic(config))
+    played = int(np.count_nonzero(global_train_counts(histories)))
+    tracemalloc.start()
+    try:
+        recommenders = build_recommenders(histories, algorithms=("top",))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert played > 2000
+    assert kept < 32 * played
+    want = recommend_top(global_train_counts(histories), 3)
+    assert recommenders["top"](0, histories, 3).ranked == want.ranked
