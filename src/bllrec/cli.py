@@ -197,26 +197,30 @@ def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, flo
     ids = {key: user for user, key in enumerate(id_maps.users.keys())}
     reader = csv.DictReader(io.StringIO(_read_utf8(path, DataError), newline=""))
     required = {"user_key", "score", "group"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise DataError(f"{path}: expected columns user_key,score,group")
-    for row in reader:
-        where = f"{path} line {reader.line_num}"
-        key = row["user_key"]
-        user = ids.get(key)
-        if user is None:
-            raise DataError(f"{where}: user key {key!r} not present in the events file")
-        if row["group"] not in groups:
-            raise DataError(f"{where}: unknown group {row['group']!r}")
-        try:
-            score = float(row["score"])
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: score {row['score']!r} is not a number") from None
-        if not math.isfinite(score):
-            raise DataError(f"{where}: score {row['score']!r} is not finite")
-        if user in scores:
-            raise DataError(f"{where}: user key {key!r} is listed twice")
-        groups[row["group"]].append(user)
-        scores[user] = score
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise DataError(f"{path}: expected columns user_key,score,group")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            key = row["user_key"]
+            user = ids.get(key)
+            if user is None:
+                raise DataError(f"{where}: user key {key!r} not present in the events file")
+            if row["group"] not in groups:
+                raise DataError(f"{where}: unknown group {row['group']!r}")
+            try:
+                score = float(row["score"])
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: score {row['score']!r} is not a number") from None
+            if not math.isfinite(score):
+                raise DataError(f"{where}: score {row['score']!r} is not finite")
+            if user in scores:
+                raise DataError(f"{where}: user key {key!r} is listed twice")
+            groups[row["group"]].append(user)
+            scores[user] = score
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit(), from a stray '"'
+        # reader.line_num is the last line of the last whole record; the bad one starts after it.
+        raise DataError(f"{path} line {reader.line_num + 1}: {exc}") from None
     if not scores:
         raise DataError(f"{path}: no group rows found")
     return groups, scores

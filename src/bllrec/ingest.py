@@ -19,17 +19,16 @@ valid UTF-8, lines holding a byte that is not ASCII.
 
 Every key has a uint64 code. A key of at most 8 UTF-8 bytes without a
 NUL is coded by its bytes read little-endian, which numpy reads straight
-from the block, so no ``str`` is built for it. Any other key is long: the
-first time it is coded it joins a list of long keys, and its code is its
-index there under a top byte of 0xFF, which no UTF-8 byte is. A dict maps
-each long key to its code. Each block becomes one array of user codes and one of artist
-codes, in line order, however each line was parsed. An ``IdMap`` looks a
-block's distinct codes, from ``np.unique``, up in sorted runs of codes
-and ids, and gives the missing ones the next ids in order of their first
-line, so ids are dense and follow each key's first line. A key takes 12
-bytes in the runs plus 8 in a code-per-id array, with up to as much again
-spare from doubling; a long key takes about 80 bytes more in the dict
-and the list, besides its ``str``.
+from the block, so no ``str`` is built for it. Any other key is long:
+the first time it is coded it joins a dict of long keys, and its code is
+the number of long keys before it under a top byte of 0xFF, which no
+UTF-8 byte is. Each block becomes one array of user codes and one of
+artist codes, in line order, however each line was parsed. An ``IdMap``
+looks a block's distinct codes, from ``np.unique``, up in sorted runs of
+codes and ids, and gives the missing ones the next ids in order of their
+first line, so ids are dense and follow each key's first line. The runs
+are the only copy of the codes: a key takes 12 bytes there, and a long
+key about 75 bytes more for its dict entry and code, besides its ``str``.
 
 ``build_user_histories`` turns the log into one ``UserHistories`` table.
 It groups the log by user, then sorts batches of whole users twice, each
@@ -47,10 +46,10 @@ from __future__ import annotations
 import bisect
 import gzip
 import hashlib
+import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -107,36 +106,19 @@ class ColumnSchema:
         return cls(**fields)
 
 
-def _codes(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The codes of ``keys``, which must encode as UTF-8, and which keys their bytes code.
-
-    A key of at most 8 UTF-8 bytes without a NUL is coded by its bytes read as a
-    little-endian integer, as ``_gather_keys`` reads them; other keys get no usable code.
-    """
-    raw = [key.encode("utf-8") for key in keys]
-    lengths = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    padded = _pad(np.frombuffer(b"".join(raw), dtype=np.uint8))
-    nuls = np.concatenate(([0], np.cumsum(padded[_PAD:-_PAD] == 0)))
-    fits = (lengths <= _MAX_VECTOR_KEY) & (nuls[ends] == nuls[starts])
-    return _gather_keys(padded, starts, np.minimum(ends, starts + _MAX_VECTOR_KEY)), fits
-
-
 _LONG = 0xFF << 56
-"""The code of a long key, one that its bytes do not code, is ``_LONG`` plus its index
-in ``IdMap._long_keys``. No key's bytes code that high, as 0xFF never occurs in UTF-8."""
+"""The code of a long key, one that its bytes do not code, is ``_LONG`` plus the number of
+long keys coded before it. No key's bytes code that high, as 0xFF never occurs in UTF-8."""
 
 
 class IdMap:
     """Bijection between external string keys and dense ids, in first-seen order.
 
     Every key has a uint64 code: its bytes read little-endian if it is at
-    most 8 UTF-8 bytes without a NUL, else ``_LONG`` plus its index in a
-    list of long keys, which it joins the first time it is coded. A dict
-    maps each long key to its code. The codes are held in sorted runs with
-    the id of each, and in a code-per-id array grown by doubling. A new run
-    is merged into the one below it while that one is at most twice its
+    most 8 UTF-8 bytes without a NUL, else ``_LONG`` plus the number of long
+    keys coded before it. A dict maps each long key to its code, in code
+    order. The codes are held only in sorted runs with the id of each. A new
+    run is merged into the one below it while that one is at most twice its
     size, so there are O(log n) runs and each code is copied O(log n) times
     in all. A ``str`` is built for a key coded by its bytes only when
     ``keys()`` is called; it is the only way from ids back to keys, and a
@@ -146,25 +128,21 @@ class IdMap:
     def __init__(self):
         self._size = 0
         self._runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted codes, their int32 ids), largest first
-        self._codes = np.zeros(0, dtype=np.uint64)  # each id's code
-        self._long_codes: dict[str, int] = {}
-        self._long_keys: list[str] = []  # in id order
+        self._long_codes: dict[str, int] = {}  # in code order
 
     def code_all(self, keys: list[str]) -> np.ndarray:
-        """The code of each of ``keys``, which must encode as UTF-8; new long keys get the next long codes."""
-        codes = np.fromiter(map(self._long_codes.get, keys, repeat(0)), np.uint64, len(keys))
-        rest = np.flatnonzero(codes < _LONG)  # keys coded by their bytes, and long keys not seen before
-        rest_keys = [keys[i] for i in rest.tolist()]
-        new = dict.fromkeys(rest_keys)  # each once, in order of first occurrence
-        new_codes, fits = _codes(list(new))
-        for key, code, fit in zip(new, new_codes.tolist(), fits.tolist()):
-            if not fit:
-                code = _LONG | len(self._long_keys)
-                self._long_codes[key] = code
-                self._long_keys.append(key)
-            new[key] = code
-        codes[rest] = np.fromiter(map(new.get, rest_keys), np.uint64, len(rest_keys))
-        return codes
+        """The code of each of ``keys``, which must encode as UTF-8; new long keys get the next long codes.
+
+        Each distinct key is coded once per call.
+        """
+        codes = dict.fromkeys(keys)  # each once, in order of first occurrence
+        for key in codes:
+            raw = key.encode("utf-8")
+            if len(raw) <= _MAX_VECTOR_KEY and b"\0" not in raw:
+                codes[key] = int.from_bytes(raw, "little")  # as _gather_keys reads it
+            else:
+                codes[key] = self._long_codes.setdefault(key, _LONG | len(self._long_codes))
+        return np.fromiter(map(codes.__getitem__, keys), np.uint64, len(keys))
 
     def densify(self, codes: np.ndarray) -> np.ndarray:
         """Ids of ``codes``; codes not seen before get the next ids in order of their first occurrence."""
@@ -176,16 +154,9 @@ class IdMap:
             np.minimum.at(first, inverse, np.arange(len(codes)))  # each unique code's first occurrence
             size = self._size + new.size
             ids[new[np.argsort(first[new])]] = np.arange(self._size, size)
-            if size > len(self._codes):
-                self._codes.resize(2 * size, refcheck=False)  # no views of it are kept; the new tail is zeros
-            self._codes[ids[new]] = unique[new]
             self._add_run(unique[new], ids[new])
             self._size = size
         return ids[inverse]
-
-    def intern_all(self, keys: list[str]) -> None:
-        """Give each key not seen before the next id, in order."""
-        self.densify(self.code_all(keys))
 
     def _add_run(self, codes: np.ndarray, ids: np.ndarray) -> None:
         """Hold the sorted new ``codes`` and their ids as a run."""
@@ -213,13 +184,17 @@ class IdMap:
         """Every key, in id order."""
         if not self._size:
             return []
-        codes = self._codes[: self._size].astype("<u8")
-        long = codes >= np.uint64(_LONG)
+        codes = np.zeros(self._size, dtype="<u8")
+        for run_codes, run_ids in self._runs:
+            codes[run_ids] = run_codes
+        long = np.flatnonzero(codes >= np.uint64(_LONG))
+        long_codes = (codes[long] - np.uint64(_LONG)).tolist()
         codes[long] = 0
         # A key coded by its bytes holds no NUL, and S8 drops the padding NULs.
         keys = b"\x00".join(codes.view("S8").tolist()).decode("utf-8").split("\x00")
-        for i, key in zip(np.flatnonzero(long).tolist(), self._long_keys):
-            keys[i] = key
+        long_keys = list(self._long_codes)
+        for i, code in zip(long.tolist(), long_codes):
+            keys[i] = long_keys[code]
         return keys
 
     def __len__(self) -> int:
@@ -351,6 +326,11 @@ def _whole_lines(data: bytes) -> int:
     return max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
 
 
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
+"""What the gzip reader raises on a stream cut short (EOFError), on corrupt deflate data
+(zlib.error), and on a bad header or checksum (BadGzipFile, an OSError)."""
+
+
 def _byte_blocks(read) -> Iterator[bytes]:
     """Blocks of at least ``CHUNK_SIZE`` bytes of whole lines from ``read(CHUNK_SIZE)``.
 
@@ -358,8 +338,8 @@ def _byte_blocks(read) -> Iterator[bytes]:
     just after a ``\\n`` or a lone ``\\r``, which end a line under universal
     newlines and are never part of a multi-byte UTF-8 character, so a block
     splits and decodes as it would inside the whole stream. When ``read``
-    raises EOFError (a gzip stream cut short), the whole lines read before
-    it come out first.
+    raises one of ``_GZIP_ERRORS`` (a gzip stream cut short or corrupt), the
+    whole lines read before it come out first.
     """
     pending: list[bytes] = []
     size = 0
@@ -374,7 +354,7 @@ def _byte_blocks(read) -> Iterator[bytes]:
             yield b"".join(pending)
             pending = [chunk[cut:]]
             size = len(pending[0])
-    except EOFError:
+    except _GZIP_ERRORS:
         data = b"".join(pending)
         cut = _whole_lines(data)
         if cut:
@@ -588,9 +568,9 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
 
     ``on_error`` is ``"skip"`` (drop malformed lines, count them) or
     ``"fail"`` (abort on the first malformed line). A ``.gz`` input that
-    ends mid-stream is a DataError under either policy. Ids are densified
-    in first-seen order, so identical input bytes always produce identical
-    logs. Returns ``(log, skipped_line_count)``.
+    ends mid-stream or is corrupt is a DataError under either policy. Ids
+    are densified in first-seen order, so identical input bytes always
+    produce identical logs. Returns ``(log, skipped_line_count)``.
     """
     if schema is None:
         schema = ColumnSchema()
@@ -604,6 +584,8 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
                 parser.add(block)
         except EOFError:  # raised by the gzip reader when the stream is cut short
             raise DataError(f"compressed input is truncated after line {parser.lines}") from None
+        except _GZIP_ERRORS as exc:
+            raise DataError(f"compressed input is corrupt after line {parser.lines}: {exc}") from None
 
     users, artists, timestamps = parser.arrays()
     log = EventLog(

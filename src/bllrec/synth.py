@@ -162,20 +162,14 @@ def generate_synthetic(config: SynthConfig) -> EventLog:
         timestamps += ts
         ranks += user_ranks
 
-    # Artist ids follow the first event of each rank, as ingest assigns them to a log's keys.
-    event_ranks = np.asarray(ranks, dtype=np.int64)
-    first = np.full(config.n_artists, len(ranks), dtype=np.intp)
-    np.minimum.at(first, event_ranks, np.arange(len(ranks)))
-    seen = np.flatnonzero(first < len(ranks))
-    seen = seen[np.argsort(first[seen])]
-    id_of_rank = np.zeros(config.n_artists, dtype=np.int32)
-    id_of_rank[seen] = np.arange(len(seen), dtype=np.int32)
+    # Keys and ids come from the id maps, as ingest gives them to a log's keys.
     id_maps = IdMaps()
-    id_maps.users.intern_all([str(u) for u in range(config.n_users)])
-    id_maps.artists.intern_all([str(rank) for rank in seen.tolist()])
+    user_ids = id_maps.users.densify(id_maps.users.code_all([str(u) for u in range(config.n_users)]))
+    played, event_ranks = np.unique(np.asarray(ranks, dtype=np.int64), return_inverse=True)
+    rank_codes = id_maps.artists.code_all([str(rank) for rank in played.tolist()])
     log = EventLog(
-        users=np.repeat(np.arange(config.n_users, dtype=np.int32), counts),
-        artists=id_of_rank[event_ranks],
+        users=np.repeat(user_ids, counts),
+        artists=id_maps.artists.densify(rank_codes[event_ranks]),
         timestamps=np.asarray(timestamps, dtype=np.int64),
         id_maps=id_maps,
     )

@@ -202,6 +202,17 @@ class TestBadGroupsAndConfigFiles:
         err = capsys.readouterr().err
         assert "data error" in err and "edited.csv line 2: not valid UTF-8" in err
 
+    def test_over_long_field_is_data_error(self, synth_tsv, tmp_path, groups_rows, capsys):
+        # A stray '"' opens a field that runs to the end of the file, past csv.field_size_limit().
+        key, score, group = groups_rows[3].split(",")
+        groups_rows[3] = f'{key},"{score},{group}'
+        groups_rows.append("x" * 140_000)
+        capsys.readouterr()
+        assert self._stats(synth_tsv, tmp_path, "\n".join(groups_rows).encode()) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "edited.csv line 4: field larger than field limit" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("other_group", [False, True], ids=["same-group", "two-groups"])
     def test_duplicate_user_is_data_error(self, synth_tsv, tmp_path, groups_rows, capsys, other_group):
         key, score, group = groups_rows[1].split(",")

@@ -1,6 +1,8 @@
 import gzip
 import hashlib
 import io
+import random
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
@@ -106,6 +108,28 @@ def truncated_gz(tmp_path):
     return path
 
 
+@pytest.fixture(params=["flipped", "bad-crc", "not-gzip"])
+def corrupt_gz(request, tmp_path):
+    """A synthetic log named ``.gz``: gzip with 100 bytes flipped mid-stream or a
+    wrong CRC, or the plain bytes. Returns the path and its messages' pattern."""
+    plain = tmp_path / "events.tsv"
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=20, n_artists=50, events_per_user=(20, 40))), plain)
+    data = bytearray(gzip.compress(plain.read_bytes()))
+    if request.param == "flipped":
+        mid = len(data) // 2
+        data[mid : mid + 100] = bytes(b ^ 0xFF for b in data[mid : mid + 100])
+        pattern = r"corrupt after line [1-9]\d*: Error -3 while decompressing"
+    elif request.param == "bad-crc":
+        data[-8] ^= 1  # the CRC-32 is checked once the whole stream is read
+        pattern = r"corrupt after line [1-9]\d*: CRC check failed"
+    else:
+        data = plain.read_bytes()
+        pattern = r"corrupt after line 0: Not a gzipped file"
+    path = tmp_path / "events.tsv.gz"
+    path.write_bytes(data)
+    return path, pattern
+
+
 class TestParseEventLine:
     def test_lfm_layout(self):
         line = "31435741\t2\t4\t10\t1385212958"
@@ -205,6 +229,18 @@ class TestLoadEvents:
     def test_truncated_gzip_exits_with_data_error(self, truncated_gz, capsys):
         assert main(["ingest", "--events", str(truncated_gz)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("on_error", ["skip", "fail"])
+    def test_corrupt_gzip_is_data_error(self, corrupt_gz, on_error):
+        path, pattern = corrupt_gz
+        # Small chunks, so that whole lines come out before the corrupt bytes are reached.
+        with mock.patch.object(ingest, "CHUNK_SIZE", 1024), pytest.raises(DataError, match=pattern):
+            load_events(path, LFM_SCHEMA, on_error=on_error)
+
+    def test_corrupt_gzip_exits_with_data_error(self, corrupt_gz, capsys):
+        assert main(["run", "--events", str(corrupt_gz[0]), "--out-dir", str(corrupt_gz[0].parent / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data error: ingest: compressed input is corrupt" in err and "Traceback" not in err
 
     def test_bad_policy(self):
         with pytest.raises(UsageError):
@@ -471,10 +507,12 @@ class TestIdMap:
         long = ["x" * 9, "xxxxxxxxy", "ключи", "ü" * 5]
         odd = ["", "\x00", "u\x00", "abc\x00defg"]
         keys = short + long + odd
-        codes, fits = ingest._codes(keys)
+        codes = ingest.IdMap().code_all(keys)
+        fits = codes < np.uint64(ingest._LONG)
         assert fits.tolist() == [True] * 4 + [False] * 4 + [True, False, False, False]
         coded = [key for key, fit in zip(keys, fits) if fit]
         assert codes[fits].tolist() == [int.from_bytes(key.encode(), "little") for key in coded]
+        assert codes[~fits].tolist() == [ingest._LONG | i for i in range(7)]
         users, id_map = _load_keys(short + long + short + long)
         assert users == list(range(8)) * 2
         assert id_map.keys() == short + long
@@ -483,13 +521,37 @@ class TestIdMap:
     def test_each_key_is_coded_at_most_once_per_block(self):
         # Long keys repeat within each block, and later blocks bring back those already seen.
         keys = [f"long-user-{i // 40}" if i % 3 else f"u{i % 11}" for i in range(400)]
-        with mock.patch.object(ingest, "_codes", wraps=ingest._codes) as spy:
+        blocks, calls = [], []
+        add, code_all = ingest._ChunkParser.add, ingest.IdMap.code_all
+
+        def add_spy(parser, data):
+            blocks.append(data)
+            add(parser, data)
+
+        def code_all_spy(id_map, block_keys):
+            calls.append((id_map, block_keys))
+            return code_all(id_map, block_keys)
+
+        with mock.patch.object(ingest._ChunkParser, "add", add_spy), \
+                mock.patch.object(ingest.IdMap, "code_all", code_all_spy):
             _, id_map = _load_keys(keys, chunk_size=1024)
-        coded = [call.args[0] for call in spy.call_args_list]
-        assert len(coded) > 2  # several blocks
-        assert all(len(block) == len(set(block)) for block in coded)
-        long_coded = [key for block in coded for key in block if key.startswith("long-")]
-        assert sorted(long_coded) == sorted(set(long_coded)) == sorted(id_map._long_codes)
+        coded = [block_keys for owner, block_keys in calls if owner is id_map]
+        assert 2 < len(coded) <= len(blocks)  # several blocks, each coded in at most one call
+        long_coded = [key for block_keys in coded for key in block_keys if key.startswith("long-")]
+        assert id_map._long_codes == {key: ingest._LONG | i for i, key in enumerate(dict.fromkeys(long_coded))}
+
+        # Within a call, each distinct key is encoded once, however often it repeats.
+        encoded = []
+
+        class Key(str):
+            def encode(self, *args):
+                encoded.append(str(self))
+                return super().encode(*args)
+
+        for block_keys in coded:
+            encoded.clear()
+            code_all(ingest.IdMap(), [Key(key) for key in block_keys])
+            assert sorted(encoded) == sorted(set(block_keys)) and len(encoded) < len(block_keys)
 
     def test_short_key_first_on_the_slow_path_has_one_id(self):
         # The first block's lines all go to parse_event_line: " 7" is a timestamp only it
@@ -511,6 +573,22 @@ class TestIdMap:
         ids = {key: i for i, key in enumerate(id_map.keys())}
         assert [ids[key] for key in seen] == list(range(len(seen)))
         assert not any(key in ids for key in unseen)
+
+    def test_keeps_under_16_bytes_per_short_key(self):
+        # A short key's code and id are held once, in the runs: 12 bytes a key.
+        keys = [f"k{i}" for i in range(200_000)]
+        random.Random(3).shuffle(keys)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            id_map = ingest.IdMap()
+            for start in range(0, len(keys), 2000):
+                id_map.densify(id_map.code_all(keys[start : start + 2000]))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / len(keys) < 16
+        assert id_map.keys() == keys
 
     def test_thousands_of_keys_one_block_each_match_the_oracle(self):
         # One line per block: every block adds a run and the runs merge many times,
