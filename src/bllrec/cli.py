@@ -41,7 +41,7 @@ from .evaluation import EvalReport, emit_report, evaluate_algorithm
 from .profiling import GROUP_NAMES, GroupStats, assign_groups, eligible_users, group_stats, score_users
 from .recommend import ALGORITHMS, BllParams, CfParams, build_recommenders
 from .split import SplitDataset, split_histories
-from .synth import DEFAULT_TIME_SPAN, SynthConfig, generate_synthetic
+from .synth import SynthConfig, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,90 +78,74 @@ class RunConfig:
     out_dir: str = "out"
 
 
-def _to_int(key, value):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
+def _checked(kind: type, ok, rule: str):
+    """A config value parser ``(key, value) -> kind(value)`` that accepts only values for which ``ok`` holds.
+
+    A value ``kind`` cannot convert, or one ``ok`` rejects, raises
+    ``UsageError("<key> must <what>, got <value>")`` with ``value`` as given.
+    """
+
+    def parse(key, value):
+        try:
+            parsed = kind(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+        if not ok(parsed):
+            raise UsageError(f"{key} must {rule}, got {value!r}")
+        return parsed
+
+    return parse
 
 
-def _to_float(key, value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {value!r}") from None
+def _schema(key, value) -> str:
+    ColumnSchema.parse(str(value))  # validates; raises UsageError
+    return str(value)
 
 
-def parse_algorithms(value) -> tuple[str, ...]:
-    if isinstance(value, (tuple, list)):
-        names = [str(v) for v in value]
-    else:
-        names = [part.strip() for part in str(value).split(",") if part.strip()]
+def parse_algorithms(key, value) -> tuple[str, ...]:
+    names = [part.strip() for part in str(value).split(",") if part.strip()]
     unknown = set(names) - set(ALGORITHMS)
     if unknown:
-        raise UsageError(
-            f"algorithms must be a subset of {{{','.join(ALGORITHMS)}}}, got {','.join(sorted(unknown))}"
-        )
+        raise UsageError(f"{key} must be a subset of {{{','.join(ALGORITHMS)}}}, got {','.join(sorted(unknown))}")
     if not names:
-        raise UsageError("algorithms must not be empty")
-    seen = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
+        raise UsageError(f"{key} must not be empty")
+    return tuple(dict.fromkeys(names))
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, "be >= 1")
+
+CONFIG_KEYS = {
+    # RunConfig field: (flag, help, parser). A config file value and a flag go through the same
+    # parser, in this order, which is RunConfig's.
+    "events": ("--events", "listening-events TSV file (.gz supported)",
+               lambda key, value: None if value is None else str(value)),
+    "schema": ("--schema", "column layout", _schema),
+    "on_error": ("--on-error", "malformed-line policy, skip or fail",
+                 _checked(str, lambda v: v in ("skip", "fail"), "be 'skip' or 'fail'")),
+    "group_size": ("--group-size", "users per group", _POSITIVE),
+    "min_events": ("--min-events", "minimum events per scored user", _POSITIVE),
+    "fraction": ("--fraction", "test fraction per user", _checked(float, lambda x: 0.0 < x < 1.0, "be in (0,1)")),
+    "k_max": ("--k-max", "largest list length k", _checked(int, lambda n: 1 <= n <= MAX_K, f"be in 1..{MAX_K}")),
+    "bll_d": ("--bll-d", "decay exponent", _checked(float, lambda x: 0 < x < math.inf, "be finite and > 0")),
+    "cf_neighbors": ("--cf-neighbors", "neighborhood size", _POSITIVE),
+    "algorithms": ("--algo", "comma-separated subset of bll,cf,pop,time,top", parse_algorithms),
+    "threads": ("--threads", "must be 1; evaluation runs on one thread",
+                _checked(int, lambda n: n == 1, "be 1 (evaluation runs on one thread)")),
+    "out_dir": ("--out-dir", "output directory", lambda key, value: str(value)),
+}
 
 
 def validate_config(raw: dict) -> RunConfig:
-    """Range-check raw key/value pairs and fill defaults."""
-    config = RunConfig()
-    known = set(asdict(config))
-    unknown = set(raw) - known
+    """The RunConfig of raw key/value pairs, with defaults for the keys not given.
+
+    Each value goes through its key's parser in ``CONFIG_KEYS``, so a config
+    file value and a flag are checked alike. An unknown key, or a value its
+    parser rejects, raises ``UsageError``.
+    """
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    if "events" in raw and raw["events"] is not None:
-        config.events = str(raw["events"])
-    if "schema" in raw:
-        ColumnSchema.parse(str(raw["schema"]))  # validates; raises UsageError
-        config.schema = str(raw["schema"])
-    if "on_error" in raw:
-        value = str(raw["on_error"])
-        if value not in ("skip", "fail"):
-            raise UsageError(f"on_error must be 'skip' or 'fail', got {value!r}")
-        config.on_error = value
-    if "group_size" in raw:
-        config.group_size = _to_int("group_size", raw["group_size"])
-        if config.group_size < 1:
-            raise UsageError("group_size must be >= 1")
-    if "min_events" in raw:
-        config.min_events = _to_int("min_events", raw["min_events"])
-        if config.min_events < 1:
-            raise UsageError("min_events must be >= 1")
-    if "fraction" in raw:
-        config.fraction = _to_float("fraction", raw["fraction"])
-        if not 0.0 < config.fraction < 1.0:
-            raise UsageError("fraction must be in (0,1)")
-    if "k_max" in raw:
-        config.k_max = _to_int("k_max", raw["k_max"])
-        if not 1 <= config.k_max <= MAX_K:
-            raise UsageError(f"k_max must be in 1..{MAX_K}")
-    if "bll_d" in raw:
-        config.bll_d = _to_float("bll_d", raw["bll_d"])
-        if not 0 < config.bll_d < math.inf:
-            raise UsageError("bll_d must be finite and > 0")
-    if "cf_neighbors" in raw:
-        config.cf_neighbors = _to_int("cf_neighbors", raw["cf_neighbors"])
-        if config.cf_neighbors < 1:
-            raise UsageError("cf_neighbors must be >= 1")
-    if "algorithms" in raw:
-        config.algorithms = parse_algorithms(raw["algorithms"])
-    if "threads" in raw:
-        config.threads = _to_int("threads", raw["threads"])
-        if config.threads != 1:
-            raise UsageError(f"threads must be 1 (evaluation runs on one thread), got {config.threads}")
-    if "out_dir" in raw:
-        config.out_dir = str(raw["out_dir"])
-    return config
+    return RunConfig(**{key: parse(key, raw[key]) for key, (_, _, parse) in CONFIG_KEYS.items() if key in raw})
 
 
 def _read_utf8(path, error: type[BllrecError]) -> str:
@@ -388,31 +372,18 @@ def cmd_eval(args) -> int:
 
 
 def _parse_event_range(value: str) -> tuple[int, int]:
-    lo, sep, hi = str(value).partition("..")
+    lo, sep, hi = value.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(lo), int(lo)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(f"events range must look like 200..400, got {value!r}") from None
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_users=args.users,
-        n_artists=args.artists,
-        events_per_user=_parse_event_range(args.events),
-        zipf_exponent=args.zipf,
-        reconsume_prob=args.reconsume,
-        recency_bias=args.recency,
-        time_span=args.time_span,
-        seed=args.seed,
-    )
     try:
-        config.validate()
-    except DataError as exc:
+        log = generate_synthetic(SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)}))
+    except DataError as exc:  # from SynthConfig.validate: a flag out of range
         raise UsageError(str(exc)) from None
-    log = generate_synthetic(config)
     write_events_tsv(log, args.out)
     print(f"wrote {args.out} ({len(log)} events, {len(log.id_maps.users)} users, "
           f"{len(log.id_maps.artists)} artists)")
@@ -467,27 +438,12 @@ def cmd_run(args) -> int:
 # --------------------------------------------------------------------------
 
 
-_CONFIG_FLAGS = {
-    # RunConfig field: (flag, help); validate_config parses the value, as it does a config file's
-    "events": ("--events", "listening-events TSV file (.gz supported)"),
-    "schema": ("--schema", "column layout"),
-    "on_error": ("--on-error", "malformed-line policy, skip or fail"),
-    "min_events": ("--min-events", "minimum events per scored user"),
-    "group_size": ("--group-size", "users per group"),
-    "fraction": ("--fraction", "test fraction per user"),
-    "algorithms": ("--algo", "comma-separated subset of bll,cf,pop,time,top"),
-    "k_max": ("--k-max", "largest list length k"),
-    "bll_d": ("--bll-d", "decay exponent"),
-    "cf_neighbors": ("--cf-neighbors", "neighborhood size"),
-    "threads": ("--threads", "must be 1; evaluation runs on one thread"),
-    "out_dir": ("--out-dir", "output directory"),
-}
 _INPUT_FLAGS = ("events", "schema", "on_error")
 
 
 def _add_config_flags(parser, *names) -> None:
     for name in names:
-        flag, text = _CONFIG_FLAGS[name]
+        flag, text, _ = CONFIG_KEYS[name]
         default = getattr(RunConfig, name)
         if default is not None:
             text += f" (default {','.join(default) if isinstance(default, tuple) else default})"
@@ -526,15 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic events TSV")
-    p.add_argument("--users", type=int, default=500)
-    p.add_argument("--artists", type=int, default=2000)
-    p.add_argument("--events", default="200..400", help="events per user, lo..hi")
-    p.add_argument("--zipf", type=float, default=1.1, help="global popularity skew exponent")
-    p.add_argument("--reconsume", type=float, default=0.7, help="probability an event repeats a past artist")
-    p.add_argument("--recency", type=float, default=0.8, help="power-law bias toward recent repeats")
-    p.add_argument("--time-span", dest="time_span", type=int, default=DEFAULT_TIME_SPAN,
-                   help="timestamp range in seconds")
-    p.add_argument("--seed", type=int, default=42)
+    for flag, field, kind, text in (
+        ("--users", "n_users", int, None),
+        ("--artists", "n_artists", int, None),
+        ("--events", "events_per_user", _parse_event_range, "events per user, lo..hi"),
+        ("--zipf", "zipf_exponent", float, "global popularity skew exponent"),
+        ("--reconsume", "reconsume_prob", float, "probability an event repeats a past artist"),
+        ("--recency", "recency_bias", float, "power-law bias toward recent repeats"),
+        ("--time-span", "time_span", int, "timestamp range in seconds"),
+        ("--seed", "seed", int, None),
+    ):
+        p.add_argument(flag, dest=field, type=kind, default=getattr(SynthConfig, field), help=text,
+                       metavar=flag[2:].upper().replace("-", "_"))
     p.add_argument("--out", required=True, help="output TSV path")
     p.set_defaults(func=cmd_synth)
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from bllrec import cli
 from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
+from bllrec.synth import SynthConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -64,6 +66,15 @@ class TestValidateConfig:
             with pytest.raises(UsageError, match="unknown config key"):
                 validate_config({key: 3})
 
+    def test_every_run_config_field_has_one_config_key(self, capsys):
+        # validate_config parses only the keys of CONFIG_KEYS, in its order: a field without a
+        # row would be ignored, and a row without a field would fail on RunConfig(**...).
+        assert list(cli.CONFIG_KEYS) == [f.name for f in fields(cli.RunConfig)]
+        assert main(["run", "--help"]) == 0
+        usage = capsys.readouterr().out
+        for flag, _, _ in cli.CONFIG_KEYS.values():
+            assert f" {flag} " in usage
+
     def test_algorithm_subset(self):
         assert validate_config({"algorithms": "bll,cf"}).algorithms == ("bll", "cf")
         with pytest.raises(UsageError):
@@ -89,6 +100,17 @@ class TestSubcommands:
         assert main(["synth", *flag, "--out", str(out)]) == 1
         assert "usage error: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_synth_flags_map_onto_synth_config(self):
+        def config(*flags):
+            args = cli.build_parser().parse_args(["synth", *flags, "--out", "x"])
+            return SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+
+        assert config() == SynthConfig()
+        assert config(
+            "--users", "7", "--artists", "9", "--events", "3..5", "--zipf", "1.5", "--reconsume", "0.25",
+            "--recency", "2", "--time-span", "1000", "--seed", "3",
+        ) == SynthConfig(7, 9, (3, 5), 1.5, 0.25, 2.0, 1000, 3)
 
     def test_ingest_summary(self, synth_tsv, capsys):
         assert main(["ingest", "--events", str(synth_tsv)]) == 0
@@ -274,6 +296,14 @@ class TestBadGroupsAndConfigFiles:
             ("--fraction", "fraction", "half"),
             ("--group-size", "group_size", "1.5"),
             ("--bll-d", "bll_d", "x"),
+            ("--k-max", "k_max", "0"),
+            ("--k-max", "k_max", "1001"),
+            ("--group-size", "group_size", "0"),
+            ("--min-events", "min_events", "0"),
+            ("--cf-neighbors", "cf_neighbors", "0"),
+            ("--fraction", "fraction", "1.0"),
+            ("--bll-d", "bll_d", "inf"),
+            ("--threads", "threads", "2"),
         ],
     )
     def test_flag_and_config_file_values_fail_alike(self, synth_tsv, tmp_path, capsys, flag, key, value):
