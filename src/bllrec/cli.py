@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -158,11 +159,17 @@ def _read_utf8(path, error: type[BllrecError]) -> str:
         raise error(f"{path} line {line_no}: not valid UTF-8") from None
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def read_config_file(path) -> dict[str, str]:
-    """Plain-text key=value config; '#' starts a comment."""
+    """Plain-text key=value config; '#' starts a comment at the start of a line or after whitespace.
+
+    So ``events=a#1.tsv`` names that file, and ``k_max=5  # note`` sets 5.
+    """
     raw: dict[str, str] = {}
     for line_no, line in enumerate(_read_utf8(path, UsageError).splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", line, count=1).strip()
         if not line:
             continue
         key, sep, value = line.partition("=")

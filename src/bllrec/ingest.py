@@ -29,9 +29,18 @@ codes and ids, and gives the missing ones the next ids in order of their
 first line, so ids are dense and follow each key's first line. The runs
 are the only copy of the codes: a key takes 12 bytes there, and a long
 key about 75 bytes more for its dict entry and code, besides its ``str``.
+The event columns of a plain file are sized once, after the first block:
+the file's bytes over the bytes per line so far, plus 1/32. That room is
+allocated unwritten, so it holds no pages until lines fill it, and the
+columns grow by a quarter only past it. A ``.gz`` file or a stream has no
+size to go by, so its columns grow by a quarter from the start.
 
 ``build_user_histories`` turns the log into one ``UserHistories`` table.
-It groups the log by user, then sorts batches of whole users twice, each
+Ids follow first sight, so a log whose lines come user by user never
+lowers its user id: such a log is grouped already, and its artist and
+timestamp columns become the table's, sorted in place. Any other log is
+grouped by a stable argsort of its users and gathers of those two
+columns. Then batches of whole users are sorted twice, each
 time with ``np.sort`` on unique packed uint64 keys. The first sort, by
 user then timestamp, gives every user's events as one slice of two
 arrays. The second, by user then artist, gives one row per (user,
@@ -46,6 +55,7 @@ from __future__ import annotations
 import bisect
 import gzip
 import hashlib
+import os
 import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -211,7 +221,8 @@ class IdMaps:
 class EventLog:
     """Flat event store: parallel arrays of user id, artist id, timestamp.
 
-    ``build_user_histories`` takes the three arrays over and leaves them None.
+    ``build_user_histories`` takes the three arrays over and leaves them None;
+    it may sort the artists and timestamps in place to make its table of them.
     """
 
     users: np.ndarray | None  # int32, one entry per event
@@ -291,7 +302,9 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
 CHUNK_SIZE = 1 << 17
 """Bytes read per step. A block's temporary arrays are a few times this size,
 and the allocator keeps their pages once they are freed, so larger chunks
-parse a little faster but raise the run's peak memory."""
+parse a little faster but raise the run's peak memory. The first block, of at
+least this many bytes, is the sample of line lengths that sizes a plain file's
+event columns."""
 
 _MAX_VECTOR_KEY = 8
 """Longer keys go through ``parse_event_line``: keys that fit in a uint64 sort
@@ -428,17 +441,19 @@ def _pad(buf: np.ndarray) -> np.ndarray:
 class _ChunkParser:
     """Turns blocks of whole lines into event arrays and the id maps."""
 
-    def __init__(self, schema: ColumnSchema, on_error: str):
+    def __init__(self, schema: ColumnSchema, on_error: str, file_bytes: int | None = None):
         self.schema = schema
         self.on_error = on_error
         self.id_maps = IdMaps()
         self.lines = 0  # lines consumed, so line numbers continue across blocks
         self.skipped = 0
         self.size = 0  # events stored
-        # Grown in place (realloc), so the events are never held twice.
+        self.file_bytes = file_bytes  # a plain file's size, from which the first block sizes the columns
+        # Sized from the file once, or grown in place (realloc), so the events are never held twice.
         self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint32))
 
     def add(self, data: bytes) -> None:
+        block_bytes = len(data)
         if b"\r" in data:  # universal newlines: \r\n, then any other \r, ends a line
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not data.endswith(b"\n"):
@@ -448,6 +463,10 @@ class _ChunkParser:
         delims = np.flatnonzero(is_newline | (buf == ord("\t")))
         line_ends = np.flatnonzero(is_newline[delims])  # each line's newline, as an index into delims
         n_columns = np.diff(line_ends, prepend=-1)
+        if self.file_bytes is not None:  # the first block: room for as many lines as the file holds at its line length
+            estimate = self.file_bytes * len(line_ends) // block_bytes
+            self.columns = tuple(np.empty(estimate + estimate // 32, dtype=c.dtype) for c in self.columns)
+            self.file_bytes = None
 
         # Leave to parse_event_line the lines with too few columns, those with a NUL (keys
         # viewed as S8 lose trailing NULs) and, where the block is not UTF-8, those with a
@@ -519,11 +538,13 @@ class _ChunkParser:
         artists = self.id_maps.artists.densify(artists[take])
         timestamps = timestamps[take]
         if self.columns[2].dtype == np.uint32 and timestamps.size and timestamps.max() >= 2**32:
-            self.columns = (*self.columns[:2], self.columns[2].astype(np.int64))
+            wide = np.empty(len(self.columns[2]), dtype=np.int64)  # its spare room stays untouched
+            wide[: self.size] = self.columns[2][: self.size]
+            self.columns = (*self.columns[:2], wide)
         size = self.size + len(timestamps)
         for column, values in zip(self.columns, (users, artists, timestamps)):
             if size > len(column):
-                # At most a quarter spare: resize zero-fills, so spare room costs memory at once.
+                # Past the estimate, at most a quarter spare: resize zero-fills, so spare room costs memory at once.
                 column.resize(size + size // 4, refcheck=False)  # no views of a column are kept
             column[self.size : size] = values
         self.size = size
@@ -537,18 +558,21 @@ class _ChunkParser:
 
 @contextmanager
 def _open_blocks(source):
-    """Blocks of whole lines from ``source`` and, for a path, the reader hashing its raw bytes."""
+    """Blocks of whole lines from ``source``, the reader hashing a path's raw bytes, and a plain file's size.
+
+    The reader is None for a stream; the size is None for a stream and a ``.gz`` file.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         with open(path, "rb") as raw:
             reader = _Sha256Reader(raw)
             if path.suffix == ".gz":
                 with gzip.GzipFile(fileobj=reader, mode="rb") as decompressed:
-                    yield _byte_blocks(decompressed.read1), reader
+                    yield _byte_blocks(decompressed.read1), reader, None
             else:
-                yield _byte_blocks(reader.read), reader
+                yield _byte_blocks(reader.read), reader, os.fstat(raw.fileno()).st_size
     else:  # a caller's binary stream, which stays open
-        yield _byte_blocks(source.read), None
+        yield _byte_blocks(source.read), None, None
 
 
 def load_events(source, schema: ColumnSchema | None = None, on_error: str = "skip") -> tuple[EventLog, int]:
@@ -577,8 +601,8 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     if on_error not in ("skip", "fail"):
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
 
-    parser = _ChunkParser(schema, on_error)
-    with _open_blocks(source) as (blocks, reader):
+    with _open_blocks(source) as (blocks, reader, file_bytes):
+        parser = _ChunkParser(schema, on_error, file_bytes)
         try:
             for block in blocks:
                 parser.add(block)
@@ -613,7 +637,13 @@ position and its timestamp, or the timestamp's rank, into one 64-bit key."""
 def build_user_histories(log: EventLog) -> UserHistories:
     """Sort the log into one table of per-user histories and (user, artist) pair rows.
 
-    A stable sort of the user ids groups the log by user. Then batches of
+    A log whose user ids never decrease is grouped by user already: a
+    binary search of its user column gives each user's bounds, and its
+    artist and timestamp columns are sorted in place, so the build makes no
+    array as long as the log but ``by_pair``. A column that cannot be made
+    writeable again, such as a view of ``bytes``, is copied first. Any other
+    log is grouped by a stable argsort of the user ids and gathers of the
+    other two columns, which peak 12 bytes per event higher. Then batches of
     whole users are sorted twice with ``np.sort`` on unique uint64 keys
     packed from the user in the batch, a value and the event's position in
     the batch: by timestamp, so equal timestamps keep input order, then by
@@ -626,23 +656,29 @@ def build_user_histories(log: EventLog) -> UserHistories:
 
     The table takes over the log's columns: ``log.users``, ``log.artists``
     and ``log.timestamps`` are set to None as soon as each has been read,
-    so the log's events and the table's are never all held at once. The
-    log keeps ``id_maps`` and ``sha256``.
+    so the log's events and the table's are never all held at once; a
+    grouped log's artists and timestamps become the table's own arrays.
+    The log keeps ``id_maps`` and ``sha256``.
     """
     n = len(log)
-    n_users = int(log.users.max()) + 1 if n else 0
     index_type = np.int32 if n < 2**31 else np.int64
-    offsets = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(log.users, minlength=n_users), out=offsets[1:])
-
-    order = np.argsort(log.users, kind="stable")
-    log.users = None
-    order = order.astype(index_type, copy=False)  # frees the int64 argsort once the copy exists
-    artists = log.artists[order]
-    log.artists = None
-    timestamps = log.timestamps[order]
-    log.timestamps = None
-    del order
+    users, log.users = log.users, None
+    if _is_grouped(users):
+        n_users = int(users[-1]) + 1 if n else 0
+        offsets = np.searchsorted(users, np.arange(n_users + 1, dtype=users.dtype)).astype(np.int64, copy=False)
+        del users
+        artists, log.artists = _take_over(log.artists), None
+        timestamps, log.timestamps = _take_over(log.timestamps), None
+    else:
+        n_users = int(users.max()) + 1 if n else 0
+        offsets = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
+        order = np.argsort(users, kind="stable")
+        del users
+        order = order.astype(index_type, copy=False)  # frees the int64 argsort once the copy exists
+        artists, log.artists = log.artists[order], None
+        timestamps, log.timestamps = log.timestamps[order], None
+        del order
     by_pair = np.empty(n, dtype=index_type)
     first = [np.zeros(0, dtype=index_type)]  # the position in by_pair of each pair's first event
     bounds = offsets.tolist()
@@ -676,6 +712,25 @@ def build_user_histories(log: EventLog) -> UserHistories:
         pair_last=timestamps[by_pair[first + pair_counts - 1]],
         by_pair=by_pair,
     )
+
+
+def _is_grouped(users: np.ndarray) -> bool:
+    """Whether ``users`` never decreases, compared a block at a time so no temporary is as long as the log."""
+    for lo in range(0, len(users) - 1, _BATCH_EVENTS):
+        block = users[lo : lo + _BATCH_EVENTS + 1]
+        if (block[1:] < block[:-1]).any():
+            return False
+    return True
+
+
+def _take_over(column: np.ndarray) -> np.ndarray:
+    """``column`` made writeable to be sorted in place, or a copy of it where that cannot be done."""
+    if not column.flags.writeable:
+        try:
+            column.flags.writeable = True
+        except ValueError:  # a view of memory that is not writeable, such as np.frombuffer of bytes
+            return column.copy()
+    return column
 
 
 def _sort_batch(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray, by_pair: np.ndarray) -> np.ndarray:

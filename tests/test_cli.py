@@ -400,6 +400,21 @@ class TestRunPipeline:
         lines = (out_dir / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 1 * 3 * 4  # flag k_max=4 overrides file value 3
 
+    def test_hash_inside_a_config_value_is_not_a_comment(self, synth_tsv, tmp_path):
+        # '#' starts a comment only at the start of a line or after whitespace, so a path may hold one.
+        events = tmp_path / "a#1.tsv"
+        events.write_bytes(synth_tsv.read_bytes())
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"# a log named with '#'\nevents={events}\ngroup_size=20\nalgorithms=bll  # comment\nk_max=3\t#3\n"
+        )
+        assert cli.read_config_file(config) == {
+            "events": str(events), "group_size": "20", "algorithms": "bll", "k_max": "3"
+        }
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        assert len((out_dir / "results.csv").read_text().splitlines()) == 1 + 1 * 3 * 3
+
     def test_missing_events_file_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--events", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path / "o")])
         assert code == 3

@@ -754,6 +754,138 @@ class TestBuildMatchesPerUserSorts:
             build_user_histories(log)
 
 
+def _synth_columns(case: str, seed: int):
+    """A synth log's columns, grouped by user, bent to ``case``."""
+    users = {"single-user": 1}.get(case, 12)
+    log = generate_synthetic(SynthConfig(n_users=users, n_artists=80, events_per_user=(30, 300), seed=seed))
+    columns = [log.users.copy(), log.artists.copy(), log.timestamps.astype(np.uint32)]
+    rng = np.random.default_rng(seed)
+    if case == "unordered":  # each user's events out of time order, the log still grouped by user
+        columns = [column[np.lexsort((rng.random(len(log)), log.users))] for column in columns]
+    elif case == "equal-timestamps":
+        columns[2] //= 100_000  # about 300 distinct timestamps
+    elif case == "int64":
+        columns[2] = log.timestamps + 2**32
+    return columns
+
+
+def _build_peak(columns) -> int:
+    """The tracemalloc peak of building the table of a log with copies of ``columns``."""
+    log = EventLog(*(column.copy() for column in columns), IdMaps())
+    tracemalloc.start()
+    try:
+        build_user_histories(log)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGroupedLogs:
+    """A log grouped by user, as every log whose lines come user by user is, is sorted in its own columns."""
+
+    @pytest.mark.parametrize("case", ["unordered", "equal-timestamps", "int64", "single-user"])
+    def test_grouped_and_shuffled_logs_match_the_oracle(self, case):
+        for seed in range(3):
+            grouped = _synth_columns(case, seed)
+            assert (np.diff(grouped[0]) >= 0).all()
+            order = np.random.default_rng(100 + seed).permutation(len(grouped[0]))
+            for columns in (grouped, [column[order] for column in grouped]):
+                expected = per_user_histories(*(column.copy() for column in columns))
+                log = EventLog(*(column.copy() for column in columns), IdMaps())
+                artists = log.artists
+                got = build_user_histories(log)
+                # Only a grouped log's columns become the table's; a shuffled one of many users is gathered.
+                assert (got.artists is artists) == (columns is grouped or case == "single-user")
+                for name in HISTORY_FIELDS:
+                    want, have = getattr(expected, name), getattr(got, name)
+                    assert have.dtype == want.dtype, (case, name)
+                    assert np.array_equal(have, want), (case, name)
+
+    def test_takes_over_a_grouped_log_in_place(self):
+        # load_events leaves its columns read-only; they own their memory, so the table sorts the
+        # log's own artist and timestamp arrays instead of copies, and leaves them read-only.
+        log = log_from_events([("u1", "a2", 12), ("u1", "a1", 10), ("u2", "a3", 9), ("u2", "a1", 11)])
+        artists, timestamps = log.artists, log.timestamps
+        histories = build_user_histories(log)
+        assert histories.artists is artists and histories.timestamps is timestamps
+        assert (log.users, log.artists, log.timestamps) == (None, None, None)
+        assert timestamps.tolist() == [10, 12, 9, 11] and artists.tolist() == [1, 0, 2, 1]
+        assert not artists.flags.writeable and not timestamps.flags.writeable
+
+    def test_read_only_views_build(self):
+        # np.frombuffer of bytes can never be written: such a column is copied, not sorted in place.
+        columns = [np.array([0, 0, 1, 1, 1], np.int32), np.array([3, 1, 2, 1, 0], np.int32),
+                   np.array([5, 4, 9, 7, 7], np.uint32)]
+        views = [np.frombuffer(column.tobytes(), dtype=column.dtype) for column in columns]
+        histories = build_user_histories(EventLog(*views, IdMaps()))
+        expected = per_user_histories(*columns)
+        for name in HISTORY_FIELDS:
+            assert np.array_equal(getattr(histories, name), getattr(expected, name)), name
+        assert [view.tolist() for view in views] == [column.tolist() for column in columns]
+
+
+@pytest.fixture(scope="module")
+def long_history_logs():
+    """The columns of two grouped long-history synth logs, of 40 and 80 users."""
+    logs = [
+        generate_synthetic(SynthConfig(n_users=users, n_artists=3000, events_per_user=(2000, 3000), seed=3))
+        for users in (40, 80)
+    ]
+    return [[log.users, log.artists, log.timestamps] for log in logs]
+
+
+def _slope(sizes, peaks) -> float:
+    return (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+
+
+def test_build_allocates_few_bytes_per_event_of_a_grouped_log(long_history_logs):
+    # A grouped log is sorted in its own columns: per added event the build allocates by_pair's 4
+    # bytes and the pair rows' share, 4.4 bytes in all. A stable argsort of the user column and
+    # gathers of the other two took 16.4.
+    sizes = [len(columns[0]) for columns in long_history_logs]
+    assert _slope(sizes, [_build_peak(columns) for columns in long_history_logs]) < 8
+
+
+def test_build_of_a_shuffled_log_allocates_no_more_than_the_sort_and_gathers(long_history_logs):
+    # An ungrouped log keeps the argsort and the gathers, 16.4 bytes per added event; one more int64
+    # array over the log would take 24.
+    sizes = [len(columns[0]) for columns in long_history_logs]
+    order = [np.random.default_rng(1).permutation(size) for size in sizes]
+    shuffled = [[column[o] for column in columns] for columns, o in zip(long_history_logs, order)]
+    assert _slope(sizes, [_build_peak(columns) for columns in shuffled]) < 18
+
+
+def test_a_plain_file_sizes_the_columns_once(tmp_path):
+    # After its first block a plain file's size, over the bytes per line so far, sizes the columns
+    # once; their room is not written until lines fill it. A stream has no size, so its columns
+    # grow by a quarter at a time, which zero-fills the room each step adds.
+    path = tmp_path / "events.tsv"
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=40, n_artists=3000, events_per_user=(2000, 3000))), path)
+    lengths = {}
+    append = ingest._ChunkParser._append
+
+    def spy(parser, *args):
+        append(parser, *args)
+        lengths.setdefault(kind, []).append(len(parser.columns[0]))
+
+    with mock.patch.object(ingest._ChunkParser, "_append", spy):
+        kind = "stream"
+        load_events(io.BytesIO(path.read_bytes()))
+        kind = "path"
+        tracemalloc.start()
+        try:
+            log, _ = load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(lengths["stream"]) > 10 and len(set(lengths["stream"])) > 5
+    assert len(lengths["path"]) > 10 and set(lengths["path"]) == {lengths["path"][0]}
+    assert len(log) <= lengths["path"][0] < 1.2 * len(log)
+    # The columns' 12 bytes per event and their unwritten room, besides the IdMap and the block
+    # temporaries (about 2.5 MB).
+    assert peak < 14 * len(log) + 3 * 2**20
+
+
 class TestWriteEventsTsv:
     def test_round_trip(self, tmp_path):
         log = log_from_events([("u1", "a1", 10), ("u2", "a1", 11), ("u1", "a2", 12)])
