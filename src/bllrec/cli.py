@@ -26,6 +26,8 @@ from pathlib import Path
 # The pipeline calls no BLAS; an OpenBLAS worker would only spin at numpy's import. Must precede it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from . import __version__
 from ._kernels import BACKEND_NAME
 from .errors import BllrecError, DataError, UsageError
@@ -182,9 +184,10 @@ def read_config_file(path) -> dict[str, str]:
     return raw
 
 
-def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, float]]:
+def _read_groups_csv(path, id_maps) -> dict[str, np.ndarray]:
+    """Each group's members as an ascending id array, keyed by ``GROUP_NAMES``; each score is checked, not kept."""
     groups: dict[str, list[int]] = {name: [] for name in GROUP_NAMES}
-    scores: dict[int, float] = {}
+    listed: set[int] = set()
     ids = {key: user for user, key in enumerate(id_maps.users.keys())}
     reader = csv.DictReader(io.StringIO(_read_utf8(path, DataError), newline=""))
     required = {"user_key", "score", "group"}
@@ -205,16 +208,16 @@ def _read_groups_csv(path, id_maps) -> tuple[dict[str, list[int]], dict[int, flo
                 raise DataError(f"{where}: score {row['score']!r} is not a number") from None
             if not math.isfinite(score):
                 raise DataError(f"{where}: score {row['score']!r} is not finite")
-            if user in scores:
+            if user in listed:
                 raise DataError(f"{where}: user key {key!r} is listed twice")
             groups[row["group"]].append(user)
-            scores[user] = score
+            listed.add(user)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit(), from a stray '"'
         # reader.line_num is the last line of the last whole record; the bad one starts after it.
         raise DataError(f"{path} line {reader.line_num + 1}: {exc}") from None
-    if not scores:
+    if not listed:
         raise DataError(f"{path}: no group rows found")
-    return groups, scores
+    return {name: np.sort(np.array(members, dtype=np.int64)) for name, members in groups.items()}
 
 
 @dataclass
@@ -224,8 +227,8 @@ class Staged:
     log: EventLog
     skipped: int
     histories: UserHistories | None = None
-    groups: dict[str, list[int]] | None = None
-    scores: dict[int, float] | None = None
+    groups: dict[str, np.ndarray] | None = None  # each group's ascending user ids
+    scores: np.ndarray | None = None  # float64 per user id, NaN for an unscored user
     stats: dict[str, GroupStats] | None = None
     split: SplitDataset | None = None
     reports: list[EvalReport] | None = None
@@ -251,11 +254,13 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
         stage = "profile"
         out.histories = build_user_histories(log)
         if groups_csv is not None:
-            out.groups, out.scores = _read_groups_csv(groups_csv, log.id_maps)
+            out.groups = _read_groups_csv(groups_csv, log.id_maps)
         elif until != "split":
             out.scores = score_users(out.histories, min_events=config.min_events)
             out.groups = assign_groups(out.scores, config.group_size)
         if stats:
+            if out.scores is None:  # a file's members may be below min_events, and no score depends on it
+                out.scores = score_users(out.histories, min_events=1)
             out.stats = {name: group_stats(users, out.histories, out.scores) for name, users in out.groups.items()}
         if until == stage:
             return out
@@ -291,7 +296,8 @@ def _groups_rows(out: Staged) -> list[list]:
     rows = [["user_key", "score", "group"]]
     keys = out.log.id_maps.users.keys()
     for name, members in out.groups.items():
-        rows.extend([keys[user], f"{out.scores[user]:.6f}", name] for user in members)
+        scores = out.scores[members].tolist()
+        rows.extend([keys[user], f"{score:.6f}", name] for user, score in zip(members.tolist(), scores))
     return rows
 
 

@@ -32,12 +32,12 @@ class EvalReport:
 def evaluate_algorithm(
     split: SplitDataset,
     recommend_fn,
-    users,
+    users: np.ndarray,
     k_max: int,
     algorithm: str = "",
     group: str = "",
 ) -> EvalReport:
-    """Run one recommender over a group and aggregate its metrics.
+    """Run one recommender over a group, an ascending array of user ids, and aggregate its metrics.
 
     ``recommend_fn(user, split.train, k_max)`` must return a
     RecommendationList that ranks for that user from the train table only.
@@ -49,8 +49,6 @@ def evaluate_algorithm(
     and a list shorter than k_max keeps its final hit count for larger k.
     The users' terms are summed in id order, row after row.
     """
-    users = np.sort(np.fromiter(users, dtype=np.int64))
-    users = users[(users >= 0) & (users < len(split.train.starts))]  # an id the table lacks has no events
     evaluable = users[split.train.n_events[users] > 0]
     if not len(evaluable):
         raise DataError(f"group {group or '?'}: no evaluable users")

@@ -8,9 +8,10 @@ aggregate distribution over all loaded users, via histogram intersection:
 which is 1.0 when the two distributions coincide and 0.0 when their
 supports are disjoint. Both distributions come from the pair rows of the
 ``UserHistories`` table: p_u(a) is the pair's count over the user's
-events, p_global(a) the artist's total count over all events. The
-measure itself is isolated in ``mainstreaminess`` so alternative overlap
-measures can be swapped in later.
+events, p_global(a) the artist's total count over all events.
+
+Scores are one float64 array indexed by user id, NaN for an unscored
+user, and each group is an ascending int64 array of user ids.
 """
 
 from __future__ import annotations
@@ -38,45 +39,37 @@ def global_artist_distribution(histories: UserHistories) -> np.ndarray:
     return totals / total_events
 
 
-def mainstreaminess(user_shares, global_shares) -> float:
-    """Histogram intersection of two distributions over the user's artists, in [0, 1].
-
-    ``user_shares`` and ``global_shares`` give the two probabilities of the
-    same artists, in the same order. fsum makes the result independent of
-    that order, so the score is symmetric and invariant under consistent
-    relabeling.
-    """
-    return math.fsum(np.minimum(user_shares, global_shares).tolist())
-
-
 def eligible_users(histories: UserHistories, min_events: int) -> np.ndarray:
     """Ascending ids of the users with at least ``min_events`` events (and at least one)."""
     n_events = histories.n_events
     return np.flatnonzero((n_events >= min_events) & (n_events > 0))
 
 
-def score_users(histories: UserHistories, min_events: int = 2) -> dict[int, float]:
-    """Mainstreaminess per user of ``eligible_users(histories, min_events)``.
+def score_users(histories: UserHistories, min_events: int = 2) -> np.ndarray:
+    """Mainstreaminess per user id, NaN for each user not in ``eligible_users(histories, min_events)``.
 
     The global distribution is built from all loaded histories; the
-    min-events filter only controls which users receive a score.
+    min-events filter only controls which users receive a score. Each
+    score is the ``math.fsum`` of its user's pair-row minima, so it does
+    not depend on the order of the user's artists.
     """
     global_dist = global_artist_distribution(histories)
-    user_shares = np.repeat(histories.n_events.astype(np.float64), np.diff(histories.pair_offsets))
-    np.divide(histories.pair_counts, user_shares, out=user_shares)
-    global_shares = global_dist[histories.pair_artists]
-    offsets = histories.pair_offsets.tolist()
-    scored = eligible_users(histories, min_events).tolist()
-    return {
-        u: mainstreaminess(user_shares[offsets[u]:offsets[u + 1]], global_shares[offsets[u]:offsets[u + 1]])
-        for u in scored
-    }
+    shares = np.repeat(histories.n_events.astype(np.float64), np.diff(histories.pair_offsets))
+    np.divide(histories.pair_counts, shares, out=shares)
+    np.minimum(shares, global_dist[histories.pair_artists], out=shares)
+    users = eligible_users(histories, min_events)
+    # Zipped arrays, not lists: a Python int per bound would take more memory than the scores.
+    bounds = zip(histories.pair_offsets[users], histories.pair_offsets[users + 1])
+    scores = np.full(len(histories.starts), np.nan)
+    scores[users] = np.fromiter((math.fsum(shares[lo:hi].tolist()) for lo, hi in bounds), np.float64, len(users))
+    return scores
 
 
-def assign_groups(scores: dict[int, float], group_size: int) -> dict[str, tuple[int, ...]]:
-    """Partition users into the lowest, median-centered and highest score blocks.
+def assign_groups(scores: np.ndarray, group_size: int) -> dict[str, np.ndarray]:
+    """Partition the scored users into the lowest, median-centered and highest score blocks.
 
-    Returns disjoint member tuples of ``group_size`` ascending ids, keyed by
+    ``scores`` is indexed by user id, NaN for an unscored user. Returns
+    disjoint arrays of ``group_size`` ascending ids, keyed by
     ``GROUP_NAMES`` in order.
 
     Users are ordered by (score, user id) so the assignment is a pure
@@ -84,13 +77,14 @@ def assign_groups(scores: dict[int, float], group_size: int) -> dict[str, tuple[
     """
     if group_size < 1:
         raise DataError("group_size must be at least 1")
-    n = len(scores)
+    scored = np.flatnonzero(~np.isnan(scores))
+    n = len(scored)
     if n < 3 * group_size:
         raise DataError(f"need at least {3 * group_size} scored users for group size {group_size}, got {n}")
-    order = sorted(scores, key=lambda u: (scores[u], u))
+    order = scored[np.argsort(scores[scored], kind="stable")]  # stable: a tie goes to the lower id
     med_start = (n - group_size) // 2
     blocks = (order[:group_size], order[med_start:med_start + group_size], order[n - group_size:])
-    return {name: tuple(sorted(block)) for name, block in zip(GROUP_NAMES, blocks)}
+    return {name: np.sort(block) for name, block in zip(GROUP_NAMES, blocks)}
 
 
 @dataclass(frozen=True)
@@ -104,14 +98,9 @@ class GroupStats:
     avg_mainstreaminess: float
 
 
-def group_stats(
-    members,
-    histories: UserHistories,
-    scores: dict[int, float],
-) -> GroupStats:
-    """Aggregate statistics over one group's members."""
-    members = sorted(members)
-    if not members:
+def group_stats(members: np.ndarray, histories: UserHistories, scores: np.ndarray) -> GroupStats:
+    """Aggregate statistics over one group's members, an ascending id array; ``scores`` is indexed by id."""
+    if not len(members):
         raise DataError("cannot compute statistics for an empty group")
     in_group = np.zeros(len(histories.starts), dtype=bool)
     in_group[members] = True
@@ -123,5 +112,5 @@ def group_stats(
         distinct_artists=artists.size - int(np.count_nonzero(artists[1:] == artists[:-1])),
         listening_events=int(histories.n_events[members].sum()),
         avg_artists_per_user=artists.size / n,
-        avg_mainstreaminess=sum(scores[u] for u in members) / n,
+        avg_mainstreaminess=sum(scores[members].tolist()) / n,
     )

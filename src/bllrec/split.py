@@ -41,11 +41,11 @@ class SplitDataset:
         """The split users' ids, ascending; ``perfbench/tracer.py`` counts split users by its length."""
         return np.flatnonzero(self.train.n_events)
 
-    def test_event_count(self, users=None) -> int:
+    def test_event_count(self, users: np.ndarray | None = None) -> int:
         n_test = self.test.n_events
         if users is None:
             return int(n_test.sum())
-        return int(n_test[np.fromiter(users, dtype=np.int64)].sum())
+        return int(n_test[users].sum())
 
 
 def n_test_events(n_events, fraction: float):
@@ -53,11 +53,11 @@ def n_test_events(n_events, fraction: float):
     return np.maximum(1, np.floor(fraction * np.asarray(n_events))).astype(np.int64)
 
 
-def split_histories(histories: UserHistories, fraction: float, users=None) -> SplitDataset:
+def split_histories(histories: UserHistories, fraction: float, users: np.ndarray | None = None) -> SplitDataset:
     """Split each given user's history by time; users with fewer than 2 events are dropped and counted.
 
-    ``histories`` is a table from ``build_user_histories``; ``users``
-    defaults to every user in it.
+    ``histories`` is a table from ``build_user_histories``; ``users``, an
+    array of user ids, defaults to every user in it.
     """
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0,1), got {fraction}")
@@ -66,7 +66,7 @@ def split_histories(histories: UserHistories, fraction: float, users=None) -> Sp
         chosen = n_events > 0
     else:
         chosen = np.zeros(len(n_events), dtype=bool)
-        chosen[np.fromiter(users, dtype=np.int64)] = True
+        chosen[users] = True
     split = chosen & (n_events >= 2)
     if not split.any():
         raise DataError("no splittable users (all histories have fewer than 2 events)")

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +18,8 @@ import pytest
 from bllrec import cli
 from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
-from bllrec.synth import SynthConfig
+from bllrec.ingest import write_events_tsv
+from bllrec.synth import SynthConfig, generate_synthetic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -338,6 +340,22 @@ class TestRunPipeline:
         assert manifest["input"]["sha256"] == hashlib.sha256(synth_tsv.read_bytes()).hexdigest()
         assert manifest["version"]
 
+    def test_stats_and_eval_over_run_groups_equal_run_outputs(self, tmp_path):
+        # groups.csv keeps 6 decimals of each score; stats must average the scores themselves, whatever
+        # the order of the file's rows. On this log, averaging the rounded scores gives HighMS 0.431206.
+        events, out = tmp_path / "s.tsv", tmp_path / "out"
+        synth = ["synth", "--users", "30", "--artists", "200", "--events", "20..40", "--seed", "1", "--out"]
+        assert main([*synth, str(events)]) == 0
+        assert main(["run", "--events", str(events), "--group-size", "5", "--out-dir", str(out)]) == 0
+        header, *rows = (out / "groups.csv").read_text(encoding="utf-8").splitlines()
+        groups = tmp_path / "g.csv"
+        groups.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+        stats, results = tmp_path / "stats.csv", tmp_path / "results.csv"
+        assert main(["stats", "--events", str(events), "--groups", str(groups), "--out", str(stats)]) == 0
+        assert main(["eval", "--events", str(events), "--groups", str(groups), "--out", str(results)]) == 0
+        assert stats.read_bytes() == (out / "stats.csv").read_bytes()
+        assert results.read_bytes() == (out / "results.csv").read_bytes()
+
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
     def test_run_reads_the_events_file_once(self, synth_tsv, tmp_path, monkeypatch, compress):
         path = synth_tsv
@@ -536,6 +554,36 @@ class TestRunPipeline:
         capsys.readouterr()
         assert main(["run", "--help"]) == 0
         assert "--k-max K_MAX largest list length k (default 20)" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "users, events_per_user, group_size, per_event, bound",
+    [
+        # 13.1 bytes per added event, of which the log's columns take 12.
+        ((40, 80), (2000, 3000), 10, True, 16),
+        # 565 bytes per added user; a dict of Python float scores and tuple groups took 731.
+        ((5000, 10_000), (15, 30), 100, False, 650),
+    ],
+    ids=["long-histories", "many-users"],
+)
+def test_whole_run_allocates_with_the_data(tmp_path, users, events_per_user, group_size, per_event, bound):
+    # The tracemalloc peak of a whole run up to evaluation, at two sizes of one shape: what each added
+    # event or user costs. This bounds allocation, not RSS: room from np.empty that no page backs counts.
+    sizes, peaks = [], []
+    for n_users in users:
+        path = tmp_path / f"{n_users}.tsv"
+        log = generate_synthetic(SynthConfig(n_users=n_users, n_artists=5000, events_per_user=events_per_user, seed=3))
+        write_events_tsv(log, path)
+        sizes.append(len(log) if per_event else n_users)
+        del log
+        tracemalloc.start()
+        try:
+            out = cli.run_stages(validate_config({"events": path, "group_size": group_size}), "evaluate")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(out.reports) == 5 * 3
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < bound
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")

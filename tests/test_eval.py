@@ -43,7 +43,7 @@ class TestHitsAtK:
     def test_empty_test_set(self):
         histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4])
         both = split_histories(histories, 0.5)
-        only_user_0 = split_histories(histories, 0.5, users=[0])
+        only_user_0 = split_histories(histories, 0.5, users=np.array([0]))
         split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
         with pytest.raises(DataError, match="user 1: empty test artist set"):
             evaluate_algorithm(split, lambda u, t, k: ranking_of([]), split.per_user, 3)
@@ -70,7 +70,7 @@ class TestRecallPrecision:
 
     def test_no_users(self):
         with pytest.raises(DataError, match="no evaluable users"):
-            evaluate_algorithm(_clone_split(), lambda u, t, k: None, [], 5)
+            evaluate_algorithm(_clone_split(), lambda u, t, k: None, np.array([], dtype=np.int64), 5)
 
     @pytest.mark.parametrize("k_max", [1, 20])
     def test_points_are_sums_in_user_order(self, k_max):
@@ -134,9 +134,10 @@ class TestEvaluateAlgorithm:
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
     def test_zero_evaluable_users(self):
-        split = _clone_split()
-        with pytest.raises(DataError):
-            evaluate_algorithm(split, lambda u, t, k: None, [999], 3)
+        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4])
+        split = split_histories(histories, 0.5, users=np.array([0]))
+        with pytest.raises(DataError, match="no evaluable users"):
+            evaluate_algorithm(split, lambda u, t, k: None, np.array([1]), 3)  # user 1 has no training events
 
     def test_top_misses_rare_test_artists_entirely(self):
         # two users hammer filler artists, then finish on a unique artist each;

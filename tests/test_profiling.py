@@ -10,7 +10,6 @@ from bllrec.profiling import (
     assign_groups,
     global_artist_distribution,
     group_stats,
-    mainstreaminess,
     score_users,
 )
 
@@ -18,7 +17,7 @@ from bllrec.ingest import build_user_histories
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, log_from_events, user_slice
+from conftest import histories_from_events, histories_from_ids, log_from_events, user_slice
 
 
 def _score(events, user="u"):
@@ -84,49 +83,6 @@ class TestGlobalDistribution:
             global_artist_distribution(histories_from_events([]))
 
 
-class TestMainstreaminess:
-    # Both arguments give the shares of the same artists, in the same order.
-    def test_identical_distributions(self):
-        d = [0.5, 0.25, 0.25]
-        assert mainstreaminess(d, d) == pytest.approx(1.0, abs=1e-9)
-
-    def test_disjoint_supports(self):
-        # the user's only artist has no global share
-        assert mainstreaminess([1.0], [0.0]) == 0.0
-
-    def test_hand_evaluation(self):
-        user = [0.5, 0.5]
-        global_ = [0.5, 0.25]  # of the same two artists; a third holds the other 0.25
-        assert mainstreaminess(user, global_) == pytest.approx(0.75, abs=1e-12)
-
-    def test_symmetry_and_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = _random_dist(rng, support=rng.integers(1, 10))
-            b = _random_dist(rng, support=rng.integers(1, 10))
-            ms_ab = mainstreaminess(a, b)
-            ms_ba = mainstreaminess(b, a)
-            assert ms_ab == ms_ba
-            assert 0.0 <= ms_ab <= 1.0 + 1e-12
-
-    def test_relabeling_invariance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = _random_dist(rng, support=8)
-            b = _random_dist(rng, support=8)
-            perm = rng.permutation(len(a))
-            assert mainstreaminess(a, b) == mainstreaminess(a[perm], b[perm])
-
-
-def _random_dist(rng, support):
-    """Shares of 20 artists, nonzero on ``support`` of them."""
-    keys = rng.choice(20, size=int(support), replace=False)
-    weights = rng.random(len(keys)) + 1e-3
-    dist = np.zeros(20)
-    dist[keys] = weights / weights.sum()
-    return dist
-
-
 class TestScoreUsers:
     def test_min_events_filter(self):
         histories = histories_from_events(
@@ -134,7 +90,8 @@ class TestScoreUsers:
         )
         scores = score_users(histories, min_events=2)
         busy = histories.n_events.tolist().index(5)
-        assert set(scores) == {busy}
+        assert len(scores) == 2
+        assert np.flatnonzero(~np.isnan(scores)).tolist() == [busy]
 
     def test_filtered_users_still_shape_global(self):
         # "solo" listens to artist b once; it must dilute the global distribution.
@@ -164,50 +121,73 @@ class TestScoreUsers:
                 if counts.total() >= min_events
             }
             unscored += len(by_user) - len(expected)
-            assert score_users(build_user_histories(log), min_events) == expected
+            scores = score_users(build_user_histories(log), min_events)
+            assert len(scores) == len(by_user)
+            assert {u: score for u, score in enumerate(scores.tolist()) if not math.isnan(score)} == expected
         assert unscored > 20
+
+    def test_relabeling_invariance_and_bounds(self):
+        # Permuted artist ids sort each user's pair rows otherwise: every score keeps its bits, in [0, 1].
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 120))
+            users, artists, perm = rng.integers(0, 6, n), rng.integers(0, 8, n), rng.permutation(8)
+            scores = score_users(histories_from_ids(users, artists, range(n)), min_events=1)
+            relabeled = score_users(histories_from_ids(users, perm[artists], range(n)), min_events=1)
+            assert np.array_equal(scores, relabeled, equal_nan=True)
+            scored = scores[~np.isnan(scores)]
+            assert len(scored) and ((scored >= 0.0) & (scored <= 1.0 + 1e-12)).all()
+
+
+def _groups(scores, size):
+    return [(name, members.tolist()) for name, members in assign_groups(np.asarray(scores), size).items()]
 
 
 class TestAssignGroups:
     def test_nine_users_three_per_group(self):
-        scores = {u: 0.1 * (u + 1) for u in range(9)}
-        groups = assign_groups(scores, 3)
-        assert list(groups.items()) == [("LowMS", (0, 1, 2)), ("MedMS", (3, 4, 5)), ("HighMS", (6, 7, 8))]
+        groups = assign_groups(0.1 * (np.arange(9) + 1), 3)
+        assert all(members.dtype == np.int64 for members in groups.values())
+        assert [(name, members.tolist()) for name, members in groups.items()] == [
+            ("LowMS", [0, 1, 2]), ("MedMS", [3, 4, 5]), ("HighMS", [6, 7, 8])
+        ]
 
     def test_three_users_group_of_one(self):
-        groups = assign_groups({0: 0.9, 1: 0.1, 2: 0.5}, 1)
-        assert list(groups.items()) == [("LowMS", (1,)), ("MedMS", (2,)), ("HighMS", (0,))]
+        assert _groups([0.9, 0.1, 0.5], 1) == [("LowMS", [1]), ("MedMS", [2]), ("HighMS", [0])]
+
+    def test_unscored_users_left_out(self):
+        nan = math.nan
+        assert _groups([nan, 0.3, 0.1, nan, 0.2], 1) == [("LowMS", [2]), ("MedMS", [4]), ("HighMS", [1])]
 
     def test_too_few_users(self):
-        with pytest.raises(DataError):
-            assign_groups({0: 0.1, 1: 0.9}, 1)
+        for scores in ([0.1, 0.9], [0.1, math.nan, 0.9]):
+            with pytest.raises(DataError):
+                assign_groups(np.array(scores), 1)
 
     def test_permutation_invariance(self):
+        # Renumbering the users renumbers the groups and changes nothing else (no score is tied).
         rng = np.random.default_rng(3)
-        scores = {u: float(rng.random()) for u in range(30)}
-        shuffled_keys = rng.permutation(list(scores)).tolist()
-        shuffled = {int(u): scores[int(u)] for u in shuffled_keys}
-        assert assign_groups(scores, 5) == assign_groups(shuffled, 5)
+        scores = rng.random(30)
+        perm = rng.permutation(30)
+        renumbered = assign_groups(scores[perm], 5)
+        assert [(name, np.sort(perm[members]).tolist()) for name, members in renumbered.items()] == _groups(scores, 5)
 
     def test_mean_monotonicity(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            scores = {u: float(rng.random()) for u in range(int(rng.integers(9, 40)))}
+            scores = rng.random(int(rng.integers(9, 40)))
             size = int(rng.integers(1, len(scores) // 3 + 1))
             groups = assign_groups(scores, size)
-            means = [float(np.mean([scores[u] for u in g])) for g in groups.values()]
+            means = [float(np.mean([scores[u] for u in g.tolist()])) for g in groups.values()]
             assert means[0] <= means[1] <= means[2]
 
     def test_score_tie_broken_by_user_id(self):
-        scores = {u: 0.5 for u in range(6)}
-        groups = assign_groups(scores, 2)
-        assert list(groups.items()) == [("LowMS", (0, 1)), ("MedMS", (2, 3)), ("HighMS", (4, 5))]
+        assert _groups(np.full(6, 0.5), 2) == [("LowMS", [0, 1]), ("MedMS", [2, 3]), ("HighMS", [4, 5])]
 
 
 class TestGroupStats:
     def test_single_user(self):
         histories = histories_from_events([("u", "a", 1), ("u", "b", 2), ("u", "a", 3)])
-        stats = group_stats([0], histories, {0: 0.5})
+        stats = group_stats(np.array([0]), histories, np.array([0.5]))
         assert (stats.users, stats.distinct_artists, stats.listening_events) == (1, 2, 3)
         assert stats.avg_artists_per_user == 2.0
         assert stats.avg_mainstreaminess == 0.5
@@ -216,13 +196,13 @@ class TestGroupStats:
         histories = histories_from_events(
             [("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3), ("u2", "c", 4)]
         )
-        stats = group_stats([0, 1], histories, {0: 0.0, 1: 0.0})
+        stats = group_stats(np.array([0, 1]), histories, np.zeros(2))
         assert stats.distinct_artists == 3
         assert stats.avg_artists_per_user == 2.0
 
     def test_empty_group(self):
         with pytest.raises(DataError):
-            group_stats([], histories_from_events([]), {})
+            group_stats(np.array([], dtype=np.int64), histories_from_events([]), np.array([]))
 
     def test_three_groups_equal_counter_oracle(self):
         histories = build_user_histories(
@@ -231,7 +211,7 @@ class TestGroupStats:
         scores = score_users(histories)
         for table in (histories, split_histories(histories, 0.3).train):
             for members in assign_groups(scores, 15).values():
-                played = {u: Counter(user_slice(table, u, "artists").tolist()) for u in members}
+                played = {u: Counter(user_slice(table, u, "artists").tolist()) for u in members.tolist()}
                 union = set().union(*played.values())
                 assert len(union) < sum(map(len, played.values()))  # members share artists
                 expected = GroupStats(
@@ -239,6 +219,6 @@ class TestGroupStats:
                     distinct_artists=len(union),
                     listening_events=sum(counts.total() for counts in played.values()),
                     avg_artists_per_user=sum(map(len, played.values())) / 15,
-                    avg_mainstreaminess=sum(scores[u] for u in members) / 15,
+                    avg_mainstreaminess=sum(scores[u] for u in members.tolist()) / 15,
                 )
                 assert group_stats(members, table, scores) == expected

@@ -124,7 +124,7 @@ class TestSplitHistories:
         histories = histories_from_events(events)
         split = split_histories(histories, 0.01)
         assert split.test_event_count() == 1 + 2
-        assert split.test_event_count([1]) == 2
+        assert split.test_event_count(np.array([1])) == 2
         assert split.dropped == 0
 
     def test_short_histories_dropped_with_count(self):
@@ -143,9 +143,9 @@ class TestSplitHistories:
     def test_user_subset(self):
         events = [("u1", "a", i) for i in range(10)] + [("u2", "b", i) for i in range(10)]
         histories = histories_from_events(events)
-        only = [u for u in np.flatnonzero(histories.n_events).tolist() if 0 in user_slice(histories, u, "pair_artists")]
+        only = np.array([u for u in range(2) if 0 in user_slice(histories, u, "pair_artists")])
         split = split_histories(histories, 0.2, users=only)
-        assert split.per_user.tolist() == np.flatnonzero(split.test.n_events).tolist() == only
+        assert split.per_user.tolist() == np.flatnonzero(split.test.n_events).tolist() == only.tolist() == [0]
         assert split.test_event_count() == 2
         # u2 is outside the split, so none of its plays count as training plays
         assert split.train.pair_artists.tolist() == [0]
