@@ -1,7 +1,7 @@
 """The two scoring kernels: activation sums for ``bll`` and overlap counts for ``cf``.
 
-``recommend.py`` calls both through this module's attributes, so a
-profiler can wrap them in place.
+``ingest.py`` calls ``bll_sums`` and ``recommend.py`` calls ``overlap_counts``
+through this module's attributes, so a profiler can wrap them in place.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import numpy as np
 BACKEND_NAME = "numpy"
 
 
-def bll_sums(local_idx: np.ndarray, timestamps: np.ndarray, ref: int, n_out: int, d: float) -> np.ndarray:
+def bll_sums(local_idx: np.ndarray, timestamps: np.ndarray, ref, n_out: int, d: float) -> np.ndarray:
     """Accumulate (ref - timestamps[j] + 1) ** (-d) into out[local_idx[j]] in event order.
 
-    The timestamps must lie in 0..ref, and ref in 0..2**63. The bases are
+    ``ref`` is one reference time or an array of one per event. The
+    timestamps must lie in 0..ref, and ref in 0..2**63. The bases are
     then exact in uint64, and the cast to float64 rounds each to the
     nearest float, as ``float()`` of the Python int would. Each term is
     ``np.float_power``, which on float64 calls libm ``pow`` as the float
@@ -24,7 +25,7 @@ def bll_sums(local_idx: np.ndarray, timestamps: np.ndarray, ref: int, n_out: int
     terms one by one in event order, as a loop would. The logs of the sums
     are within 1e-9 of the decimal oracle.
     """
-    bases = (np.uint64(ref + 1) - timestamps.astype(np.uint64)).astype(np.float64)
+    bases = (np.asarray(ref, dtype=np.uint64) + np.uint64(1) - timestamps.astype(np.uint64)).astype(np.float64)
     terms = np.float_power(bases, -d)
     # astype: with no events, bincount gives int zeros.
     return np.bincount(local_idx, weights=terms, minlength=n_out).astype(np.float64, copy=False)

@@ -42,7 +42,7 @@ from .ingest import (
 )
 from .evaluation import EvalReport, emit_report, evaluate_algorithm
 from .profiling import GROUP_NAMES, GroupStats, assign_groups, eligible_users, group_stats, score_users
-from .recommend import ALGORITHMS, BllParams, CfParams, build_recommenders
+from .recommend import ALGORITHMS, CfParams, build_recommenders
 from .split import SplitDataset, split_histories
 from .synth import SynthConfig, generate_synthetic
 
@@ -252,7 +252,7 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
             return out
 
         stage = "profile"
-        out.histories = build_user_histories(log)
+        out.histories = build_user_histories(log, config.fraction, config.bll_d)
         if groups_csv is not None:
             out.groups = _read_groups_csv(groups_csv, log.id_maps)
         elif until != "split":
@@ -269,7 +269,7 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
         users = eligible_users(out.histories, config.min_events)
         if not len(users):
             raise DataError(f"no user has at least {config.min_events} events (min_events={config.min_events})")
-        out.split = split_histories(out.histories, config.fraction, users=users)
+        out.split = split_histories(out.histories, users)
         if until == stage:
             return out
 
@@ -277,7 +277,6 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
         recommenders = build_recommenders(
             out.split.train,
             algorithms=config.algorithms,
-            bll_params=BllParams(d=config.bll_d),
             cf_params=CfParams(neighborhood_size=config.cf_neighbors),
         )
         out.reports = [

@@ -35,19 +35,20 @@ allocated unwritten, so it holds no pages until lines fill it, and the
 columns grow by a quarter only past it. A ``.gz`` file or a stream has no
 size to go by, so its columns grow by a quarter from the start.
 
-``build_user_histories`` turns the log into one ``UserHistories`` table.
-Ids follow first sight, so a log whose lines come user by user never
-lowers its user id: such a log is grouped already, and its artist and
-timestamp columns become the table's, sorted in place. Any other log is
-grouped by a stable argsort of its users and gathers of those two
-columns. Then batches of whole users are sorted twice, each
-time with ``np.sort`` on unique packed uint64 keys. The first sort, by
-user then timestamp, gives every user's events as one slice of two
-arrays. The second, by user then artist, gives one row per (user,
-artist) pair with its play count and latest timestamp, which is all that
-mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read. ``split.split_histories`` cuts the same table
-into train and test tables that share its event arrays. The table is
-plain arrays: a user's history is its slices of them, read in place.
+``build_user_histories`` reduces the log to one ``UserHistories`` table of
+(user, artist) pair rows and keeps no event. Ids follow first sight, so a
+log whose lines come user by user never lowers its user id: such a log is
+grouped already and is read in place. Any other log is grouped by a stable
+argsort of its users and gathers of the artist and timestamp columns.
+Then each batch of whole users is sorted twice, each time with ``np.sort``
+on unique packed uint64 keys: by user then timestamp, which puts each
+user's test events last, then by user then artist, which gives one row per
+pair. A row holds its play count and latest play, which is all that
+mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read, and its test
+plays, latest training play and the ``bll`` activation sum of its training
+plays, from which ``split.split_histories`` selects the train and test
+tables. The table is plain arrays: a user's history is its slice of them,
+read in place.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import DataError, ParseError, UsageError
 
 DEFAULT_SCHEMA_SPEC = "user=0,artist=1,ts=4"
@@ -221,8 +223,7 @@ class IdMaps:
 class EventLog:
     """Flat event store: parallel arrays of user id, artist id, timestamp.
 
-    ``build_user_histories`` takes the three arrays over and leaves them None;
-    it may sort the artists and timestamps in place to make its table of them.
+    ``build_user_histories`` reduces the three arrays to pair rows and leaves them None.
     """
 
     users: np.ndarray | None  # int32, one entry per event
@@ -237,42 +238,35 @@ class EventLog:
 
 @dataclass(eq=False)
 class UserHistories:
-    """Every user's history in one columnar table, indexed by user id.
+    """Every user's history as (user, artist) pair rows in one columnar table, indexed by user id.
 
-    The events sit in ``artists``/``timestamps``, sorted by user, then
-    timestamp, then input order; user u's are ``[starts[u]:ends[u]]``.
     The pair rows are one per (user, artist) played in this table, sorted
     by user then artist, with the play count and latest play; user u's
-    are ``[pair_offsets[u]:pair_offsets[u + 1]]``. The train and test
-    tables of a split share the event arrays of the table they were cut
-    from, each with its own bounds and pair rows. Readers slice these
-    arrays themselves; no per-user object is built. A user id with no
-    events here has ``n_events`` 0 and no pair rows.
+    are ``[pair_offsets[u]:pair_offsets[u + 1]]``. No event is kept: a
+    table built from a log also holds, per row, the split of its plays at
+    the build's fraction and the activation sum of its training plays, and
+    ``split.split_histories`` selects the train and test tables' rows from
+    them. Readers slice these arrays themselves; no per-user object is
+    built. A user id with no events here has ``n_events`` 0 and no pair rows.
     """
 
-    artists: np.ndarray  # int32, per event
-    timestamps: np.ndarray  # the log's dtype (uint32 or int64), per event
-    starts: np.ndarray  # int64, per user id
-    ends: np.ndarray  # int64, per user id
+    n_events: np.ndarray  # int64, per user id
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
     pair_counts: np.ndarray  # int32 (int64 in a log of 2**31 events or more), per pair row
     pair_last: np.ndarray  # the log's dtype, per pair row
-    # Only in a table built from a log: the event indices sorted by user, artist,
-    # timestamp, input order. A pair's events are contiguous and in time order.
-    by_pair: np.ndarray | None = None
-
-    @property
-    def n_events(self) -> np.ndarray:
-        """Events per user id."""
-        return self.ends - self.starts
+    pair_test_counts: np.ndarray | None = None  # as pair_counts: plays among the user's test events; built tables only
+    pair_train_last: np.ndarray | None = None  # as pair_last: latest training play, 0 if none; built tables only
+    pair_bll: np.ndarray | None = None  # float64: activation sum of the training plays; built and train tables
 
 
 def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple[str, str, int]:
     """Extract (user key, artist key, timestamp) from one tab-separated record.
 
-    Files are decoded with ``errors="surrogateescape"``, so bytes that are
-    not UTF-8 arrive here as lone surrogates and are rejected.
+    A timestamp is ASCII digits, optionally after a ``-`` that makes it a
+    negative one, which is an error of its own. Files are decoded with
+    ``errors="surrogateescape"``, so bytes that are not UTF-8 arrive here as
+    lone surrogates and are rejected.
     """
     if not line.isascii():
         try:
@@ -288,8 +282,11 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
     user_key = fields[schema.user]
     artist_key = fields[schema.artist]
     raw_ts = fields[schema.ts]
+    digits = raw_ts[1:] if raw_ts.startswith("-") else raw_ts
     try:
-        ts = int(raw_ts)
+        if not (digits.isascii() and digits.isdigit()):  # int() would take '+7', ' 7', '1_000' and '١٢٣'
+            raise ValueError
+        ts = int(raw_ts)  # raises ValueError beyond Python's limit on digits
     except ValueError:
         raise ParseError(f"line {line_no}: non-integer timestamp {raw_ts!r}", line_no) from None
     if ts < 0:
@@ -634,32 +631,39 @@ _MAX_HISTORY = 1 << 31
 position and its timestamp, or the timestamp's rank, into one 64-bit key."""
 
 
-def build_user_histories(log: EventLog) -> UserHistories:
-    """Sort the log into one table of per-user histories and (user, artist) pair rows.
+def n_test_events(n_events, fraction: float):
+    """max(1, floor(fraction * n)), for one event count or an array of them."""
+    return np.maximum(1, np.floor(fraction * np.asarray(n_events))).astype(np.int64)
+
+
+def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0.5) -> UserHistories:
+    """Reduce the log to one table of (user, artist) pair rows, split by time at ``fraction``.
 
     A log whose user ids never decrease is grouped by user already: a
     binary search of its user column gives each user's bounds, and its
-    artist and timestamp columns are sorted in place, so the build makes no
-    array as long as the log but ``by_pair``. A column that cannot be made
-    writeable again, such as a view of ``bytes``, is copied first. Any other
-    log is grouped by a stable argsort of the user ids and gathers of the
-    other two columns, which peak 12 bytes per event higher. Then batches of
-    whole users are sorted twice with ``np.sort`` on unique uint64 keys
-    packed from the user in the batch, a value and the event's position in
-    the batch: by timestamp, so equal timestamps keep input order, then by
-    artist, so a pair's events stay in time order. An int64 log packs each
-    batch's timestamp ranks instead of the timestamps. Batches hold at most
-    ``_BATCH_EVENTS`` events and ``_BATCH_USERS`` users, or one longer
-    history, so most temporaries are the size of a batch. The per-event
-    index arrays and the pair counts kept are int32 where the values fit,
-    and the pair rows' latest plays keep the log's timestamp dtype.
+    other two columns are read a batch at a time. Any other log is grouped
+    by a stable argsort of the user ids and gathers of the other two
+    columns, which peak 12 bytes per event higher. Batches of whole users,
+    at most ``_BATCH_EVENTS`` events and ``_BATCH_USERS`` users or one
+    longer history, then become pair rows in ``_batch_rows``, so the build
+    keeps no array as long as the log. The play counts kept are int32 where
+    they fit, and the latest plays keep the log's timestamp dtype.
 
-    The table takes over the log's columns: ``log.users``, ``log.artists``
-    and ``log.timestamps`` are set to None as soon as each has been read,
-    so the log's events and the table's are never all held at once; a
-    grouped log's artists and timestamps become the table's own arrays.
-    The log keeps ``id_maps`` and ``sha256``.
+    Every user of at least 2 events is cut by time: its latest
+    ``n_test_events(n, fraction)`` events are test events, and the rest
+    training events. Each pair row keeps its test plays, its latest
+    training play and the activation sum of its training plays at decay
+    exponent ``bll_d``, from which ``split.split_histories`` selects the
+    train and test tables.
+
+    The table replaces the log's events: ``log.users``, ``log.artists`` and
+    ``log.timestamps`` are None once the build ends. The log keeps
+    ``id_maps`` and ``sha256``.
     """
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fraction must be in (0,1), got {fraction}")
+    if not bll_d > 0:
+        raise DataError(f"decay exponent d must be > 0, got {bll_d}")
     n = len(log)
     index_type = np.int32 if n < 2**31 else np.int64
     users, log.users = log.users, None
@@ -667,8 +671,7 @@ def build_user_histories(log: EventLog) -> UserHistories:
         n_users = int(users[-1]) + 1 if n else 0
         offsets = np.searchsorted(users, np.arange(n_users + 1, dtype=users.dtype)).astype(np.int64, copy=False)
         del users
-        artists, log.artists = _take_over(log.artists), None
-        timestamps, log.timestamps = _take_over(log.timestamps), None
+        artists, timestamps = log.artists, log.timestamps
     else:
         n_users = int(users.max()) + 1 if n else 0
         offsets = np.zeros(n_users + 1, dtype=np.int64)
@@ -679,8 +682,10 @@ def build_user_histories(log: EventLog) -> UserHistories:
         artists, log.artists = log.artists[order], None
         timestamps, log.timestamps = log.timestamps[order], None
         del order
-    by_pair = np.empty(n, dtype=index_type)
-    first = [np.zeros(0, dtype=index_type)]  # the position in by_pair of each pair's first event
+    # Each part is one column of the pair rows, a batch at a time.
+    parts = [[np.zeros(0, dtype=dtype)] for dtype in (np.int32, index_type, timestamps.dtype,
+                                                      index_type, timestamps.dtype, np.float64)]
+    rows_per_user = np.zeros(n_users, dtype=np.int64)
     bounds = offsets.tolist()
     user = 0
     while user < n_users:
@@ -691,26 +696,30 @@ def build_user_histories(log: EventLog) -> UserHistories:
             raise DataError(f"user {user} has {hi - lo} events; a history may hold at most {_MAX_HISTORY}")
         if hi > lo:
             batch = slice(lo, hi)
-            counts = np.diff(offsets[user : stop + 1])
-            pairs = _sort_batch(artists[batch], timestamps[batch], counts, by_pair[batch])
-            first.append((lo + pairs).astype(index_type))
-            by_pair[batch] += lo
+            row_users, *columns = _batch_rows(artists[batch], timestamps[batch], np.diff(offsets[user : stop + 1]),
+                                              fraction, bll_d)
+            rows_per_user[user:stop] = np.bincount(row_users, minlength=stop - user)
+            for part, column in zip(parts, columns):
+                part.append(column.astype(part[0].dtype, copy=False))
         user = stop
-    first = np.concatenate(first)
-    pair_counts = np.diff(first, append=index_type(n))
-
-    for arr in (artists, timestamps, by_pair):
-        arr.flags.writeable = False
+    del artists, timestamps
+    log.artists = log.timestamps = None
+    pair_offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(rows_per_user, out=pair_offsets[1:])
+    columns = []
+    for part in parts:  # each batch's part is freed once its column is joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    pair_artists, pair_counts, pair_last, test_counts, train_last, bll = columns
     return UserHistories(
-        artists=artists,
-        timestamps=timestamps,
-        starts=offsets[:-1],
-        ends=offsets[1:],
-        pair_offsets=np.searchsorted(first, offsets.astype(index_type)),  # of one dtype, so first is not copied
-        pair_artists=artists[by_pair[first]],
+        n_events=np.diff(offsets),
+        pair_offsets=pair_offsets,
+        pair_artists=pair_artists,
         pair_counts=pair_counts,
-        pair_last=timestamps[by_pair[first + pair_counts - 1]],
-        by_pair=by_pair,
+        pair_last=pair_last,
+        pair_test_counts=test_counts,
+        pair_train_last=train_last,
+        pair_bll=bll,
     )
 
 
@@ -723,22 +732,20 @@ def _is_grouped(users: np.ndarray) -> bool:
     return True
 
 
-def _take_over(column: np.ndarray) -> np.ndarray:
-    """``column`` made writeable to be sorted in place, or a copy of it where that cannot be done."""
-    if not column.flags.writeable:
-        try:
-            column.flags.writeable = True
-        except ValueError:  # a view of memory that is not writeable, such as np.frombuffer of bytes
-            return column.copy()
-    return column
+def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray, fraction: float, d: float):
+    """The pair rows of a batch of whole users, sorted by user and artist; user i holds the next ``counts[i]`` events.
 
-
-def _sort_batch(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray, by_pair: np.ndarray) -> np.ndarray:
-    """Sort a batch of users' events in place by user, timestamp and position, and fill ``by_pair``.
-
-    User i of the batch holds the next ``counts[i]`` events. ``by_pair`` gets
-    the positions in the batch sorted by user, artist and position. Returns
-    the index in ``by_pair`` of each pair's first event.
+    The events are sorted twice with ``np.sort`` on unique uint64 keys
+    packed from the user in the batch, a value and the event's position:
+    by timestamp, so equal timestamps keep input order, then by artist, so
+    a pair's events stay in time order and its test events come last. An
+    int64 log packs the batch's timestamp ranks instead of the timestamps.
+    Returns each row's user in the batch, artist, play count, latest play,
+    test plays, latest training play (0 if it has none) and activation sum
+    of its training plays. The sums come from one ``_kernels.bll_sums``
+    call over the batch's training events in pair order, so each row's
+    terms are added in time order, with each user's latest training play
+    plus one as the reference time.
     """
     bits = (len(artists) - 1).bit_length()  # of a position
     positions = np.arange(len(artists), dtype=np.uint64)
@@ -750,12 +757,24 @@ def _sort_batch(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
         value_bits = (len(distinct) - 1).bit_length()
     mask = np.uint64((1 << bits) - 1)
     by_time = np.sort(users << (value_bits + bits) | values.astype(np.uint64) << bits | positions) & mask
-    timestamps[:] = timestamps[by_time]
-    artists[:] = artists[by_time]
-    key = np.sort(users << (31 + bits) | artists.astype(np.uint64) << bits | positions)
-    by_pair[:] = key & mask
+    timestamps = timestamps[by_time]
+    n_train = counts - np.where(counts >= 2, n_test_events(counts, fraction), 0)
+    cut = np.cumsum(counts) - counts + n_train  # each user's first test event
+    ref = timestamps[cut - 1].astype(np.uint64) + np.uint64(1)  # unread for a user without events
+    key = np.sort(users << (31 + bits) | artists[by_time].astype(np.uint64) << bits | positions)
+    order = (key & mask).astype(np.intp)  # the events' positions in pair order
+    train = order < np.repeat(cut, counts)
+    timestamps = timestamps[order]
     pairs = key >> np.uint64(bits)
-    return np.flatnonzero(np.diff(pairs, prepend=~pairs[0]))  # ~pairs[0] differs from pairs[0]
+    new = np.diff(pairs, prepend=~pairs[0]) != 0  # ~pairs[0] differs from pairs[0]
+    first = np.flatnonzero(new)
+    pair_counts = np.diff(first, append=len(key))
+    train_counts = np.add.reduceat(train, first, dtype=np.int64)
+    train_last = np.where(train_counts > 0, timestamps[first + np.maximum(train_counts - 1, 0)], 0)
+    sums = _kernels.bll_sums((np.cumsum(new) - 1)[train], timestamps[train], np.repeat(ref, n_train), len(first), d)
+    pairs = pairs[first]
+    return ((pairs >> np.uint64(31)).astype(np.intp), pairs & np.uint64(2**31 - 1), pair_counts,
+            timestamps[first + pair_counts - 1], pair_counts - train_counts, train_last, sums)
 
 
 def write_events_tsv(log: EventLog, path) -> None:

@@ -60,7 +60,7 @@ def score_users(histories: UserHistories, min_events: int = 2) -> np.ndarray:
     users = eligible_users(histories, min_events)
     # Zipped arrays, not lists: a Python int per bound would take more memory than the scores.
     bounds = zip(histories.pair_offsets[users], histories.pair_offsets[users + 1])
-    scores = np.full(len(histories.starts), np.nan)
+    scores = np.full(len(histories.n_events), np.nan)
     scores[users] = np.fromiter((math.fsum(shares[lo:hi].tolist()) for lo, hi in bounds), np.float64, len(users))
     return scores
 
@@ -102,7 +102,7 @@ def group_stats(members: np.ndarray, histories: UserHistories, scores: np.ndarra
     """Aggregate statistics over one group's members, an ascending id array; ``scores`` is indexed by id."""
     if not len(members):
         raise DataError("cannot compute statistics for an empty group")
-    in_group = np.zeros(len(histories.starts), dtype=bool)
+    in_group = np.zeros(len(histories.n_events), dtype=bool)
     in_group[members] = True
     rows = np.repeat(in_group, np.diff(histories.pair_offsets))
     artists = np.sort(histories.pair_artists[rows])

@@ -5,6 +5,8 @@ bll   scores each artist the user has played by base-level activation,
       frequent and recent listening raise the score. The reference time
       ref is the user's latest training listen plus one second, which
       aligns recency scales across users with different activity periods.
+      The history build sums each pair row's terms at the run's d
+      (``UserHistories.pair_bll``), so a call takes only the log of each.
 top   most played artists over all users' training events.
 pop   the user's own most played artists.
 time  the user's most recently played artists.
@@ -32,17 +34,6 @@ ALGORITHMS = ("bll", "cf", "pop", "time", "top")
 
 
 @dataclass(frozen=True)
-class BllParams:
-    """Decay exponent of base-level activation."""
-
-    d: float = 0.5
-
-    def __post_init__(self):
-        if not self.d > 0:
-            raise DataError(f"decay exponent d must be > 0, got {self.d}")
-
-
-@dataclass(frozen=True)
 class CfParams:
     neighborhood_size: int = 20
 
@@ -64,23 +55,17 @@ class RecommendationList:
         return list(zip(self.artists.tolist(), map(float, self.scores.tolist())))
 
 
-def _pair_rows(user: int, train: UserHistories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The user's pair artists, play counts and latest plays in ``train``; a user without events is a DataError."""
-    if not 0 <= user < len(train.starts) or train.ends[user] == train.starts[user]:
+def _pair_rows(user: int, train: UserHistories) -> slice:
+    """The user's pair rows in ``train``; a user without events is a DataError."""
+    if not 0 <= user < len(train.n_events) or train.n_events[user] == 0:
         raise DataError(f"user {user}: cannot recommend from empty training history")
-    rows = slice(train.pair_offsets[user], train.pair_offsets[user + 1])
-    return train.pair_artists[rows], train.pair_counts[rows], train.pair_last[rows]
+    return slice(train.pair_offsets[user], train.pair_offsets[user + 1])
 
 
-def recommend_bll(user: int, train: UserHistories, k: int, params: BllParams) -> RecommendationList:
-    """Rank the user's own training artists by base-level activation."""
-    artists, _, _ = _pair_rows(user, train)
-    events = slice(train.starts[user], train.ends[user])
-    timestamps = train.timestamps[events]
-    ref = int(timestamps[-1]) + 1
-    slots = np.empty(int(artists[-1]) + 1, dtype=np.intp)  # each artist's pair row
-    slots[artists] = np.arange(len(artists))
-    sums = _kernels.bll_sums(slots[train.artists[events]], timestamps, ref, len(artists), params.d)
+def recommend_bll(user: int, train: UserHistories, k: int) -> RecommendationList:
+    """Rank the user's own training artists by base-level activation, the log of each row's ``pair_bll``."""
+    rows = _pair_rows(user, train)
+    artists, sums = train.pair_artists[rows], train.pair_bll[rows]
     # libm log keeps scores bit-identical to the brute-force oracle.
     scores = np.full(len(sums), -np.inf)
     positive = sums > 0.0
@@ -105,7 +90,8 @@ def _top_indices(scores: np.ndarray, n: int) -> np.ndarray:
 
 def recommend_pop(user: int, train: UserHistories, k: int) -> RecommendationList:
     """Rank by the user's own play counts; ties by most recent, then artist id."""
-    artists, counts, last = _pair_rows(user, train)
+    rows = _pair_rows(user, train)
+    artists, counts, last = train.pair_artists[rows], train.pair_counts[rows], train.pair_last[rows]
     # ~ reverses the order of any integer dtype and, unlike negation, cannot wrap.
     order = np.lexsort((artists, ~last, ~counts))[:k]
     return RecommendationList(artists[order], counts[order])
@@ -113,7 +99,8 @@ def recommend_pop(user: int, train: UserHistories, k: int) -> RecommendationList
 
 def recommend_time(user: int, train: UserHistories, k: int) -> RecommendationList:
     """Rank by last-played time; ties by play count, then artist id."""
-    artists, counts, last = _pair_rows(user, train)
+    rows = _pair_rows(user, train)
+    artists, counts, last = train.pair_artists[rows], train.pair_counts[rows], train.pair_last[rows]
     order = np.lexsort((artists, ~counts, ~last))[:k]
     return RecommendationList(artists[order], last[order])
 
@@ -198,7 +185,6 @@ class CfIndex:
 def build_recommenders(
     train_histories: UserHistories,
     algorithms=ALGORITHMS,
-    bll_params: BllParams | None = None,
     cf_params: CfParams | None = None,
 ):
     """Uniform (user, train table, k) -> RecommendationList callables.
@@ -209,7 +195,6 @@ def build_recommenders(
     user's data (for ``cf``, also the neighbors' artist sets), never the
     whole catalogue.
     """
-    bll_params = bll_params or BllParams()
     cf_params = cf_params or CfParams()
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
@@ -218,7 +203,7 @@ def build_recommenders(
     recommenders = {}
     for name in algorithms:
         if name == "bll":
-            recommenders[name] = lambda u, train, k, p=bll_params: recommend_bll(u, train, k, p)
+            recommenders[name] = recommend_bll
         elif name == "pop":
             recommenders[name] = recommend_pop
         elif name == "time":

@@ -5,22 +5,18 @@ number of test events is max(1, floor(fraction * n)), so every split
 user keeps at least one training and one test event. Ties at the split
 boundary follow the stable chronological order from ingest.
 
-A split cuts each user's slice of the ``UserHistories`` table in two, so
-train and test are two tables over the same event arrays, not copies.
-Each keeps only the pair rows played on its side of the cut, as a table
-built from a log does. A pair row's test plays are counted by looking
-up each test event's artist among its own user's pair rows, which are
-sorted by artist; its training plays are the rest. A pair's events are
-in time order in the table's ``by_pair`` order, so its test plays are
-the last of them and its latest training play is the one before. The
-split builds no array of a wider dtype than the table's over every pair
-row: pair counts stay int32 below 2**31 events, and latest plays keep
-the log's timestamp dtype.
+``ingest.build_user_histories`` cuts every history at the run's fraction
+as it builds the table, and keeps each pair row's test plays, latest
+training play and training activation sum. A split only selects rows:
+the train table holds the chosen users' rows with training plays, and
+the test table their rows with test plays, each with those plays' count
+and latest play, as a table built from that side's events would. The
+pair's latest play is a test play whenever it has one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,19 +44,12 @@ class SplitDataset:
         return int(n_test[users].sum())
 
 
-def n_test_events(n_events, fraction: float):
-    """max(1, floor(fraction * n)), for one event count or an array of them."""
-    return np.maximum(1, np.floor(fraction * np.asarray(n_events))).astype(np.int64)
-
-
-def split_histories(histories: UserHistories, fraction: float, users: np.ndarray | None = None) -> SplitDataset:
+def split_histories(histories: UserHistories, users: np.ndarray | None = None) -> SplitDataset:
     """Split each given user's history by time; users with fewer than 2 events are dropped and counted.
 
-    ``histories`` is a table from ``build_user_histories``; ``users``, an
-    array of user ids, defaults to every user in it.
+    ``histories`` is a table from ``build_user_histories``, which fixed the
+    fraction; ``users``, an array of user ids, defaults to every user in it.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0,1), got {fraction}")
     n_events = histories.n_events
     if users is None:
         chosen = n_events > 0
@@ -70,37 +59,30 @@ def split_histories(histories: UserHistories, fraction: float, users: np.ndarray
     split = chosen & (n_events >= 2)
     if not split.any():
         raise DataError("no splittable users (all histories have fewer than 2 events)")
-    n_test = np.where(split, n_test_events(n_events, fraction), 0)
-    cut = histories.ends - n_test  # each user's first test event
-    offsets = histories.pair_offsets
-    sizes = np.diff(offsets)
-
-    # Each user's test events are cut[u], cut[u] + 1, ..., ends[u] - 1.
-    test_events = np.arange(int(n_test.sum())) + np.repeat(cut - (np.cumsum(n_test) - n_test), n_test)
-    test_rows = find_rows(histories.pair_artists, np.repeat(offsets[:-1], n_test), np.repeat(sizes, n_test),
-                          histories.artists[test_events])
-    tested, test_counts = np.unique(test_rows, return_counts=True)
-    test_counts = test_counts.astype(histories.pair_counts.dtype)
-
-    train_counts = histories.pair_counts.copy()
-    train_counts[tested] -= test_counts
-    trained = np.repeat(split, sizes)
-    trained &= train_counts > 0
-    train_counts = train_counts[trained]
-    # A pair's events are contiguous in by_pair and its test plays are the last of them.
-    last_trained = np.cumsum(histories.pair_counts, dtype=train_counts.dtype)
-    last_trained -= 1
-    last_trained[tested] -= test_counts
-    train_last = histories.timestamps[histories.by_pair[last_trained[trained]]]
-    del last_trained
-    kept = np.zeros(len(trained) + 1, dtype=train_counts.dtype)  # trained rows before each row
-    np.cumsum(trained, dtype=kept.dtype, out=kept[1:])
-    train = _with_rows(histories, trained, kept[offsets].astype(np.int64), train_counts, train_last,
-                       ends=np.where(split, cut, histories.starts))
-    # Test events are the latest of their pair, so the pair's latest play is a test play.
-    test = _with_rows(histories, tested, np.searchsorted(tested, offsets), test_counts, histories.pair_last[tested],
-                      starts=cut)
+    rows = np.repeat(split, np.diff(histories.pair_offsets))
+    test_counts = histories.pair_test_counts
+    train_counts = histories.pair_counts - test_counts
+    train = _select(histories, rows & (train_counts > 0), train_counts, histories.pair_train_last, histories.pair_bll)
+    test = _select(histories, rows & (test_counts > 0), test_counts, histories.pair_last)
     return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
+
+
+def _select(histories: UserHistories, rows: np.ndarray, counts, last, bll=None) -> UserHistories:
+    """The table of ``histories``' pair ``rows`` (a mask), with these per-row play counts, latest plays and sums."""
+    kept = np.zeros(len(rows) + 1, dtype=histories.pair_counts.dtype)  # kept rows before each row
+    np.cumsum(rows, dtype=kept.dtype, out=kept[1:])
+    offsets = kept[histories.pair_offsets].astype(np.int64)
+    counts = counts[rows]
+    plays = np.zeros(len(counts) + 1, dtype=np.int64)  # kept plays before each kept row
+    np.cumsum(counts, out=plays[1:])
+    return UserHistories(
+        n_events=np.diff(plays[offsets]),
+        pair_offsets=offsets,
+        pair_artists=histories.pair_artists[rows],
+        pair_counts=counts,
+        pair_last=last[rows],
+        pair_bll=None if bll is None else bll[rows],
+    )
 
 
 def find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artists: np.ndarray) -> np.ndarray:
@@ -119,20 +101,3 @@ def find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artist
         row = np.where(pair_artists[mid] <= artists, mid, row)
         size = size - half
     return row
-
-
-def _with_rows(histories: UserHistories, rows: np.ndarray, offsets, counts, last, **bounds) -> UserHistories:
-    """``histories`` with new ``bounds`` and only the pair ``rows`` (a mask or ascending indices).
-
-    ``offsets`` are the kept rows' per-user offsets, ``counts`` and ``last``
-    their play counts and latest plays.
-    """
-    return replace(
-        histories,
-        **bounds,
-        pair_offsets=offsets,
-        pair_artists=histories.pair_artists[rows],
-        pair_counts=counts,
-        pair_last=last,
-        by_pair=None,
-    )

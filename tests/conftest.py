@@ -5,7 +5,10 @@ import numpy as np
 
 from bllrec import _kernels
 from bllrec.ingest import ColumnSchema, EventLog, IdMaps, build_user_histories, load_events
+from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
+
+from oracles import events_by_user, split_events
 
 SIMPLE_SCHEMA = ColumnSchema(user=0, artist=1, ts=2)
 
@@ -18,15 +21,14 @@ def log_from_events(events):
     return log
 
 
-def histories_from_events(events):
-    return build_user_histories(log_from_events(events))
+def histories_from_events(events, **build):
+    """The table of (user_key, artist_key, timestamp) triples; ``build`` holds ``fraction`` and ``bll_d``."""
+    return build_user_histories(log_from_events(events), **build)
 
 
 def user_slice(table, user, column):
-    """One user's slice of a ``UserHistories`` column: its events, or its pair rows for a ``pair_*`` column."""
-    if column.startswith("pair_"):
-        return getattr(table, column)[table.pair_offsets[user] : table.pair_offsets[user + 1]]
-    return getattr(table, column)[table.starts[user] : table.ends[user]]
+    """One user's pair rows of a ``UserHistories`` column."""
+    return getattr(table, column)[table.pair_offsets[user] : table.pair_offsets[user + 1]]
 
 
 def kernel_activations(local_idx, timestamps, ref, n_artists, d=0.5):
@@ -42,7 +44,7 @@ def kernel_activation(timestamps, ref, d=0.5):
     return kernel_activations([0] * len(timestamps), timestamps, ref, 1, d)[0]
 
 
-def histories_from_ids(users, artists, timestamps):
+def histories_from_ids(users, artists, timestamps, **build):
     """UserHistories from parallel user ids, artist ids and timestamps, in input order."""
     log = EventLog(
         users=np.asarray(users, dtype=np.int32),
@@ -50,11 +52,19 @@ def histories_from_ids(users, artists, timestamps):
         timestamps=np.asarray(timestamps, dtype=np.int64),
         id_maps=IdMaps(),
     )
-    return build_user_histories(log)
+    return build_user_histories(log, **build)
 
 
-def oracle_instances():
-    """(seed, histories) for 100 synth instances small enough for the brute-force oracle."""
+ORACLE_FRACTION = 0.2
+
+
+def oracle_instances(artist_ids=lambda artists: artists):
+    """(seed, train table, training events by user) of 100 synth instances small enough for the brute-force oracle.
+
+    The train table is a split at ``ORACLE_FRACTION`` of all users, and the
+    events are the oracle's own cut of the same log. ``artist_ids`` renames
+    the log's artist ids first.
+    """
     for seed in range(100):
         config = SynthConfig(
             n_users=4 + seed % 6,
@@ -66,4 +76,8 @@ def oracle_instances():
             time_span=100_000,
             seed=seed,
         )
-        yield seed, build_user_histories(generate_synthetic(config))
+        log = generate_synthetic(config)
+        columns = (log.users, artist_ids(log.artists), log.timestamps)
+        train, _ = split_events(events_by_user(*columns), ORACLE_FRACTION)
+        histories = build_user_histories(EventLog(*columns, IdMaps()), fraction=ORACLE_FRACTION)
+        yield seed, split_histories(histories).train, train

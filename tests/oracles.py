@@ -2,9 +2,11 @@
 
 Deliberately unoptimized and textually independent of ``bllrec.recommend``:
 direct enumeration with the same tie-breaking keys, for cross-checking the
-real recommenders on small instances. ``per_user_histories`` is the history
-build as two stable sorts per user. Tests import it the way they import
-``conftest``: ``from oracles import brute_force_ranking``.
+real recommenders on small instances. The oracles read the events a test
+built, never a table: ``events_by_user`` orders them, ``split_events`` cuts
+them by the split rule, and ``per_user_histories`` is the history build by
+enumeration. Tests import it the way they import ``conftest``:
+``from oracles import brute_force_ranking``.
 """
 
 from __future__ import annotations
@@ -16,38 +18,50 @@ import numpy as np
 
 from bllrec.errors import DataError
 from bllrec.ingest import UserHistories
-from bllrec.recommend import BllParams, CfParams, RecommendationList
+from bllrec.recommend import CfParams, RecommendationList
 
 ORACLE_MAX_USERS = 10
 ORACLE_MAX_ARTISTS = 30
 ORACLE_MAX_EVENTS = 200
 
 
-def _users_of(train: UserHistories) -> list[int]:
-    """The user ids with events in ``train``, ascending."""
-    return [u for u in range(len(train.starts)) if train.ends[u] > train.starts[u]]
+def events_by_user(users, artists, timestamps) -> dict[int, list[tuple[int, int]]]:
+    """Each user's (artist, timestamp) events in time order, equal timestamps in input order; users ascending."""
+    history: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (user, artist, t) in enumerate(zip(*(np.asarray(c).tolist() for c in (users, artists, timestamps)))):
+        history.setdefault(user, []).append((t, i, artist))
+    return {user: [(a, t) for t, _, a in sorted(history[user])] for user in sorted(history)}
 
 
-def _events_of(train: UserHistories, user: int) -> list[tuple[int, int]]:
-    """The user's (artist, timestamp) events in ``train``, in time order; none for an id the table lacks."""
-    if not 0 <= user < len(train.starts):
-        return []
-    lo, hi = int(train.starts[user]), int(train.ends[user])
-    return list(zip(train.artists[lo:hi].tolist(), train.timestamps[lo:hi].tolist()))
+def split_events(history: dict, fraction: float, users=None) -> tuple[dict, dict]:
+    """The training and test events of each given user of at least 2 events (default: every user).
+
+    A user's test events are its latest max(1, floor(fraction * n)).
+    """
+    train, test = {}, {}
+    for user, events in history.items():
+        if len(events) < 2 or (users is not None and user not in users):
+            continue
+        cut = len(events) - max(1, math.floor(fraction * len(events)))
+        train[user], test[user] = events[:cut], events[cut:]
+    return train, test
 
 
-def _check_oracle_bounds(train: UserHistories) -> None:
-    users = _users_of(train)
-    if len(users) > ORACLE_MAX_USERS:
+def _check_oracle_bounds(train: dict) -> None:
+    if len(train) > ORACLE_MAX_USERS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_USERS} users")
-    events = sum(len(_events_of(train, u)) for u in users)
-    if events > ORACLE_MAX_EVENTS:
+    if sum(map(len, train.values())) > ORACLE_MAX_EVENTS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_EVENTS} events")
-    artists = set()
-    for u in users:
-        artists.update(a for a, _ in _events_of(train, u))
-    if len(artists) > ORACLE_MAX_ARTISTS:
+    if len({a for events in train.values() for a, _ in events}) > ORACLE_MAX_ARTISTS:
         raise DataError(f"oracle instance exceeds {ORACLE_MAX_ARTISTS} artists")
+
+
+def _activation_sum(timestamps, ref: int, d: float) -> float:
+    """The sum of (ref - t + 1) ** -d over the timestamps, in their order."""
+    total = 0.0
+    for t in timestamps:
+        total += float(ref - t + 1) ** (-d)
+    return total
 
 
 def ranking_of(pairs: list[tuple[int, float]]) -> RecommendationList:
@@ -68,20 +82,20 @@ def _counts_and_last(events: list[tuple[int, int]]) -> tuple[Counter, dict[int, 
 
 def brute_force_ranking(
     algorithm: str,
-    train: UserHistories,
+    train: dict,
     user: int,
     k: int,
-    bll_params: BllParams | None = None,
+    d: float = 0.5,
     cf_params: CfParams | None = None,
 ) -> RecommendationList:
     """Reference top-k for one user on a small instance, by direct enumeration.
 
-    Reads only the users' events in ``train``, never its pair rows.
+    ``train`` holds each user's training events, as ``events_by_user`` or
+    ``split_events`` give them.
     """
     _check_oracle_bounds(train)
-    bll_params = bll_params or BllParams()
     cf_params = cf_params or CfParams()
-    events = _events_of(train, user)
+    events = train.get(user)
     if not events:
         raise DataError("oracle: empty training history")
 
@@ -89,10 +103,7 @@ def brute_force_ranking(
         ref = max(t for _, t in events) + 1
         scores = {}
         for artist in sorted({a for a, _ in events}):
-            total = 0.0
-            for a, t in events:
-                if a == artist:
-                    total += float(ref - t + 1) ** (-bll_params.d)
+            total = _activation_sum([t for a, t in events if a == artist], ref, d)
             scores[artist] = math.log(total) if total > 0.0 else float("-inf")
         order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
         return ranking_of([(a, scores[a]) for a in order])
@@ -109,8 +120,8 @@ def brute_force_ranking(
 
     if algorithm == "top":
         totals: Counter = Counter()
-        for u in _users_of(train):
-            for artist, t in _events_of(train, u):
+        for other in train.values():
+            for artist, t in other:
                 totals[artist] += 1
         order = sorted(totals, key=lambda a: (-totals[a], a))[:k]
         return ranking_of([(a, float(totals[a])) for a in order])
@@ -118,10 +129,10 @@ def brute_force_ranking(
     if algorithm == "cf":
         own = {a for a, _ in events}
         sims: dict[int, float] = {}
-        for v in _users_of(train):
+        for v, other in train.items():
             if v == user:
                 continue
-            other = {a for a, _ in _events_of(train, v)}
+            other = {a for a, _ in other}
             shared = len(own & other)
             if shared:
                 sims[v] = shared / math.sqrt(len(own) * len(other))
@@ -130,7 +141,7 @@ def brute_force_ranking(
         neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
         scores: dict[int, float] = {}
         for v in neighbors:
-            for artist in sorted({a for a, _ in _events_of(train, v)}):
+            for artist in sorted({a for a, _ in train[v]}):
                 scores[artist] = scores.get(artist, 0.0) + sims[v]
         order = sorted(scores, key=lambda a: (-scores[a], a))[:k]
         return ranking_of([(a, scores[a]) for a in order])
@@ -138,41 +149,42 @@ def brute_force_ranking(
     raise DataError(f"unknown algorithm {algorithm!r}")
 
 
-def per_user_histories(users, artists, timestamps) -> UserHistories:
-    """``build_user_histories`` of a log with these columns, by two stable sorts per user.
+def per_user_histories(users, artists, timestamps, fraction: float = 0.01, d: float = 0.5) -> UserHistories:
+    """``build_user_histories(log, fraction, d)`` of a log with these columns, by enumeration.
 
-    A stable sort of the user ids groups the log by user; then each user's
-    events are sorted stably by timestamp, and those by artist.
+    Each user's events are put in time order and cut by ``split_events``;
+    each of its artists then gets one pair row, counted from its plays.
     """
-    n = len(users)
-    n_users = int(users.max()) + 1 if n else 0
-    index_type = np.int32 if n < 2**31 else np.int64
-    offsets = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
-    order = np.argsort(users, kind="stable")
-    artists = artists[order]
-    timestamps = timestamps[order]
-    by_pair = np.empty(n, dtype=index_type)
-    first = [np.zeros(0, dtype=index_type)]  # the position in by_pair of each pair's first event
-    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        if lo == hi:
-            continue
-        by_time = np.argsort(timestamps[lo:hi], kind="stable")
-        timestamps[lo:hi] = timestamps[lo:hi][by_time]
-        artists[lo:hi] = artists[lo:hi][by_time]
-        by_artist = np.argsort(artists[lo:hi], kind="stable")
-        by_pair[lo:hi] = by_artist + lo
-        first.append((lo + np.flatnonzero(np.diff(artists[lo:hi][by_artist], prepend=-1))).astype(index_type))
-    first = np.concatenate(first)
-    pair_counts = np.diff(first, append=index_type(n))
+    index_type = np.int32 if len(users) < 2**31 else np.int64
+    history = events_by_user(users, artists, timestamps)
+    train, _ = split_events(history, fraction)
+    n_users = max(history, default=-1) + 1
+    n_events, row_counts, rows = [0] * n_users, [0] * n_users, []
+    for user, events in history.items():
+        training = train.get(user, events)  # a user of one event has no test event
+        plays, train_plays = {}, {}
+        for i, (artist, t) in enumerate(events):
+            plays.setdefault(artist, []).append(t)
+            if i < len(training):
+                train_plays.setdefault(artist, []).append(t)
+        ref = training[-1][1] + 1
+        for artist in sorted(plays):
+            times, before = plays[artist], train_plays.get(artist, [])
+            rows.append((artist, len(times), times[-1], len(times) - len(before), before[-1] if before else 0,
+                         _activation_sum(before, ref, d)))
+        n_events[user], row_counts[user] = len(events), len(plays)
+    columns = list(zip(*rows)) or [()] * 6
+    dtypes = (np.int32, index_type, timestamps.dtype, index_type, timestamps.dtype, np.float64)
+    pair_artists, pair_counts, pair_last, test_counts, train_last, bll = (
+        np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)
+    )
     return UserHistories(
-        artists=artists,
-        timestamps=timestamps,
-        starts=offsets[:-1],
-        ends=offsets[1:],
-        pair_offsets=np.searchsorted(first, offsets),
-        pair_artists=artists[by_pair[first]],
+        n_events=np.array(n_events, dtype=np.int64),
+        pair_offsets=np.concatenate(([0], np.cumsum(row_counts, dtype=np.int64))),
+        pair_artists=pair_artists,
         pair_counts=pair_counts,
-        pair_last=timestamps[by_pair[first + pair_counts - 1]],
-        by_pair=by_pair,
+        pair_last=pair_last,
+        pair_test_counts=test_counts,
+        pair_train_last=train_last,
+        pair_bll=bll,
     )

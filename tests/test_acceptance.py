@@ -7,6 +7,7 @@ lines alongside pytest's own pass/fail output.
 import math
 import os
 import time
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,14 +15,14 @@ import pytest
 
 from bllrec.cli import main
 from bllrec.evaluation import evaluate_algorithm
-from bllrec.ingest import build_user_histories, load_events
+from bllrec.ingest import build_user_histories, load_events, n_test_events
 from bllrec.profiling import assign_groups, group_stats, score_users
-from bllrec.recommend import BllParams, CfParams, build_recommenders
-from bllrec.split import n_test_events, split_histories
+from bllrec.recommend import CfParams, build_recommenders
+from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances, user_slice
-from oracles import brute_force_ranking
+from oracles import brute_force_ranking, events_by_user, split_events
 
 
 def _decimal_oracle(timestamps, ref, d):
@@ -111,16 +112,13 @@ def test_c2_monotonicity_and_scaling_invariance():
 def test_c3_all_recommenders_match_brute_force_oracle():
     started = time.perf_counter()
     checked = 0
-    for seed, histories in oracle_instances():
-        bll_params = BllParams()
+    for seed, train, events in oracle_instances():
         cf_params = CfParams()
-        recommenders = build_recommenders(histories, bll_params=bll_params, cf_params=cf_params)
-        for user in np.flatnonzero(histories.n_events).tolist():
+        recommenders = build_recommenders(train, cf_params=cf_params)
+        for user in np.flatnonzero(train.n_events).tolist():
             for name, fn in recommenders.items():
-                got = fn(user, histories, 10)
-                want = brute_force_ranking(
-                    name, histories, user, 10, bll_params=bll_params, cf_params=cf_params
-                )
+                got = fn(user, train, 10)
+                want = brute_force_ranking(name, events, user, 10, cf_params=cf_params)
                 assert got.artists.tolist() == want.artists.tolist(), (seed, user, name)
                 checked += 1
     elapsed = time.perf_counter() - started
@@ -134,8 +132,8 @@ def test_c4_metric_identities_hold_exactly():
         (int(rng.integers(0, 10)), int(rng.integers(0, 60)), int(rng.integers(0, 100_000)))
         for _ in range(2500)
     ]
-    histories = histories_from_ids(*zip(*events))
-    split = split_histories(histories, 0.1)
+    histories = histories_from_ids(*zip(*events), fraction=0.1)
+    split = split_histories(histories)
     k_max = 20
 
     checked_users = 0
@@ -165,27 +163,31 @@ def test_c4_metric_identities_hold_exactly():
 
 
 def _time_split(pairs, fraction):
-    """The train and test timestamps of one user's (artist, timestamp) pairs."""
-    split = split_histories(histories_from_ids([0] * len(pairs), *zip(*pairs)), fraction)
-    return user_slice(split.train, 0, "timestamps"), user_slice(split.test, 0, "timestamps")
+    """The train and test tables of one user's (artist, timestamp) pairs, and its test events by the split rule."""
+    columns = ([0] * len(pairs), *zip(*pairs))
+    split = split_histories(histories_from_ids(*columns, fraction=fraction))
+    _, test = split_events(events_by_user(*columns), fraction)
+    return split.train, split.test, test[0]
 
 
 def test_c5_split_protocol():
     for n, expected in [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)]:
-        train, test = _time_split([(i % 7, i) for i in range(n)], 0.01)
-        assert len(test) == expected, (n, len(test))
-        assert len(train) == n - expected
+        train, test, _ = _time_split([(i % 7, i) for i in range(n)], 0.01)
+        assert test.n_events[0] == expected, (n, test.n_events[0])
+        assert train.n_events[0] == n - expected
 
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n = int(rng.integers(2, 600))
         pairs = [(int(rng.integers(0, 12)), int(rng.integers(0, 10_000))) for _ in range(n)]
         fraction = float(rng.uniform(0.002, 0.98))
-        train, test = _time_split(pairs, fraction)
-        assert len(train) + len(test) == n
-        assert len(test) == n_test_events(n, fraction) >= 1
-        assert len(train) >= 1
-        assert int(train.max()) <= int(test.min())
+        train, test, test_events = _time_split(pairs, fraction)
+        assert train.n_events[0] + test.n_events[0] == n
+        assert test.n_events[0] == n_test_events(n, fraction) >= 1
+        assert train.n_events[0] >= 1
+        # The test table plays exactly the latest events, and no training play is later than any of them.
+        assert dict(zip(test.pair_artists.tolist(), test.pair_counts.tolist())) == Counter(a for a, _ in test_events)
+        assert int(train.pair_last.max()) <= min(t for _, t in test_events)
     print("criterion 5 PASS: fixture sizes {1,1,1,2,10}; 1000 random splits hold invariants")
 
 
@@ -228,7 +230,7 @@ def test_c7_bll_wins_on_synthetic_groups():
     histories = build_user_histories(log)
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 166)  # 500 users cannot fill 3 groups of 1000
-    split = split_histories(histories, 0.01, users=np.flatnonzero(~np.isnan(scores)))
+    split = split_histories(histories, np.flatnonzero(~np.isnan(scores)))
     recommenders = build_recommenders(split.train)
 
     recall_at = {}

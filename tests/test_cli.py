@@ -559,10 +559,12 @@ class TestRunPipeline:
 @pytest.mark.parametrize(
     "users, events_per_user, group_size, per_event, bound",
     [
-        # 13.1 bytes per added event, of which the log's columns take 12.
+        # 13.07 bytes per added event, of which the log's columns take 12: ingest sets the peak, as the
+        # build releases the events and keeps only pair rows.
         ((40, 80), (2000, 3000), 10, True, 16),
-        # 565 bytes per added user; a dict of Python float scores and tuple groups took 731.
-        ((5000, 10_000), (15, 30), 100, False, 650),
+        # 441 bytes per added user; with the events kept to the end of the run it took 565, and with a
+        # dict of Python float scores and tuple groups 731.
+        ((5000, 10_000), (15, 30), 100, False, 507),
     ],
     ids=["long-histories", "many-users"],
 )
@@ -584,6 +586,21 @@ def test_whole_run_allocates_with_the_data(tmp_path, users, events_per_user, gro
             tracemalloc.stop()
         assert len(out.reports) == 5 * 3
     assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < bound
+
+
+def test_no_array_as_long_as_the_log_outlives_the_build(tmp_path):
+    # The build reduces the events to pair rows and releases the log's columns, so after the split every
+    # array is per user or per pair row: on this log of long histories over 50 artists, far fewer.
+    path = tmp_path / "events.tsv"
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=20, n_artists=50, events_per_user=(100, 200), seed=2)), path)
+    out = cli.run_stages(validate_config({"events": path, "fraction": 0.3}), "split")
+    n = int(out.histories.n_events.sum())
+    assert n == len(path.read_text().splitlines())
+    assert (out.log.users, out.log.artists, out.log.timestamps) == (None, None, None)
+    for table in (out.histories, out.split.train, out.split.test):
+        for field in fields(table):
+            column = getattr(table, field.name)
+            assert column is None or len(column) < n / 2, field.name
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")

@@ -20,7 +20,7 @@ def _fixed_rankings(test_sets, rankings, k_max):
         played = [FILLER] * len(test) + list(test)  # fraction 0.5 puts exactly the test artists in test
         users += [user] * len(played)
         artists += played
-    split = split_histories(histories_from_ids(users, artists, range(len(users))), 0.5)
+    split = split_histories(histories_from_ids(users, artists, range(len(users)), fraction=0.5))
 
     def spy(user, train, k):
         assert user_slice(train, user, "pair_artists").tolist() == [FILLER] and k == k_max
@@ -41,9 +41,9 @@ class TestHitsAtK:
         assert _fixed_rankings([{7}], [[7]], 4).hits.tolist() == [[1, 1, 1, 1]]
 
     def test_empty_test_set(self):
-        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4])
-        both = split_histories(histories, 0.5)
-        only_user_0 = split_histories(histories, 0.5, users=np.array([0]))
+        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4], fraction=0.5)
+        both = split_histories(histories)
+        only_user_0 = split_histories(histories, np.array([0]))
         split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
         with pytest.raises(DataError, match="user 1: empty test artist set"):
             evaluate_algorithm(split, lambda u, t, k: ranking_of([]), split.per_user, 3)
@@ -81,9 +81,10 @@ class TestRecallPrecision:
             n_users = int(rng.integers(9, 120))
             n_events = 40 * n_users
             histories = histories_from_ids(
-                rng.integers(0, n_users, n_events), rng.integers(0, 50, n_events), rng.integers(0, 10**6, n_events)
+                rng.integers(0, n_users, n_events), rng.integers(0, 50, n_events), rng.integers(0, 10**6, n_events),
+                fraction=0.3,
             )
-            split = split_histories(histories, 0.3)
+            split = split_histories(histories)
 
             def shuffled(user, train, k):
                 # Repeated artists, ids above every test artist (0..49), and lists
@@ -111,8 +112,8 @@ def _clone_split():
     events = []
     for user in ("u0", "u1"):
         events += [(user, "a", 1), (user, "b", 2), (user, "a", 3), (user, "b", 4)]
-    histories = histories_from_events(events)
-    return split_histories(histories, 0.5)
+    histories = histories_from_events(events, fraction=0.5)
+    return split_histories(histories)
 
 
 class TestEvaluateAlgorithm:
@@ -134,8 +135,8 @@ class TestEvaluateAlgorithm:
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
     def test_zero_evaluable_users(self):
-        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4])
-        split = split_histories(histories, 0.5, users=np.array([0]))
+        histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4], fraction=0.5)
+        split = split_histories(histories, np.array([0]))
         with pytest.raises(DataError, match="no evaluable users"):
             evaluate_algorithm(split, lambda u, t, k: None, np.array([1]), 3)  # user 1 has no training events
 
@@ -148,7 +149,7 @@ class TestEvaluateAlgorithm:
             events += [(user, "y", t) for t in range(40, 60)]
             events += [(user, rare, 99)]
         histories = histories_from_events(events)
-        split = split_histories(histories, 0.01)  # exactly the rare artist in each test set
+        split = split_histories(histories)  # the default fraction puts exactly the rare artist in each test set
         recommenders = build_recommenders(split.train, algorithms=("top",))
         report = evaluate_algorithm(split, recommenders["top"], split.per_user, 2, "top", "ALL")
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
@@ -159,8 +160,8 @@ class TestEvaluateAlgorithm:
             (f"u{rng.integers(0, 8)}", f"a{rng.integers(0, 15)}", int(rng.integers(0, 10_000)))
             for _ in range(400)
         ]
-        histories = histories_from_events(events)
-        split = split_histories(histories, 0.1)
+        histories = histories_from_events(events, fraction=0.1)
+        split = split_histories(histories)
         recommenders = build_recommenders(split.train)
         for name, fn in recommenders.items():
             first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
@@ -171,11 +172,11 @@ class TestEvaluateAlgorithm:
 
     def test_recommenders_never_see_test_events(self):
         split = _clone_split()
-        boundaries = {u: int(user_slice(split.test, u, "timestamps").min()) for u in split.per_user.tolist()}
+        boundaries = {u: 3 for u in split.per_user.tolist()}  # each user's test events are its plays at 3 and 4
         seen = {}
 
         def spy(user, train, k):
-            seen[user] = int(user_slice(train, user, "timestamps").max())
+            seen[user] = int(user_slice(train, user, "pair_last").max())
             return ranking_of([(a, 1.0) for a in user_slice(train, user, "pair_artists").tolist()][:k])
 
         evaluate_algorithm(split, spy, split.per_user, 3, "spy", "ALL")
@@ -188,8 +189,8 @@ class TestEvaluateAlgorithm:
             (f"u{rng.integers(0, 6)}", f"a{rng.integers(0, 10)}", int(rng.integers(0, 999)))
             for _ in range(300)
         ]
-        histories = histories_from_events(events)
-        split = split_histories(histories, 0.2)
+        histories = histories_from_events(events, fraction=0.2)
+        split = split_histories(histories)
         for name, fn in build_recommenders(split.train).items():
             report = evaluate_algorithm(split, fn, split.per_user, 15, name, "ALL")
             recalls = [r for r, _ in report.points]

@@ -30,7 +30,7 @@ from bllrec.ingest import (
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events, user_slice
-from oracles import per_user_histories
+from oracles import events_by_user, per_user_histories
 
 LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
 
@@ -143,6 +143,13 @@ class TestParseEventLine:
         except ParseError as exc:
             assert exc.line_no == 7
 
+    @pytest.mark.parametrize("raw", ["1_000", " \u0661\u0662\u0663", "+7 ", "+7", "7 ", "\u0667", "-"])
+    def test_timestamp_is_ascii_digits_only(self, raw):
+        # int() accepts all of these; each must fail as a line with a non-integer timestamp does.
+        with pytest.raises(ParseError, match="non-integer timestamp") as info:
+            load_events(io.BytesIO(f"u\ta\t3\nu\ta\t{raw}\n".encode()), SIMPLE_SCHEMA, on_error="fail")
+        assert info.value.line_no == 2
+
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="columns"):
             parse_event_line("u1\ta9", LFM_SCHEMA, line_no=3)
@@ -150,6 +157,8 @@ class TestParseEventLine:
     def test_negative_timestamp(self):
         with pytest.raises(ParseError, match="negative"):
             parse_event_line("u1\ta9\t-5", SIMPLE_SCHEMA)
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_event_line("u1\ta9\t--5", SIMPLE_SCHEMA)
 
     def test_extra_columns_ignored(self):
         assert parse_event_line("u\ta\t3\tjunk\tmore", SIMPLE_SCHEMA) == ("u", "a", 3)
@@ -424,7 +433,7 @@ def _mixed_log(path: Path, compress: bool) -> bytes:
     one_at_a_time = [
         b"u1\ta1\t0\t0\n",  # too few columns
         b"u1\ta1\t0\t0\t+5\n",
-        b"new-user\ta1\t0\t0\t 7\n",
+        b"new-user\ta1\t0\t0\t0000000000000000007\n",  # 19 digits: only parse_event_line reads it
         b"u1\tnew-artist\t0\t0\t" + str(INT64_MAX).encode() + b"\n",
         b"u2\ta2\t0\t0\t5\textra\n",
         "ü\tkünstler\t0\t0\t12\n".encode(),
@@ -445,7 +454,7 @@ class TestChunkBoundaries:
         path = tmp_path / ("events.tsv.gz" if compress else "events.tsv")
         data = _mixed_log(path, compress)
         expected = oracle_load(path, LFM_SCHEMA)
-        assert expected[2] == 3  # the short line, the empty line and the undecodable line
+        assert expected[2] == 4  # the short line, the '+5' timestamp, the empty line and the undecodable line
         for size in (1, 2, 7, 4096, path.stat().st_size + 1):
             with mock.patch.object(ingest, "CHUNK_SIZE", size), \
                     mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
@@ -554,10 +563,10 @@ class TestIdMap:
             assert sorted(encoded) == sorted(set(block_keys)) and len(encoded) < len(block_keys)
 
     def test_short_key_first_on_the_slow_path_has_one_id(self):
-        # The first block's lines all go to parse_event_line: " 7" is a timestamp only it
-        # reads, and the block is not UTF-8, so lines with a byte that is not ASCII go there
-        # too. The second block is vectorized and brings both keys back.
-        first = "k\ta\t 7\nключ\tb\t8\tx\n".encode() + b"u\ta\xff\t9\n"
+        # The first block's lines all go to parse_event_line: a timestamp of 19 digits is one
+        # only it reads, and the block is not UTF-8, so lines with a byte that is not ASCII go
+        # there too. The second block is vectorized and brings both keys back.
+        first = "k\ta\t0000000000000000007\nключ\tb\t8\tx\n".encode() + b"u\ta\xff\t9\n"
         data = first + "k\tb\t10\nключ\ta\t11\n".encode()
         with mock.patch.object(ingest, "CHUNK_SIZE", len(first)), \
                 mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
@@ -638,24 +647,40 @@ class TestBuildUserHistories:
     def test_hand_sorted_example(self):
         histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)])
         a0, a1 = 0, 1  # first-seen densification
-        assert user_slice(histories, 0, "artists").tolist() == [a1, a0, a0]
-        assert user_slice(histories, 0, "timestamps").tolist() == [5, 7, 10]
         assert _pairs(histories, 0) == {a0: (2, 10), a1: (1, 5)}
         assert user_slice(histories, 0, "pair_artists").tolist() == [a0, a1]
+        # At the default fraction the latest event, a0 at 10, is the one test event; the
+        # training plays are a0 at 7 and a1 at 5, at reference time 7 + 1.
+        assert histories.n_events.tolist() == [3]
+        assert user_slice(histories, 0, "pair_test_counts").tolist() == [1, 0]
+        assert user_slice(histories, 0, "pair_train_last").tolist() == [7, 5]
+        assert user_slice(histories, 0, "pair_bll").tolist() == [2.0**-0.5, 4.0**-0.5]
 
     def test_single_event(self):
         histories = histories_from_events([("u", "a", 3)])
         assert histories.n_events.tolist() == [1]
         assert _pairs(histories, 0) == {0: (1, 3)}
+        # A history of one event is not cut: its event trains, at reference time 3 + 1.
+        assert (histories.pair_test_counts.tolist(), histories.pair_train_last.tolist()) == ([0], [3])
+        assert histories.pair_bll.tolist() == [2.0**-0.5]
 
     def test_equal_timestamps_keep_input_order(self):
         histories = histories_from_events([("u", "a", 5), ("u", "b", 5), ("u", "c", 5)])
-        assert user_slice(histories, 0, "artists").tolist() == [0, 1, 2]
+        # The last input event is the latest, so it is the test event.
+        assert histories.pair_test_counts.tolist() == [0, 0, 1]
+        assert histories.pair_train_last.tolist() == [5, 5, 0]
 
     def test_empty_log(self):
         log = log_from_events([])
         histories = build_user_histories(log)
-        assert len(histories.starts) == len(histories.artists) == len(histories.pair_artists) == 0
+        assert len(histories.n_events) == len(histories.pair_artists) == len(histories.pair_bll) == 0
+        assert histories.pair_offsets.tolist() == [0]
+
+    @pytest.mark.parametrize("key, value", [("fraction", 0.0), ("fraction", 1.0), ("fraction", -0.5),
+                                            ("fraction", 2.0), ("bll_d", 0.0), ("bll_d", -1.0)])
+    def test_bad_fraction_or_decay_is_data_error(self, key, value):
+        with pytest.raises(DataError, match="fraction must be in|decay exponent d must be > 0"):
+            histories_from_events([("u", "a", 1), ("u", "a", 2)], **{key: value})
 
     def test_takes_over_the_log_columns(self):
         # The log's events and the table's are never all alive at once: the build drops each column it has read.
@@ -668,7 +693,7 @@ class TestBuildUserHistories:
         assert log.id_maps is id_maps
         user_keys, artist_keys = id_maps.users.keys(), id_maps.artists.keys()
         assert [user_keys[u] for u in np.flatnonzero(histories.n_events).tolist()] == ["u1", "u2"]
-        assert [artist_keys[a] for a in user_slice(histories, 0, "artists").tolist()] == ["a1", "a2"]
+        assert [artist_keys[a] for a in user_slice(histories, 0, "pair_artists").tolist()] == ["a1", "a2"]
 
     def test_conservation_and_sortedness_random(self):
         rng = np.random.default_rng(7)
@@ -679,31 +704,34 @@ class TestBuildUserHistories:
                 for _ in range(n)
             ]
             log = log_from_events(events)
-            n_logged = len(log)  # the build takes the log's columns
-            histories = build_user_histories(log)
-            assert int(histories.n_events.sum()) == n_logged == n
+            history = events_by_user(log.users, log.artists, log.timestamps)  # the build takes the log's columns
+            histories = build_user_histories(log, fraction=0.3)
+            assert int(histories.n_events.sum()) == n
             for user in np.flatnonzero(histories.n_events).tolist():
-                artists, timestamps = user_slice(histories, user, "artists"), user_slice(histories, user, "timestamps")
-                assert (np.diff(timestamps) >= 0).all()
-                assert sum(user_slice(histories, user, "pair_counts").tolist()) == len(timestamps)
+                played = history[user]
+                assert sum(user_slice(histories, user, "pair_counts").tolist()) == len(played)
+                assert sum(user_slice(histories, user, "pair_test_counts").tolist()) == (
+                    max(1, int(0.3 * len(played))) if len(played) >= 2 else 0
+                )
                 assert (np.diff(user_slice(histories, user, "pair_artists")) > 0).all()
                 for artist, (count, last) in _pairs(histories, user).items():
-                    assert count == (artists == artist).sum()
-                    assert last == timestamps[artists == artist].max()
+                    assert count == sum(a == artist for a, _ in played)
+                    assert last == max(t for a, t in played if a == artist)
 
 
 HISTORY_FIELDS = (
-    "artists", "timestamps", "starts", "ends", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "by_pair"
+    "n_events", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "pair_test_counts", "pair_train_last",
+    "pair_bll",
 )
 
 
 class TestBuildMatchesPerUserSorts:
-    """Every field of the batched build equals the per-user two-sort oracle's, dtype included."""
+    """Every field of the batched build equals the per-user enumeration oracle's, dtype included."""
 
     @staticmethod
-    def _check(users, artists, timestamps):
-        expected = per_user_histories(users, artists, timestamps)
-        got = build_user_histories(EventLog(users.copy(), artists.copy(), timestamps.copy(), IdMaps()))
+    def _check(users, artists, timestamps, fraction=0.01, d=0.5):
+        expected = per_user_histories(users, artists, timestamps, fraction, d)
+        got = build_user_histories(EventLog(users.copy(), artists.copy(), timestamps.copy(), IdMaps()), fraction, d)
         for name in HISTORY_FIELDS:
             want, have = getattr(expected, name), getattr(got, name)
             assert have.dtype == want.dtype, name
@@ -720,7 +748,9 @@ class TestBuildMatchesPerUserSorts:
             timestamps = (base + rng.integers(0, [3, 50, 2**31][case % 3], n)).astype(dtype)
             if dtype == np.int64 and case % 2:
                 timestamps[::5] = rng.integers(0, 2**32, len(timestamps[::5]))  # values below and above 2**32
-            self._check(users, rng.integers(0, 40, n).astype(np.int32), timestamps)
+            # Fractions and decay exponents that give one test event, several and most of a history.
+            fraction, d = [(0.01, 0.5), (0.3, 1.7), (0.8, 0.05)][case % 3]
+            self._check(users, rng.integers(0, 40, n).astype(np.int32), timestamps, fraction, d)
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
     def test_a_history_longer_than_a_batch(self, dtype):
@@ -730,7 +760,7 @@ class TestBuildMatchesPerUserSorts:
         artists = rng.integers(0, 500, n).astype(np.int32)
         timestamps = ((2**40 if dtype == np.int64 else 0) + rng.integers(0, 1000, n)).astype(dtype)
         assert np.bincount(users).max() > ingest._BATCH_EVENTS
-        self._check(users, artists, timestamps)
+        self._check(users, artists, timestamps, 0.3)
 
     def test_single_event_users_across_batches(self):
         rng = np.random.default_rng(6)
@@ -790,27 +820,27 @@ class TestGroupedLogs:
             assert (np.diff(grouped[0]) >= 0).all()
             order = np.random.default_rng(100 + seed).permutation(len(grouped[0]))
             for columns in (grouped, [column[order] for column in grouped]):
-                expected = per_user_histories(*(column.copy() for column in columns))
+                expected = per_user_histories(*columns, fraction=0.1)
                 log = EventLog(*(column.copy() for column in columns), IdMaps())
-                artists = log.artists
-                got = build_user_histories(log)
-                # Only a grouped log's columns become the table's; a shuffled one of many users is gathered.
-                assert (got.artists is artists) == (columns is grouped or case == "single-user")
+                got = build_user_histories(log, fraction=0.1)
+                assert (log.users, log.artists, log.timestamps) == (None, None, None)
                 for name in HISTORY_FIELDS:
                     want, have = getattr(expected, name), getattr(got, name)
                     assert have.dtype == want.dtype, (case, name)
                     assert np.array_equal(have, want), (case, name)
 
     def test_takes_over_a_grouped_log_in_place(self):
-        # load_events leaves its columns read-only; they own their memory, so the table sorts the
-        # log's own artist and timestamp arrays instead of copies, and leaves them read-only.
+        # A grouped log is read a batch at a time and sorted in copies of each batch: its columns keep
+        # their values and stay read-only, the log holds none of them after the build, and the table
+        # keeps only pair rows.
         log = log_from_events([("u1", "a2", 12), ("u1", "a1", 10), ("u2", "a3", 9), ("u2", "a1", 11)])
         artists, timestamps = log.artists, log.timestamps
-        histories = build_user_histories(log)
-        assert histories.artists is artists and histories.timestamps is timestamps
+        histories = build_user_histories(log, fraction=0.5)
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
-        assert timestamps.tolist() == [10, 12, 9, 11] and artists.tolist() == [1, 0, 2, 1]
+        assert timestamps.tolist() == [12, 10, 9, 11] and artists.tolist() == [0, 1, 2, 1]
         assert not artists.flags.writeable and not timestamps.flags.writeable
+        assert [_pairs(histories, user) for user in (0, 1)] == [{0: (1, 12), 1: (1, 10)}, {1: (1, 11), 2: (1, 9)}]
+        assert histories.pair_test_counts.tolist() == [1, 0, 1, 0]
 
     def test_read_only_views_build(self):
         # np.frombuffer of bytes can never be written: such a column is copied, not sorted in place.
@@ -839,15 +869,15 @@ def _slope(sizes, peaks) -> float:
 
 
 def test_build_allocates_few_bytes_per_event_of_a_grouped_log(long_history_logs):
-    # A grouped log is sorted in its own columns: per added event the build allocates by_pair's 4
-    # bytes and the pair rows' share, 4.4 bytes in all. A stable argsort of the user column and
+    # A grouped log is read a batch at a time: per added event the build allocates only the pair
+    # rows' share, 4.2 bytes (0.11 rows of 36 bytes). A stable argsort of the user column and
     # gathers of the other two took 16.4.
     sizes = [len(columns[0]) for columns in long_history_logs]
-    assert _slope(sizes, [_build_peak(columns) for columns in long_history_logs]) < 8
+    assert _slope(sizes, [_build_peak(columns) for columns in long_history_logs]) < 7.6
 
 
 def test_build_of_a_shuffled_log_allocates_no_more_than_the_sort_and_gathers(long_history_logs):
-    # An ungrouped log keeps the argsort and the gathers, 16.4 bytes per added event; one more int64
+    # An ungrouped log keeps the argsort and the gathers, 16.2 bytes per added event; one more int64
     # array over the log would take 24.
     sizes = [len(columns[0]) for columns in long_history_logs]
     order = [np.random.default_rng(1).permutation(size) for size in sizes]

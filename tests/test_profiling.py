@@ -17,7 +17,8 @@ from bllrec.ingest import build_user_histories
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, histories_from_ids, log_from_events, user_slice
+from conftest import histories_from_events, histories_from_ids, log_from_events
+from oracles import events_by_user, split_events
 
 
 def _score(events, user="u"):
@@ -205,13 +206,13 @@ class TestGroupStats:
             group_stats(np.array([], dtype=np.int64), histories_from_events([]), np.array([]))
 
     def test_three_groups_equal_counter_oracle(self):
-        histories = build_user_histories(
-            generate_synthetic(SynthConfig(n_users=45, n_artists=60, events_per_user=(5, 40), seed=7))
-        )
+        log = generate_synthetic(SynthConfig(n_users=45, n_artists=60, events_per_user=(5, 40), seed=7))
+        history = events_by_user(log.users, log.artists, log.timestamps)
+        histories = build_user_histories(log, fraction=0.3)
         scores = score_users(histories)
-        for table in (histories, split_histories(histories, 0.3).train):
+        for table, events in ((histories, history), (split_histories(histories).train, split_events(history, 0.3)[0])):
             for members in assign_groups(scores, 15).values():
-                played = {u: Counter(user_slice(table, u, "artists").tolist()) for u in members.tolist()}
+                played = {u: Counter(a for a, _ in events[u]) for u in members.tolist()}
                 union = set().union(*played.values())
                 assert len(union) < sum(map(len, played.values()))  # members share artists
                 expected = GroupStats(

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.ingest import EventLog, IdMaps, build_user_histories
+from bllrec.ingest import build_user_histories, n_test_events
 from bllrec.recommend import (
-    BllParams,
     CfIndex,
     CfParams,
     build_recommenders,
@@ -19,7 +18,7 @@ from bllrec.recommend import (
     recommend_top,
     _top_indices,
 )
-from bllrec.split import n_test_events, split_histories
+from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import (
@@ -30,7 +29,7 @@ from conftest import (
     oracle_instances,
     user_slice,
 )
-from oracles import brute_force_ranking
+from oracles import brute_force_ranking, events_by_user, split_events
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -40,6 +39,18 @@ def _history(events):
     histories = histories_from_events(events)
     assert np.flatnonzero(histories.n_events).tolist() == [0]
     return histories
+
+
+def _train(events, **build):
+    """The train table whose user 0 trains on exactly ``events``, and those events for the oracle.
+
+    A later event of a new artist follows them, so at the default fraction it is the one test event.
+    """
+    log = log_from_events(events + [("u", "later", max(t for _, _, t in events))])
+    train, _ = split_events(events_by_user(log.users, log.artists, log.timestamps), 0.01)
+    table = split_histories(build_user_histories(log, **build)).train
+    assert np.flatnonzero(table.n_events).tolist() == [0] and len(train[0]) == len(events)
+    return table, train
 
 
 class TestBllActivation:
@@ -60,7 +71,7 @@ class TestBllActivation:
 
     def test_bad_decay(self):
         with pytest.raises(DataError):
-            BllParams(d=0.0)
+            histories_from_events([("u", "a", 1)], bll_d=0.0)
 
     def test_recency_monotone(self):
         base = kernel_activation([50, 80], ref=100)
@@ -73,21 +84,21 @@ class TestBllActivation:
 
 class TestRecommendBll:
     def test_recency_wins_single_listens(self):
-        train = _history([("u", "old", 10), ("u", "new", 95)])
-        ranked = recommend_bll(0, train, 2, BllParams()).artists.tolist()
+        train, _ = _train([("u", "old", 10), ("u", "new", 95)])
+        ranked = recommend_bll(0, train, 2).artists.tolist()
         assert ranked == [1, 0]  # "new" interned second but ranked first
 
     def test_identical_timestamp_multisets_tie_by_id(self):
-        train = _history([("u", "x", 10), ("u", "y", 10), ("u", "x", 20), ("u", "y", 20)])
-        ranked = recommend_bll(0, train, 2, BllParams())
+        train, _ = _train([("u", "x", 10), ("u", "y", 10), ("u", "x", 20), ("u", "y", 20)])
+        ranked = recommend_bll(0, train, 2)
         assert ranked.artists.tolist() == [0, 1]
         assert ranked.ranked[0][1] == ranked.ranked[1][1]
 
     def test_frequency_outweighs_moderate_recency(self):
         # ref is the latest listen (b at 996) plus one, so the adjusted
         # deltas ref - t + 1 are a: {7, 17, 27} and b: {2}
-        train = _history([("u", "a", 991), ("u", "a", 981), ("u", "a", 971), ("u", "b", 996)])
-        result = recommend_bll(0, train, 2, BllParams(d=0.5))
+        train, _ = _train([("u", "a", 991), ("u", "a", 981), ("u", "a", 971), ("u", "b", 996)], bll_d=0.5)
+        result = recommend_bll(0, train, 2)
         a, b = 0, 1
         assert result.artists.tolist() == [a, b]
         scores = dict(result.ranked)
@@ -98,11 +109,9 @@ class TestRecommendBll:
 
     def test_every_term_underflows_to_minus_inf(self):
         # the smallest adjusted delta is 2, and 2.0 ** -2000 underflows to 0.0
-        trains = histories_from_events([("u", "b", 10), ("u", "a", 20), ("u", "c", 5), ("u", "a", 30)])
-        (user,) = np.flatnonzero(trains.n_events).tolist()
-        params = BllParams(d=2000.0)
-        got = recommend_bll(user, trains, 5, params)
-        assert got.ranked == brute_force_ranking("bll", trains, user, 5, bll_params=params).ranked
+        train, events = _train([("u", "b", 10), ("u", "a", 20), ("u", "c", 5), ("u", "a", 30)], bll_d=2000.0)
+        got = recommend_bll(0, train, 5)
+        assert got.ranked == brute_force_ranking("bll", events, 0, 5, d=2000.0).ranked
         assert got.ranked == [(0, float("-inf")), (1, float("-inf")), (2, float("-inf"))]
 
     @pytest.mark.parametrize(
@@ -115,10 +124,9 @@ class TestRecommendBll:
         ],
     )
     def test_timestamps_at_int64_extremes_match_oracle(self, events):
-        trains = histories_from_events(events)
-        (user,) = np.flatnonzero(trains.n_events).tolist()
-        expected = brute_force_ranking("bll", trains, user, 5)
-        assert recommend_bll(user, trains, 5, BllParams()).ranked == expected.ranked
+        train, train_events = _train(events)
+        expected = brute_force_ranking("bll", train_events, 0, 5)
+        assert recommend_bll(0, train, 5).ranked == expected.ranked
 
     def test_low_decay_converges_to_play_counts(self):
         # with d -> 0+ every term -> 1, so activation -> ln(count)
@@ -132,8 +140,8 @@ class TestRecommendBll:
                 for _ in range(count):
                     t += int(rng.integers(1, 50))
                     events.append(("u", f"a{artist}", t))
-            train = _history(events)
-            ranked = recommend_bll(0, train, n_artists, BllParams(d=1e-6)).artists.tolist()
+            train, _ = _train(events, bll_d=1e-6)
+            ranked = recommend_bll(0, train, n_artists).artists.tolist()
             by_count = train.pair_artists[np.argsort(-train.pair_counts)].tolist()
             assert ranked == by_count
 
@@ -154,14 +162,14 @@ class TestRecommendPop:
 
     def test_empty_train(self):
         # u0 has one event, so the split drops it: it is in the train table with no events.
-        split = split_histories(histories_from_events([("u0", "a", 1), ("u1", "a", 1), ("u1", "b", 2)]), 0.5)
+        split = split_histories(histories_from_events([("u0", "a", 1), ("u1", "a", 1), ("u1", "b", 2)], fraction=0.5))
         assert split.train.n_events.tolist() == [0, 1]
         for user in (0, 2, -1):  # ids 2 and -1 are not in the table
             message = f"user {user}: cannot recommend from empty training history"
             with pytest.raises(DataError, match=message):
                 recommend_pop(user, split.train, 1)
             with pytest.raises(DataError, match=message):
-                recommend_bll(user, split.train, 1, BllParams())
+                recommend_bll(user, split.train, 1)
             with pytest.raises(DataError, match=message):
                 recommend_time(user, split.train, 1)
 
@@ -197,12 +205,13 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
     log = log_from_events([(u, a, t) for u, events in plays.items() for a, t in events])
     assert log.timestamps.dtype == np.uint32
     users, artists = log.id_maps.users.keys(), log.id_maps.artists.keys()
-    histories = build_user_histories(log)
-    split = split_histories(histories, 0.3)
-    for table in (histories, split.train):
+    history = events_by_user(log.users, log.artists, log.timestamps)
+    histories = build_user_histories(log, fraction=0.3)
+    split = split_histories(histories)
+    for table, events in ((histories, history), (split.train, split_events(history, 0.3)[0])):
         for user in np.flatnonzero(table.n_events).tolist():
             for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
-                assert recommend(user, table, 10).ranked == brute_force_ranking(name, table, user, 10).ranked
+                assert recommend(user, table, 10).ranked == brute_force_ranking(name, events, user, 10).ranked
     for key, events in plays.items():
         train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
         counts = Counter(artists.index(a) for a, _ in train_events)
@@ -242,7 +251,7 @@ class TestRecommendTop:
 
 
 class TestRecommendCf:
-    def _fixture(self):
+    def _fixture(self, **build):
         # u0 plays {a,b}; u1 plays {a,b,c}; u2 plays {b,d}
         return histories_from_events(
             [
@@ -253,7 +262,8 @@ class TestRecommendCf:
                 ("u1", "c", 3),
                 ("u2", "b", 1),
                 ("u2", "d", 2),
-            ]
+            ],
+            **build,
         )
 
     def test_worked_example(self):
@@ -292,7 +302,7 @@ class TestRecommendCf:
 
     def test_user_without_training_rows_is_data_error(self):
         # u0 is in the table but outside the split, so it has no training rows.
-        index = CfIndex(split_histories(self._fixture(), 0.4, users=[1, 2]).train)
+        index = CfIndex(split_histories(self._fixture(fraction=0.4), np.array([1, 2])).train)
         assert index.recommend(1, CfParams(), 4).artists.tolist() == [1]
         for user in (0, 3, -1):
             with pytest.raises(DataError, match=f"user {user} has no training history"):
@@ -330,34 +340,22 @@ class TestBuildRecommenders:
 
     def test_param_validation(self):
         with pytest.raises(DataError):
-            BllParams(d=-1.0)
+            histories_from_events([("u", "a", 1)], bll_d=-1.0)
         with pytest.raises(DataError):
             CfParams(neighborhood_size=0)
 
 
-def _spread_ids(histories):
-    """The same histories with artist id a renamed to a * 100_003 + 7 (up to ~3M)."""
-    # A table built from a log holds its events in user order, each user's in one slice.
-    log = EventLog(
-        users=np.repeat(np.arange(len(histories.starts), dtype=np.int32), histories.n_events),
-        artists=(histories.artists.astype(np.int64) * 100_003 + 7).astype(np.int32),
-        timestamps=histories.timestamps,
-        id_maps=IdMaps(),
-    )
-    return build_user_histories(log)
-
-
-@pytest.mark.parametrize("remap", [lambda h: h, _spread_ids], ids=["dense", "sparse-wide"])
-def test_cf_and_top_scores_equal_oracle_exactly(remap):
+@pytest.mark.parametrize("artist_ids", [lambda a: a, lambda a: a * 100_003 + 7], ids=["dense", "sparse-wide"])
+def test_cf_and_top_scores_equal_oracle_exactly(artist_ids):
     # The instances of the c3 acceptance test; here the float scores of all five algorithms must match too.
+    # The sparse-wide case renames artist id a to a * 100_003 + 7 (up to ~3M).
     compared = nonempty_cf = 0
-    for seed, histories in oracle_instances():
-        histories = remap(histories)
-        recommenders = build_recommenders(histories)
-        for user in np.flatnonzero(histories.n_events).tolist():
+    for seed, train, events in oracle_instances(artist_ids):
+        recommenders = build_recommenders(train)
+        for user in np.flatnonzero(train.n_events).tolist():
             for name, fn in recommenders.items():
-                got = fn(user, histories, 10)
-                assert got.ranked == brute_force_ranking(name, histories, user, 10).ranked, (seed, user, name)
+                got = fn(user, train, 10)
+                assert got.ranked == brute_force_ranking(name, events, user, 10).ranked, (seed, user, name)
                 compared += 1
                 nonempty_cf += name == "cf" and bool(got.ranked)
     assert compared > 3000 and nonempty_cf > 400
@@ -368,13 +366,13 @@ def test_cf_neighborhood_truncation_equals_oracle_exactly(n):
     # The instances have at most 9 users, under the default 20 neighbours; small n truncates.
     params = CfParams(neighborhood_size=n)
     truncated = 0
-    for seed, histories in oracle_instances():
-        index = CfIndex(histories)
-        sets = {user: set(user_slice(histories, user, "pair_artists").tolist())
-                for user in np.flatnonzero(histories.n_events).tolist()}
+    for seed, train, events in oracle_instances():
+        index = CfIndex(train)
+        sets = {user: set(user_slice(train, user, "pair_artists").tolist())
+                for user in np.flatnonzero(train.n_events).tolist()}
         for user in sets:
             got = index.recommend(user, params, 10)
-            assert got.ranked == brute_force_ranking("cf", histories, user, 10, cf_params=params).ranked, (seed, user)
+            assert got.ranked == brute_force_ranking("cf", events, user, 10, cf_params=params).ranked, (seed, user)
             truncated += sum(bool(sets[user] & other) for v, other in sets.items() if v != user) > n
     assert truncated > 500
 

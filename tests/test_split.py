@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -7,22 +6,22 @@ import numpy as np
 import pytest
 
 from bllrec.errors import DataError
-from bllrec.ingest import build_user_histories, load_events, write_events_tsv
+from bllrec.ingest import build_user_histories, load_events, n_test_events, write_events_tsv
 from bllrec.recommend import global_train_counts
-from bllrec.split import n_test_events, split_histories
+from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import histories_from_events, histories_from_ids, user_slice
+from oracles import events_by_user, split_events
 
 
-def _history(n_events, user="u", start=0):
-    events = [(user, f"a{i % 7}", start + i) for i in range(n_events)]
-    return histories_from_events(events)
+def _history(n_events, fraction=0.01):
+    return histories_from_events([("u", f"a{i % 7}", i) for i in range(n_events)], fraction=fraction)
 
 
-def _time_split(histories, fraction):
+def _time_split(histories):
     """The split of ``histories`` and its one split user."""
-    split = split_histories(histories, fraction)
+    split = split_histories(histories)
     (user,) = split.per_user.tolist()
     return split, user
 
@@ -34,8 +33,8 @@ def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
     write_events_tsv(wide, path)
     narrow, _ = load_events(path)
     assert (wide.timestamps.dtype, narrow.timestamps.dtype) == (np.int64, np.uint32)
-    tables = [build_user_histories(log) for log in (wide, narrow)]
-    splits = [split_histories(table, 0.2) for table in tables]
+    tables = [build_user_histories(log, fraction=0.2) for log in (wide, narrow)]
+    splits = [split_histories(table) for table in tables]
     for a, b in (tables, [s.train for s in splits], [s.test for s in splits]):
         for column in fields(a):
             x, y = getattr(a, column.name), getattr(b, column.name)
@@ -53,7 +52,7 @@ def test_split_allocates_few_bytes_per_pair_row():
     histories = build_user_histories(log)
     tracemalloc.start()
     try:
-        split = split_histories(histories, 0.01)
+        split = split_histories(histories)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -67,51 +66,48 @@ class TestTimeSplit:
         [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)],
     )
     def test_one_percent_sizes(self, n, expected_test):
-        split, user = _time_split(_history(n), 0.01)
+        split, user = _time_split(_history(n))
         assert split.test.n_events[user] == expected_test
         assert split.train.n_events[user] == n - expected_test
 
     def test_half_fraction(self):
-        split, user = _time_split(_history(4), 0.5)
+        split, user = _time_split(_history(4, 0.5))
         assert (split.train.n_events[user], split.test.n_events[user]) == (2, 2)
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            split_histories(_history(1), 0.01)
+            split_histories(_history(1))
 
     def test_bad_fraction(self):
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DataError):
-                split_histories(_history(10), fraction)
+                _history(10, fraction)
 
     def test_equal_timestamps_stable(self):
         histories = histories_from_events([("u", f"a{i}", 5) for i in range(100)])
-        split, user = _time_split(histories, 0.01)
+        split, user = _time_split(histories)
         assert split.test.n_events[user] == 1
-        assert user_slice(split.test, user, "artists").tolist() == [99]  # last input event under tie stability
-        assert user_slice(split.test, user, "pair_artists").tolist() == [99]
+        assert user_slice(split.test, user, "pair_artists").tolist() == [99]  # last input event under tie stability
         assert 99 not in user_slice(split.train, user, "pair_artists")
 
     def test_conservation_ordering_monotonic_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(2, 400))
-            events = [("u", f"a{rng.integers(0, 9)}", int(rng.integers(0, 5000))) for _ in range(n)]
-            histories = histories_from_events(events)
+            artists, stamps = rng.integers(0, 9, n).tolist(), rng.integers(0, 5000, n).tolist()
             fraction = float(rng.uniform(0.005, 0.95))
-            split, user = _time_split(histories, fraction)
-            (train_ts, train_artists), (test_ts, test_artists) = (
-                (user_slice(table, user, "timestamps"), user_slice(table, user, "artists"))
-                for table in (split.train, split.test)
-            )
-            assert len(train_ts) + len(test_ts) == n
-            assert len(test_ts) >= 1 and len(train_ts) >= 1
-            assert train_ts.max() <= test_ts.min()
-            # multiset conservation
-            merged = sorted(zip(train_ts.tolist() + test_ts.tolist(), train_artists.tolist() + test_artists.tolist()))
-            original = sorted(zip(user_slice(histories, 0, "timestamps").tolist(),
-                                  user_slice(histories, 0, "artists").tolist()))
-            assert merged == original
+            split, user = _time_split(histories_from_ids([0] * n, artists, stamps, fraction=fraction))
+            n_test = int(n_test_events(n, fraction))
+            assert (split.train.n_events[user], split.test.n_events[user]) == (n - n_test, n_test)
+            assert n_test >= 1 and n - n_test >= 1
+            # Every training play precedes the earliest test event.
+            _, test = split_events(events_by_user([0] * n, artists, stamps), fraction)
+            assert split.train.pair_last.max() <= min(t for _, t in test[user])
+            # multiset conservation: each artist's training and test plays are all its plays
+            plays = Counter()
+            for table in (split.train, split.test):
+                plays.update(dict(zip(table.pair_artists.tolist(), table.pair_counts.tolist())))
+            assert plays == Counter(artists)
             # larger fraction never shrinks the test side
             larger = min(0.99, fraction * 2)
             assert n_test_events(n, larger) >= n_test_events(n, fraction)
@@ -122,15 +118,15 @@ class TestSplitHistories:
         events = [("u1", f"a{i % 5}", i) for i in range(100)]
         events += [("u2", f"a{i % 5}", i) for i in range(250)]
         histories = histories_from_events(events)
-        split = split_histories(histories, 0.01)
+        split = split_histories(histories)
         assert split.test_event_count() == 1 + 2
         assert split.test_event_count(np.array([1])) == 2
         assert split.dropped == 0
 
     def test_short_histories_dropped_with_count(self):
         events = [("solo", "a", 1)] + [("u", f"a{i}", i) for i in range(10)]
-        histories = histories_from_events(events)
-        split = split_histories(histories, 0.1)
+        histories = histories_from_events(events, fraction=0.1)
+        split = split_histories(histories)
         assert split.dropped == 1
         assert len(split.per_user) == 1
         assert split.train.n_events[0] == split.test.n_events[0] == 0
@@ -138,13 +134,13 @@ class TestSplitHistories:
     def test_all_users_too_short(self):
         histories = histories_from_events([("u1", "a", 1), ("u2", "b", 2)])
         with pytest.raises(DataError):
-            split_histories(histories, 0.01)
+            split_histories(histories)
 
     def test_user_subset(self):
         events = [("u1", "a", i) for i in range(10)] + [("u2", "b", i) for i in range(10)]
-        histories = histories_from_events(events)
+        histories = histories_from_events(events, fraction=0.2)
         only = np.array([u for u in range(2) if 0 in user_slice(histories, u, "pair_artists")])
-        split = split_histories(histories, 0.2, users=only)
+        split = split_histories(histories, only)
         assert split.per_user.tolist() == np.flatnonzero(split.test.n_events).tolist() == only.tolist() == [0]
         assert split.test_event_count() == 2
         # u2 is outside the split, so none of its plays count as training plays
@@ -159,29 +155,26 @@ class TestSplitHistories:
             n = int(rng.integers(20, 400))
             users, artists, stamps = (rng.integers(0, hi, n).tolist() for hi in (8, 15, 6))
             fraction = float(rng.uniform(0.01, 0.6))
-            histories = histories_from_ids(users, artists, stamps)
-            split = split_histories(histories, fraction)
+            split = split_histories(histories_from_ids(users, artists, stamps, fraction=fraction))
             tables = {"train": split.train, "test": split.test}
-            for table in tables.values():  # the split's tables read the source table's events, not copies
-                assert table.artists is histories.artists and table.timestamps is histories.timestamps
+            history = events_by_user(users, artists, stamps)
+            sides = dict(zip(tables, split_events(history, fraction)))
             distinct = {name: [0] * (max(users) + 1) for name in tables}
-            for u in set(users):
-                # (timestamp, input index, artist): chronological, ties in input order
-                events = sorted((t, i, a) for i, (v, a, t) in enumerate(zip(users, artists, stamps)) if v == u)
+            for u, events in history.items():
                 if len(events) < 2:
                     assert split.train.n_events[u] == split.test.n_events[u] == 0
                     continue
-                cut = len(events) - max(1, math.floor(fraction * len(events)))
-                straddled += events[cut - 1][0] == events[cut][0]
-                for name, part in (("train", events[:cut]), ("test", events[cut:])):
-                    side = tables[name]
-                    counts = Counter(a for _, _, a in part)
-                    last = {a: t for t, _, a in part}
+                cut = len(sides["train"][u])
+                straddled += events[cut - 1][1] == events[cut][1]
+                for name, table in tables.items():
+                    part = sides[name][u]
+                    counts = Counter(a for a, _ in part)
+                    last = {a: t for a, t in part}
                     distinct[name][u] = len(counts)
-                    assert user_slice(side, u, "artists").tolist() == [a for _, _, a in part]
-                    assert user_slice(side, u, "pair_artists").tolist() == sorted(counts)
-                    assert user_slice(side, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
-                    assert user_slice(side, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
+                    assert table.n_events[u] == len(part)
+                    assert user_slice(table, u, "pair_artists").tolist() == sorted(counts)
+                    assert user_slice(table, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
+                    assert user_slice(table, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
             # Each table holds only its played pair rows, like a table built from a log.
             for name, table in tables.items():
                 assert (table.pair_counts >= 1).all()

@@ -10,7 +10,7 @@ import pytest
 from bllrec.cli import main
 from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, load_events, write_events_tsv
-from bllrec.recommend import BllParams, CfParams
+from bllrec.recommend import CfParams
 from bllrec.synth import (
     MAX_EVENTS_PER_USER,
     SplitMix64,
@@ -20,8 +20,8 @@ from bllrec.synth import (
     user_stream,
 )
 
-from conftest import user_slice
-from oracles import brute_force_ranking
+from conftest import log_from_events
+from oracles import brute_force_ranking, events_by_user
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SMALL = SynthConfig(n_users=6, n_artists=25, events_per_user=(5, 30), time_span=10_000, seed=3)
@@ -68,14 +68,13 @@ class TestGenerateSynthetic:
     def test_per_user_generation_matches_full_log(self):
         # parallel per-user generation must equal the sequential pass
         log = generate_synthetic(SMALL)
-        histories = build_user_histories(log)
+        history = events_by_user(log.users, log.artists, log.timestamps)
         user_keys, artist_keys = log.id_maps.users.keys(), log.id_maps.artists.keys()
         for u in range(SMALL.n_users):
             timestamps, ranks = user_events(SMALL, u)
-            uid = user_keys.index(str(u))
-            assert user_slice(histories, uid, "timestamps").tolist() == timestamps
-            keys = [artist_keys[a] for a in user_slice(histories, uid, "artists").tolist()]
-            assert keys == [str(r) for r in ranks]
+            events = history[user_keys.index(str(u))]
+            assert [t for _, t in events] == timestamps
+            assert [artist_keys[a] for a, _ in events] == [str(r) for r in ranks]
 
     def test_always_reconsume_yields_one_artist_per_user(self):
         config = SynthConfig(n_users=4, n_artists=50, events_per_user=(10, 10),
@@ -115,9 +114,9 @@ class TestGenerateSynthetic:
         log = generate_synthetic(SMALL)
         assert int(log.timestamps.min()) >= 0
         assert int(log.timestamps.max()) < SMALL.time_span
-        histories = build_user_histories(log)
-        for user in range(len(histories.starts)):
-            assert (np.diff(user_slice(histories, user, "timestamps")) >= 0).all()
+        assert (np.diff(log.users) >= 0).all()  # grouped by user
+        for user in range(SMALL.n_users):
+            assert (np.diff(log.timestamps[log.users == user]) >= 0).all()
 
     def test_tsv_round_trip(self, tmp_path):
         log = generate_synthetic(SMALL)
@@ -205,13 +204,17 @@ def _spearman(x, y):
 
 
 class TestBruteForceOracle:
+    @staticmethod
+    def _events(log):
+        return events_by_user(log.users, log.artists, log.timestamps)
+
     def _instance(self):
         config = SynthConfig(n_users=5, n_artists=12, events_per_user=(4, 20),
                              time_span=5000, seed=8)
-        return build_user_histories(generate_synthetic(config))
+        return self._events(generate_synthetic(config))
 
     def test_bounds_enforced(self):
-        big = build_user_histories(
+        big = self._events(
             generate_synthetic(SynthConfig(n_users=11, n_artists=5, events_per_user=(2, 4),
                                            time_span=100, seed=1))
         )
@@ -219,19 +222,15 @@ class TestBruteForceOracle:
             brute_force_ranking("pop", big, 0, 3)
 
     def test_single_artist_user(self):
-        from conftest import histories_from_events
-
-        histories = histories_from_events([("u", "a", 1), ("u", "a", 2)])
+        events = self._events(log_from_events([("u", "a", 1), ("u", "a", 2)]))
         for algorithm in ("bll", "pop", "time"):
-            assert brute_force_ranking(algorithm, histories, 0, 5).artists.tolist() == [0]
+            assert brute_force_ranking(algorithm, events, 0, 5).artists.tolist() == [0]
 
     def test_clone_users_cf(self):
-        from conftest import histories_from_events
-
-        histories = histories_from_events(
+        events = self._events(log_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
-        )
-        result = brute_force_ranking("cf", histories, 0, 5)
+        ))
+        result = brute_force_ranking("cf", events, 0, 5)
         assert result.artists.tolist() == [0, 1]
         assert all(s == 1.0 for _, s in result.ranked)
 
@@ -242,7 +241,7 @@ class TestBruteForceOracle:
     def test_params_respected(self):
         histories = self._instance()
         user = 0
-        deep = brute_force_ranking("bll", histories, user, 5, bll_params=BllParams(d=2.5))
-        shallow = brute_force_ranking("bll", histories, user, 5, bll_params=BllParams(d=1e-6))
+        deep = brute_force_ranking("bll", histories, user, 5, d=2.5)
+        shallow = brute_force_ranking("bll", histories, user, 5, d=1e-6)
         narrow = brute_force_ranking("cf", histories, user, 5, cf_params=CfParams(neighborhood_size=1))
         assert len(narrow.artists) <= 5
