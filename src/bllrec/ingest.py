@@ -29,26 +29,33 @@ codes and ids, and gives the missing ones the next ids in order of their
 first line, so ids are dense and follow each key's first line. The runs
 are the only copy of the codes: a key takes 12 bytes there, and a long
 key about 75 bytes more for its dict entry and code, besides its ``str``.
-The event columns of a plain file are sized once, after the first block:
-the file's bytes over the bytes per line so far, plus 1/32. That room is
-allocated unwritten, so it holds no pages until lines fill it, and the
-columns grow by a quarter only past it. A ``.gz`` file or a stream has no
+Read whole, a plain file's event columns are sized once, after the first
+block: the file's bytes over the bytes per line so far, plus 1/32. That
+room is allocated unwritten, so it holds no pages until lines fill it, and
+the columns grow by a quarter only past it. A ``.gz`` file or a stream has no
 size to go by, so its columns grow by a quarter from the start.
 
 ``build_user_histories`` reduces the log to one ``UserHistories`` table of
 (user, artist) pair rows and keeps no event. Ids follow first sight, so a
 log whose lines come user by user never lowers its user id: such a log is
-grouped already and is read in place. Any other log is grouped by a stable
-argsort of its users and gathers of the artist and timestamp columns.
-Then each batch of whole users is sorted twice, each time with ``np.sort``
-on unique packed uint64 keys: by user then timestamp, which puts each
-user's test events last, then by user then artist, which gives one row per
-pair. A row holds its play count and latest play, which is all that
-mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read, and its test
-plays, latest training play and the ``bll`` activation sum of its training
-plays, from which ``split.split_histories`` selects the train and test
-tables. The table is plain arrays: a user's history is its slice of them,
-read in place.
+grouped already. Given the build's ``fraction`` and ``bll_d``, as
+``cli.run_stages`` gives them, ``load_events`` reduces a grouped path as it
+reads: after each block, the batches of whole users that no later line can
+change become pair rows, and only the events of the batch being filled
+wait in the parser's columns, so no column as long as the log exists. A
+path whose user ids turn out to decrease is read again whole, and a stream
+is read whole. The build hands over a table that ingest reduced, reads the
+columns of any other grouped log in place, and groups an ungrouped one by
+a stable argsort of its users and gathers of the artist and timestamp
+columns. Either way each batch of whole users is sorted twice, each time
+with ``np.sort`` on unique packed uint64 keys: by user then timestamp,
+which puts each user's test events last, then by user then artist, which
+gives one row per pair. A row holds its play count and latest play, which
+is all that mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read,
+and its test plays, latest training play and the ``bll`` activation sum
+of its training plays, from which ``split.split_histories`` selects the
+train and test tables. The table is plain arrays: a user's history is its
+slice of them, read in place.
 """
 
 from __future__ import annotations
@@ -223,7 +230,10 @@ class IdMaps:
 class EventLog:
     """Flat event store: parallel arrays of user id, artist id, timestamp.
 
-    ``build_user_histories`` reduces the three arrays to pair rows and leaves them None.
+    ``build_user_histories`` reduces the three arrays to pair rows and leaves
+    them None. A log that ``load_events`` reduced as it read never had them:
+    it holds the table in ``reduced`` until the build hands it over.
+    ``n_events``, and so ``len``, counts the events at every stage.
     """
 
     users: np.ndarray | None  # int32, one entry per event
@@ -231,9 +241,15 @@ class EventLog:
     timestamps: np.ndarray | None  # uint32 Unix seconds; int64 if any is >= 2**32
     id_maps: IdMaps
     sha256: str | None = None  # of the source file's bytes, as read; None for streams
+    n_events: int | None = None  # the length of the columns when not given
+    reduced: tuple[UserHistories, float, float] | None = None  # the table, its fraction and its bll_d
+
+    def __post_init__(self):
+        if self.n_events is None:
+            self.n_events = len(self.timestamps)
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return self.n_events
 
 
 @dataclass(eq=False)
@@ -301,7 +317,8 @@ CHUNK_SIZE = 1 << 17
 and the allocator keeps their pages once they are freed, so larger chunks
 parse a little faster but raise the run's peak memory. The first block, of at
 least this many bytes, is the sample of line lengths that sizes a plain file's
-event columns."""
+event columns. A grouped path reduced as it is read holds about one block's
+events and one batch's (``_BATCH_EVENTS``) besides."""
 
 _MAX_VECTOR_KEY = 8
 """Longer keys go through ``parse_event_line``: keys that fit in a uint64 sort
@@ -535,22 +552,63 @@ class _ChunkParser:
         artists = self.id_maps.artists.densify(artists[take])
         timestamps = timestamps[take]
         if self.columns[2].dtype == np.uint32 and timestamps.size and timestamps.max() >= 2**32:
-            wide = np.empty(len(self.columns[2]), dtype=np.int64)  # its spare room stays untouched
-            wide[: self.size] = self.columns[2][: self.size]
-            self.columns = (*self.columns[:2], wide)
-        size = self.size + len(timestamps)
+            self.columns = (*self.columns[:2], _widened(self.columns[2], self.size))
         for column, values in zip(self.columns, (users, artists, timestamps)):
-            if size > len(column):
-                # Past the estimate, at most a quarter spare: resize zero-fills, so spare room costs memory at once.
-                column.resize(size + size // 4, refcheck=False)  # no views of a column are kept
-            column[self.size : size] = values
-        self.size = size
+            _put(column, self.size, values)
+        self.size += len(timestamps)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Users, artists and timestamps of every event, in input order."""
+    def log(self, sha256: str | None) -> EventLog:
+        """The log of every event, in input order, its columns read-only."""
         for column in self.columns:
             column.resize(self.size, refcheck=False)
-        return self.columns
+            column.flags.writeable = False
+        return EventLog(*self.columns, self.id_maps, sha256)
+
+
+class _Ungrouped(Exception):
+    """A user id below an earlier one: the log is not grouped by user."""
+
+
+class _GroupedParser(_ChunkParser):
+    """A ``_ChunkParser`` that reduces a log grouped by user to pair rows as its blocks are added.
+
+    Its columns hold only the events not reduced yet: those of the batch
+    being filled, whose last user the next block may continue. After each
+    block, the batches that no later line can change go through
+    ``_batch_rows`` into ``rows``, and the rest of the events move to the
+    front of the columns, which are reused from block to block. Raises
+    ``_Ungrouped`` at the first block whose user ids decrease.
+    """
+
+    def __init__(self, schema: ColumnSchema, on_error: str, fraction: float, d: float):
+        super().__init__(schema, on_error)
+        self.rows = _PairRows(fraction, d, np.uint32)
+
+    def add(self, data: bytes) -> None:
+        held = self.size
+        super().add(data)  # the block's temporaries are freed before the reduction allocates its own
+        users = self.columns[0][max(held - 1, 0) : self.size]  # the block's users, after the last one held
+        if (users[1:] < users[:-1]).any():
+            raise _Ungrouped
+        self._reduce(final=False)
+
+    def _reduce(self, final: bool) -> None:
+        if not self.size:
+            return
+        users, artists, timestamps = (column[: self.size] for column in self.columns)
+        # Ids follow first sight, so the users of a grouped log run on from the first one not reduced.
+        offsets = np.searchsorted(users, np.arange(self.rows.users, int(users[-1]) + 2, dtype=users.dtype))
+        rest = int(offsets[_reduce_batches(self.rows, artists, timestamps, offsets, final)])
+        if rest:
+            for column in self.columns:
+                column[: self.size - rest] = column[rest : self.size]
+            self.size -= rest
+
+    def log(self, sha256: str | None) -> EventLog:
+        """A log without columns that holds the table of its events in ``reduced``."""
+        self._reduce(final=True)
+        rows = self.rows
+        return EventLog(None, None, None, self.id_maps, sha256, rows.events, (rows.table(), rows.fraction, rows.d))
 
 
 @contextmanager
@@ -572,7 +630,10 @@ def _open_blocks(source):
         yield _byte_blocks(source.read), None, None
 
 
-def load_events(source, schema: ColumnSchema | None = None, on_error: str = "skip") -> tuple[EventLog, int]:
+def load_events(
+    source, schema: ColumnSchema | None = None, on_error: str = "skip", fraction: float | None = None,
+    bll_d: float = 0.5,
+) -> tuple[EventLog, int]:
     """Load an event log from a path or binary stream in one pass.
 
     The source is read once, ``CHUNK_SIZE`` bytes at a time. For a path the
@@ -592,14 +653,34 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
     ends mid-stream or is corrupt is a DataError under either policy. Ids
     are densified in first-seen order, so identical input bytes always
     produce identical logs. Returns ``(log, skipped_line_count)``.
+
+    Given ``fraction``, a path whose lines come user by user is reduced as
+    it is read to the table that ``build_user_histories(log, fraction,
+    bll_d)`` would build, which the log holds in ``reduced`` in place of
+    its columns; the build then hands it over. A path whose user ids turn
+    out to decrease is read again whole, and a stream is read whole from
+    the start: their logs keep their columns for the build to sort.
     """
     if schema is None:
         schema = ColumnSchema()
     if on_error not in ("skip", "fail"):
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
+    if fraction is not None and isinstance(source, (str, Path)):
+        _check_build(fraction, bll_d)
+        try:
+            return _load(source, schema, on_error, (fraction, bll_d))
+        except _Ungrouped:
+            pass  # the table is built from the whole log
+    return _load(source, schema, on_error)
 
+
+def _load(source, schema: ColumnSchema, on_error: str, build: tuple[float, float] | None = None):
+    """``(log, skipped)`` of ``source``, reduced as it is read at ``build``'s fraction and d if it is given."""
     with _open_blocks(source) as (blocks, reader, file_bytes):
-        parser = _ChunkParser(schema, on_error, file_bytes)
+        if build is None:
+            parser = _ChunkParser(schema, on_error, file_bytes)
+        else:
+            parser = _GroupedParser(schema, on_error, *build)
         try:
             for block in blocks:
                 parser.add(block)
@@ -607,18 +688,7 @@ def load_events(source, schema: ColumnSchema | None = None, on_error: str = "ski
             raise DataError(f"compressed input is truncated after line {parser.lines}") from None
         except _GZIP_ERRORS as exc:
             raise DataError(f"compressed input is corrupt after line {parser.lines}: {exc}") from None
-
-    users, artists, timestamps = parser.arrays()
-    log = EventLog(
-        users=users,
-        artists=artists,
-        timestamps=timestamps,
-        id_maps=parser.id_maps,
-        sha256=reader.digest.hexdigest() if reader else None,
-    )
-    for arr in (log.users, log.artists, log.timestamps):
-        arr.flags.writeable = False
-    return log, parser.skipped
+    return parser.log(reader.digest.hexdigest() if reader else None), parser.skipped
 
 
 _BATCH_EVENTS = 1 << 14
@@ -636,18 +706,26 @@ def n_test_events(n_events, fraction: float):
     return np.maximum(1, np.floor(fraction * np.asarray(n_events))).astype(np.int64)
 
 
+def _check_build(fraction: float, bll_d: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fraction must be in (0,1), got {fraction}")
+    if not bll_d > 0:
+        raise DataError(f"decay exponent d must be > 0, got {bll_d}")
+
+
 def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0.5) -> UserHistories:
     """Reduce the log to one table of (user, artist) pair rows, split by time at ``fraction``.
 
-    A log whose user ids never decrease is grouped by user already: a
-    binary search of its user column gives each user's bounds, and its
-    other two columns are read a batch at a time. Any other log is grouped
-    by a stable argsort of the user ids and gathers of the other two
-    columns, which peak 12 bytes per event higher. Batches of whole users,
-    at most ``_BATCH_EVENTS`` events and ``_BATCH_USERS`` users or one
-    longer history, then become pair rows in ``_batch_rows``, so the build
-    keeps no array as long as the log. The play counts kept are int32 where
-    they fit, and the latest plays keep the log's timestamp dtype.
+    A log that ``load_events`` reduced as it read hands its table over. A
+    log whose user ids never decrease is grouped by user already: a binary
+    search of its user column gives each user's bounds, and its other two
+    columns are read a batch at a time. Any other log is grouped by a
+    stable argsort of the user ids and gathers of the other two columns,
+    which peak 12 bytes per event higher. Either way ``_reduce_batches``
+    turns batches of whole users into pair rows, as ``load_events`` does,
+    so the build keeps no array as long as the log. The play counts kept
+    are int32 where they fit, and the latest plays keep the log's
+    timestamp dtype.
 
     Every user of at least 2 events is cut by time: its latest
     ``n_test_events(n, fraction)`` events are test events, and the rest
@@ -656,16 +734,18 @@ def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0
     exponent ``bll_d``, from which ``split.split_histories`` selects the
     train and test tables.
 
-    The table replaces the log's events: ``log.users``, ``log.artists`` and
-    ``log.timestamps`` are None once the build ends. The log keeps
-    ``id_maps`` and ``sha256``.
+    The table replaces the log's events: ``log.users``, ``log.artists``,
+    ``log.timestamps`` and ``log.reduced`` are None once the build ends.
+    The log keeps ``id_maps``, ``sha256`` and its length.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0,1), got {fraction}")
-    if not bll_d > 0:
-        raise DataError(f"decay exponent d must be > 0, got {bll_d}")
+    _check_build(fraction, bll_d)
+    if log.reduced is not None:
+        histories, *reduced_at = log.reduced
+        if reduced_at != [fraction, bll_d]:
+            raise ValueError(f"the log was reduced at fraction {reduced_at[0]} and d {reduced_at[1]}")
+        log.reduced = None
+        return histories
     n = len(log)
-    index_type = np.int32 if n < 2**31 else np.int64
     users, log.users = log.users, None
     if _is_grouped(users):
         n_users = int(users[-1]) + 1 if n else 0
@@ -673,54 +753,111 @@ def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0
         del users
         artists, timestamps = log.artists, log.timestamps
     else:
-        n_users = int(users.max()) + 1 if n else 0
+        n_users = int(users.max()) + 1
         offsets = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
         order = np.argsort(users, kind="stable")
         del users
-        order = order.astype(index_type, copy=False)  # frees the int64 argsort once the copy exists
+        order = order.astype(np.int32 if n < 2**31 else np.int64, copy=False)  # frees the int64 argsort
         artists, log.artists = log.artists[order], None
         timestamps, log.timestamps = log.timestamps[order], None
         del order
-    # Each part is one column of the pair rows, a batch at a time.
-    parts = [[np.zeros(0, dtype=dtype)] for dtype in (np.int32, index_type, timestamps.dtype,
-                                                      index_type, timestamps.dtype, np.float64)]
-    rows_per_user = np.zeros(n_users, dtype=np.int64)
+    log.artists = log.timestamps = None
+    rows = _PairRows(fraction, bll_d, timestamps.dtype)
+    _reduce_batches(rows, artists, timestamps, offsets, final=True)
+    return rows.table()
+
+
+def _reduce_batches(rows: _PairRows, artists, timestamps, offsets: np.ndarray, final: bool) -> int:
+    """Reduce the users that ``offsets`` bounds in the events into ``rows``, a batch at a time; return how many.
+
+    A batch holds whole users, at most ``_BATCH_EVENTS`` events and
+    ``_BATCH_USERS`` users, or one longer history. Unless ``final``, the
+    last user may still grow, so the batch that would hold it waits. The
+    batches before it are the same whatever follows, so a log reduced as
+    it is read gets the batches of the whole log.
+    """
     bounds = offsets.tolist()
+    n_users = len(bounds) - 1
     user = 0
     while user < n_users:
         stop = bisect.bisect_right(bounds, bounds[user] + _BATCH_EVENTS) - 1
         stop = min(max(stop, user + 1), user + _BATCH_USERS)
-        lo, hi = bounds[user], bounds[stop]
-        if hi - lo > _MAX_HISTORY:
-            raise DataError(f"user {user} has {hi - lo} events; a history may hold at most {_MAX_HISTORY}")
-        if hi > lo:
-            batch = slice(lo, hi)
-            row_users, *columns = _batch_rows(artists[batch], timestamps[batch], np.diff(offsets[user : stop + 1]),
-                                              fraction, bll_d)
-            rows_per_user[user:stop] = np.bincount(row_users, minlength=stop - user)
-            for part, column in zip(parts, columns):
-                part.append(column.astype(part[0].dtype, copy=False))
+        if stop == n_users and not final:
+            break
+        batch = slice(bounds[user], bounds[stop])
+        rows.add(artists[batch], timestamps[batch], np.diff(offsets[user : stop + 1]))
         user = stop
-    del artists, timestamps
-    log.artists = log.timestamps = None
-    pair_offsets = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(rows_per_user, out=pair_offsets[1:])
-    columns = []
-    for part in parts:  # each batch's part is freed once its column is joined
-        columns.append(np.concatenate(part))
-        part.clear()
-    pair_artists, pair_counts, pair_last, test_counts, train_last, bll = columns
-    return UserHistories(
-        n_events=np.diff(offsets),
-        pair_offsets=pair_offsets,
-        pair_artists=pair_artists,
-        pair_counts=pair_counts,
-        pair_last=pair_last,
-        pair_test_counts=test_counts,
-        pair_train_last=train_last,
-        pair_bll=bll,
-    )
+    return user
+
+
+class _PairRows:
+    """The columns of a ``UserHistories`` table, filled a batch of whole users at a time.
+
+    Each column grows in place, by a quarter past its end, so no batch's
+    rows are held twice. The latest plays widen to int64 at the first
+    batch of int64 timestamps, and the play counts at the 2**31st event.
+    """
+
+    def __init__(self, fraction: float, d: float, timestamp_dtype):
+        self.fraction, self.d = fraction, d
+        self.users = self.rows = self.events = 0
+        self.n_events = np.zeros(0, dtype=np.int64)
+        self.pair_offsets = np.zeros(1, dtype=np.int64)
+        # Artists, play counts, latest plays, test plays, latest training plays, bll sums.
+        self.columns = [np.zeros(0, dtype=dtype) for dtype in (np.int32, np.int32, timestamp_dtype, np.int32,
+                                                               timestamp_dtype, np.float64)]
+
+    def add(self, artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray) -> None:
+        """Reduce the next ``len(counts)`` users; user i holds the next ``counts[i]`` of the events."""
+        if len(artists) > _MAX_HISTORY:  # so long a batch is one user
+            raise DataError(f"user {self.users} has {len(artists)} events; a history may hold at most {_MAX_HISTORY}")
+        self.events += len(artists)
+        if timestamps.dtype == np.int64:
+            self._widen((2, 4))
+        if self.events >= 2**31:
+            self._widen((1, 3))
+        if len(artists):
+            row_users, *columns = _batch_rows(artists, timestamps, counts, self.fraction, self.d)
+            rows_per_user = np.bincount(row_users, minlength=len(counts))
+            for column, values in zip(self.columns, columns):
+                _put(column, self.rows, values)
+            self.rows += len(row_users)
+        else:  # users without events, between the sparse ids of a log built in memory
+            rows_per_user = np.zeros(len(counts), dtype=np.int64)
+        _put(self.n_events, self.users, counts)
+        _put(self.pair_offsets, self.users + 1, self.pair_offsets[self.users] + np.cumsum(rows_per_user))
+        self.users += len(counts)
+
+    def _widen(self, which: tuple[int, ...]) -> None:
+        for i in which:
+            if self.columns[i].dtype != np.int64:
+                self.columns[i] = _widened(self.columns[i], self.rows)
+
+    def table(self) -> UserHistories:
+        self.n_events.resize(self.users, refcheck=False)
+        self.pair_offsets.resize(self.users + 1, refcheck=False)
+        for column in self.columns:
+            column.resize(self.rows, refcheck=False)
+        return UserHistories(self.n_events, self.pair_offsets, *self.columns)
+
+
+def _put(column: np.ndarray, at: int, values: np.ndarray) -> None:
+    """Write ``values`` into ``column`` from ``at``, first growing it in place past their end by a quarter.
+
+    At most a quarter spare: ``resize`` zero-fills, so spare room costs memory at once.
+    """
+    end = at + len(values)
+    if end > len(column):
+        column.resize(end + end // 4, refcheck=False)  # no views of a column are kept
+    column[at:end] = values
+
+
+def _widened(column: np.ndarray, size: int) -> np.ndarray:
+    """An int64 copy of ``column``'s first ``size`` values, as long as ``column``; its spare room stays unwritten."""
+    wide = np.empty(len(column), dtype=np.int64)
+    wide[:size] = column[:size]
+    return wide
 
 
 def _is_grouped(users: np.ndarray) -> bool:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -559,12 +560,13 @@ class TestRunPipeline:
 @pytest.mark.parametrize(
     "users, events_per_user, group_size, per_event, bound",
     [
-        # 13.07 bytes per added event, of which the log's columns take 12: ingest sets the peak, as the
-        # build releases the events and keeps only pair rows.
-        ((40, 80), (2000, 3000), 10, True, 16),
-        # 441 bytes per added user; with the events kept to the end of the run it took 565, and with a
-        # dict of Python float scores and tuple groups 731.
-        ((5000, 10_000), (15, 30), 100, False, 507),
+        # 4.39 bytes per added event, the pair rows' share: ingest reduces a grouped file as it reads, so
+        # no column as long as the log exists. With the log's columns (12 bytes an event) held until the
+        # build it took 13.07.
+        ((40, 80), (2000, 3000), 10, True, 5.05),
+        # 392 bytes per added user; with the log's columns held until the build it took 441, with the
+        # events kept to the end of the run 565, and with a dict of Python float scores and tuple groups 731.
+        ((5000, 10_000), (15, 30), 100, False, 451),
     ],
     ids=["long-histories", "many-users"],
 )
@@ -589,18 +591,33 @@ def test_whole_run_allocates_with_the_data(tmp_path, users, events_per_user, gro
 
 
 def test_no_array_as_long_as_the_log_outlives_the_build(tmp_path):
-    # The build reduces the events to pair rows and releases the log's columns, so after the split every
-    # array is per user or per pair row: on this log of long histories over 50 artists, far fewer.
+    # Ingest reduces a file grouped by user to pair rows as it reads, so the log never has columns, and
+    # after the split every array is per user or per pair row: on this log of long histories over 50
+    # artists, far fewer.
     path = tmp_path / "events.tsv"
     write_events_tsv(generate_synthetic(SynthConfig(n_users=20, n_artists=50, events_per_user=(100, 200), seed=2)), path)
     out = cli.run_stages(validate_config({"events": path, "fraction": 0.3}), "split")
     n = int(out.histories.n_events.sum())
     assert n == len(path.read_text().splitlines())
-    assert (out.log.users, out.log.artists, out.log.timestamps) == (None, None, None)
+    assert (out.log.users, out.log.artists, out.log.timestamps, out.log.reduced) == (None, None, None, None)
     for table in (out.histories, out.split.train, out.split.test):
         for field in fields(table):
             column = getattr(table, field.name)
             assert column is None or len(column) < n / 2, field.name
+
+
+def test_len_of_the_log_holds_at_every_stage(tmp_path):
+    # The log keeps its event count when the build drops its columns, or when a grouped path is
+    # reduced as it is read and never has any; the same lines shuffled are read whole and sorted.
+    path, shuffled = tmp_path / "events.tsv", tmp_path / "shuffled.tsv"
+    write_events_tsv(generate_synthetic(SynthConfig(n_users=20, n_artists=50, events_per_user=(20, 40), seed=2)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    random.Random(1).shuffle(lines)
+    shuffled.write_text("".join(lines))
+    for events in (path, shuffled):
+        for stage in ("ingest", "profile", "split", "evaluate"):
+            out = cli.run_stages(validate_config({"events": events, "group_size": 5}), stage)
+            assert len(out.log) == len(lines), (events.name, stage)
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")

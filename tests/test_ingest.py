@@ -632,9 +632,9 @@ def test_parser_columns_keep_at_most_a_quarter_spare():
         expected += stamps
         for column in parser.columns:
             assert parser.size <= len(column) <= 1.25 * parser.size
-    users, artists, timestamps = parser.arrays()
-    assert timestamps.dtype == np.int64 and timestamps.tolist() == expected
-    assert len(users) == len(artists) == len(expected)
+    log = parser.log(None)
+    assert log.timestamps.dtype == np.int64 and log.timestamps.tolist() == expected
+    assert len(log.users) == len(log.artists) == len(log) == len(expected)
 
 
 def _pairs(table, user):
@@ -852,6 +852,140 @@ class TestGroupedLogs:
         for name in HISTORY_FIELDS:
             assert np.array_equal(getattr(histories, name), getattr(expected, name)), name
         assert [view.tolist() for view in views] == [column.tolist() for column in columns]
+
+
+def _lines(users, per_user):
+    """TSV lines of ``users`` in turn, ``per_user[i]`` events each, over 37 artists, timestamps rising with jitter."""
+    lines, ts = [], 0
+    for user, count in zip(users, per_user):
+        for i in range(count):
+            lines.append(f"u{user}\ta{(user * 7 + i * i) % 37}\t0\t0\t{ts + (i * 13) % 5}\n")
+            ts += 1
+    return lines
+
+
+def _table_bytes(table):
+    """Every field of a ``UserHistories`` table as its dtype and bytes."""
+    return [(name, getattr(table, name).dtype, getattr(table, name).tobytes()) for name in HISTORY_FIELDS]
+
+
+class TestReducedWhileRead:
+    """A path grouped by user is reduced as it is read; its table equals the one built from the whole log."""
+
+    @staticmethod
+    def _check(source, fraction=0.3, d=0.7, streamed=True):
+        """Load ``source`` with and without the build's parameters and compare logs and tables, bytes and dtypes."""
+        reduced, skipped = load_events(source, LFM_SCHEMA, "skip", fraction, d)
+        if isinstance(source, io.BytesIO):
+            source.seek(0)
+        whole, whole_skipped = load_events(source, LFM_SCHEMA)
+        assert (reduced.users is None) == streamed and (reduced.reduced is not None) == streamed
+        assert (skipped, reduced.sha256, len(reduced)) == (whole_skipped, whole.sha256, len(whole))
+        assert reduced.id_maps.users.keys() == whole.id_maps.users.keys()
+        assert reduced.id_maps.artists.keys() == whole.id_maps.artists.keys()
+        got, want = build_user_histories(reduced, fraction, d), build_user_histories(whole, fraction, d)
+        assert (reduced.reduced, len(reduced)) == (None, len(whole))
+        assert _table_bytes(got) == _table_bytes(want)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=_LOG,
+        grouped=st.booleans(),
+        gz=st.booleans(),
+        on_error=st.sampled_from(["skip", "fail"]),
+        chunk_size=st.sampled_from([1, 3, 16, 64, ingest.CHUNK_SIZE]),
+    )
+    def test_any_log_as_read_whole(self, scratch_dir, data, grouped, gz, on_error, chunk_size):
+        # Sorting the lines by their first field, the user's, groups most logs; the others are read again.
+        if grouped:
+            data = b"\n".join(sorted(data.split(b"\n"), key=lambda line: line.split(b"\t")[0]))
+        path = scratch_dir / ("reduced.tsv.gz" if gz else "reduced.tsv")
+        path.write_bytes(gzip.compress(data) if gz else data)
+        outcomes = []
+        with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+            for fraction in (None, 0.3):
+                try:
+                    log, skipped = load_events(path, SIMPLE_SCHEMA, on_error, fraction)
+                except ParseError as exc:
+                    outcomes.append(str(exc))
+                    continue
+                table = build_user_histories(log, 0.3)
+                outcomes.append((skipped, log.sha256, len(log), _keys(log.id_maps), _table_bytes(table)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_grouped_path_stream_and_gzip(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        write_events_tsv(generate_synthetic(SynthConfig(n_users=60, n_artists=500, events_per_user=(100, 900))), path)
+        assert path.stat().st_size > 4 * ingest.CHUNK_SIZE
+        table = self._check(path)
+        self._check(io.BytesIO(path.read_bytes()), streamed=False)
+        gz = tmp_path / "events.tsv.gz"
+        gz.write_bytes(gzip.compress(path.read_bytes()))
+        assert np.array_equal(self._check(gz).pair_bll, table.pair_bll)
+
+    def test_history_longer_than_a_batch_across_blocks(self, tmp_path):
+        long = ingest._BATCH_EVENTS + 5000
+        path = tmp_path / "events.tsv"
+        path.write_text("".join(_lines([0, 1, 2, 3], [40, long, 3, 1])))
+        assert path.stat().st_size > 2 * ingest.CHUNK_SIZE
+        calls = []
+        batch_rows = ingest._batch_rows
+
+        def spy(artists, *args):
+            calls.append(len(artists))
+            return batch_rows(artists, *args)
+
+        with mock.patch.object(ingest, "_batch_rows", spy):
+            table = self._check(path, fraction=0.01)
+        assert table.n_events.tolist() == [40, long, 3, 1]
+        # Each read reduces the long history alone, and the users around it in batches of their own.
+        assert calls == [40, long, 4] * 2
+
+    def test_a_later_block_widens_the_reduced_rows(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        lines = _lines(range(500), [40] * 500)
+        lines[-1] = lines[-1][: lines[-1].rindex("\t") + 1] + f"{2**32 + 5}\n"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > 2 * ingest.CHUNK_SIZE
+        table = self._check(path)
+        assert table.pair_last.dtype == table.pair_train_last.dtype == np.int64
+        assert table.pair_last.max() == 2**32 + 5
+
+    @pytest.mark.parametrize("chunk_size, users", [(1, 20), (256, 200), (ingest.CHUNK_SIZE, 1000)])
+    def test_grouping_broken_in_the_last_block_reads_again(self, tmp_path, chunk_size, users):
+        # At a chunk size of 1 each line is a block, so user 0 comes back at the start of one.
+        lines = _lines(range(users), [30] * users)
+        lines.append(lines[0])  # user 0 again, after all the others
+        path = tmp_path / "events.tsv"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > 2 * chunk_size
+        with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
+            for bad in (6, len(lines), len(lines) + 1):  # early, just before the user ids decrease, and last
+                path.write_text("".join(lines[: bad - 1] + ["u0\ta\t0\t0\tnot-a-time\n"] + lines[bad - 1 :]))
+                self._check(path, streamed=False)  # the bad line skipped
+                with pytest.raises(ParseError, match=f"^line {bad}: non-integer timestamp") as streamed:
+                    load_events(path, LFM_SCHEMA, "fail", 0.3)
+                with pytest.raises(ParseError) as whole:
+                    load_events(path, LFM_SCHEMA, "fail")
+                assert (streamed.value.line_no, str(streamed.value)) == (whole.value.line_no, str(whole.value))
+
+    def test_crlf(self, tmp_path):
+        lines = _lines(range(600), [30] * 600)
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_text("".join(lines))
+        crlf.write_bytes("".join(lines).replace("\n", "\r\n").encode())
+        assert crlf.stat().st_size > 2 * ingest.CHUNK_SIZE
+        assert _table_bytes(self._check(crlf)) == _table_bytes(self._check(lf))
+
+    def test_the_table_is_handed_over_at_its_own_fraction_only(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        path.write_text("".join(_lines(range(3), [4, 5, 6])))
+        log, _ = load_events(path, LFM_SCHEMA, fraction=0.3, bll_d=0.7)
+        with pytest.raises(ValueError, match="reduced at fraction 0.3 and d 0.7"):
+            build_user_histories(log, 0.2, 0.7)
+        with pytest.raises(DataError, match="fraction must be in"):
+            load_events(path, LFM_SCHEMA, fraction=1.5)
 
 
 @pytest.fixture(scope="module")
