@@ -246,9 +246,8 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
     try:
         if not config.events:
             raise UsageError("an events file is required (--events or config key 'events')")
-        # Past ingest, a log grouped by user is reduced to the history table as it is read.
-        fraction = None if until == stage else config.fraction
-        log, skipped = load_events(config.events, ColumnSchema.parse(config.schema), config.on_error, fraction,
+        # A regular file grouped by user is reduced to the history table as it is read, whatever the stage.
+        log, skipped = load_events(config.events, ColumnSchema.parse(config.schema), config.on_error, config.fraction,
                                    config.bll_d)
         out = Staged(log, skipped)
         if until == stage:

@@ -29,33 +29,32 @@ codes and ids, and gives the missing ones the next ids in order of their
 first line, so ids are dense and follow each key's first line. The runs
 are the only copy of the codes: a key takes 12 bytes there, and a long
 key about 75 bytes more for its dict entry and code, besides its ``str``.
-Read whole, a plain file's event columns are sized once, after the first
-block: the file's bytes over the bytes per line so far, plus 1/32. That
-room is allocated unwritten, so it holds no pages until lines fill it, and
-the columns grow by a quarter only past it. A ``.gz`` file or a stream has no
-size to go by, so its columns grow by a quarter from the start.
+A log read whole keeps its events in columns that grow in place by a
+quarter past their end.
 
 ``build_user_histories`` reduces the log to one ``UserHistories`` table of
 (user, artist) pair rows and keeps no event. Ids follow first sight, so a
 log whose lines come user by user never lowers its user id: such a log is
 grouped already. Given the build's ``fraction`` and ``bll_d``, as
-``cli.run_stages`` gives them, ``load_events`` reduces a grouped path as it
-reads: after each block, the batches of whole users that no later line can
-change become pair rows, and only the events of the batch being filled
-wait in the parser's columns, so no column as long as the log exists. A
-path whose user ids turn out to decrease is read again whole, and a stream
-is read whole. The build hands over a table that ingest reduced, reads the
-columns of any other grouped log in place, and groups an ungrouped one by
-a stable argsort of its users and gathers of the artist and timestamp
-columns. Either way each batch of whole users is sorted twice, each time
-with ``np.sort`` on unique packed uint64 keys: by user then timestamp,
-which puts each user's test events last, then by user then artist, which
-gives one row per pair. A row holds its play count and latest play, which
-is all that mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read,
-and its test plays, latest training play and the ``bll`` activation sum
-of its training plays, from which ``split.split_histories`` selects the
-train and test tables. The table is plain arrays: a user's history is its
-slice of them, read in place.
+``cli.run_stages`` gives them, ``load_events`` reduces a grouped regular file
+as it reads: after each block, the batches of whole users that no later
+line can change become pair rows, and only the events of the batch being
+filled wait in the parser's columns, so no column as long as the log
+exists. A file whose user ids turn out to decrease is read again whole;
+a stream, a pipe or any other path that is not a regular file is read
+whole from the start, as it cannot be read again. The build hands over a
+table that ingest reduced, and groups any log that still has its columns
+by a stable argsort of its users and gathers of the artist and timestamp
+columns, which keep their order on a grouped log. Either way each batch
+of whole users is sorted twice, each time with ``np.sort`` on unique
+packed uint64 keys: by user then timestamp, which puts each user's test
+events last, then by user then artist, which gives one row per pair. A
+row holds its play count and latest play, which is all that
+mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read, and its test
+plays, latest training play and the ``bll`` activation sum of its
+training plays, from which ``split.split_histories`` selects the train
+and test tables. The table is plain arrays: a user's history is its slice
+of them, read in place.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ import bisect
 import gzip
 import hashlib
 import os
+import stat
 import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -315,10 +315,9 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
 CHUNK_SIZE = 1 << 17
 """Bytes read per step. A block's temporary arrays are a few times this size,
 and the allocator keeps their pages once they are freed, so larger chunks
-parse a little faster but raise the run's peak memory. The first block, of at
-least this many bytes, is the sample of line lengths that sizes a plain file's
-event columns. A grouped path reduced as it is read holds about one block's
-events and one batch's (``_BATCH_EVENTS``) besides."""
+parse a little faster but raise the run's peak memory. A grouped file reduced
+as it is read holds about one block's events and one batch's (``_BATCH_EVENTS``)
+besides."""
 
 _MAX_VECTOR_KEY = 8
 """Longer keys go through ``parse_event_line``: keys that fit in a uint64 sort
@@ -453,21 +452,22 @@ def _pad(buf: np.ndarray) -> np.ndarray:
 
 
 class _ChunkParser:
-    """Turns blocks of whole lines into event arrays and the id maps."""
+    """Turns blocks of whole lines into event arrays and the id maps.
 
-    def __init__(self, schema: ColumnSchema, on_error: str, file_bytes: int | None = None):
+    The event columns grow in place (realloc) by a quarter past their end, so
+    the events are never held twice.
+    """
+
+    def __init__(self, schema: ColumnSchema, on_error: str):
         self.schema = schema
         self.on_error = on_error
         self.id_maps = IdMaps()
         self.lines = 0  # lines consumed, so line numbers continue across blocks
         self.skipped = 0
         self.size = 0  # events stored
-        self.file_bytes = file_bytes  # a plain file's size, from which the first block sizes the columns
-        # Sized from the file once, or grown in place (realloc), so the events are never held twice.
         self.columns = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint32))
 
     def add(self, data: bytes) -> None:
-        block_bytes = len(data)
         if b"\r" in data:  # universal newlines: \r\n, then any other \r, ends a line
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not data.endswith(b"\n"):
@@ -477,10 +477,6 @@ class _ChunkParser:
         delims = np.flatnonzero(is_newline | (buf == ord("\t")))
         line_ends = np.flatnonzero(is_newline[delims])  # each line's newline, as an index into delims
         n_columns = np.diff(line_ends, prepend=-1)
-        if self.file_bytes is not None:  # the first block: room for as many lines as the file holds at its line length
-            estimate = self.file_bytes * len(line_ends) // block_bytes
-            self.columns = tuple(np.empty(estimate + estimate // 32, dtype=c.dtype) for c in self.columns)
-            self.file_bytes = None
 
         # Leave to parse_event_line the lines with too few columns, those with a NUL (keys
         # viewed as S8 lose trailing NULs) and, where the block is not UTF-8, those with a
@@ -613,21 +609,23 @@ class _GroupedParser(_ChunkParser):
 
 @contextmanager
 def _open_blocks(source):
-    """Blocks of whole lines from ``source``, the reader hashing a path's raw bytes, and a plain file's size.
+    """Blocks of whole lines from ``source``, the reader hashing a path's raw bytes, and whether it can be read again.
 
-    The reader is None for a stream; the size is None for a stream and a ``.gz`` file.
+    The reader is None for a stream. Only a path that opens as a regular file
+    can be read again; a stream, a pipe, a FIFO or a device is read once.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         with open(path, "rb") as raw:
             reader = _Sha256Reader(raw)
+            regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
             if path.suffix == ".gz":
                 with gzip.GzipFile(fileobj=reader, mode="rb") as decompressed:
-                    yield _byte_blocks(decompressed.read1), reader, None
+                    yield _byte_blocks(decompressed.read1), reader, regular
             else:
-                yield _byte_blocks(reader.read), reader, os.fstat(raw.fileno()).st_size
+                yield _byte_blocks(reader.read), reader, regular
     else:  # a caller's binary stream, which stays open
-        yield _byte_blocks(source.read), None, None
+        yield _byte_blocks(source.read), None, False
 
 
 def load_events(
@@ -654,18 +652,20 @@ def load_events(
     are densified in first-seen order, so identical input bytes always
     produce identical logs. Returns ``(log, skipped_line_count)``.
 
-    Given ``fraction``, a path whose lines come user by user is reduced as
-    it is read to the table that ``build_user_histories(log, fraction,
-    bll_d)`` would build, which the log holds in ``reduced`` in place of
-    its columns; the build then hands it over. A path whose user ids turn
-    out to decrease is read again whole, and a stream is read whole from
-    the start: their logs keep their columns for the build to sort.
+    Given ``fraction``, a regular file whose lines come user by user is
+    reduced as it is read to the table that ``build_user_histories(log,
+    fraction, bll_d)`` would build, which the log holds in ``reduced`` in
+    place of its columns; the build then hands it over. A file whose user
+    ids turn out to decrease is read again whole. A stream, or a path that
+    is not a regular file, such as a pipe, is read whole from the start, as
+    it cannot be read again. Logs read whole keep their columns for the
+    build to sort.
     """
     if schema is None:
         schema = ColumnSchema()
     if on_error not in ("skip", "fail"):
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
-    if fraction is not None and isinstance(source, (str, Path)):
+    if fraction is not None:
         _check_build(fraction, bll_d)
         try:
             return _load(source, schema, on_error, (fraction, bll_d))
@@ -675,10 +675,11 @@ def load_events(
 
 
 def _load(source, schema: ColumnSchema, on_error: str, build: tuple[float, float] | None = None):
-    """``(log, skipped)`` of ``source``, reduced as it is read at ``build``'s fraction and d if it is given."""
-    with _open_blocks(source) as (blocks, reader, file_bytes):
-        if build is None:
-            parser = _ChunkParser(schema, on_error, file_bytes)
+    """``(log, skipped)`` of ``source``, reduced as it is read at ``build``'s fraction and d if it is
+    given and ``source`` can be read again should its user ids decrease."""
+    with _open_blocks(source) as (blocks, reader, rereadable):
+        if build is None or not rereadable:
+            parser = _ChunkParser(schema, on_error)
         else:
             parser = _GroupedParser(schema, on_error, *build)
         try:
@@ -716,16 +717,13 @@ def _check_build(fraction: float, bll_d: float) -> None:
 def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0.5) -> UserHistories:
     """Reduce the log to one table of (user, artist) pair rows, split by time at ``fraction``.
 
-    A log that ``load_events`` reduced as it read hands its table over. A
-    log whose user ids never decrease is grouped by user already: a binary
-    search of its user column gives each user's bounds, and its other two
-    columns are read a batch at a time. Any other log is grouped by a
-    stable argsort of the user ids and gathers of the other two columns,
-    which peak 12 bytes per event higher. Either way ``_reduce_batches``
-    turns batches of whole users into pair rows, as ``load_events`` does,
-    so the build keeps no array as long as the log. The play counts kept
-    are int32 where they fit, and the latest plays keep the log's
-    timestamp dtype.
+    A log that ``load_events`` reduced as it read hands its table over.
+    Any other log is grouped by a stable argsort of the user ids and
+    gathers of the other two columns, which leave a log grouped by user in
+    its order. ``_reduce_batches`` then turns batches of whole users into
+    pair rows, as ``load_events`` does, and the table keeps no array as
+    long as the log. The play counts kept are int32 where they fit, and
+    the latest plays keep the log's timestamp dtype.
 
     Every user of at least 2 events is cut by time: its latest
     ``n_test_events(n, fraction)`` events are test events, and the rest
@@ -747,22 +745,15 @@ def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0
         return histories
     n = len(log)
     users, log.users = log.users, None
-    if _is_grouped(users):
-        n_users = int(users[-1]) + 1 if n else 0
-        offsets = np.searchsorted(users, np.arange(n_users + 1, dtype=users.dtype)).astype(np.int64, copy=False)
-        del users
-        artists, timestamps = log.artists, log.timestamps
-    else:
-        n_users = int(users.max()) + 1
-        offsets = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
-        order = np.argsort(users, kind="stable")
-        del users
-        order = order.astype(np.int32 if n < 2**31 else np.int64, copy=False)  # frees the int64 argsort
-        artists, log.artists = log.artists[order], None
-        timestamps, log.timestamps = log.timestamps[order], None
-        del order
-    log.artists = log.timestamps = None
+    n_users = int(users.max()) + 1 if n else 0
+    offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
+    order = np.argsort(users, kind="stable")
+    del users
+    order = order.astype(np.int32 if n < 2**31 else np.int64, copy=False)  # frees the int64 argsort
+    artists, log.artists = log.artists[order], None
+    timestamps, log.timestamps = log.timestamps[order], None
+    del order
     rows = _PairRows(fraction, bll_d, timestamps.dtype)
     _reduce_batches(rows, artists, timestamps, offsets, final=True)
     return rows.table()
@@ -858,15 +849,6 @@ def _widened(column: np.ndarray, size: int) -> np.ndarray:
     wide = np.empty(len(column), dtype=np.int64)
     wide[:size] = column[:size]
     return wide
-
-
-def _is_grouped(users: np.ndarray) -> bool:
-    """Whether ``users`` never decreases, compared a block at a time so no temporary is as long as the log."""
-    for lo in range(0, len(users) - 1, _BATCH_EVENTS):
-        block = users[lo : lo + _BATCH_EVENTS + 1]
-        if (block[1:] < block[:-1]).any():
-            return False
-    return True
 
 
 def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray, fraction: float, d: float):

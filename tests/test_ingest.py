@@ -1,7 +1,9 @@
 import gzip
 import hashlib
 import io
+import os
 import random
+import threading
 import tracemalloc
 import weakref
 from contextlib import contextmanager
@@ -811,7 +813,7 @@ def _build_peak(columns) -> int:
 
 
 class TestGroupedLogs:
-    """A log grouped by user, as every log whose lines come user by user is, is sorted in its own columns."""
+    """A log grouped by user, as every log whose lines come user by user is, builds as its shuffled copy does."""
 
     @pytest.mark.parametrize("case", ["unordered", "equal-timestamps", "int64", "single-user"])
     def test_grouped_and_shuffled_logs_match_the_oracle(self, case):
@@ -830,9 +832,9 @@ class TestGroupedLogs:
                     assert np.array_equal(have, want), (case, name)
 
     def test_takes_over_a_grouped_log_in_place(self):
-        # A grouped log is read a batch at a time and sorted in copies of each batch: its columns keep
-        # their values and stay read-only, the log holds none of them after the build, and the table
-        # keeps only pair rows.
+        # The build gathers a grouped log's columns in their own order and sorts copies of each batch:
+        # the columns keep their values and stay read-only, the log holds none of them after the build,
+        # and the table keeps only pair rows.
         log = log_from_events([("u1", "a2", 12), ("u1", "a1", 10), ("u2", "a3", 9), ("u2", "a1", 11)])
         artists, timestamps = log.artists, log.timestamps
         histories = build_user_histories(log, fraction=0.5)
@@ -843,7 +845,7 @@ class TestGroupedLogs:
         assert histories.pair_test_counts.tolist() == [1, 0, 1, 0]
 
     def test_read_only_views_build(self):
-        # np.frombuffer of bytes can never be written: such a column is copied, not sorted in place.
+        # np.frombuffer of bytes can never be written: the build gathers such columns, never sorts them in place.
         columns = [np.array([0, 0, 1, 1, 1], np.int32), np.array([3, 1, 2, 1, 0], np.int32),
                    np.array([5, 4, 9, 7, 7], np.uint32)]
         views = [np.frombuffer(column.tobytes(), dtype=column.dtype) for column in columns]
@@ -869,8 +871,22 @@ def _table_bytes(table):
     return [(name, getattr(table, name).dtype, getattr(table, name).tobytes()) for name in HISTORY_FIELDS]
 
 
+def _feed(fifo, data: bytes) -> None:
+    """Write ``data`` into ``fifo``; if its reader closes it early, open it again for the rest, as a shell pipe keeps it."""
+    rest = memoryview(data)
+    while rest:
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            while rest:
+                rest = rest[os.write(fd, rest) :]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+
+
 class TestReducedWhileRead:
-    """A path grouped by user is reduced as it is read; its table equals the one built from the whole log."""
+    """A regular file grouped by user is reduced as it is read; its table equals the one built from the whole log."""
 
     @staticmethod
     def _check(source, fraction=0.3, d=0.7, streamed=True):
@@ -923,6 +939,28 @@ class TestReducedWhileRead:
         gz = tmp_path / "events.tsv.gz"
         gz.write_bytes(gzip.compress(path.read_bytes()))
         assert np.array_equal(self._check(gz).pair_bll, table.pair_bll)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "ungrouped"])
+    def test_a_fifo_is_read_whole_from_the_start(self, tmp_path, grouped):
+        # A FIFO cannot be read again, so its lines are read once, whole, whether or not they are grouped.
+        lines = _lines(range(600), [30] * 600)
+        if not grouped:
+            random.Random(1).shuffle(lines)
+        data = "".join(lines).encode()
+        assert len(data) > 2 * ingest.CHUNK_SIZE
+        path, fifo = tmp_path / "events.tsv", tmp_path / "events.fifo"
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_feed, args=(fifo, data), daemon=True)
+        writer.start()
+        got, got_skipped = load_events(fifo, LFM_SCHEMA, "skip", 0.3, 0.7)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        want, want_skipped = load_events(path, LFM_SCHEMA, "skip", 0.3, 0.7)
+        assert (got_skipped, len(got), got.sha256) == (want_skipped, len(want), want.sha256)
+        assert _keys(got.id_maps) == _keys(want.id_maps)
+        assert _table_bytes(build_user_histories(got, 0.3, 0.7)) == _table_bytes(build_user_histories(want, 0.3, 0.7))
 
     def test_history_longer_than_a_batch_across_blocks(self, tmp_path):
         long = ingest._BATCH_EVENTS + 5000
@@ -989,40 +1027,53 @@ class TestReducedWhileRead:
 
 
 @pytest.fixture(scope="module")
-def long_history_logs():
-    """The columns of two grouped long-history synth logs, of 40 and 80 users."""
-    logs = [
-        generate_synthetic(SynthConfig(n_users=users, n_artists=3000, events_per_user=(2000, 3000), seed=3))
-        for users in (40, 80)
-    ]
-    return [[log.users, log.artists, log.timestamps] for log in logs]
+def long_history_logs(tmp_path_factory):
+    """The columns of two grouped long-history synth logs, of 40 and 80 users, and their TSV files."""
+    directory = tmp_path_factory.mktemp("long-histories")
+    logs = []
+    for users in (40, 80):
+        log = generate_synthetic(SynthConfig(n_users=users, n_artists=3000, events_per_user=(2000, 3000), seed=3))
+        path = directory / f"{users}.tsv"
+        write_events_tsv(log, path)
+        logs.append(([log.users, log.artists, log.timestamps], path))
+    return logs
 
 
 def _slope(sizes, peaks) -> float:
     return (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
 
 
+def _load_and_build_peak(path) -> int:
+    """The tracemalloc peak of loading ``path`` at the build's parameters and building its table."""
+    tracemalloc.start()
+    try:
+        log, _ = load_events(path, fraction=0.01, bll_d=0.5)
+        build_user_histories(log, 0.01, 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_allocates_few_bytes_per_event_of_a_grouped_log(long_history_logs):
-    # A grouped log is read a batch at a time: per added event the build allocates only the pair
-    # rows' share, 4.2 bytes (0.11 rows of 36 bytes). A stable argsort of the user column and
-    # gathers of the other two took 16.4.
-    sizes = [len(columns[0]) for columns in long_history_logs]
-    assert _slope(sizes, [_build_peak(columns) for columns in long_history_logs]) < 7.6
+    # A grouped file is reduced a batch at a time as it is read: per added event ingest and the build
+    # allocate only the pair rows' share, 4.1 bytes (0.11 rows of 36 bytes). A stable argsort of the
+    # user column and gathers of the other two took 16.4.
+    sizes = [len(columns[0]) for columns, _ in long_history_logs]
+    assert _slope(sizes, [_load_and_build_peak(path) for _, path in long_history_logs]) < 7.6
 
 
 def test_build_of_a_shuffled_log_allocates_no_more_than_the_sort_and_gathers(long_history_logs):
     # An ungrouped log keeps the argsort and the gathers, 16.2 bytes per added event; one more int64
     # array over the log would take 24.
-    sizes = [len(columns[0]) for columns in long_history_logs]
+    sizes = [len(columns[0]) for columns, _ in long_history_logs]
     order = [np.random.default_rng(1).permutation(size) for size in sizes]
-    shuffled = [[column[o] for column in columns] for columns, o in zip(long_history_logs, order)]
+    shuffled = [[column[o] for column in columns] for (columns, _), o in zip(long_history_logs, order)]
     assert _slope(sizes, [_build_peak(columns) for columns in shuffled]) < 18
 
 
-def test_a_plain_file_sizes_the_columns_once(tmp_path):
-    # After its first block a plain file's size, over the bytes per line so far, sizes the columns
-    # once; their room is not written until lines fill it. A stream has no size, so its columns
-    # grow by a quarter at a time, which zero-fills the room each step adds.
+def test_a_file_read_whole_grows_its_columns_as_a_stream_does(tmp_path):
+    # A file read whole, like a stream, grows its columns by a quarter at a time, which zero-fills
+    # the room each step adds.
     path = tmp_path / "events.tsv"
     write_events_tsv(generate_synthetic(SynthConfig(n_users=40, n_artists=3000, events_per_user=(2000, 3000))), path)
     lengths = {}
@@ -1043,10 +1094,9 @@ def test_a_plain_file_sizes_the_columns_once(tmp_path):
         finally:
             tracemalloc.stop()
     assert len(lengths["stream"]) > 10 and len(set(lengths["stream"])) > 5
-    assert len(lengths["path"]) > 10 and set(lengths["path"]) == {lengths["path"][0]}
-    assert len(log) <= lengths["path"][0] < 1.2 * len(log)
-    # The columns' 12 bytes per event and their unwritten room, besides the IdMap and the block
-    # temporaries (about 2.5 MB).
+    assert lengths["path"] == lengths["stream"]
+    # The columns' 12 bytes per event and their spare quarter at most, besides the IdMap and the
+    # block temporaries (about 2.5 MB).
     assert peak < 14 * len(log) + 3 * 2**20
 
 
