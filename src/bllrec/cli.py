@@ -42,7 +42,7 @@ from .ingest import (
 )
 from .evaluation import EvalReport, emit_report, evaluate_algorithm
 from .profiling import GROUP_NAMES, GroupStats, assign_groups, eligible_users, group_stats, score_users
-from .recommend import ALGORITHMS, CfParams, build_recommenders
+from .recommend import ALGORITHMS, build_recommenders
 from .split import SplitDataset, split_histories
 from .synth import SynthConfig, generate_synthetic
 
@@ -276,11 +276,7 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
             return out
 
         stage = "evaluate"
-        recommenders = build_recommenders(
-            out.split.train,
-            algorithms=config.algorithms,
-            cf_params=CfParams(neighborhood_size=config.cf_neighbors),
-        )
+        recommenders = build_recommenders(out.split.train, config.algorithms, config.cf_neighbors)
         out.reports = [
             evaluate_algorithm(
                 out.split, recommenders[algorithm], members, config.k_max, algorithm=algorithm, group=group_name
@@ -524,16 +520,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if not getattr(args, "func", None):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return args.func(args)
     except SystemExit as exc:  # --help / --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,8 @@ bll   scores each artist the user has played by base-level activation,
 top   most played artists over all users' training events.
 pop   the user's own most played artists.
 time  the user's most recently played artists.
-cf    user-based collaborative filtering with binary cosine similarity.
+cf    user-based collaborative filtering with binary cosine similarity
+      over a fixed number of nearest neighbours, held by ``CfIndex``.
 
 Every ranking uses a total ordering (score descending, then artist id
 ascending, with documented secondary keys for pop/time), so identical
@@ -31,15 +32,6 @@ from .errors import DataError
 from .ingest import UserHistories
 
 ALGORITHMS = ("bll", "cf", "pop", "time", "top")
-
-
-@dataclass(frozen=True)
-class CfParams:
-    neighborhood_size: int = 20
-
-    def __post_init__(self):
-        if self.neighborhood_size < 1:
-            raise DataError("neighborhood_size must be >= 1")
 
 
 @dataclass
@@ -133,14 +125,18 @@ class CfIndex:
 
     User id u's set is ``artists[offsets[u]:offsets[u + 1]]``, its slice of
     the train table's sorted pair rows. A CSR inverted index (artist ->
-    user ids), sized by the largest artist id, counts overlaps. Not
-    modified after it is built.
+    user ids), sized by the largest artist id, counts overlaps.
+    ``neighbors`` is the neighbourhood size every query uses; below 1 it
+    is a DataError. Not modified after it is built.
     """
 
-    def __init__(self, train_histories: UserHistories):
+    def __init__(self, train_histories: UserHistories, neighbors: int = 20):
+        if neighbors < 1:
+            raise DataError(f"neighbors must be >= 1, got {neighbors}")
         artists = train_histories.pair_artists
         if artists.size == 0:
             raise DataError("CfIndex needs at least one training history")
+        self.neighbors = neighbors
         self.artists = artists
         self.offsets = train_histories.pair_offsets
         self.set_sizes = np.diff(self.offsets)
@@ -149,10 +145,10 @@ class CfIndex:
         users = np.repeat(np.arange(len(self.set_sizes), dtype=np.int32), self.set_sizes)
         self.members = users[np.argsort(artists, kind="stable")]
 
-    def recommend(self, user: int, params: CfParams, k: int) -> RecommendationList:
+    def recommend(self, user: int, k: int) -> RecommendationList:
         """Score artists by summed similarity of the neighbors that played them.
 
-        Neighbors are the ``neighborhood_size`` most similar users with
+        Neighbors are the index's ``neighbors`` most similar users with
         positive similarity (ties by ascending user id). Only the
         neighbors' artists are scored, so the cost does not grow with the
         catalogue. The user's own artists are not filtered out: the
@@ -169,7 +165,7 @@ class CfIndex:
             return RecommendationList(candidates, np.zeros(0))
         sims = overlaps[candidates] / np.sqrt(float(len(query)) * self.set_sizes[candidates])
         # candidates ascend, so ties go to the lower user id.
-        order = _top_indices(sims, params.neighborhood_size)
+        order = _top_indices(sims, self.neighbors)
         neighbors = candidates[order]
 
         bounds = zip(self.offsets[neighbors].tolist(), self.offsets[neighbors + 1].tolist())
@@ -182,39 +178,27 @@ class CfIndex:
         return RecommendationList(artists[order], scores[order])
 
 
-def build_recommenders(
-    train_histories: UserHistories,
-    algorithms=ALGORITHMS,
-    cf_params: CfParams | None = None,
-):
-    """Uniform (user, train table, k) -> RecommendationList callables.
+def build_recommenders(train_histories: UserHistories, algorithms=ALGORITHMS, cf_neighbors: int = 20):
+    """Uniform (user, train table, k) -> RecommendationList callables, keyed in ``algorithms`` order.
 
-    What does not depend on the user is built here, once: the full
-    ``top`` ranking, kept as two arrays whose first k entries each call
-    returns as views, and the CF index. A call then reads only that
-    user's data (for ``cf``, also the neighbors' artist sets), never the
-    whole catalogue.
+    What does not depend on the user is built here, once, and only for the
+    algorithms asked for: the full ``top`` ranking, kept as two arrays
+    whose first k entries each call returns as views, and the CF index
+    with ``cf_neighbors`` neighbours. A call then reads only that user's
+    data (for ``cf``, also the neighbors' artist sets), never the whole
+    catalogue.
     """
-    cf_params = cf_params or CfParams()
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise DataError(f"unknown algorithms: {', '.join(sorted(unknown))}")
-
-    recommenders = {}
-    for name in algorithms:
-        if name == "bll":
-            recommenders[name] = recommend_bll
-        elif name == "pop":
-            recommenders[name] = recommend_pop
-        elif name == "time":
-            recommenders[name] = recommend_time
-        elif name == "top":
-            counts = global_train_counts(train_histories)
-            ranking = recommend_top(counts, len(counts))
-            # Each call returns views of these arrays, so no caller may write to them.
-            ranking.artists.flags.writeable = ranking.scores.flags.writeable = False
-            recommenders[name] = lambda u, train, k, r=ranking: RecommendationList(r.artists[:k], r.scores[:k])
-        elif name == "cf":
-            index = CfIndex(train_histories)
-            recommenders[name] = lambda u, train, k, idx=index, p=cf_params: idx.recommend(u, p, k)
-    return recommenders
+    recommenders = {"bll": recommend_bll, "pop": recommend_pop, "time": recommend_time}
+    if "top" in algorithms:
+        counts = global_train_counts(train_histories)
+        ranking = recommend_top(counts, len(counts))
+        # Each call returns views of these arrays, so no caller may write to them.
+        ranking.artists.flags.writeable = ranking.scores.flags.writeable = False
+        recommenders["top"] = lambda u, train, k: RecommendationList(ranking.artists[:k], ranking.scores[:k])
+    if "cf" in algorithms:
+        index = CfIndex(train_histories, cf_neighbors)
+        recommenders["cf"] = lambda u, train, k: index.recommend(u, k)
+    return {name: recommenders[name] for name in algorithms}

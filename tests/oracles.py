@@ -18,7 +18,7 @@ import numpy as np
 
 from bllrec.errors import DataError
 from bllrec.ingest import UserHistories
-from bllrec.recommend import CfParams, RecommendationList
+from bllrec.recommend import RecommendationList
 
 ORACLE_MAX_USERS = 10
 ORACLE_MAX_ARTISTS = 30
@@ -86,7 +86,7 @@ def brute_force_ranking(
     user: int,
     k: int,
     d: float = 0.5,
-    cf_params: CfParams | None = None,
+    cf_neighbors: int = 20,
 ) -> RecommendationList:
     """Reference top-k for one user on a small instance, by direct enumeration.
 
@@ -94,7 +94,6 @@ def brute_force_ranking(
     ``split_events`` give them.
     """
     _check_oracle_bounds(train)
-    cf_params = cf_params or CfParams()
     events = train.get(user)
     if not events:
         raise DataError("oracle: empty training history")
@@ -138,7 +137,7 @@ def brute_force_ranking(
                 sims[v] = shared / math.sqrt(len(own) * len(other))
         if not sims:
             return ranking_of([])
-        neighbors = sorted(sims, key=lambda v: (-sims[v], v))[: cf_params.neighborhood_size]
+        neighbors = sorted(sims, key=lambda v: (-sims[v], v))[:cf_neighbors]
         scores: dict[int, float] = {}
         for v in neighbors:
             for artist in sorted({a for a, _ in train[v]}):

@@ -17,7 +17,7 @@ from bllrec.cli import main
 from bllrec.evaluation import evaluate_algorithm
 from bllrec.ingest import build_user_histories, load_events, n_test_events
 from bllrec.profiling import assign_groups, group_stats, score_users
-from bllrec.recommend import CfParams, build_recommenders
+from bllrec.recommend import build_recommenders
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
@@ -113,12 +113,12 @@ def test_c3_all_recommenders_match_brute_force_oracle():
     started = time.perf_counter()
     checked = 0
     for seed, train, events in oracle_instances():
-        cf_params = CfParams()
-        recommenders = build_recommenders(train, cf_params=cf_params)
+        cf_neighbors = 20
+        recommenders = build_recommenders(train, cf_neighbors=cf_neighbors)
         for user in np.flatnonzero(train.n_events).tolist():
             for name, fn in recommenders.items():
                 got = fn(user, train, 10)
-                want = brute_force_ranking(name, events, user, 10, cf_params=cf_params)
+                want = brute_force_ranking(name, events, user, 10, cf_neighbors=cf_neighbors)
                 assert got.artists.tolist() == want.artists.tolist(), (seed, user, name)
                 checked += 1
     elapsed = time.perf_counter() - started

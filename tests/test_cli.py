@@ -19,7 +19,11 @@ import pytest
 from bllrec import cli
 from bllrec.cli import MAX_K, main, validate_config
 from bllrec.errors import UsageError
-from bllrec.ingest import write_events_tsv
+from bllrec.evaluation import evaluate_algorithm
+from bllrec.ingest import build_user_histories, load_events, write_events_tsv
+from bllrec.profiling import eligible_users
+from bllrec.recommend import CfIndex, recommend_bll
+from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -618,6 +622,30 @@ def test_len_of_the_log_holds_at_every_stage(tmp_path):
         for stage in ("ingest", "profile", "split", "evaluate"):
             out = cli.run_stages(validate_config({"events": events, "group_size": 5}), stage)
             assert len(out.log) == len(lines), (events.name, stage)
+
+
+def test_both_model_parameters_reach_the_evaluation(synth_tsv):
+    # On this log bll_d and cf_neighbors each change the reports, so run_stages must pass both on: bll's
+    # reports equal those over a table built apart at d=1.7, and cf's those of a 1-neighbour index.
+    def reports(**raw):
+        config = validate_config({"events": synth_tsv, "group_size": 20, "algorithms": "bll,cf", **raw})
+        out = cli.run_stages(config, "evaluate")
+        return out, {(r.algorithm, r.group): (r.points, r.users_evaluated) for r in out.reports}
+
+    out, got = reports(bll_d=1.7, cf_neighbors=1)
+    _, defaults = reports()
+    table = build_user_histories(load_events(synth_tsv)[0], 0.01, 1.7)
+    bll_split = split_histories(table, eligible_users(table, 2))
+    index = CfIndex(out.split.train, 1)
+    recommenders = {"bll": (bll_split, recommend_bll), "cf": (out.split, lambda user, train, k: index.recommend(user, k))}
+    want = {}
+    for group, members in out.groups.items():
+        for algorithm, (split, fn) in recommenders.items():
+            report = evaluate_algorithm(split, fn, members, 20, algorithm, group)
+            want[algorithm, group] = (report.points, report.users_evaluated)
+    assert got == want
+    for key in got:
+        assert got[key][0] != defaults[key][0], key
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")

@@ -3,7 +3,7 @@ import pytest
 
 from bllrec.errors import DataError
 from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
-from bllrec.recommend import CfParams, build_recommenders
+from bllrec.recommend import build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
 from conftest import histories_from_events, histories_from_ids, user_slice
@@ -119,7 +119,7 @@ def _clone_split():
 class TestEvaluateAlgorithm:
     def test_clone_users_cf_reaches_full_recall(self):
         split = _clone_split()
-        recommenders = build_recommenders(split.train, algorithms=("cf",), cf_params=CfParams())
+        recommenders = build_recommenders(split.train, algorithms=("cf",), cf_neighbors=20)
         report = evaluate_algorithm(split, recommenders["cf"], split.per_user, 5, "cf", "ALL")
         assert report.points[1][0] == 1.0  # recall@2 == 1: both test artists are clone train artists
         assert report.users_evaluated == 2

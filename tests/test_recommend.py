@@ -9,7 +9,6 @@ from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, n_test_events
 from bllrec.recommend import (
     CfIndex,
-    CfParams,
     build_recommenders,
     global_train_counts,
     recommend_bll,
@@ -268,7 +267,7 @@ class TestRecommendCf:
 
     def test_worked_example(self):
         histories = self._fixture()
-        result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=2), 4)
+        result = CfIndex(histories, 2).recommend(0, 4)
         a, b, c, d = 0, 1, 2, 3
         assert result.artists.tolist() == [b, a, c, d]
         scores = dict(result.ranked)
@@ -283,13 +282,13 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
         )
-        result = CfIndex(histories).recommend(0, CfParams(), 5)
+        result = CfIndex(histories).recommend(0, 5)
         assert result.artists.tolist() == [0, 1]
         assert all(score == 1.0 for _, score in result.ranked)
 
     def test_single_neighbor(self):
         histories = self._fixture()
-        result = CfIndex(histories).recommend(0, CfParams(neighborhood_size=1), 4)
+        result = CfIndex(histories, 1).recommend(0, 4)
         # only u1 (the most similar) contributes
         assert result.artists.tolist() == [0, 1, 2]
 
@@ -297,16 +296,16 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "x", 1), ("u1", "y", 2)]
         )
-        result = CfIndex(histories).recommend(0, CfParams(), 5)
+        result = CfIndex(histories).recommend(0, 5)
         assert result.ranked == []
 
     def test_user_without_training_rows_is_data_error(self):
         # u0 is in the table but outside the split, so it has no training rows.
         index = CfIndex(split_histories(self._fixture(fraction=0.4), np.array([1, 2])).train)
-        assert index.recommend(1, CfParams(), 4).artists.tolist() == [1]
+        assert index.recommend(1, 4).artists.tolist() == [1]
         for user in (0, 3, -1):
             with pytest.raises(DataError, match=f"user {user} has no training history"):
-                index.recommend(user, CfParams(), 4)
+                index.recommend(user, 4)
 
 
 class TestBuildRecommenders:
@@ -338,11 +337,16 @@ class TestBuildRecommenders:
         with pytest.raises(DataError):
             build_recommenders(histories, algorithms=("nope",))
 
+    def test_keys_follow_the_algorithms_asked_for(self):
+        histories = histories_from_events([("u", "a", 1), ("v", "a", 2)])
+        assert list(build_recommenders(histories, algorithms=("time", "top", "bll"))) == ["time", "top", "bll"]
+
     def test_param_validation(self):
         with pytest.raises(DataError):
             histories_from_events([("u", "a", 1)], bll_d=-1.0)
-        with pytest.raises(DataError):
-            CfParams(neighborhood_size=0)
+        table = histories_from_events([("u", "a", 1), ("v", "a", 2)])
+        with pytest.raises(DataError, match="neighbors must be >= 1"):
+            CfIndex(table, 0)
 
 
 @pytest.mark.parametrize("artist_ids", [lambda a: a, lambda a: a * 100_003 + 7], ids=["dense", "sparse-wide"])
@@ -364,15 +368,14 @@ def test_cf_and_top_scores_equal_oracle_exactly(artist_ids):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cf_neighborhood_truncation_equals_oracle_exactly(n):
     # The instances have at most 9 users, under the default 20 neighbours; small n truncates.
-    params = CfParams(neighborhood_size=n)
     truncated = 0
     for seed, train, events in oracle_instances():
-        index = CfIndex(train)
+        index = CfIndex(train, n)
         sets = {user: set(user_slice(train, user, "pair_artists").tolist())
                 for user in np.flatnonzero(train.n_events).tolist()}
         for user in sets:
-            got = index.recommend(user, params, 10)
-            assert got.ranked == brute_force_ranking("cf", events, user, 10, cf_params=params).ranked, (seed, user)
+            got = index.recommend(user, 10)
+            assert got.ranked == brute_force_ranking("cf", events, user, 10, cf_neighbors=n).ranked, (seed, user)
             truncated += sum(bool(sets[user] & other) for v, other in sets.items() if v != user) > n
     assert truncated > 500
 
@@ -385,8 +388,8 @@ def test_cf_boundary_ties_keep_the_lowest_ids(n):
     for v in range(1, 26):
         users += [v, v, v]
         artists += [0, 1, 1 + v]
-    index = CfIndex(histories_from_ids(users, artists, range(len(users))))
-    got = index.recommend(0, CfParams(neighborhood_size=n), 100)
+    index = CfIndex(histories_from_ids(users, artists, range(len(users))), n)
+    got = index.recommend(0, 100)
     tied = 2 / math.sqrt(6)
     # Each neighbour v from the tied block contributes its own artist 1 + v.
     assert got.artists.tolist() == [0, 1] + [1 + v for v in range(1, n)]

@@ -10,7 +10,6 @@ import pytest
 from bllrec.cli import main
 from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, load_events, write_events_tsv
-from bllrec.recommend import CfParams
 from bllrec.synth import (
     MAX_EVENTS_PER_USER,
     SplitMix64,
@@ -243,5 +242,5 @@ class TestBruteForceOracle:
         user = 0
         deep = brute_force_ranking("bll", histories, user, 5, d=2.5)
         shallow = brute_force_ranking("bll", histories, user, 5, d=1e-6)
-        narrow = brute_force_ranking("cf", histories, user, 5, cf_params=CfParams(neighborhood_size=1))
+        narrow = brute_force_ranking("cf", histories, user, 5, cf_neighbors=1)
         assert len(narrow.artists) <= 5
