@@ -33,7 +33,6 @@ from ._kernels import BACKEND_NAME
 from .errors import BllrecError, DataError, UsageError
 from .ingest import (
     ColumnSchema,
-    DEFAULT_SCHEMA_SPEC,
     EventLog,
     UserHistories,
     build_user_histories,
@@ -65,10 +64,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Normalized pipeline configuration; defaults follow the evaluation protocol."""
+    """Normalized pipeline configuration; defaults follow the evaluation protocol.
+
+    These are the protocol's only defaults: the library functions take
+    each of these values from their caller.
+    """
 
     events: str | None = None
-    schema: str = DEFAULT_SCHEMA_SPEC
+    schema: str = "user=0,artist=1,ts=4"  # the LFM-1b layout, which write_events_tsv writes
     on_error: str = "skip"
     group_size: int = 1000
     min_events: int = 2
@@ -131,7 +134,7 @@ CONFIG_KEYS = {
     "k_max": ("--k-max", "largest list length k", _checked(int, lambda n: 1 <= n <= MAX_K, f"be in 1..{MAX_K}")),
     "bll_d": ("--bll-d", "decay exponent", _checked(float, lambda x: 0 < x < math.inf, "be finite and > 0")),
     "cf_neighbors": ("--cf-neighbors", "neighborhood size", _POSITIVE),
-    "algorithms": ("--algo", "comma-separated subset of bll,cf,pop,time,top", parse_algorithms),
+    "algorithms": ("--algo", f"comma-separated subset of {','.join(ALGORITHMS)}", parse_algorithms),
     "threads": ("--threads", "must be 1; evaluation runs on one thread",
                 _checked(int, lambda n: n == 1, "be 1 (evaluation runs on one thread)")),
     "out_dir": ("--out-dir", "output directory", lambda key, value: str(value)),
@@ -247,8 +250,8 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
         if not config.events:
             raise UsageError("an events file is required (--events or config key 'events')")
         # A regular file grouped by user is reduced to the history table as it is read, whatever the stage.
-        log, skipped = load_events(config.events, ColumnSchema.parse(config.schema), config.on_error, config.fraction,
-                                   config.bll_d)
+        log, skipped = load_events(config.events, ColumnSchema.parse(config.schema), config.on_error,
+                                   (config.fraction, config.bll_d))
         out = Staged(log, skipped)
         if until == stage:
             return out

@@ -1,11 +1,11 @@
 """Listening-event log ingestion and the per-user event table.
 
-Parses newline-delimited, tab-separated listening events (LFM-1b column
-layout by default) and assigns dense integer ids to users and artists in
-first-seen order. All produced arrays are read-only after loading.
-Timestamps are uint32, which holds every Unix second until 2106, unless
-the log holds one of 2**32 or more: the first block that does widens the
-column to int64, once, and it stays int64.
+Parses newline-delimited, tab-separated listening events in the column
+layout a ``ColumnSchema`` names, and assigns dense integer ids to users
+and artists in first-seen order. All produced arrays are read-only after
+loading. Timestamps are uint32, which holds every Unix second until
+2106, unless the log holds one of 2**32 or more: the first block that
+does widens the column to int64, once, and it stays int64.
 
 ``load_events`` reads a path or binary stream once, ``CHUNK_SIZE`` bytes
 at a time, and hashes those same bytes for the run manifest. Lines end as
@@ -62,6 +62,7 @@ from __future__ import annotations
 import bisect
 import gzip
 import hashlib
+import math
 import os
 import stat
 import zlib
@@ -75,7 +76,6 @@ import numpy as np
 from . import _kernels
 from .errors import DataError, ParseError, UsageError
 
-DEFAULT_SCHEMA_SPEC = "user=0,artist=1,ts=4"
 INT64_MAX = 2**63 - 1
 MAX_COLUMN = 2**31 - 1
 """The largest schema column index. Larger ones would overflow the int64 offset
@@ -89,9 +89,9 @@ class ColumnSchema:
     Extra columns (album/track ids in LFM-1b files) are ignored.
     """
 
-    user: int = 0
-    artist: int = 1
-    ts: int = 4
+    user: int
+    artist: int
+    ts: int
 
     def __post_init__(self):
         cols = (self.user, self.artist, self.ts)
@@ -629,8 +629,7 @@ def _open_blocks(source):
 
 
 def load_events(
-    source, schema: ColumnSchema | None = None, on_error: str = "skip", fraction: float | None = None,
-    bll_d: float = 0.5,
+    source, schema: ColumnSchema, on_error: str, build: tuple[float, float] | None = None
 ) -> tuple[EventLog, int]:
     """Load an event log from a path or binary stream in one pass.
 
@@ -652,23 +651,22 @@ def load_events(
     are densified in first-seen order, so identical input bytes always
     produce identical logs. Returns ``(log, skipped_line_count)``.
 
-    Given ``fraction``, a regular file whose lines come user by user is
-    reduced as it is read to the table that ``build_user_histories(log,
-    fraction, bll_d)`` would build, which the log holds in ``reduced`` in
-    place of its columns; the build then hands it over. A file whose user
-    ids turn out to decrease is read again whole. A stream, or a path that
-    is not a regular file, such as a pipe, is read whole from the start, as
-    it cannot be read again. Logs read whole keep their columns for the
-    build to sort.
+    Given ``build = (fraction, bll_d)``, a regular file whose lines come
+    user by user is reduced as it is read to the table that
+    ``build_user_histories(log, fraction, bll_d)`` would build, which the
+    log holds in ``reduced`` in place of its columns; the build then hands
+    it over. A file whose user ids turn out to decrease is read again
+    whole. A stream, or a path that is not a regular file, such as a pipe,
+    is read whole from the start, as it cannot be read again. Logs read
+    whole, and every log when ``build`` is None, keep their columns for
+    the build to sort.
     """
-    if schema is None:
-        schema = ColumnSchema()
     if on_error not in ("skip", "fail"):
         raise UsageError(f"on_error must be 'skip' or 'fail', got {on_error!r}")
-    if fraction is not None:
-        _check_build(fraction, bll_d)
+    if build is not None:
+        _check_build(*build)
         try:
-            return _load(source, schema, on_error, (fraction, bll_d))
+            return _load(source, schema, on_error, build)
         except _Ungrouped:
             pass  # the table is built from the whole log
     return _load(source, schema, on_error)
@@ -710,11 +708,11 @@ def n_test_events(n_events, fraction: float):
 def _check_build(fraction: float, bll_d: float) -> None:
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0,1), got {fraction}")
-    if not bll_d > 0:
-        raise DataError(f"decay exponent d must be > 0, got {bll_d}")
+    if not 0.0 < bll_d < math.inf:
+        raise DataError(f"decay exponent d must be finite and > 0, got {bll_d}")
 
 
-def build_user_histories(log: EventLog, fraction: float = 0.01, bll_d: float = 0.5) -> UserHistories:
+def build_user_histories(log: EventLog, fraction: float, bll_d: float) -> UserHistories:
     """Reduce the log to one table of (user, artist) pair rows, split by time at ``fraction``.
 
     A log that ``load_events`` reduced as it read hands its table over.
@@ -897,7 +895,7 @@ def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
 
 
 def write_events_tsv(log: EventLog, path) -> None:
-    """Write a log back out in the default 5-column layout (album/track zeroed)."""
+    """Write a log back out in the LFM-1b 5-column layout ``user=0,artist=1,ts=4`` (album/track zeroed)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         user_keys = log.id_maps.users.keys()
         artist_keys = log.id_maps.artists.keys()

@@ -45,7 +45,7 @@ def eligible_users(histories: UserHistories, min_events: int) -> np.ndarray:
     return np.flatnonzero((n_events >= min_events) & (n_events > 0))
 
 
-def score_users(histories: UserHistories, min_events: int = 2) -> np.ndarray:
+def score_users(histories: UserHistories, min_events: int) -> np.ndarray:
     """Mainstreaminess per user id, NaN for each user not in ``eligible_users(histories, min_events)``.
 
     The global distribution is built from all loaded histories; the

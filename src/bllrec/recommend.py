@@ -126,11 +126,12 @@ class CfIndex:
     User id u's set is ``artists[offsets[u]:offsets[u + 1]]``, its slice of
     the train table's sorted pair rows. A CSR inverted index (artist ->
     user ids), sized by the largest artist id, counts overlaps.
-    ``neighbors`` is the neighbourhood size every query uses; below 1 it
-    is a DataError. Not modified after it is built.
+    ``neighbors`` is the neighbourhood size every query uses, which the
+    caller gives (``cli.RunConfig.cf_neighbors`` in a run); below 1 it is
+    a DataError. Not modified after it is built.
     """
 
-    def __init__(self, train_histories: UserHistories, neighbors: int = 20):
+    def __init__(self, train_histories: UserHistories, neighbors: int):
         if neighbors < 1:
             raise DataError(f"neighbors must be >= 1, got {neighbors}")
         artists = train_histories.pair_artists
@@ -178,15 +179,17 @@ class CfIndex:
         return RecommendationList(artists[order], scores[order])
 
 
-def build_recommenders(train_histories: UserHistories, algorithms=ALGORITHMS, cf_neighbors: int = 20):
+def build_recommenders(train_histories: UserHistories, algorithms, cf_neighbors: int):
     """Uniform (user, train table, k) -> RecommendationList callables, keyed in ``algorithms`` order.
 
-    What does not depend on the user is built here, once, and only for the
-    algorithms asked for: the full ``top`` ranking, kept as two arrays
-    whose first k entries each call returns as views, and the CF index
-    with ``cf_neighbors`` neighbours. A call then reads only that user's
-    data (for ``cf``, also the neighbors' artist sets), never the whole
-    catalogue.
+    ``algorithms`` is a sequence of names from ``ALGORITHMS``, and
+    ``cf_neighbors`` the neighbourhood size of ``cf``; a run passes its
+    ``cli.RunConfig`` values. What does not depend on the user is built
+    here, once, and only for the algorithms asked for: the full ``top``
+    ranking, kept as two arrays whose first k entries each call returns as
+    views, and the CF index with ``cf_neighbors`` neighbours. A call then
+    reads only that user's data (for ``cf``, also the neighbors' artist
+    sets), never the whole catalogue.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:

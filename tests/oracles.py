@@ -85,13 +85,14 @@ def brute_force_ranking(
     train: dict,
     user: int,
     k: int,
-    d: float = 0.5,
-    cf_neighbors: int = 20,
+    d: float,
+    cf_neighbors: int,
 ) -> RecommendationList:
     """Reference top-k for one user on a small instance, by direct enumeration.
 
     ``train`` holds each user's training events, as ``events_by_user`` or
-    ``split_events`` give them.
+    ``split_events`` give them. ``d`` is read by ``bll`` only, and
+    ``cf_neighbors`` by ``cf`` only.
     """
     _check_oracle_bounds(train)
     events = train.get(user)
@@ -148,7 +149,7 @@ def brute_force_ranking(
     raise DataError(f"unknown algorithm {algorithm!r}")
 
 
-def per_user_histories(users, artists, timestamps, fraction: float = 0.01, d: float = 0.5) -> UserHistories:
+def per_user_histories(users, artists, timestamps, fraction: float, d: float) -> UserHistories:
     """``build_user_histories(log, fraction, d)`` of a log with these columns, by enumeration.
 
     Each user's events are put in time order and cut by ``split_events``;

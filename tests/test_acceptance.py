@@ -15,13 +15,20 @@ import pytest
 
 from bllrec.cli import main
 from bllrec.evaluation import evaluate_algorithm
-from bllrec.ingest import build_user_histories, load_events, n_test_events
+from bllrec.ingest import ColumnSchema, build_user_histories, load_events, n_test_events
 from bllrec.profiling import assign_groups, group_stats, score_users
 from bllrec.recommend import build_recommenders
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_ids, kernel_activation, kernel_activations, oracle_instances, user_slice
+from conftest import (
+    PROTOCOL,
+    histories_from_ids,
+    kernel_activation,
+    kernel_activations,
+    oracle_instances,
+    user_slice,
+)
 from oracles import brute_force_ranking, events_by_user, split_events
 
 
@@ -97,9 +104,11 @@ def test_c2_monotonicity_and_scaling_invariance():
         }
         ref = 10**12
         artists = [a for a, ds in deltas.items() for _ in ds]
-        base = kernel_activations(artists, [ref + 1 - d0 for ds in deltas.values() for d0 in ds], ref, n_artists)
+        base = kernel_activations(
+            artists, [ref + 1 - d0 for ds in deltas.values() for d0 in ds], ref, n_artists, PROTOCOL.bll_d
+        )
         scaled = kernel_activations(
-            artists, [ref + 1 - d0 * scale for ds in deltas.values() for d0 in ds], ref, n_artists
+            artists, [ref + 1 - d0 * scale for ds in deltas.values() for d0 in ds], ref, n_artists, PROTOCOL.bll_d
         )
         if sorted(range(n_artists), key=lambda a: (-base[a], a)) != sorted(
             range(n_artists), key=lambda a: (-scaled[a], a)
@@ -114,11 +123,11 @@ def test_c3_all_recommenders_match_brute_force_oracle():
     checked = 0
     for seed, train, events in oracle_instances():
         cf_neighbors = 20
-        recommenders = build_recommenders(train, cf_neighbors=cf_neighbors)
+        recommenders = build_recommenders(train, PROTOCOL.algorithms, cf_neighbors)
         for user in np.flatnonzero(train.n_events).tolist():
             for name, fn in recommenders.items():
                 got = fn(user, train, 10)
-                want = brute_force_ranking(name, events, user, 10, cf_neighbors=cf_neighbors)
+                want = brute_force_ranking(name, events, user, 10, PROTOCOL.bll_d, cf_neighbors)
                 assert got.artists.tolist() == want.artists.tolist(), (seed, user, name)
                 checked += 1
     elapsed = time.perf_counter() - started
@@ -137,7 +146,7 @@ def test_c4_metric_identities_hold_exactly():
     k_max = 20
 
     checked_users = 0
-    for name, fn in build_recommenders(split.train).items():
+    for name, fn in build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors).items():
         users = split.per_user
         report = evaluate_algorithm(split, fn, users, k_max, name, "ALL")
         assert report.hits.shape == (len(users), k_max)
@@ -227,11 +236,11 @@ def test_c7_bll_wins_on_synthetic_groups():
         seed=42,
     )
     log = generate_synthetic(config)
-    histories = build_user_histories(log)
+    histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 166)  # 500 users cannot fill 3 groups of 1000
     split = split_histories(histories, np.flatnonzero(~np.isnan(scores)))
-    recommenders = build_recommenders(split.train)
+    recommenders = build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors)
 
     recall_at = {}
     for name in ("bll", "pop", "time", "top", "cf"):
@@ -292,8 +301,8 @@ TABLE1_EVENTS = {"LowMS": 6_915_352, "MedMS": 7_900_726, "HighMS": 8_251_022}
 
 @pytest.mark.skipif(LFM1B_ENV not in os.environ, reason=f"set {LFM1B_ENV} to run the full-dataset check")
 def test_c9_full_dataset_group_stats():
-    log, _ = load_events(os.environ[LFM1B_ENV])
-    histories = build_user_histories(log)
+    log, _ = load_events(os.environ[LFM1B_ENV], ColumnSchema.parse(PROTOCOL.schema), PROTOCOL.on_error)
+    histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 1000)
     for name, members in groups.items():

@@ -26,6 +26,8 @@ from bllrec.recommend import CfIndex, recommend_bll
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
+from conftest import LFM_SCHEMA, PROTOCOL
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -172,6 +174,20 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert err == "data error: split: no user has at least 1000 events (min_events=1000)\n"
         assert not results.exists()
+
+    def test_min_events_reaches_scoring(self, synth_tsv, tmp_path):
+        # 22 of the log's 60 users have at least 35 events: profile lists only them, so its groups differ.
+        per_user = Counter(line.split("\t")[0] for line in synth_tsv.read_text(encoding="utf-8").splitlines())
+        written = {}
+        for min_events in (None, "35"):
+            groups = tmp_path / f"groups-{min_events}.csv"
+            flags = [] if min_events is None else ["--min-events", min_events]
+            assert main(["profile", "--events", str(synth_tsv), "--group-size", "5", *flags, "--out", str(groups)]) == 0
+            written[min_events] = groups.read_text(encoding="utf-8")
+        listed = [row.split(",")[0] for row in written["35"].splitlines()[1:]]
+        assert len(listed) == 15 and min(per_user[key] for key in listed) >= 35
+        assert min(per_user[row.split(",")[0]] for row in written[None].splitlines()[1:]) < 35
+        assert written["35"] != written[None]
 
     def test_split_without_groups_reports_all(self, synth_tsv, capsys):
         assert main(["split", "--events", str(synth_tsv), "--fraction", "0.05"]) == 0
@@ -634,8 +650,8 @@ def test_both_model_parameters_reach_the_evaluation(synth_tsv):
 
     out, got = reports(bll_d=1.7, cf_neighbors=1)
     _, defaults = reports()
-    table = build_user_histories(load_events(synth_tsv)[0], 0.01, 1.7)
-    bll_split = split_histories(table, eligible_users(table, 2))
+    table = build_user_histories(load_events(synth_tsv, LFM_SCHEMA, "skip")[0], PROTOCOL.fraction, 1.7)
+    bll_split = split_histories(table, eligible_users(table, PROTOCOL.min_events))
     index = CfIndex(out.split.train, 1)
     recommenders = {"bll": (bll_split, recommend_bll), "cf": (out.split, lambda user, train, k: index.recommend(user, k))}
     want = {}

@@ -6,7 +6,7 @@ from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
 from bllrec.recommend import build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
-from conftest import histories_from_events, histories_from_ids, user_slice
+from conftest import PROTOCOL, histories_from_events, histories_from_ids, user_slice
 from oracles import ranking_of
 
 
@@ -150,7 +150,7 @@ class TestEvaluateAlgorithm:
             events += [(user, rare, 99)]
         histories = histories_from_events(events)
         split = split_histories(histories)  # the default fraction puts exactly the rare artist in each test set
-        recommenders = build_recommenders(split.train, algorithms=("top",))
+        recommenders = build_recommenders(split.train, ("top",), PROTOCOL.cf_neighbors)
         report = evaluate_algorithm(split, recommenders["top"], split.per_user, 2, "top", "ALL")
         assert all(recall == 0.0 and precision == 0.0 for recall, precision in report.points)
 
@@ -162,7 +162,7 @@ class TestEvaluateAlgorithm:
         ]
         histories = histories_from_events(events, fraction=0.1)
         split = split_histories(histories)
-        recommenders = build_recommenders(split.train)
+        recommenders = build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors)
         for name, fn in recommenders.items():
             first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
             second = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
@@ -191,7 +191,7 @@ class TestEvaluateAlgorithm:
         ]
         histories = histories_from_events(events, fraction=0.2)
         split = split_histories(histories)
-        for name, fn in build_recommenders(split.train).items():
+        for name, fn in build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors).items():
             report = evaluate_algorithm(split, fn, split.per_user, 15, name, "ALL")
             recalls = [r for r, _ in report.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import io
+import math
 import os
 import random
 import threading
@@ -31,10 +32,9 @@ from bllrec.ingest import (
 )
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import SIMPLE_SCHEMA, histories_from_events, log_from_events, user_slice
+from conftest import LFM_SCHEMA, PROTOCOL, SIMPLE_SCHEMA, histories_from_events, log_from_events, user_slice
 from oracles import events_by_user, per_user_histories
 
-LFM_SCHEMA = ColumnSchema(user=0, artist=1, ts=4)
 
 
 @contextmanager
@@ -197,7 +197,7 @@ class TestColumnSchema:
 class TestLoadEvents:
     def test_counts(self):
         text = "u1\ta1\t10\nu2\ta1\t11\nu1\ta2\t12\n"
-        log, skipped = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA, "skip")
         assert len(log) == 3
         assert len(log.id_maps.users) == 2
         assert len(log.id_maps.artists) == 2
@@ -217,8 +217,8 @@ class TestLoadEvents:
 
     def test_deterministic_reload(self):
         text = "b\tx\t5\na\tx\t4\nb\ty\t6\n"
-        log1, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
-        log2, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA)
+        log1, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA, "skip")
+        log2, _ = load_events(io.BytesIO(text.encode()), SIMPLE_SCHEMA, "skip")
         assert np.array_equal(log1.users, log2.users)
         assert np.array_equal(log1.artists, log2.artists)
         assert np.array_equal(log1.timestamps, log2.timestamps)
@@ -229,7 +229,7 @@ class TestLoadEvents:
         path = tmp_path / "events.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write("u1\ta1\t10\nu1\ta2\t11\n")
-        log, skipped = load_events(path, SIMPLE_SCHEMA)
+        log, skipped = load_events(path, SIMPLE_SCHEMA, "skip")
         assert len(log) == 2 and skipped == 0
 
     @pytest.mark.parametrize("on_error", ["skip", "fail"])
@@ -259,7 +259,7 @@ class TestLoadEvents:
 
     def test_binary_stream_left_open(self):
         stream = io.BytesIO(b"u1\ta1\t10\n")
-        log, _ = load_events(stream, SIMPLE_SCHEMA)
+        log, _ = load_events(stream, SIMPLE_SCHEMA, "skip")
         assert len(log) == 1
         assert not stream.closed
 
@@ -371,7 +371,7 @@ class TestAgainstLineOracle:
 )
 def test_crlf_matches_oracle(chunk_size, data):
     with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
-        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, "skip")
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
 
 
@@ -384,7 +384,7 @@ def test_lone_cr_line_ends_cut_blocks():
         mock.patch.object(ingest, "CHUNK_SIZE", chunk_size),
         mock.patch.object(ingest._ChunkParser, "add", autospec=True, side_effect=ingest._ChunkParser.add) as spy,
     ):
-        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, "skip")
     blocks = [len(call.args[1]) for call in spy.call_args_list]
     assert len(blocks) > 1 and max(blocks) < 2 * chunk_size
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
@@ -404,7 +404,7 @@ def test_timestamp_column_widens_once_past_uint32(tmp_path, compress, line, valu
     path = tmp_path / ("events.tsv.gz" if compress else "events.tsv")
     path.write_bytes(gzip.compress(data) if compress else data)
     with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
-        log, skipped = load_events(path, SIMPLE_SCHEMA)
+        log, skipped = load_events(path, SIMPLE_SCHEMA, "skip")
     assert log.timestamps.dtype == (np.int64 if value >= 2**32 else np.uint32)
     assert log.timestamps[line] == value and log.timestamps[-1] == 2**32 - 1
     assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
@@ -460,7 +460,7 @@ class TestChunkBoundaries:
         for size in (1, 2, 7, 4096, path.stat().st_size + 1):
             with mock.patch.object(ingest, "CHUNK_SIZE", size), \
                     mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
-                log, skipped = load_events(path, LFM_SCHEMA)
+                log, skipped = load_events(path, LFM_SCHEMA, "skip")
             assert summary(log, skipped) == expected, size
             # Read as one block, which also holds the \\xff line, the edge lines with a
             # byte that is not ASCII are left to parse_event_line.
@@ -471,7 +471,7 @@ class TestChunkBoundaries:
     def test_two_member_gzip_loads_like_gzip_open(self, tmp_path):
         path = tmp_path / "events.tsv.gz"
         path.write_bytes(gzip.compress(b"u1\ta1\t10\nu2\ta") + gzip.compress(b"2\t11\nu1\ta3\t12\n"))
-        log, skipped = load_events(path, SIMPLE_SCHEMA)
+        log, skipped = load_events(path, SIMPLE_SCHEMA, "skip")
         assert summary(log, skipped) == oracle_load(path, SIMPLE_SCHEMA)
         assert log.timestamps.tolist() == [10, 11, 12]
 
@@ -488,7 +488,7 @@ def test_only_odd_lines_go_to_parse_event_line():
     data = b"".join(lines)
     assert len(data) < ingest.CHUNK_SIZE
     with mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
-        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, "skip")
     assert [call.args[2] for call in spy.call_args_list] == [101, 151]
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
     assert skipped == 1 and "u\x00" in log.id_maps.users.keys()
@@ -498,7 +498,7 @@ def _load_keys(keys, chunk_size=ingest.CHUNK_SIZE):
     """The user ids and user map of a log whose lines have ``keys`` as user keys, in order."""
     data = b"".join(key.encode() + b"\ta\t" + str(i).encode() + b"\n" for i, key in enumerate(keys))
     with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
-        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+        log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, "skip")
     assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
     return log.users.tolist(), log.id_maps.users
 
@@ -572,7 +572,7 @@ class TestIdMap:
         data = first + "k\tb\t10\nключ\ta\t11\n".encode()
         with mock.patch.object(ingest, "CHUNK_SIZE", len(first)), \
                 mock.patch.object(ingest, "parse_event_line", wraps=ingest.parse_event_line) as spy:
-            log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA)
+            log, skipped = load_events(io.BytesIO(data), SIMPLE_SCHEMA, "skip")
         assert [call.args[2] for call in spy.call_args_list] == [1, 2, 3]
         assert summary(log, skipped) == oracle_load(io.BytesIO(data), SIMPLE_SCHEMA)
         assert log.users.tolist() == [0, 1, 0, 1] and log.id_maps.users.keys() == ["k", "ключ"]
@@ -647,11 +647,11 @@ def _pairs(table, user):
 
 class TestBuildUserHistories:
     def test_hand_sorted_example(self):
-        histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)])
+        histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)], bll_d=0.5)
         a0, a1 = 0, 1  # first-seen densification
         assert _pairs(histories, 0) == {a0: (2, 10), a1: (1, 5)}
         assert user_slice(histories, 0, "pair_artists").tolist() == [a0, a1]
-        # At the default fraction the latest event, a0 at 10, is the one test event; the
+        # At the protocol's fraction the latest event, a0 at 10, is the one test event; the
         # training plays are a0 at 7 and a1 at 5, at reference time 7 + 1.
         assert histories.n_events.tolist() == [3]
         assert user_slice(histories, 0, "pair_test_counts").tolist() == [1, 0]
@@ -659,7 +659,7 @@ class TestBuildUserHistories:
         assert user_slice(histories, 0, "pair_bll").tolist() == [2.0**-0.5, 4.0**-0.5]
 
     def test_single_event(self):
-        histories = histories_from_events([("u", "a", 3)])
+        histories = histories_from_events([("u", "a", 3)], bll_d=0.5)
         assert histories.n_events.tolist() == [1]
         assert _pairs(histories, 0) == {0: (1, 3)}
         # A history of one event is not cut: its event trains, at reference time 3 + 1.
@@ -674,14 +674,16 @@ class TestBuildUserHistories:
 
     def test_empty_log(self):
         log = log_from_events([])
-        histories = build_user_histories(log)
+        histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
         assert len(histories.n_events) == len(histories.pair_artists) == len(histories.pair_bll) == 0
         assert histories.pair_offsets.tolist() == [0]
 
     @pytest.mark.parametrize("key, value", [("fraction", 0.0), ("fraction", 1.0), ("fraction", -0.5),
-                                            ("fraction", 2.0), ("bll_d", 0.0), ("bll_d", -1.0)])
+                                            ("fraction", 2.0), ("bll_d", 0.0), ("bll_d", -1.0),
+                                            ("bll_d", math.inf)])
     def test_bad_fraction_or_decay_is_data_error(self, key, value):
-        with pytest.raises(DataError, match="fraction must be in|decay exponent d must be > 0"):
+        # An infinite d would make every bll term 0, so every score -inf and the ranking artist-id order.
+        with pytest.raises(DataError, match="fraction must be in|decay exponent d must be finite and > 0"):
             histories_from_events([("u", "a", 1), ("u", "a", 2)], **{key: value})
 
     def test_takes_over_the_log_columns(self):
@@ -689,7 +691,7 @@ class TestBuildUserHistories:
         log = log_from_events([("u1", "a1", 10), ("u2", "a1", 11), ("u1", "a2", 12)])
         columns = [weakref.ref(arr) for arr in (log.users, log.artists, log.timestamps)]
         id_maps = log.id_maps
-        histories = build_user_histories(log)
+        histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
         assert [ref() for ref in columns] == [None, None, None]
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
         assert log.id_maps is id_maps
@@ -707,7 +709,7 @@ class TestBuildUserHistories:
             ]
             log = log_from_events(events)
             history = events_by_user(log.users, log.artists, log.timestamps)  # the build takes the log's columns
-            histories = build_user_histories(log, fraction=0.3)
+            histories = build_user_histories(log, 0.3, PROTOCOL.bll_d)
             assert int(histories.n_events.sum()) == n
             for user in np.flatnonzero(histories.n_events).tolist():
                 played = history[user]
@@ -731,7 +733,7 @@ class TestBuildMatchesPerUserSorts:
     """Every field of the batched build equals the per-user enumeration oracle's, dtype included."""
 
     @staticmethod
-    def _check(users, artists, timestamps, fraction=0.01, d=0.5):
+    def _check(users, artists, timestamps, fraction=PROTOCOL.fraction, d=PROTOCOL.bll_d):
         expected = per_user_histories(users, artists, timestamps, fraction, d)
         got = build_user_histories(EventLog(users.copy(), artists.copy(), timestamps.copy(), IdMaps()), fraction, d)
         for name in HISTORY_FIELDS:
@@ -783,7 +785,7 @@ class TestBuildMatchesPerUserSorts:
         monkeypatch.setattr(ingest, "_MAX_HISTORY", 4)
         log = log_from_events([("u", "a", 1)] * 4 + [("v", "a", 1)] * 5)
         with pytest.raises(DataError, match="user 1 has 5 events"):
-            build_user_histories(log)
+            build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
 
 
 def _synth_columns(case: str, seed: int):
@@ -806,7 +808,7 @@ def _build_peak(columns) -> int:
     log = EventLog(*(column.copy() for column in columns), IdMaps())
     tracemalloc.start()
     try:
-        build_user_histories(log)
+        build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -822,9 +824,9 @@ class TestGroupedLogs:
             assert (np.diff(grouped[0]) >= 0).all()
             order = np.random.default_rng(100 + seed).permutation(len(grouped[0]))
             for columns in (grouped, [column[order] for column in grouped]):
-                expected = per_user_histories(*columns, fraction=0.1)
+                expected = per_user_histories(*columns, 0.1, PROTOCOL.bll_d)
                 log = EventLog(*(column.copy() for column in columns), IdMaps())
-                got = build_user_histories(log, fraction=0.1)
+                got = build_user_histories(log, 0.1, PROTOCOL.bll_d)
                 assert (log.users, log.artists, log.timestamps) == (None, None, None)
                 for name in HISTORY_FIELDS:
                     want, have = getattr(expected, name), getattr(got, name)
@@ -837,7 +839,7 @@ class TestGroupedLogs:
         # and the table keeps only pair rows.
         log = log_from_events([("u1", "a2", 12), ("u1", "a1", 10), ("u2", "a3", 9), ("u2", "a1", 11)])
         artists, timestamps = log.artists, log.timestamps
-        histories = build_user_histories(log, fraction=0.5)
+        histories = build_user_histories(log, 0.5, PROTOCOL.bll_d)
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
         assert timestamps.tolist() == [12, 10, 9, 11] and artists.tolist() == [0, 1, 2, 1]
         assert not artists.flags.writeable and not timestamps.flags.writeable
@@ -849,8 +851,8 @@ class TestGroupedLogs:
         columns = [np.array([0, 0, 1, 1, 1], np.int32), np.array([3, 1, 2, 1, 0], np.int32),
                    np.array([5, 4, 9, 7, 7], np.uint32)]
         views = [np.frombuffer(column.tobytes(), dtype=column.dtype) for column in columns]
-        histories = build_user_histories(EventLog(*views, IdMaps()))
-        expected = per_user_histories(*columns)
+        histories = build_user_histories(EventLog(*views, IdMaps()), PROTOCOL.fraction, PROTOCOL.bll_d)
+        expected = per_user_histories(*columns, PROTOCOL.fraction, PROTOCOL.bll_d)
         for name in HISTORY_FIELDS:
             assert np.array_equal(getattr(histories, name), getattr(expected, name)), name
         assert [view.tolist() for view in views] == [column.tolist() for column in columns]
@@ -891,10 +893,10 @@ class TestReducedWhileRead:
     @staticmethod
     def _check(source, fraction=0.3, d=0.7, streamed=True):
         """Load ``source`` with and without the build's parameters and compare logs and tables, bytes and dtypes."""
-        reduced, skipped = load_events(source, LFM_SCHEMA, "skip", fraction, d)
+        reduced, skipped = load_events(source, LFM_SCHEMA, "skip", (fraction, d))
         if isinstance(source, io.BytesIO):
             source.seek(0)
-        whole, whole_skipped = load_events(source, LFM_SCHEMA)
+        whole, whole_skipped = load_events(source, LFM_SCHEMA, "skip")
         assert (reduced.users is None) == streamed and (reduced.reduced is not None) == streamed
         assert (skipped, reduced.sha256, len(reduced)) == (whole_skipped, whole.sha256, len(whole))
         assert reduced.id_maps.users.keys() == whole.id_maps.users.keys()
@@ -920,13 +922,13 @@ class TestReducedWhileRead:
         path.write_bytes(gzip.compress(data) if gz else data)
         outcomes = []
         with mock.patch.object(ingest, "CHUNK_SIZE", chunk_size):
-            for fraction in (None, 0.3):
+            for build in (None, (0.3, PROTOCOL.bll_d)):
                 try:
-                    log, skipped = load_events(path, SIMPLE_SCHEMA, on_error, fraction)
+                    log, skipped = load_events(path, SIMPLE_SCHEMA, on_error, build)
                 except ParseError as exc:
                     outcomes.append(str(exc))
                     continue
-                table = build_user_histories(log, 0.3)
+                table = build_user_histories(log, 0.3, PROTOCOL.bll_d)
                 outcomes.append((skipped, log.sha256, len(log), _keys(log.id_maps), _table_bytes(table)))
         assert outcomes[0] == outcomes[1]
 
@@ -954,10 +956,10 @@ class TestReducedWhileRead:
         os.mkfifo(fifo)
         writer = threading.Thread(target=_feed, args=(fifo, data), daemon=True)
         writer.start()
-        got, got_skipped = load_events(fifo, LFM_SCHEMA, "skip", 0.3, 0.7)
+        got, got_skipped = load_events(fifo, LFM_SCHEMA, "skip", (0.3, 0.7))
         writer.join(timeout=60)
         assert not writer.is_alive()
-        want, want_skipped = load_events(path, LFM_SCHEMA, "skip", 0.3, 0.7)
+        want, want_skipped = load_events(path, LFM_SCHEMA, "skip", (0.3, 0.7))
         assert (got_skipped, len(got), got.sha256) == (want_skipped, len(want), want.sha256)
         assert _keys(got.id_maps) == _keys(want.id_maps)
         assert _table_bytes(build_user_histories(got, 0.3, 0.7)) == _table_bytes(build_user_histories(want, 0.3, 0.7))
@@ -1003,7 +1005,7 @@ class TestReducedWhileRead:
                 path.write_text("".join(lines[: bad - 1] + ["u0\ta\t0\t0\tnot-a-time\n"] + lines[bad - 1 :]))
                 self._check(path, streamed=False)  # the bad line skipped
                 with pytest.raises(ParseError, match=f"^line {bad}: non-integer timestamp") as streamed:
-                    load_events(path, LFM_SCHEMA, "fail", 0.3)
+                    load_events(path, LFM_SCHEMA, "fail", (0.3, PROTOCOL.bll_d))
                 with pytest.raises(ParseError) as whole:
                     load_events(path, LFM_SCHEMA, "fail")
                 assert (streamed.value.line_no, str(streamed.value)) == (whole.value.line_no, str(whole.value))
@@ -1019,11 +1021,11 @@ class TestReducedWhileRead:
     def test_the_table_is_handed_over_at_its_own_fraction_only(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("".join(_lines(range(3), [4, 5, 6])))
-        log, _ = load_events(path, LFM_SCHEMA, fraction=0.3, bll_d=0.7)
+        log, _ = load_events(path, LFM_SCHEMA, "skip", (0.3, 0.7))
         with pytest.raises(ValueError, match="reduced at fraction 0.3 and d 0.7"):
             build_user_histories(log, 0.2, 0.7)
         with pytest.raises(DataError, match="fraction must be in"):
-            load_events(path, LFM_SCHEMA, fraction=1.5)
+            load_events(path, LFM_SCHEMA, "skip", (1.5, PROTOCOL.bll_d))
 
 
 @pytest.fixture(scope="module")
@@ -1047,7 +1049,7 @@ def _load_and_build_peak(path) -> int:
     """The tracemalloc peak of loading ``path`` at the build's parameters and building its table."""
     tracemalloc.start()
     try:
-        log, _ = load_events(path, fraction=0.01, bll_d=0.5)
+        log, _ = load_events(path, LFM_SCHEMA, "skip", (0.01, 0.5))
         build_user_histories(log, 0.01, 0.5)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -1085,11 +1087,11 @@ def test_a_file_read_whole_grows_its_columns_as_a_stream_does(tmp_path):
 
     with mock.patch.object(ingest._ChunkParser, "_append", spy):
         kind = "stream"
-        load_events(io.BytesIO(path.read_bytes()))
+        load_events(io.BytesIO(path.read_bytes()), LFM_SCHEMA, "skip")
         kind = "path"
         tracemalloc.start()
         try:
-            log, _ = load_events(path)
+            log, _ = load_events(path, LFM_SCHEMA, "skip")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1105,7 +1107,8 @@ class TestWriteEventsTsv:
         log = log_from_events([("u1", "a1", 10), ("u2", "a1", 11), ("u1", "a2", 12)])
         path = tmp_path / "out.tsv"
         write_events_tsv(log, path)
-        reloaded, skipped = load_events(path)  # default LFM-1b schema matches writer
+        # The default schema reads the layout the writer writes.
+        reloaded, skipped = load_events(path, ColumnSchema.parse(PROTOCOL.schema), "skip")
         assert skipped == 0
         assert np.array_equal(reloaded.users, log.users)
         assert np.array_equal(reloaded.artists, log.artists)

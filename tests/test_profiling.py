@@ -17,14 +17,15 @@ from bllrec.ingest import build_user_histories
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, histories_from_ids, log_from_events
+from conftest import PROTOCOL, histories_from_events, histories_from_ids, log_from_events
 from oracles import events_by_user, split_events
 
 
 def _score(events, user="u"):
     """The mainstreaminess of ``user`` in a log of (user key, artist key, timestamp) events."""
     log = log_from_events(events)
-    return score_users(build_user_histories(log), min_events=1)[log.id_maps.users.keys().index(user)]
+    scores = score_users(build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d), min_events=1)
+    return scores[log.id_maps.users.keys().index(user)]
 
 
 class TestUserDistribution:
@@ -74,7 +75,7 @@ class TestGlobalDistribution:
 
         def by_key(event_list):
             log = log_from_events(event_list)
-            dist = global_artist_distribution(build_user_histories(log))
+            dist = global_artist_distribution(build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d))
             return dict(zip(log.id_maps.artists.keys(), dist.tolist()))
 
         assert by_key(events) == by_key(permuted)
@@ -122,7 +123,7 @@ class TestScoreUsers:
                 if counts.total() >= min_events
             }
             unscored += len(by_user) - len(expected)
-            scores = score_users(build_user_histories(log), min_events)
+            scores = score_users(build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d), min_events)
             assert len(scores) == len(by_user)
             assert {u: score for u, score in enumerate(scores.tolist()) if not math.isnan(score)} == expected
         assert unscored > 20
@@ -208,8 +209,8 @@ class TestGroupStats:
     def test_three_groups_equal_counter_oracle(self):
         log = generate_synthetic(SynthConfig(n_users=45, n_artists=60, events_per_user=(5, 40), seed=7))
         history = events_by_user(log.users, log.artists, log.timestamps)
-        histories = build_user_histories(log, fraction=0.3)
-        scores = score_users(histories)
+        histories = build_user_histories(log, 0.3, PROTOCOL.bll_d)
+        scores = score_users(histories, PROTOCOL.min_events)
         for table, events in ((histories, history), (split_histories(histories).train, split_events(history, 0.3)[0])):
             for members in assign_groups(scores, 15).values():
                 played = {u: Counter(a for a, _ in events[u]) for u in members.tolist()}

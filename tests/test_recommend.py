@@ -21,6 +21,7 @@ from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
 from conftest import (
+    PROTOCOL,
     histories_from_events,
     histories_from_ids,
     kernel_activation,
@@ -40,14 +41,14 @@ def _history(events):
     return histories
 
 
-def _train(events, **build):
+def _train(events, bll_d=PROTOCOL.bll_d):
     """The train table whose user 0 trains on exactly ``events``, and those events for the oracle.
 
-    A later event of a new artist follows them, so at the default fraction it is the one test event.
+    A later event of a new artist follows them, so at the protocol's fraction it is the one test event.
     """
     log = log_from_events(events + [("u", "later", max(t for _, _, t in events))])
-    train, _ = split_events(events_by_user(log.users, log.artists, log.timestamps), 0.01)
-    table = split_histories(build_user_histories(log, **build)).train
+    train, _ = split_events(events_by_user(log.users, log.artists, log.timestamps), PROTOCOL.fraction)
+    table = split_histories(build_user_histories(log, PROTOCOL.fraction, bll_d)).train
     assert np.flatnonzero(table.n_events).tolist() == [0] and len(train[0]) == len(events)
     return table, train
 
@@ -55,16 +56,16 @@ def _train(events, **build):
 class TestBllActivation:
     def test_single_unit_delta(self):
         # ref - t + 1 == 1, so the only term is 1 ** -d == 1 and ln(1) == 0.
-        assert kernel_activation([100], ref=100) == 0.0
+        assert kernel_activation([100], 100, PROTOCOL.bll_d) == 0.0
 
     def test_two_deltas(self):
         # adjusted deltas 1 and 4: ln(1 + 4**-0.5) == ln(1.5)
-        got = kernel_activation([100, 97], ref=100)
+        got = kernel_activation([100, 97], 100, 0.5)
         assert got == pytest.approx(math.log(1.5), abs=1e-12)
         assert round(got, 6) == 0.405465
 
     def test_three_equal_deltas(self):
-        got = kernel_activation([100, 100, 100], ref=100)
+        got = kernel_activation([100, 100, 100], 100, PROTOCOL.bll_d)
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
         assert round(got, 6) == 1.098612
 
@@ -73,12 +74,12 @@ class TestBllActivation:
             histories_from_events([("u", "a", 1)], bll_d=0.0)
 
     def test_recency_monotone(self):
-        base = kernel_activation([50, 80], ref=100)
-        assert kernel_activation([50, 90], ref=100) > base
+        base = kernel_activation([50, 80], 100, PROTOCOL.bll_d)
+        assert kernel_activation([50, 90], 100, PROTOCOL.bll_d) > base
 
     def test_frequency_monotone(self):
-        base = kernel_activation([50, 80], ref=100)
-        assert kernel_activation([50, 80, 10], ref=100) > base
+        base = kernel_activation([50, 80], 100, PROTOCOL.bll_d)
+        assert kernel_activation([50, 80, 10], 100, PROTOCOL.bll_d) > base
 
 
 class TestRecommendBll:
@@ -110,7 +111,7 @@ class TestRecommendBll:
         # the smallest adjusted delta is 2, and 2.0 ** -2000 underflows to 0.0
         train, events = _train([("u", "b", 10), ("u", "a", 20), ("u", "c", 5), ("u", "a", 30)], bll_d=2000.0)
         got = recommend_bll(0, train, 5)
-        assert got.ranked == brute_force_ranking("bll", events, 0, 5, d=2000.0).ranked
+        assert got.ranked == brute_force_ranking("bll", events, 0, 5, 2000.0, PROTOCOL.cf_neighbors).ranked
         assert got.ranked == [(0, float("-inf")), (1, float("-inf")), (2, float("-inf"))]
 
     @pytest.mark.parametrize(
@@ -124,7 +125,7 @@ class TestRecommendBll:
     )
     def test_timestamps_at_int64_extremes_match_oracle(self, events):
         train, train_events = _train(events)
-        expected = brute_force_ranking("bll", train_events, 0, 5)
+        expected = brute_force_ranking("bll", train_events, 0, 5, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
         assert recommend_bll(0, train, 5).ranked == expected.ranked
 
     def test_low_decay_converges_to_play_counts(self):
@@ -205,12 +206,13 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
     assert log.timestamps.dtype == np.uint32
     users, artists = log.id_maps.users.keys(), log.id_maps.artists.keys()
     history = events_by_user(log.users, log.artists, log.timestamps)
-    histories = build_user_histories(log, fraction=0.3)
+    histories = build_user_histories(log, 0.3, PROTOCOL.bll_d)
     split = split_histories(histories)
     for table, events in ((histories, history), (split.train, split_events(history, 0.3)[0])):
         for user in np.flatnonzero(table.n_events).tolist():
             for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
-                assert recommend(user, table, 10).ranked == brute_force_ranking(name, events, user, 10).ranked
+                want = brute_force_ranking(name, events, user, 10, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
+                assert recommend(user, table, 10).ranked == want.ranked
     for key, events in plays.items():
         train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
         counts = Counter(artists.index(a) for a, _ in train_events)
@@ -282,7 +284,7 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
         )
-        result = CfIndex(histories).recommend(0, 5)
+        result = CfIndex(histories, PROTOCOL.cf_neighbors).recommend(0, 5)
         assert result.artists.tolist() == [0, 1]
         assert all(score == 1.0 for _, score in result.ranked)
 
@@ -296,12 +298,12 @@ class TestRecommendCf:
         histories = histories_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "x", 1), ("u1", "y", 2)]
         )
-        result = CfIndex(histories).recommend(0, 5)
+        result = CfIndex(histories, PROTOCOL.cf_neighbors).recommend(0, 5)
         assert result.ranked == []
 
     def test_user_without_training_rows_is_data_error(self):
         # u0 is in the table but outside the split, so it has no training rows.
-        index = CfIndex(split_histories(self._fixture(fraction=0.4), np.array([1, 2])).train)
+        index = CfIndex(split_histories(self._fixture(fraction=0.4), np.array([1, 2])).train, PROTOCOL.cf_neighbors)
         assert index.recommend(1, 4).artists.tolist() == [1]
         for user in (0, 3, -1):
             with pytest.raises(DataError, match=f"user {user} has no training history"):
@@ -316,7 +318,7 @@ class TestBuildRecommenders:
             for _ in range(150)
         ]
         histories = histories_from_events(events)
-        recommenders = build_recommenders(histories)
+        recommenders = build_recommenders(histories, PROTOCOL.algorithms, PROTOCOL.cf_neighbors)
         global_artists = set(np.flatnonzero(global_train_counts(histories)).tolist())
         for user in np.flatnonzero(histories.n_events).tolist():
             own = set(user_slice(histories, user, "pair_artists").tolist())
@@ -335,11 +337,12 @@ class TestBuildRecommenders:
     def test_unknown_algorithm(self):
         histories = histories_from_events([("u", "a", 1), ("v", "a", 2)])
         with pytest.raises(DataError):
-            build_recommenders(histories, algorithms=("nope",))
+            build_recommenders(histories, ("nope",), PROTOCOL.cf_neighbors)
 
     def test_keys_follow_the_algorithms_asked_for(self):
         histories = histories_from_events([("u", "a", 1), ("v", "a", 2)])
-        assert list(build_recommenders(histories, algorithms=("time", "top", "bll"))) == ["time", "top", "bll"]
+        recommenders = build_recommenders(histories, ("time", "top", "bll"), PROTOCOL.cf_neighbors)
+        assert list(recommenders) == ["time", "top", "bll"]
 
     def test_param_validation(self):
         with pytest.raises(DataError):
@@ -355,11 +358,12 @@ def test_cf_and_top_scores_equal_oracle_exactly(artist_ids):
     # The sparse-wide case renames artist id a to a * 100_003 + 7 (up to ~3M).
     compared = nonempty_cf = 0
     for seed, train, events in oracle_instances(artist_ids):
-        recommenders = build_recommenders(train)
+        recommenders = build_recommenders(train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors)
         for user in np.flatnonzero(train.n_events).tolist():
             for name, fn in recommenders.items():
                 got = fn(user, train, 10)
-                assert got.ranked == brute_force_ranking(name, events, user, 10).ranked, (seed, user, name)
+                want = brute_force_ranking(name, events, user, 10, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
+                assert got.ranked == want.ranked, (seed, user, name)
                 compared += 1
                 nonempty_cf += name == "cf" and bool(got.ranked)
     assert compared > 3000 and nonempty_cf > 400
@@ -375,7 +379,7 @@ def test_cf_neighborhood_truncation_equals_oracle_exactly(n):
                 for user in np.flatnonzero(train.n_events).tolist()}
         for user in sets:
             got = index.recommend(user, 10)
-            assert got.ranked == brute_force_ranking("cf", events, user, 10, cf_neighbors=n).ranked, (seed, user)
+            assert got.ranked == brute_force_ranking("cf", events, user, 10, PROTOCOL.bll_d, n).ranked, (seed, user)
             truncated += sum(bool(sets[user] & other) for v, other in sets.items() if v != user) > n
     assert truncated > 500
 
@@ -415,11 +419,11 @@ def test_top_keeps_few_bytes_per_played_artist():
     # The global ranking is kept as two 8-byte arrays, about 16 B per played artist on this
     # log of 2451 played artists; as a list of (int, float) tuples it took about 110.
     config = SynthConfig(n_users=300, n_artists=20_000, events_per_user=(20, 60), zipf_exponent=0.8, seed=5)
-    histories = build_user_histories(generate_synthetic(config))
+    histories = build_user_histories(generate_synthetic(config), PROTOCOL.fraction, PROTOCOL.bll_d)
     played = int(np.count_nonzero(global_train_counts(histories)))
     tracemalloc.start()
     try:
-        recommenders = build_recommenders(histories, algorithms=("top",))
+        recommenders = build_recommenders(histories, ("top",), PROTOCOL.cf_neighbors)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

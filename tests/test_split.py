@@ -11,11 +11,11 @@ from bllrec.recommend import global_train_counts
 from bllrec.split import split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import histories_from_events, histories_from_ids, user_slice
+from conftest import LFM_SCHEMA, PROTOCOL, histories_from_events, histories_from_ids, user_slice
 from oracles import events_by_user, split_events
 
 
-def _history(n_events, fraction=0.01):
+def _history(n_events, fraction=PROTOCOL.fraction):
     return histories_from_events([("u", f"a{i % 7}", i) for i in range(n_events)], fraction=fraction)
 
 
@@ -31,9 +31,9 @@ def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
     wide = generate_synthetic(SynthConfig(n_users=30, n_artists=80, events_per_user=(10, 60), seed=4))
     path = tmp_path / "events.tsv"
     write_events_tsv(wide, path)
-    narrow, _ = load_events(path)
+    narrow, _ = load_events(path, LFM_SCHEMA, "skip")
     assert (wide.timestamps.dtype, narrow.timestamps.dtype) == (np.int64, np.uint32)
-    tables = [build_user_histories(log, fraction=0.2) for log in (wide, narrow)]
+    tables = [build_user_histories(log, 0.2, PROTOCOL.bll_d) for log in (wide, narrow)]
     splits = [split_histories(table) for table in tables]
     for a, b in (tables, [s.train for s in splits], [s.test for s in splits]):
         for column in fields(a):
@@ -49,7 +49,7 @@ def test_split_allocates_few_bytes_per_pair_row():
     # per pair row, its train and test tables included; int64 (user, artist) keys, counts
     # and offsets over every pair row would take about 77.
     log = generate_synthetic(SynthConfig(n_users=1000, n_artists=20_000, events_per_user=(20, 60), seed=5))
-    histories = build_user_histories(log)
+    histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
     tracemalloc.start()
     try:
         split = split_histories(histories)

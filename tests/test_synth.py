@@ -19,7 +19,7 @@ from bllrec.synth import (
     user_stream,
 )
 
-from conftest import log_from_events
+from conftest import LFM_SCHEMA, PROTOCOL, log_from_events
 from oracles import brute_force_ranking, events_by_user
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,13 +78,13 @@ class TestGenerateSynthetic:
     def test_always_reconsume_yields_one_artist_per_user(self):
         config = SynthConfig(n_users=4, n_artists=50, events_per_user=(10, 10),
                              reconsume_prob=1.0, time_span=1000, seed=5)
-        histories = build_user_histories(generate_synthetic(config))
+        histories = build_user_histories(generate_synthetic(config), PROTOCOL.fraction, PROTOCOL.bll_d)
         assert np.diff(histories.pair_offsets).tolist() == [1] * 4
 
     def test_never_reconsume_spreads_over_catalog(self):
         config = SynthConfig(n_users=4, n_artists=10_000, events_per_user=(50, 50),
                              zipf_exponent=0.5, reconsume_prob=0.0, time_span=1000, seed=5)
-        histories = build_user_histories(generate_synthetic(config))
+        histories = build_user_histories(generate_synthetic(config), PROTOCOL.fraction, PROTOCOL.bll_d)
         assert (np.diff(histories.pair_offsets) > 40).all()  # fresh Zipf draws, few collisions
 
     def test_extreme_zipf_concentrates_on_top_artist(self):
@@ -121,7 +121,7 @@ class TestGenerateSynthetic:
         log = generate_synthetic(SMALL)
         path = tmp_path / "synth.tsv"
         write_events_tsv(log, path)
-        reloaded, skipped = load_events(path)
+        reloaded, skipped = load_events(path, LFM_SCHEMA, "skip")
         assert skipped == 0
         assert np.array_equal(reloaded.users, log.users)
         assert np.array_equal(reloaded.artists, log.artists)
@@ -218,29 +218,30 @@ class TestBruteForceOracle:
                                            time_span=100, seed=1))
         )
         with pytest.raises(DataError):
-            brute_force_ranking("pop", big, 0, 3)
+            brute_force_ranking("pop", big, 0, 3, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
 
     def test_single_artist_user(self):
         events = self._events(log_from_events([("u", "a", 1), ("u", "a", 2)]))
         for algorithm in ("bll", "pop", "time"):
-            assert brute_force_ranking(algorithm, events, 0, 5).artists.tolist() == [0]
+            ranking = brute_force_ranking(algorithm, events, 0, 5, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
+            assert ranking.artists.tolist() == [0]
 
     def test_clone_users_cf(self):
         events = self._events(log_from_events(
             [("u0", "a", 1), ("u0", "b", 2), ("u1", "a", 1), ("u1", "b", 2)]
         ))
-        result = brute_force_ranking("cf", events, 0, 5)
+        result = brute_force_ranking("cf", events, 0, 5, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
         assert result.artists.tolist() == [0, 1]
         assert all(s == 1.0 for _, s in result.ranked)
 
     def test_unknown_algorithm(self):
         with pytest.raises(DataError):
-            brute_force_ranking("hot", self._instance(), 0, 3)
+            brute_force_ranking("hot", self._instance(), 0, 3, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
 
     def test_params_respected(self):
         histories = self._instance()
         user = 0
-        deep = brute_force_ranking("bll", histories, user, 5, d=2.5)
-        shallow = brute_force_ranking("bll", histories, user, 5, d=1e-6)
-        narrow = brute_force_ranking("cf", histories, user, 5, cf_neighbors=1)
+        deep = brute_force_ranking("bll", histories, user, 5, 2.5, PROTOCOL.cf_neighbors)
+        shallow = brute_force_ranking("bll", histories, user, 5, 1e-6, PROTOCOL.cf_neighbors)
+        narrow = brute_force_ranking("cf", histories, user, 5, PROTOCOL.bll_d, 1)
         assert len(narrow.artists) <= 5
