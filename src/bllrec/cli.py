@@ -104,17 +104,19 @@ def _checked(kind: type, ok, rule: str):
 
 
 def _schema(key, value) -> str:
-    ColumnSchema.parse(str(value))  # validates; raises UsageError
+    try:
+        ColumnSchema.parse(str(value))
+    except UsageError as exc:
+        raise UsageError(f"{exc}, got {value!r}") from None
     return str(value)
 
 
 def parse_algorithms(key, value) -> tuple[str, ...]:
     names = [part.strip() for part in str(value).split(",") if part.strip()]
-    unknown = set(names) - set(ALGORITHMS)
-    if unknown:
-        raise UsageError(f"{key} must be a subset of {{{','.join(ALGORITHMS)}}}, got {','.join(sorted(unknown))}")
+    if set(names) - set(ALGORITHMS):
+        raise UsageError(f"{key} must be a subset of {{{','.join(ALGORITHMS)}}}, got {value!r}")
     if not names:
-        raise UsageError(f"{key} must not be empty")
+        raise UsageError(f"{key} must not be empty, got {value!r}")
     return tuple(dict.fromkeys(names))
 
 
@@ -229,7 +231,7 @@ class Staged:
 
     log: EventLog
     skipped: int
-    histories: UserHistories | None = None
+    histories: UserHistories | None = None  # the built table, dropped when evaluation starts
     groups: dict[str, np.ndarray] | None = None  # each group's ascending user ids
     scores: np.ndarray | None = None  # float64 per user id, NaN for an unscored user
     stats: dict[str, GroupStats] | None = None
@@ -279,6 +281,7 @@ def run_stages(config: RunConfig, until: str, groups_csv=None, stats: bool = Fal
             return out
 
         stage = "evaluate"
+        out.histories = None  # only the split reads the built table
         recommenders = build_recommenders(out.split.train, config.algorithms, config.cf_neighbors)
         out.reports = [
             evaluate_algorithm(

@@ -49,12 +49,11 @@ columns, which keep their order on a grouped log. Either way each batch
 of whole users is sorted twice, each time with ``np.sort`` on unique
 packed uint64 keys: by user then timestamp, which puts each user's test
 events last, then by user then artist, which gives one row per pair. A
-row holds its play count and latest play, which is all that
-mainstreaminess, ``pop``, ``time``, ``top`` and ``cf`` read, and its test
-plays, latest training play and the ``bll`` activation sum of its
-training plays, from which ``split.split_histories`` selects the train
-and test tables. The table is plain arrays: a user's history is its slice
-of them, read in place.
+row holds its play count, which mainstreaminess reads, and its test
+plays and the latest play and ``bll`` activation sum of its training
+plays, from which ``split.split_histories`` selects the train and test
+tables. The table is plain arrays: a user's history is its slice of
+them, read in place.
 """
 
 from __future__ import annotations
@@ -257,22 +256,22 @@ class UserHistories:
     """Every user's history as (user, artist) pair rows in one columnar table, indexed by user id.
 
     The pair rows are one per (user, artist) played in this table, sorted
-    by user then artist, with the play count and latest play; user u's
-    are ``[pair_offsets[u]:pair_offsets[u + 1]]``. No event is kept: a
-    table built from a log also holds, per row, the split of its plays at
-    the build's fraction and the activation sum of its training plays, and
-    ``split.split_histories`` selects the train and test tables' rows from
-    them. Readers slice these arrays themselves; no per-user object is
-    built. A user id with no events here has ``n_events`` 0 and no pair rows.
+    by user then artist, with the play count; user u's are
+    ``[pair_offsets[u]:pair_offsets[u + 1]]``. No event is kept: a table
+    built from a log also holds, per row, its plays among the user's test
+    events at the build's fraction and the latest play and activation sum
+    of its training plays, and ``split.split_histories`` selects the train
+    and test tables' rows from them. Readers slice these arrays
+    themselves; no per-user object is built. A user id with no events here
+    has ``n_events`` 0 and no pair rows.
     """
 
     n_events: np.ndarray  # int64, per user id
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
-    pair_counts: np.ndarray  # int32 (int64 in a log of 2**31 events or more), per pair row
-    pair_last: np.ndarray  # the log's dtype, per pair row
-    pair_test_counts: np.ndarray | None = None  # as pair_counts: plays among the user's test events; built tables only
-    pair_train_last: np.ndarray | None = None  # as pair_last: latest training play, 0 if none; built tables only
+    pair_counts: np.ndarray  # int32, per pair row
+    pair_last: np.ndarray | None = None  # the log's dtype: latest training play, 0 if none; built and train tables
+    pair_test_counts: np.ndarray | None = None  # int32: plays among the user's test events; built tables only
     pair_bll: np.ndarray | None = None  # float64: activation sum of the training plays; built and train tables
 
 
@@ -695,9 +694,10 @@ _BATCH_EVENTS = 1 << 14
 history is sorted alone) and ``_BATCH_USERS`` users at a time, so its temporaries
 stay small and each sort key fits in 64 bits."""
 _BATCH_USERS = 1 << 16
-_MAX_HISTORY = 1 << 31
+_MAX_HISTORY = 2**31 - 1
 """The most events one user may have: a history sorted alone packs each event's
-position and its timestamp, or the timestamp's rank, into one 64-bit key."""
+position and its timestamp, or the timestamp's rank, into one 64-bit key, and
+every play count fits int32."""
 
 
 def n_test_events(n_events, fraction: float):
@@ -720,8 +720,8 @@ def build_user_histories(log: EventLog, fraction: float, bll_d: float) -> UserHi
     gathers of the other two columns, which leave a log grouped by user in
     its order. ``_reduce_batches`` then turns batches of whole users into
     pair rows, as ``load_events`` does, and the table keeps no array as
-    long as the log. The play counts kept are int32 where they fit, and
-    the latest plays keep the log's timestamp dtype.
+    long as the log. The play counts are int32, and the latest plays keep
+    the log's timestamp dtype.
 
     Every user of at least 2 events is cut by time: its latest
     ``n_test_events(n, fraction)`` events are test events, and the rest
@@ -784,8 +784,8 @@ class _PairRows:
     """The columns of a ``UserHistories`` table, filled a batch of whole users at a time.
 
     Each column grows in place, by a quarter past its end, so no batch's
-    rows are held twice. The latest plays widen to int64 at the first
-    batch of int64 timestamps, and the play counts at the 2**31st event.
+    rows are held twice. The latest training plays widen to int64 at the
+    first batch of int64 timestamps.
     """
 
     def __init__(self, fraction: float, d: float, timestamp_dtype):
@@ -793,19 +793,17 @@ class _PairRows:
         self.users = self.rows = self.events = 0
         self.n_events = np.zeros(0, dtype=np.int64)
         self.pair_offsets = np.zeros(1, dtype=np.int64)
-        # Artists, play counts, latest plays, test plays, latest training plays, bll sums.
+        # Artists, play counts, latest training plays, test plays, bll sums.
         self.columns = [np.zeros(0, dtype=dtype) for dtype in (np.int32, np.int32, timestamp_dtype, np.int32,
-                                                               timestamp_dtype, np.float64)]
+                                                               np.float64)]
 
     def add(self, artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray) -> None:
         """Reduce the next ``len(counts)`` users; user i holds the next ``counts[i]`` of the events."""
         if len(artists) > _MAX_HISTORY:  # so long a batch is one user
             raise DataError(f"user {self.users} has {len(artists)} events; a history may hold at most {_MAX_HISTORY}")
         self.events += len(artists)
-        if timestamps.dtype == np.int64:
-            self._widen((2, 4))
-        if self.events >= 2**31:
-            self._widen((1, 3))
+        if timestamps.dtype == np.int64 and self.columns[2].dtype != np.int64:
+            self.columns[2] = _widened(self.columns[2], self.rows)
         if len(artists):
             row_users, *columns = _batch_rows(artists, timestamps, counts, self.fraction, self.d)
             rows_per_user = np.bincount(row_users, minlength=len(counts))
@@ -817,11 +815,6 @@ class _PairRows:
         _put(self.n_events, self.users, counts)
         _put(self.pair_offsets, self.users + 1, self.pair_offsets[self.users] + np.cumsum(rows_per_user))
         self.users += len(counts)
-
-    def _widen(self, which: tuple[int, ...]) -> None:
-        for i in which:
-            if self.columns[i].dtype != np.int64:
-                self.columns[i] = _widened(self.columns[i], self.rows)
 
     def table(self) -> UserHistories:
         self.n_events.resize(self.users, refcheck=False)
@@ -857,9 +850,9 @@ def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
     by timestamp, so equal timestamps keep input order, then by artist, so
     a pair's events stay in time order and its test events come last. An
     int64 log packs the batch's timestamp ranks instead of the timestamps.
-    Returns each row's user in the batch, artist, play count, latest play,
-    test plays, latest training play (0 if it has none) and activation sum
-    of its training plays. The sums come from one ``_kernels.bll_sums``
+    Returns each row's user in the batch, artist, play count, latest
+    training play (0 if it has none), test plays and activation sum of its
+    training plays. The sums come from one ``_kernels.bll_sums``
     call over the batch's training events in pair order, so each row's
     terms are added in time order, with each user's latest training play
     plus one as the reference time.
@@ -890,8 +883,8 @@ def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
     train_last = np.where(train_counts > 0, timestamps[first + np.maximum(train_counts - 1, 0)], 0)
     sums = _kernels.bll_sums((np.cumsum(new) - 1)[train], timestamps[train], np.repeat(ref, n_train), len(first), d)
     pairs = pairs[first]
-    return ((pairs >> np.uint64(31)).astype(np.intp), pairs & np.uint64(2**31 - 1), pair_counts,
-            timestamps[first + pair_counts - 1], pair_counts - train_counts, train_last, sums)
+    return ((pairs >> np.uint64(31)).astype(np.intp), pairs & np.uint64(2**31 - 1), pair_counts, train_last,
+            pair_counts - train_counts, sums)
 
 
 def write_events_tsv(log: EventLog, path) -> None:

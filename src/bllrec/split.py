@@ -8,10 +8,10 @@ boundary follow the stable chronological order from ingest.
 ``ingest.build_user_histories`` cuts every history at the run's fraction
 as it builds the table, and keeps each pair row's test plays, latest
 training play and training activation sum. A split only selects rows:
-the train table holds the chosen users' rows with training plays, and
-the test table their rows with test plays, each with those plays' count
-and latest play, as a table built from that side's events would. The
-pair's latest play is a test play whenever it has one.
+the train table holds the chosen users' rows with training plays, with
+those plays' count, latest play and activation sum, and the test table
+their rows with test plays, with those plays' count only, as evaluation
+reads no more of it.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ def split_histories(histories: UserHistories, users: np.ndarray | None = None) -
     rows = np.repeat(split, np.diff(histories.pair_offsets))
     test_counts = histories.pair_test_counts
     train_counts = histories.pair_counts - test_counts
-    train = _select(histories, rows & (train_counts > 0), train_counts, histories.pair_train_last, histories.pair_bll)
-    test = _select(histories, rows & (test_counts > 0), test_counts, histories.pair_last)
+    train = _select(histories, rows & (train_counts > 0), train_counts, train=True)
+    test = _select(histories, rows & (test_counts > 0), test_counts, train=False)
     return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
 
 
-def _select(histories: UserHistories, rows: np.ndarray, counts, last, bll=None) -> UserHistories:
-    """The table of ``histories``' pair ``rows`` (a mask), with these per-row play counts, latest plays and sums."""
-    kept = np.zeros(len(rows) + 1, dtype=histories.pair_counts.dtype)  # kept rows before each row
+def _select(histories: UserHistories, rows: np.ndarray, counts, train: bool) -> UserHistories:
+    """The table of ``histories``' pair ``rows`` (a mask), with these per-row play counts; a train table
+    also keeps each row's latest training play and activation sum."""
+    kept = np.zeros(len(rows) + 1, dtype=np.int32 if len(rows) < 2**31 else np.int64)  # kept rows before each row
     np.cumsum(rows, dtype=kept.dtype, out=kept[1:])
     offsets = kept[histories.pair_offsets].astype(np.int64)
     counts = counts[rows]
@@ -80,8 +81,8 @@ def _select(histories: UserHistories, rows: np.ndarray, counts, last, bll=None) 
         pair_offsets=offsets,
         pair_artists=histories.pair_artists[rows],
         pair_counts=counts,
-        pair_last=last[rows],
-        pair_bll=None if bll is None else bll[rows],
+        pair_last=histories.pair_last[rows] if train else None,
+        pair_bll=histories.pair_bll[rows] if train else None,
     )
 
 

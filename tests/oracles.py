@@ -153,29 +153,27 @@ def per_user_histories(users, artists, timestamps, fraction: float, d: float) ->
     """``build_user_histories(log, fraction, d)`` of a log with these columns, by enumeration.
 
     Each user's events are put in time order and cut by ``split_events``;
-    each of its artists then gets one pair row, counted from its plays.
+    each of its artists then gets one pair row, counted from its plays,
+    with the latest and the activation sum of its training plays.
     """
-    index_type = np.int32 if len(users) < 2**31 else np.int64
     history = events_by_user(users, artists, timestamps)
     train, _ = split_events(history, fraction)
     n_users = max(history, default=-1) + 1
     n_events, row_counts, rows = [0] * n_users, [0] * n_users, []
     for user, events in history.items():
         training = train.get(user, events)  # a user of one event has no test event
-        plays, train_plays = {}, {}
-        for i, (artist, t) in enumerate(events):
-            plays.setdefault(artist, []).append(t)
-            if i < len(training):
-                train_plays.setdefault(artist, []).append(t)
+        plays, train_plays = Counter(a for a, _ in events), {}
+        for artist, t in training:
+            train_plays.setdefault(artist, []).append(t)
         ref = training[-1][1] + 1
         for artist in sorted(plays):
-            times, before = plays[artist], train_plays.get(artist, [])
-            rows.append((artist, len(times), times[-1], len(times) - len(before), before[-1] if before else 0,
+            before = train_plays.get(artist, [])
+            rows.append((artist, plays[artist], before[-1] if before else 0, plays[artist] - len(before),
                          _activation_sum(before, ref, d)))
         n_events[user], row_counts[user] = len(events), len(plays)
-    columns = list(zip(*rows)) or [()] * 6
-    dtypes = (np.int32, index_type, timestamps.dtype, index_type, timestamps.dtype, np.float64)
-    pair_artists, pair_counts, pair_last, test_counts, train_last, bll = (
+    columns = list(zip(*rows)) or [()] * 5
+    dtypes = (np.int32, np.int32, timestamps.dtype, np.int32, np.float64)
+    pair_artists, pair_counts, pair_last, test_counts, bll = (
         np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)
     )
     return UserHistories(
@@ -185,6 +183,5 @@ def per_user_histories(users, artists, timestamps, fraction: float, d: float) ->
         pair_counts=pair_counts,
         pair_last=pair_last,
         pair_test_counts=test_counts,
-        pair_train_last=train_last,
         pair_bll=bll,
     )

@@ -640,7 +640,7 @@ def test_parser_columns_keep_at_most_a_quarter_spare():
 
 
 def _pairs(table, user):
-    """One user's pair rows as {artist: (count, last played)}."""
+    """One user's pair rows as {artist: (count, latest training play)}."""
     artists, counts, last = (user_slice(table, user, c).tolist() for c in ("pair_artists", "pair_counts", "pair_last"))
     return dict(zip(artists, zip(counts, last)))
 
@@ -649,13 +649,12 @@ class TestBuildUserHistories:
     def test_hand_sorted_example(self):
         histories = histories_from_events([("u0", "a0", 10), ("u0", "a1", 5), ("u0", "a0", 7)], bll_d=0.5)
         a0, a1 = 0, 1  # first-seen densification
-        assert _pairs(histories, 0) == {a0: (2, 10), a1: (1, 5)}
-        assert user_slice(histories, 0, "pair_artists").tolist() == [a0, a1]
         # At the protocol's fraction the latest event, a0 at 10, is the one test event; the
         # training plays are a0 at 7 and a1 at 5, at reference time 7 + 1.
+        assert _pairs(histories, 0) == {a0: (2, 7), a1: (1, 5)}
+        assert user_slice(histories, 0, "pair_artists").tolist() == [a0, a1]
         assert histories.n_events.tolist() == [3]
         assert user_slice(histories, 0, "pair_test_counts").tolist() == [1, 0]
-        assert user_slice(histories, 0, "pair_train_last").tolist() == [7, 5]
         assert user_slice(histories, 0, "pair_bll").tolist() == [2.0**-0.5, 4.0**-0.5]
 
     def test_single_event(self):
@@ -663,14 +662,14 @@ class TestBuildUserHistories:
         assert histories.n_events.tolist() == [1]
         assert _pairs(histories, 0) == {0: (1, 3)}
         # A history of one event is not cut: its event trains, at reference time 3 + 1.
-        assert (histories.pair_test_counts.tolist(), histories.pair_train_last.tolist()) == ([0], [3])
+        assert (histories.pair_test_counts.tolist(), histories.pair_last.tolist()) == ([0], [3])
         assert histories.pair_bll.tolist() == [2.0**-0.5]
 
     def test_equal_timestamps_keep_input_order(self):
         histories = histories_from_events([("u", "a", 5), ("u", "b", 5), ("u", "c", 5)])
         # The last input event is the latest, so it is the test event.
         assert histories.pair_test_counts.tolist() == [0, 0, 1]
-        assert histories.pair_train_last.tolist() == [5, 5, 0]
+        assert histories.pair_last.tolist() == [5, 5, 0]
 
     def test_empty_log(self):
         log = log_from_events([])
@@ -713,20 +712,16 @@ class TestBuildUserHistories:
             assert int(histories.n_events.sum()) == n
             for user in np.flatnonzero(histories.n_events).tolist():
                 played = history[user]
+                n_test = max(1, int(0.3 * len(played))) if len(played) >= 2 else 0
                 assert sum(user_slice(histories, user, "pair_counts").tolist()) == len(played)
-                assert sum(user_slice(histories, user, "pair_test_counts").tolist()) == (
-                    max(1, int(0.3 * len(played))) if len(played) >= 2 else 0
-                )
+                assert sum(user_slice(histories, user, "pair_test_counts").tolist()) == n_test
                 assert (np.diff(user_slice(histories, user, "pair_artists")) > 0).all()
                 for artist, (count, last) in _pairs(histories, user).items():
                     assert count == sum(a == artist for a, _ in played)
-                    assert last == max(t for a, t in played if a == artist)
+                    assert last == max((t for a, t in played[: len(played) - n_test] if a == artist), default=0)
 
 
-HISTORY_FIELDS = (
-    "n_events", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "pair_test_counts", "pair_train_last",
-    "pair_bll",
-)
+HISTORY_FIELDS = ("n_events", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "pair_test_counts", "pair_bll")
 
 
 class TestBuildMatchesPerUserSorts:
@@ -843,7 +838,8 @@ class TestGroupedLogs:
         assert (log.users, log.artists, log.timestamps) == (None, None, None)
         assert timestamps.tolist() == [12, 10, 9, 11] and artists.tolist() == [0, 1, 2, 1]
         assert not artists.flags.writeable and not timestamps.flags.writeable
-        assert [_pairs(histories, user) for user in (0, 1)] == [{0: (1, 12), 1: (1, 10)}, {1: (1, 11), 2: (1, 9)}]
+        # Each user's latest event is its test event, so that pair has no training play.
+        assert [_pairs(histories, user) for user in (0, 1)] == [{0: (1, 0), 1: (1, 10)}, {1: (1, 0), 2: (1, 9)}]
         assert histories.pair_test_counts.tolist() == [1, 0, 1, 0]
 
     def test_read_only_views_build(self):
@@ -984,12 +980,13 @@ class TestReducedWhileRead:
 
     def test_a_later_block_widens_the_reduced_rows(self, tmp_path):
         path = tmp_path / "events.tsv"
-        lines = _lines(range(500), [40] * 500)
+        # The last user has one event, which is not cut, so its timestamp is a latest training play.
+        lines = _lines(range(500), [40] * 499 + [1])
         lines[-1] = lines[-1][: lines[-1].rindex("\t") + 1] + f"{2**32 + 5}\n"
         path.write_text("".join(lines))
         assert path.stat().st_size > 2 * ingest.CHUNK_SIZE
         table = self._check(path)
-        assert table.pair_last.dtype == table.pair_train_last.dtype == np.int64
+        assert table.pair_last.dtype == np.int64
         assert table.pair_last.max() == 2**32 + 5
 
     @pytest.mark.parametrize("chunk_size, users", [(1, 20), (256, 200), (ingest.CHUNK_SIZE, 1000)])

@@ -34,13 +34,6 @@ from oracles import brute_force_ranking, events_by_user, split_events
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def _history(events):
-    """The table of one user's events; the user is id 0."""
-    histories = histories_from_events(events)
-    assert np.flatnonzero(histories.n_events).tolist() == [0]
-    return histories
-
-
 def _train(events, bll_d=PROTOCOL.bll_d):
     """The train table whose user 0 trains on exactly ``events``, and those events for the oracle.
 
@@ -148,15 +141,15 @@ class TestRecommendBll:
 
 class TestRecommendPop:
     def test_counts_rank(self):
-        train = _history([("u", "a", t) for t in range(5)] + [("u", "b", 10), ("u", "b", 11)])
+        train, _ = _train([("u", "a", t) for t in range(5)] + [("u", "b", 10), ("u", "b", 11)])
         assert recommend_pop(0, train, 2).artists.tolist() == [0, 1]
 
     def test_tie_broken_by_recency(self):
-        train = _history([("u", "a", 1), ("u", "a", 2), ("u", "b", 3), ("u", "b", 4)])
+        train, _ = _train([("u", "a", 1), ("u", "a", 2), ("u", "b", 3), ("u", "b", 4)])
         assert recommend_pop(0, train, 2).artists.tolist() == [1, 0]
 
     def test_truncation(self):
-        train = _history([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)])
+        train, _ = _train([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "c", 4)])
         result = recommend_pop(0, train, 1)
         assert result.artists.tolist() == [2]
 
@@ -176,18 +169,18 @@ class TestRecommendPop:
 
 class TestRecommendTime:
     def test_last_played_rank(self):
-        train = _history([("u", "a", 100), ("u", "b", 90)])
+        train, _ = _train([("u", "a", 100), ("u", "b", 90)])
         assert recommend_time(0, train, 2).artists.tolist() == [0, 1]
 
     def test_tie_broken_by_count(self):
-        train = _history(
+        train, _ = _train(
             [("u", "b", 1), ("u", "b", 2), ("u", "b", 3), ("u", "b", 50), ("u", "a", 50)]
         )
         b, a = 0, 1  # interned in first-seen order
         assert recommend_time(0, train, 2).artists.tolist() == [b, a]  # b has 4 plays, a has 1
 
     def test_short_list_allowed(self):
-        train = _history([("u", "a", 1), ("u", "a", 2)])
+        train, _ = _train([("u", "a", 1), ("u", "a", 2)])
         assert len(recommend_time(0, train, 20).artists) == 1
 
 
@@ -205,14 +198,12 @@ def test_pop_and_time_rank_uint32_timestamps_as_signed():
     log = log_from_events([(u, a, t) for u, events in plays.items() for a, t in events])
     assert log.timestamps.dtype == np.uint32
     users, artists = log.id_maps.users.keys(), log.id_maps.artists.keys()
-    history = events_by_user(log.users, log.artists, log.timestamps)
-    histories = build_user_histories(log, 0.3, PROTOCOL.bll_d)
-    split = split_histories(histories)
-    for table, events in ((histories, history), (split.train, split_events(history, 0.3)[0])):
-        for user in np.flatnonzero(table.n_events).tolist():
-            for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
-                want = brute_force_ranking(name, events, user, 10, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
-                assert recommend(user, table, 10).ranked == want.ranked
+    train = split_events(events_by_user(log.users, log.artists, log.timestamps), 0.3)[0]
+    split = split_histories(build_user_histories(log, 0.3, PROTOCOL.bll_d))
+    for user in np.flatnonzero(split.train.n_events).tolist():
+        for name, recommend in (("pop", recommend_pop), ("time", recommend_time)):
+            want = brute_force_ranking(name, train, user, 10, PROTOCOL.bll_d, PROTOCOL.cf_neighbors)
+            assert recommend(user, split.train, 10).ranked == want.ranked
     for key, events in plays.items():
         train_events = events[: len(events) - int(n_test_events(len(events), 0.3))]
         counts = Counter(artists.index(a) for a, _ in train_events)

@@ -40,7 +40,9 @@ def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
             x, y = getattr(a, column.name), getattr(b, column.name)
             assert (x is None and y is None) or np.array_equal(x, y), column.name
         assert a.pair_counts.dtype == b.pair_counts.dtype == np.int32
+    for a, b in (tables, [s.train for s in splits]):
         assert (a.pair_last.dtype, b.pair_last.dtype) == (np.int64, np.uint32)
+    assert all(s.test.pair_last is None and s.test.pair_bll is None for s in splits)
 
 
 def test_split_allocates_few_bytes_per_pair_row():
@@ -174,8 +176,11 @@ class TestSplitHistories:
                     assert table.n_events[u] == len(part)
                     assert user_slice(table, u, "pair_artists").tolist() == sorted(counts)
                     assert user_slice(table, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
-                    assert user_slice(table, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
-            # Each table holds only its played pair rows, like a table built from a log.
+                    if name == "train":
+                        assert user_slice(table, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
+            # Each table holds only its played pair rows, like a table built from a log; a test table
+            # keeps no latest play.
+            assert split.test.pair_last is None
             for name, table in tables.items():
                 assert (table.pair_counts >= 1).all()
                 assert np.diff(table.pair_offsets).tolist() == distinct[name]
