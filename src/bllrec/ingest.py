@@ -51,9 +51,9 @@ packed uint64 keys: by user then timestamp, which puts each user's test
 events last, then by user then artist, which gives one row per pair. A
 row holds its play count, which mainstreaminess reads, and its test
 plays and the latest play and ``bll`` activation sum of its training
-plays, from which ``split.split_histories`` selects the train and test
-tables. The table is plain arrays: a user's history is its slice of
-them, read in place.
+plays, from which ``split.split_histories`` selects the train table and
+the test keys. The table is plain arrays: a user's history is its slice
+of them, read in place.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ColumnSchema:
             key, sep, value = part.partition("=")
             key = key.strip()
             if not sep or key not in ("user", "artist", "ts"):
-                raise UsageError(f"bad schema entry {part!r}; expected user=N,artist=N,ts=N")
+                raise UsageError("schema entries must look like user=N,artist=N,ts=N")
             if key in fields:
                 raise UsageError(f"schema names the {key!r} column twice")
             try:
@@ -257,22 +257,22 @@ class UserHistories:
 
     The pair rows are one per (user, artist) played in this table, sorted
     by user then artist, with the play count; user u's are
-    ``[pair_offsets[u]:pair_offsets[u + 1]]``. No event is kept: a table
-    built from a log also holds, per row, its plays among the user's test
-    events at the build's fraction and the latest play and activation sum
-    of its training plays, and ``split.split_histories`` selects the train
-    and test tables' rows from them. Readers slice these arrays
-    themselves; no per-user object is built. A user id with no events here
-    has ``n_events`` 0 and no pair rows.
+    ``[pair_offsets[u]:pair_offsets[u + 1]]``, with the latest play and
+    activation sum of its training plays. No event is kept. A table built
+    from a log also holds each row's plays among the user's test events at
+    the build's fraction; a train table, which ``split.split_histories``
+    selects from its rows, counts training plays only. Readers slice these
+    arrays themselves; no per-user object is built. A user id with no
+    events here has ``n_events`` 0 and no pair rows.
     """
 
     n_events: np.ndarray  # int64, per user id
     pair_offsets: np.ndarray  # int64, per user id, plus one
     pair_artists: np.ndarray  # int32, per pair row
     pair_counts: np.ndarray  # int32, per pair row
-    pair_last: np.ndarray | None = None  # the log's dtype: latest training play, 0 if none; built and train tables
+    pair_last: np.ndarray  # the log's dtype: latest training play, 0 if none
+    pair_bll: np.ndarray  # float64: activation sum of the training plays
     pair_test_counts: np.ndarray | None = None  # int32: plays among the user's test events; built tables only
-    pair_bll: np.ndarray | None = None  # float64: activation sum of the training plays; built and train tables
 
 
 def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple[str, str, int]:
@@ -728,7 +728,7 @@ def build_user_histories(log: EventLog, fraction: float, bll_d: float) -> UserHi
     training events. Each pair row keeps its test plays, its latest
     training play and the activation sum of its training plays at decay
     exponent ``bll_d``, from which ``split.split_histories`` selects the
-    train and test tables.
+    train table and the test keys.
 
     The table replaces the log's events: ``log.users``, ``log.artists``,
     ``log.timestamps`` and ``log.reduced`` are None once the build ends.
@@ -793,9 +793,9 @@ class _PairRows:
         self.users = self.rows = self.events = 0
         self.n_events = np.zeros(0, dtype=np.int64)
         self.pair_offsets = np.zeros(1, dtype=np.int64)
-        # Artists, play counts, latest training plays, test plays, bll sums.
-        self.columns = [np.zeros(0, dtype=dtype) for dtype in (np.int32, np.int32, timestamp_dtype, np.int32,
-                                                               np.float64)]
+        # Artists, play counts, latest training plays, bll sums, test plays.
+        self.columns = [np.zeros(0, dtype=dtype) for dtype in (np.int32, np.int32, timestamp_dtype, np.float64,
+                                                               np.int32)]
 
     def add(self, artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray) -> None:
         """Reduce the next ``len(counts)`` users; user i holds the next ``counts[i]`` of the events."""
@@ -851,8 +851,8 @@ def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
     a pair's events stay in time order and its test events come last. An
     int64 log packs the batch's timestamp ranks instead of the timestamps.
     Returns each row's user in the batch, artist, play count, latest
-    training play (0 if it has none), test plays and activation sum of its
-    training plays. The sums come from one ``_kernels.bll_sums``
+    training play (0 if it has none), activation sum of its training plays
+    and test plays. The sums come from one ``_kernels.bll_sums``
     call over the batch's training events in pair order, so each row's
     terms are added in time order, with each user's latest training play
     plus one as the reference time.
@@ -883,8 +883,8 @@ def _batch_rows(artists: np.ndarray, timestamps: np.ndarray, counts: np.ndarray,
     train_last = np.where(train_counts > 0, timestamps[first + np.maximum(train_counts - 1, 0)], 0)
     sums = _kernels.bll_sums((np.cumsum(new) - 1)[train], timestamps[train], np.repeat(ref, n_train), len(first), d)
     pairs = pairs[first]
-    return ((pairs >> np.uint64(31)).astype(np.intp), pairs & np.uint64(2**31 - 1), pair_counts, train_last,
-            pair_counts - train_counts, sums)
+    return ((pairs >> np.uint64(31)).astype(np.intp), pairs & np.uint64(2**31 - 1), pair_counts, train_last, sums,
+            pair_counts - train_counts)
 
 
 def write_events_tsv(log: EventLog, path) -> None:

@@ -9,9 +9,10 @@ boundary follow the stable chronological order from ingest.
 as it builds the table, and keeps each pair row's test plays, latest
 training play and training activation sum. A split only selects rows:
 the train table holds the chosen users' rows with training plays, with
-those plays' count, latest play and activation sum, and the test table
-their rows with test plays, with those plays' count only, as evaluation
-reads no more of it.
+those plays' count, latest play and activation sum. Their rows with test
+plays become the test keys, one ``user << 32 | artist`` per row, and
+each user's test plays are summed to its test event count; evaluation
+reads no more of the test side.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from .ingest import UserHistories
 
 @dataclass
 class SplitDataset:
-    """The train and test tables of one split fraction; only split users have events in them."""
+    """The train table and the test side of one split fraction; only split users have events in them."""
 
     train: UserHistories
-    test: UserHistories
+    # uint64, strictly ascending: user << 32 | artist of each pair with test plays. Ids are int32,
+    # so each key is unique and sorts by user, then artist, as the table's rows do.
+    test_keys: np.ndarray
+    test_events: np.ndarray  # int64, per user id: test events, 0 for a user not split
     dropped: int  # users with too few events to split
 
     @property
@@ -38,10 +42,9 @@ class SplitDataset:
         return np.flatnonzero(self.train.n_events)
 
     def test_event_count(self, users: np.ndarray | None = None) -> int:
-        n_test = self.test.n_events
         if users is None:
-            return int(n_test.sum())
-        return int(n_test[users].sum())
+            return int(self.test_events.sum())
+        return int(self.test_events[users].sum())
 
 
 def split_histories(histories: UserHistories, users: np.ndarray | None = None) -> SplitDataset:
@@ -60,45 +63,32 @@ def split_histories(histories: UserHistories, users: np.ndarray | None = None) -
     if not split.any():
         raise DataError("no splittable users (all histories have fewer than 2 events)")
     rows = np.repeat(split, np.diff(histories.pair_offsets))
-    test_counts = histories.pair_test_counts
-    train_counts = histories.pair_counts - test_counts
-    train = _select(histories, rows & (train_counts > 0), train_counts, train=True)
-    test = _select(histories, rows & (test_counts > 0), test_counts, train=False)
-    return SplitDataset(train=train, test=test, dropped=int(np.count_nonzero(chosen & ~split)))
+    test_keys, test_events = _test_side(histories, rows)
+    train_counts = histories.pair_counts - histories.pair_test_counts
+    rows &= train_counts > 0
+    train = UserHistories(
+        n_events=np.where(split, n_events - test_events, 0),
+        pair_offsets=_offsets(histories, rows),
+        pair_artists=histories.pair_artists[rows],
+        pair_counts=train_counts[rows],
+        pair_last=histories.pair_last[rows],
+        pair_bll=histories.pair_bll[rows],
+    )
+    return SplitDataset(train, test_keys, test_events, dropped=int(np.count_nonzero(chosen & ~split)))
 
 
-def _select(histories: UserHistories, rows: np.ndarray, counts, train: bool) -> UserHistories:
-    """The table of ``histories``' pair ``rows`` (a mask), with these per-row play counts; a train table
-    also keeps each row's latest training play and activation sum."""
+def _test_side(histories: UserHistories, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of ``histories``' pair ``rows`` (a mask) that have test plays, and each user's test events."""
+    test = rows & (histories.pair_test_counts > 0)
+    offsets = _offsets(histories, test)
+    plays = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)  # test plays before each test row
+    np.cumsum(histories.pair_test_counts[test], out=plays[1:])
+    users = np.repeat(np.arange(len(offsets) - 1, dtype=np.uint64), np.diff(offsets))
+    return users << np.uint64(32) | histories.pair_artists[test].astype(np.uint64), np.diff(plays[offsets])
+
+
+def _offsets(histories: UserHistories, rows: np.ndarray) -> np.ndarray:
+    """The pair offsets, per user id plus one, of ``histories``' pair ``rows`` (a mask)."""
     kept = np.zeros(len(rows) + 1, dtype=np.int32 if len(rows) < 2**31 else np.int64)  # kept rows before each row
     np.cumsum(rows, dtype=kept.dtype, out=kept[1:])
-    offsets = kept[histories.pair_offsets].astype(np.int64)
-    counts = counts[rows]
-    plays = np.zeros(len(counts) + 1, dtype=np.int64)  # kept plays before each kept row
-    np.cumsum(counts, out=plays[1:])
-    return UserHistories(
-        n_events=np.diff(plays[offsets]),
-        pair_offsets=offsets,
-        pair_artists=histories.pair_artists[rows],
-        pair_counts=counts,
-        pair_last=histories.pair_last[rows] if train else None,
-        pair_bll=histories.pair_bll[rows] if train else None,
-    )
-
-
-def find_rows(pair_artists: np.ndarray, lo: np.ndarray, size: np.ndarray, artists: np.ndarray) -> np.ndarray:
-    """The last row in ``lo[i]:lo[i] + size[i]`` whose pair artist is at most ``artists[i]``, for every i.
-
-    Each slice of ``pair_artists`` is ascending and not empty, and the
-    three index arrays broadcast together. If a slice holds the artist
-    sought, the row found holds it; if not, that row holds another artist.
-    All slices are binary-searched at once: ``row`` stays the last row whose
-    artist is at most the one sought, in a window that halves each step.
-    """
-    row = lo
-    for _ in range(int(size.max() - 1).bit_length()):
-        half = size >> 1
-        mid = row + half
-        row = np.where(pair_artists[mid] <= artists, mid, row)
-        size = size - half
-    return row
+    return kept[histories.pair_offsets].astype(np.int64)

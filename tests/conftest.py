@@ -36,6 +36,12 @@ def user_slice(table, user, column):
     return getattr(table, column)[table.pair_offsets[user] : table.pair_offsets[user + 1]]
 
 
+def user_test_artists(split, user):
+    """One user's test artists, ascending: the low words of its keys among ``split.test_keys``."""
+    lo, hi = np.searchsorted(split.test_keys, np.array([user, user + 1], dtype=np.uint64) << np.uint64(32))
+    return (split.test_keys[lo:hi] & np.uint64(2**32 - 1)).astype(np.int32)
+
+
 def kernel_activations(local_idx, timestamps, ref, n_artists, d):
     """Activation of each artist by the shipped kernel at a fixed ``ref``: ln of its ``bll_sums`` entry."""
     sums = _kernels.bll_sums(

@@ -182,6 +182,6 @@ def per_user_histories(users, artists, timestamps, fraction: float, d: float) ->
         pair_artists=pair_artists,
         pair_counts=pair_counts,
         pair_last=pair_last,
-        pair_test_counts=test_counts,
         pair_bll=bll,
+        pair_test_counts=test_counts,
     )

@@ -27,7 +27,7 @@ from conftest import (
     kernel_activation,
     kernel_activations,
     oracle_instances,
-    user_slice,
+    user_test_artists,
 )
 from oracles import brute_force_ranking, events_by_user, split_events
 
@@ -151,7 +151,7 @@ def test_c4_metric_identities_hold_exactly():
         report = evaluate_algorithm(split, fn, users, k_max, name, "ALL")
         assert report.hits.shape == (len(users), k_max)
         for user, hits in zip(users.tolist(), report.hits.tolist()):
-            test_artists = set(user_slice(split.test, user, "pair_artists").tolist())
+            test_artists = set(user_test_artists(split, user).tolist())
             ranked = fn(user, split.train, k_max).artists.tolist()
             # the cumulative hit count of each top-k prefix, counted by hand
             assert hits == [sum(a in test_artists for a in ranked[: i + 1]) for i in range(k_max)]
@@ -172,30 +172,36 @@ def test_c4_metric_identities_hold_exactly():
 
 
 def _time_split(pairs, fraction):
-    """The train and test tables of one user's (artist, timestamp) pairs, and its test events by the split rule."""
+    """The split of one user's (artist, timestamp) pairs, the table it selects from, and the user's test events
+    by the split rule."""
     columns = ([0] * len(pairs), *zip(*pairs))
-    split = split_histories(histories_from_ids(*columns, fraction=fraction))
+    histories = histories_from_ids(*columns, fraction=fraction)
     _, test = split_events(events_by_user(*columns), fraction)
-    return split.train, split.test, test[0]
+    return split_histories(histories), histories, test[0]
 
 
 def test_c5_split_protocol():
     for n, expected in [(2, 1), (50, 1), (100, 1), (250, 2), (1000, 10)]:
-        train, test, _ = _time_split([(i % 7, i) for i in range(n)], 0.01)
-        assert test.n_events[0] == expected, (n, test.n_events[0])
-        assert train.n_events[0] == n - expected
+        split, _, _ = _time_split([(i % 7, i) for i in range(n)], 0.01)
+        assert split.test_events[0] == expected, (n, split.test_events[0])
+        assert split.train.n_events[0] == n - expected
 
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n = int(rng.integers(2, 600))
         pairs = [(int(rng.integers(0, 12)), int(rng.integers(0, 10_000))) for _ in range(n)]
         fraction = float(rng.uniform(0.002, 0.98))
-        train, test, test_events = _time_split(pairs, fraction)
-        assert train.n_events[0] + test.n_events[0] == n
-        assert test.n_events[0] == n_test_events(n, fraction) >= 1
+        split, histories, test_events = _time_split(pairs, fraction)
+        train = split.train
+        assert train.n_events[0] + split.test_events[0] == n
+        assert split.test_events[0] == n_test_events(n, fraction) >= 1
         assert train.n_events[0] >= 1
-        # The test table plays exactly the latest events, and no training play is later than any of them.
-        assert dict(zip(test.pair_artists.tolist(), test.pair_counts.tolist())) == Counter(a for a, _ in test_events)
+        # The test plays that the split selects from are exactly the latest events, the test keys hold their
+        # artists, and no training play is later than any of them.
+        tested = histories.pair_test_counts > 0
+        test_plays = dict(zip(histories.pair_artists[tested].tolist(), histories.pair_test_counts[tested].tolist()))
+        assert test_plays == Counter(a for a, _ in test_events)
+        assert user_test_artists(split, 0).tolist() == sorted(test_plays)
         assert int(train.pair_last.max()) <= min(t for _, t in test_events)
     print("criterion 5 PASS: fixture sizes {1,1,1,2,10}; 1000 random splits hold invariants")
 

@@ -362,6 +362,7 @@ class TestBadGroupsAndConfigFiles:
             ("--schema", "schema", "user=0,artist=0,ts=4"),
             ("--schema", "schema", "user=0,artist=1"),
             ("--schema", "schema", "user=0,artist=1,ts=x"),
+            ("--schema", "schema", "foo"),
             ("--algo", "algorithms", "bll,foo"),
             ("--algo", "algorithms", ","),
         ],
@@ -622,10 +623,11 @@ class TestRunPipeline:
         # play of all plays in it it took 4.40, and with the log's columns (12 bytes an event) held until
         # the build 13.07.
         ((40, 80), (2000, 3000), 10, True, 4.34),
-        # 260 bytes per added user; with the built table kept through evaluation and a latest play in the
-        # test table it took 354, with the log's columns held until the build 441, with the events kept to
-        # the end of the run 565, and with a dict of Python float scores and tuple groups 731.
-        ((5000, 10_000), (15, 30), 100, False, 299),
+        # 237 bytes per added user; with the test side a table of its own it took 260, with the built table
+        # kept through evaluation and a latest play in the test table 354, with the log's columns held until
+        # the build 441, with the events kept to the end of the run 565, and with a dict of Python float
+        # scores and tuple groups 731.
+        ((5000, 10_000), (15, 30), 100, False, 273),
     ],
     ids=["long-histories", "many-users"],
 )
@@ -659,10 +661,11 @@ def test_no_array_as_long_as_the_log_outlives_the_build(tmp_path):
     n = int(out.histories.n_events.sum())
     assert n == len(path.read_text().splitlines())
     assert (out.log.users, out.log.artists, out.log.timestamps, out.log.reduced) == (None, None, None, None)
-    for table in (out.histories, out.split.train, out.split.test):
+    for table in (out.histories, out.split.train):
         for field in fields(table):
             column = getattr(table, field.name)
             assert column is None or len(column) < n / 2, field.name
+    assert len(out.split.test_keys) < n / 2 and len(out.split.test_events) < n / 2
 
 
 def test_len_of_the_log_holds_at_every_stage(tmp_path):

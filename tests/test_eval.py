@@ -6,7 +6,7 @@ from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
 from bllrec.recommend import build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
-from conftest import PROTOCOL, histories_from_events, histories_from_ids, user_slice
+from conftest import PROTOCOL, histories_from_events, histories_from_ids, user_slice, user_test_artists
 from oracles import ranking_of
 
 
@@ -44,7 +44,7 @@ class TestHitsAtK:
         histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4], fraction=0.5)
         both = split_histories(histories)
         only_user_0 = split_histories(histories, np.array([0]))
-        split = SplitDataset(train=both.train, test=only_user_0.test, dropped=0)
+        split = SplitDataset(both.train, only_user_0.test_keys, only_user_0.test_events, dropped=0)
         with pytest.raises(DataError, match="user 1: empty test artist set"):
             evaluate_algorithm(split, lambda u, t, k: ranking_of([]), split.per_user, 3)
 
@@ -97,7 +97,7 @@ class TestRecallPrecision:
             rng.bit_generator.state = state  # replay the same rankings
             recall, precision = [0.0] * k_max, [0.0] * k_max
             for user in split.per_user.tolist():
-                relevant = set(user_slice(split.test, user, "pair_artists").tolist())
+                relevant = set(user_test_artists(split, user).tolist())
                 ranked = shuffled(user, split.train, k_max).artists.tolist()
                 count = 0
                 for i in range(k_max):

@@ -721,7 +721,7 @@ class TestBuildUserHistories:
                     assert last == max((t for a, t in played[: len(played) - n_test] if a == artist), default=0)
 
 
-HISTORY_FIELDS = ("n_events", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "pair_test_counts", "pair_bll")
+HISTORY_FIELDS = ("n_events", "pair_offsets", "pair_artists", "pair_counts", "pair_last", "pair_bll", "pair_test_counts")
 
 
 class TestBuildMatchesPerUserSorts:

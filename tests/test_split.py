@@ -8,10 +8,10 @@ import pytest
 from bllrec.errors import DataError
 from bllrec.ingest import build_user_histories, load_events, n_test_events, write_events_tsv
 from bllrec.recommend import global_train_counts
-from bllrec.split import split_histories
+from bllrec.split import SplitDataset, split_histories
 from bllrec.synth import SynthConfig, generate_synthetic
 
-from conftest import LFM_SCHEMA, PROTOCOL, histories_from_events, histories_from_ids, user_slice
+from conftest import LFM_SCHEMA, PROTOCOL, histories_from_events, histories_from_ids, user_slice, user_test_artists
 from oracles import events_by_user, split_events
 
 
@@ -35,21 +35,26 @@ def test_table_and_split_are_the_same_for_either_timestamp_dtype(tmp_path):
     assert (wide.timestamps.dtype, narrow.timestamps.dtype) == (np.int64, np.uint32)
     tables = [build_user_histories(log, 0.2, PROTOCOL.bll_d) for log in (wide, narrow)]
     splits = [split_histories(table) for table in tables]
-    for a, b in (tables, [s.train for s in splits], [s.test for s in splits]):
+    for a, b in (tables, [s.train for s in splits]):
         for column in fields(a):
             x, y = getattr(a, column.name), getattr(b, column.name)
             assert (x is None and y is None) or np.array_equal(x, y), column.name
         assert a.pair_counts.dtype == b.pair_counts.dtype == np.int32
-    for a, b in (tables, [s.train for s in splits]):
         assert (a.pair_last.dtype, b.pair_last.dtype) == (np.int64, np.uint32)
-    assert all(s.test.pair_last is None and s.test.pair_bll is None for s in splits)
+    # The test side is keys and per-user counts only, with no latest play or bll sum; a train table has no test plays.
+    assert [f.name for f in fields(SplitDataset)] == ["train", "test_keys", "test_events", "dropped"]
+    a, b = splits
+    assert np.array_equal(a.test_keys, b.test_keys) and np.array_equal(a.test_events, b.test_events)
+    assert all(s.train.pair_test_counts is None for s in splits)
+    assert all((s.test_keys.dtype, s.test_events.dtype) == (np.uint64, np.int64) for s in splits)
 
 
 def test_split_allocates_few_bytes_per_pair_row():
     # Every array the split builds over all pair rows has the table's narrow dtypes: int32
-    # counts and positions, and masks. On this log (int64 timestamps) it takes about 33 B
-    # per pair row, its train and test tables included; int64 (user, artist) keys, counts
-    # and offsets over every pair row would take about 77.
+    # counts and positions, and masks. On this log (int64 timestamps) it takes about 32 B
+    # per pair row, its train table and test keys included; with a test table of its own and
+    # int64 running play sums over the train rows it took 43, and int64 (user, artist) keys,
+    # counts and offsets over every pair row would take about 77.
     log = generate_synthetic(SynthConfig(n_users=1000, n_artists=20_000, events_per_user=(20, 60), seed=5))
     histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
     tracemalloc.start()
@@ -59,7 +64,7 @@ def test_split_allocates_few_bytes_per_pair_row():
     finally:
         tracemalloc.stop()
     assert split.test_event_count() == 1000
-    assert peak < 50 * len(histories.pair_artists)
+    assert peak < 37 * len(histories.pair_artists)
 
 
 class TestTimeSplit:
@@ -69,12 +74,12 @@ class TestTimeSplit:
     )
     def test_one_percent_sizes(self, n, expected_test):
         split, user = _time_split(_history(n))
-        assert split.test.n_events[user] == expected_test
+        assert split.test_events[user] == expected_test
         assert split.train.n_events[user] == n - expected_test
 
     def test_half_fraction(self):
         split, user = _time_split(_history(4, 0.5))
-        assert (split.train.n_events[user], split.test.n_events[user]) == (2, 2)
+        assert (split.train.n_events[user], split.test_events[user]) == (2, 2)
 
     def test_too_short(self):
         with pytest.raises(DataError):
@@ -88,8 +93,8 @@ class TestTimeSplit:
     def test_equal_timestamps_stable(self):
         histories = histories_from_events([("u", f"a{i}", 5) for i in range(100)])
         split, user = _time_split(histories)
-        assert split.test.n_events[user] == 1
-        assert user_slice(split.test, user, "pair_artists").tolist() == [99]  # last input event under tie stability
+        assert split.test_events[user] == 1
+        assert user_test_artists(split, user).tolist() == [99]  # last input event under tie stability
         assert 99 not in user_slice(split.train, user, "pair_artists")
 
     def test_conservation_ordering_monotonic_random(self):
@@ -98,18 +103,22 @@ class TestTimeSplit:
             n = int(rng.integers(2, 400))
             artists, stamps = rng.integers(0, 9, n).tolist(), rng.integers(0, 5000, n).tolist()
             fraction = float(rng.uniform(0.005, 0.95))
-            split, user = _time_split(histories_from_ids([0] * n, artists, stamps, fraction=fraction))
+            histories = histories_from_ids([0] * n, artists, stamps, fraction=fraction)
+            split, user = _time_split(histories)
             n_test = int(n_test_events(n, fraction))
-            assert (split.train.n_events[user], split.test.n_events[user]) == (n - n_test, n_test)
+            assert (split.train.n_events[user], split.test_events[user]) == (n - n_test, n_test)
             assert n_test >= 1 and n - n_test >= 1
             # Every training play precedes the earliest test event.
             _, test = split_events(events_by_user([0] * n, artists, stamps), fraction)
             assert split.train.pair_last.max() <= min(t for _, t in test[user])
-            # multiset conservation: each artist's training and test plays are all its plays
-            plays = Counter()
-            for table in (split.train, split.test):
-                plays.update(dict(zip(table.pair_artists.tolist(), table.pair_counts.tolist())))
+            # multiset conservation: each artist's training plays, and the test plays the split selected
+            # its test keys by, are all its plays
+            tested = histories.pair_test_counts > 0
+            test_artists = histories.pair_artists[tested].tolist()
+            plays = Counter(dict(zip(split.train.pair_artists.tolist(), split.train.pair_counts.tolist())))
+            plays.update(dict(zip(test_artists, histories.pair_test_counts[tested].tolist())))
             assert plays == Counter(artists)
+            assert user_test_artists(split, user).tolist() == test_artists
             # larger fraction never shrinks the test side
             larger = min(0.99, fraction * 2)
             assert n_test_events(n, larger) >= n_test_events(n, fraction)
@@ -131,7 +140,7 @@ class TestSplitHistories:
         split = split_histories(histories)
         assert split.dropped == 1
         assert len(split.per_user) == 1
-        assert split.train.n_events[0] == split.test.n_events[0] == 0
+        assert split.train.n_events[0] == split.test_events[0] == 0
 
     def test_all_users_too_short(self):
         histories = histories_from_events([("u1", "a", 1), ("u2", "b", 2)])
@@ -143,7 +152,7 @@ class TestSplitHistories:
         histories = histories_from_events(events, fraction=0.2)
         only = np.array([u for u in range(2) if 0 in user_slice(histories, u, "pair_artists")])
         split = split_histories(histories, only)
-        assert split.per_user.tolist() == np.flatnonzero(split.test.n_events).tolist() == only.tolist() == [0]
+        assert split.per_user.tolist() == np.flatnonzero(split.test_events).tolist() == only.tolist() == [0]
         assert split.test_event_count() == 2
         # u2 is outside the split, so none of its plays count as training plays
         assert split.train.pair_artists.tolist() == [0]
@@ -157,31 +166,38 @@ class TestSplitHistories:
             n = int(rng.integers(20, 400))
             users, artists, stamps = (rng.integers(0, hi, n).tolist() for hi in (8, 15, 6))
             fraction = float(rng.uniform(0.01, 0.6))
-            split = split_histories(histories_from_ids(users, artists, stamps, fraction=fraction))
-            tables = {"train": split.train, "test": split.test}
+            histories = histories_from_ids(users, artists, stamps, fraction=fraction)
+            split = split_histories(histories)
             history = events_by_user(users, artists, stamps)
-            sides = dict(zip(tables, split_events(history, fraction)))
-            distinct = {name: [0] * (max(users) + 1) for name in tables}
+            train, test = split_events(history, fraction)
+            distinct = {side: [0] * (max(users) + 1) for side in ("train", "test")}
             for u, events in history.items():
                 if len(events) < 2:
-                    assert split.train.n_events[u] == split.test.n_events[u] == 0
+                    assert split.train.n_events[u] == split.test_events[u] == 0
                     continue
-                cut = len(sides["train"][u])
+                cut = len(train[u])
                 straddled += events[cut - 1][1] == events[cut][1]
-                for name, table in tables.items():
-                    part = sides[name][u]
-                    counts = Counter(a for a, _ in part)
-                    last = {a: t for a, t in part}
-                    distinct[name][u] = len(counts)
-                    assert table.n_events[u] == len(part)
-                    assert user_slice(table, u, "pair_artists").tolist() == sorted(counts)
-                    assert user_slice(table, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
-                    if name == "train":
-                        assert user_slice(table, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
-            # Each table holds only its played pair rows, like a table built from a log; a test table
-            # keeps no latest play.
-            assert split.test.pair_last is None
-            for name, table in tables.items():
-                assert (table.pair_counts >= 1).all()
-                assert np.diff(table.pair_offsets).tolist() == distinct[name]
+                counts = Counter(a for a, _ in train[u])
+                last = {a: t for a, t in train[u]}
+                distinct["train"][u] = len(counts)
+                assert split.train.n_events[u] == len(train[u])
+                assert user_slice(split.train, u, "pair_artists").tolist() == sorted(counts)
+                assert user_slice(split.train, u, "pair_counts").tolist() == [counts[a] for a in sorted(counts)]
+                assert user_slice(split.train, u, "pair_last").tolist() == [last[a] for a in sorted(counts)]
+                # The test keys hold the test events' artists, whose plays the rows they came from count.
+                counts = Counter(a for a, _ in test[u])
+                distinct["test"][u] = len(counts)
+                test_counts = user_slice(histories, u, "pair_test_counts")
+                tested = test_counts > 0
+                assert split.test_events[u] == len(test[u])
+                assert user_test_artists(split, u).tolist() == sorted(counts)
+                assert user_slice(histories, u, "pair_artists")[tested].tolist() == sorted(counts)
+                assert test_counts[tested].tolist() == [counts[a] for a in sorted(counts)]
+            # The train table holds only its played pair rows, like a table built from a log, and the
+            # test keys, one per user and test artist, ascend strictly.
+            assert (split.train.pair_counts >= 1).all()
+            assert np.diff(split.train.pair_offsets).tolist() == distinct["train"]
+            key_users = (split.test_keys >> np.uint64(32)).astype(np.intp)
+            assert np.bincount(key_users, minlength=len(distinct["test"])).tolist() == distinct["test"]
+            assert (split.test_keys[1:] > split.test_keys[:-1]).all()
         assert straddled > 100
