@@ -51,8 +51,9 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 MAX_K = 1000
-"""The largest ``k_max``. Each report keeps a users x k_max int64 hit matrix, so
-this bounds it to 8 KB per user and report."""
+"""The largest ``k_max``. One evaluation call builds users x k_max matrices (the
+ranked artist ids, their keys, the cumulative hits), so this bounds each to 8 KB
+per user while the call runs; a report keeps only its k_max points."""
 
 
 class _Parser(argparse.ArgumentParser):

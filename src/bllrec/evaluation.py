@@ -11,7 +11,7 @@ side is consulted exclusively for hit judging.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ class EvalReport:
     group: str
     points: list[tuple[float, float]]  # (recall, precision) for k = 1..k_max
     users_evaluated: int
-    # users_evaluated x k_max int64: each user's cumulative hits for k = 1..k_max, rows in id order
-    hits: np.ndarray | None = field(default=None, repr=False)
 
 
 def evaluate_algorithm(
@@ -48,7 +46,8 @@ def evaluate_algorithm(
     keys, ``user << 32 | artist``, in the split's test keys. A user whose
     list is empty counts with zero hits, not skipped, and a list shorter
     than k_max keeps its final hit count for larger k.
-    The users' terms are summed in id order, row after row.
+    The users' terms are summed in id order, row after row, and the report
+    keeps only the k_max points, not the matrix.
     """
     evaluable = users[split.train.n_events[users] > 0]
     if not len(evaluable):
@@ -74,7 +73,7 @@ def evaluate_algorithm(
     precision = np.add.accumulate(hits / np.arange(1, k_max + 1, dtype=np.float64), axis=0)[-1]
     n = len(evaluable)
     points = [(float(r / n), float(p / n)) for r, p in zip(recall, precision)]
-    return EvalReport(algorithm, group, points, n, hits)
+    return EvalReport(algorithm, group, points, n)
 
 
 def emit_report(reports: list[EvalReport], path) -> None:

@@ -312,11 +312,11 @@ def parse_event_line(line: str, schema: ColumnSchema, line_no: int = 0) -> tuple
 
 
 CHUNK_SIZE = 1 << 17
-"""Bytes read per step. A block's temporary arrays are a few times this size,
-and the allocator keeps their pages once they are freed, so larger chunks
-parse a little faster but raise the run's peak memory. A grouped file reduced
-as it is read holds about one block's events and one batch's (``_BATCH_EVENTS``)
-besides."""
+"""Bytes read per step. A block's temporary arrays are a few times this size.
+They are freed when the block is done, the allocator trims the heap top they
+sat in, and the next block faults those pages in again. Larger chunks parse a
+little faster but raise the run's peak memory. A grouped file reduced as it is
+read holds about one block's events and one batch's (``_BATCH_EVENTS``) besides."""
 
 _MAX_VECTOR_KEY = 8
 """Longer keys go through ``parse_event_line``: keys that fit in a uint64 sort

@@ -94,14 +94,9 @@ class SynthConfig:
             raise DataError(f"time_span must be in 1..{2**63}")
 
 
-def _zipf_cumulative(n_artists: int, exponent: float) -> list[float]:
-    weights = np.arange(1, n_artists + 1, dtype=np.float64) ** -exponent
-    return np.cumsum(weights).tolist()
-
-
-def _recency_cumulative(max_events: int, bias: float) -> list[float]:
-    # Weight of re-picking the token `age` positions back is (age + 1) ** -bias.
-    weights = np.arange(1, max_events + 1, dtype=np.float64) ** -bias
+def _power_law_cumulative(n: int, exponent: float) -> list[float]:
+    """Running sums of the weights i ** -exponent for i = 1..n."""
+    weights = np.arange(1, n + 1, dtype=np.float64) ** -exponent
     return np.cumsum(weights).tolist()
 
 
@@ -126,9 +121,9 @@ def user_events(
     """
     lo, hi = config.events_per_user
     if zipf_cum is None:
-        zipf_cum = _zipf_cumulative(config.n_artists, config.zipf_exponent)
+        zipf_cum = _power_law_cumulative(config.n_artists, config.zipf_exponent)
     if recency_cum is None:
-        recency_cum = _recency_cumulative(hi, config.recency_bias)
+        recency_cum = _power_law_cumulative(hi, config.recency_bias)
 
     rng = user_stream(config.seed, user_index)
     n = lo + rng.below(hi - lo + 1)
@@ -138,6 +133,7 @@ def user_events(
     for _ in range(n):
         m = len(artists)
         if m > 0 and rng.random() < config.reconsume_prob:
+            # Weight of re-picking the token `age` positions back is (age + 1) ** -bias.
             age = _pick(recency_cum, m, rng.random() * recency_cum[m - 1])
             artists.append(artists[m - 1 - age])
         else:
@@ -150,8 +146,8 @@ def generate_synthetic(config: SynthConfig) -> EventLog:
     """Deterministically generate a full event log from the config."""
     config.validate()
     lo, hi = config.events_per_user
-    zipf_cum = _zipf_cumulative(config.n_artists, config.zipf_exponent)
-    recency_cum = _recency_cumulative(hi, config.recency_bias)
+    zipf_cum = _power_law_cumulative(config.n_artists, config.zipf_exponent)
+    recency_cum = _power_law_cumulative(hi, config.recency_bias)
 
     counts: list[int] = []
     ranks: list[int] = []

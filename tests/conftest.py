@@ -42,6 +42,14 @@ def user_test_artists(split, user):
     return (split.test_keys[lo:hi] & np.uint64(2**32 - 1)).astype(np.int32)
 
 
+def hit_points(hits, test_size):
+    """One user's (recall, precision) at k = 1..len(hits), where its first k entries hold ``hits[k - 1]`` hits.
+
+    These are the divisions evaluation makes, so a one-user group's points equal them bit for bit.
+    """
+    return [(h / test_size, h / (i + 1)) for i, h in enumerate(hits)]
+
+
 def kernel_activations(local_idx, timestamps, ref, n_artists, d):
     """Activation of each artist by the shipped kernel at a fixed ``ref``: ln of its ``bll_sums`` entry."""
     sums = _kernels.bll_sums(

@@ -24,6 +24,7 @@ from bllrec.synth import SynthConfig, generate_synthetic
 from conftest import (
     PROTOCOL,
     histories_from_ids,
+    hit_points,
     kernel_activation,
     kernel_activations,
     oracle_instances,
@@ -149,17 +150,18 @@ def test_c4_metric_identities_hold_exactly():
     for name, fn in build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors).items():
         users = split.per_user
         report = evaluate_algorithm(split, fn, users, k_max, name, "ALL")
-        assert report.hits.shape == (len(users), k_max)
-        for user, hits in zip(users.tolist(), report.hits.tolist()):
+        assert len(report.points) == k_max and report.users_evaluated == len(users)
+        for user in users.tolist():
             test_artists = set(user_test_artists(split, user).tolist())
             ranked = fn(user, split.train, k_max).artists.tolist()
             # the cumulative hit count of each top-k prefix, counted by hand
-            assert hits == [sum(a in test_artists for a in ranked[: i + 1]) for i in range(k_max)]
+            hits = [sum(a in test_artists for a in ranked[: i + 1]) for i in range(k_max)]
             t_size = len(test_artists)
-            for i in range(k_max):
+            # evaluated as a one-user group, the user's points are its hits over |test| and over k, exactly
+            points = evaluate_algorithm(split, fn, np.array([user]), k_max, name, "ALL").points
+            assert points == hit_points(hits, t_size)
+            for i, (recall, precision) in enumerate(points):
                 hit_count = hits[i]
-                recall = hit_count / t_size
-                precision = hit_count / (i + 1)
                 # integer hit counts are recovered exactly from either metric
                 assert round(recall * t_size) == hit_count
                 assert round(precision * (i + 1)) == hit_count

@@ -1,20 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bllrec.cli import MAX_K
 from bllrec.errors import DataError
 from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
 from bllrec.recommend import build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
-from conftest import PROTOCOL, histories_from_events, histories_from_ids, user_slice, user_test_artists
+from conftest import PROTOCOL, hit_points, histories_from_events, histories_from_ids, user_slice, user_test_artists
 from oracles import ranking_of
 
 
 FILLER = 99  # the artist every test user trains on; no test set below holds it
 
 
-def _fixed_rankings(test_sets, rankings, k_max):
-    """Evaluate ``rankings[u]`` for user u, whose test events play exactly ``test_sets[u]``."""
+def _fixed_rankings(test_sets, rankings, k_max, group=None):
+    """Evaluate ``rankings[u]`` for user u, whose test events play exactly ``test_sets[u]``, over ``group`` or all."""
     users, artists = [], []
     for user, test in enumerate(test_sets):
         played = [FILLER] * len(test) + list(test)  # fraction 0.5 puts exactly the test artists in test
@@ -26,19 +29,20 @@ def _fixed_rankings(test_sets, rankings, k_max):
         assert user_slice(train, user, "pair_artists").tolist() == [FILLER] and k == k_max
         return ranking_of([(a, 1.0) for a in rankings[user]])
 
-    return evaluate_algorithm(split, spy, split.per_user, k_max, "spy", "ALL")
+    group = split.per_user if group is None else np.array(group)
+    return evaluate_algorithm(split, spy, group, k_max, "spy", "ALL")
 
 
 class TestHitsAtK:
     def test_hand_count(self):
         report = _fixed_rankings([{0, 2}], [[0, 1, 2, 3, 4]], 5)
-        assert report.hits.tolist() == [[1, 1, 2, 2, 2]]
+        assert report.points == hit_points([1, 1, 2, 2, 2], 2)
 
     def test_disjoint(self):
-        assert _fixed_rankings([{5, 6}], [[0, 1]], 4).hits.tolist() == [[0, 0, 0, 0]]
+        assert _fixed_rankings([{5, 6}], [[0, 1]], 4).points == hit_points([0, 0, 0, 0], 2)
 
     def test_short_ranking_keeps_final_count(self):
-        assert _fixed_rankings([{7}], [[7]], 4).hits.tolist() == [[1, 1, 1, 1]]
+        assert _fixed_rankings([{7}], [[7]], 4).points == hit_points([1, 1, 1, 1], 1)
 
     def test_empty_test_set(self):
         histories = histories_from_ids([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 3, 4], fraction=0.5)
@@ -52,19 +56,21 @@ class TestHitsAtK:
 class TestRecallPrecision:
     def test_single_user(self):
         report = _fixed_rankings([{1, 2, 3, 4}], [[0, 1, 5, 2, 6]], 5)
-        assert report.hits.tolist() == [[0, 1, 1, 2, 2]]
+        assert report.points == hit_points([0, 1, 1, 2, 2], 4)
         recall5, precision5 = report.points[4]
         assert recall5 == 0.5
         assert precision5 == pytest.approx(0.4)
 
     def test_perfect_recall_when_test_fits(self):
         report = _fixed_rankings([{0, 1}], [[0, 1, 2]], 3)
-        assert report.hits.tolist() == [[1, 2, 2]]
+        assert report.points == hit_points([1, 2, 2], 2)
         assert report.points[1][0] == 1.0 and report.points[2][0] == 1.0
 
     def test_macro_mean(self):
-        report = _fixed_rankings([set(range(5)), set(range(5))], [[0, 9], [0, 1]], 2)
-        assert report.hits[:, 1].tolist() == [1, 2]
+        test_sets, rankings = [set(range(5)), set(range(5))], [[0, 9], [0, 1]]
+        one_user_points = [_fixed_rankings(test_sets, rankings, 2, [user]).points for user in (0, 1)]
+        assert one_user_points == [hit_points([1, 1], 5), hit_points([1, 2], 5)]
+        report = _fixed_rankings(test_sets, rankings, 2)
         assert report.users_evaluated == 2
         assert report.points[1][0] == pytest.approx((0.2 + 0.4) / 2)
 
@@ -167,8 +173,12 @@ class TestEvaluateAlgorithm:
             first = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
             second = evaluate_algorithm(split, fn, split.per_user, 10, name, "ALL")
             assert first.points == second.points
-            assert first.hits.shape == (len(split.per_user), 10)
-            assert first.hits.tolist() == second.hits.tolist()
+            for user in split.per_user.tolist():
+                relevant = set(user_test_artists(split, user).tolist())
+                ranked = fn(user, split.train, 10).artists.tolist()
+                want = hit_points([sum(a in relevant for a in ranked[: i + 1]) for i in range(10)], len(relevant))
+                group = np.array([user])
+                assert [evaluate_algorithm(split, fn, group, 10).points for _ in range(2)] == [want, want]
 
     def test_recommenders_never_see_test_events(self):
         split = _clone_split()
@@ -195,6 +205,28 @@ class TestEvaluateAlgorithm:
             report = evaluate_algorithm(split, fn, split.per_user, 15, name, "ALL")
             recalls = [r for r, _ in report.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
+
+    def test_reports_keep_nothing_per_user(self):
+        # What the reports keep alive, traced at two group sizes, must not grow with the users evaluated:
+        # a users x k_max int64 hit matrix per report would keep 8000 B per user at k_max = 1000.
+        rng = np.random.default_rng(7)
+        n_users, n_events = 400, 16_000
+        histories = histories_from_ids(
+            rng.integers(0, n_users, n_events), rng.integers(0, 300, n_events), rng.integers(0, 10**6, n_events),
+            fraction=0.3,
+        )
+        split = split_histories(histories)
+        recommenders = build_recommenders(split.train, PROTOCOL.algorithms, PROTOCOL.cf_neighbors)
+        sizes, kept = (100, 300), []
+        for size in sizes:
+            tracemalloc.start()
+            try:
+                reports = [evaluate_algorithm(split, fn, split.per_user[:size], MAX_K) for fn in recommenders.values()]
+                kept.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert [report.users_evaluated for report in reports] == [size] * len(recommenders)
+        assert (kept[1] - kept[0]) / (sizes[1] - sizes[0]) < 1024
 
 
 class TestEmitReport:
