@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 # The pipeline calls no BLAS; an OpenBLAS worker would only spin at numpy's import. Must precede it.
@@ -39,7 +39,7 @@ from .ingest import (
     load_events,
     write_events_tsv,
 )
-from .evaluation import EvalReport, emit_report, evaluate_algorithm
+from .evaluation import EvalReport, evaluate_algorithm
 from .profiling import GROUP_NAMES, GroupStats, assign_groups, eligible_users, group_stats, score_users
 from .recommend import ALGORITHMS, build_recommenders
 from .split import SplitDataset, split_histories
@@ -61,28 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Normalized pipeline configuration; defaults follow the evaluation protocol.
-
-    These are the protocol's only defaults: the library functions take
-    each of these values from their caller.
-    """
-
-    events: str | None = None
-    schema: str = "user=0,artist=1,ts=4"  # the LFM-1b layout, which write_events_tsv writes
-    on_error: str = "skip"
-    group_size: int = 1000
-    min_events: int = 2
-    fraction: float = 0.01
-    k_max: int = 20
-    bll_d: float = 0.5
-    cf_neighbors: int = 20
-    algorithms: tuple[str, ...] = ALGORITHMS
-    threads: int = 1  # evaluation is serial; the key is accepted for old configs
-    out_dir: str = "out"
 
 
 def _checked(kind: type, ok, rule: str):
@@ -123,38 +101,59 @@ def parse_algorithms(key, value) -> tuple[str, ...]:
 
 _POSITIVE = _checked(int, lambda n: n >= 1, "be >= 1")
 
-CONFIG_KEYS = {
-    # RunConfig field: (flag, help, parser). A config file value and a flag go through the same
-    # parser, in this order, which is RunConfig's.
-    "events": ("--events", "listening-events TSV file (.gz supported)",
-               lambda key, value: None if value is None else str(value)),
-    "schema": ("--schema", "column layout", _schema),
-    "on_error": ("--on-error", "malformed-line policy, skip or fail",
-                 _checked(str, lambda v: v in ("skip", "fail"), "be 'skip' or 'fail'")),
-    "group_size": ("--group-size", "users per group", _POSITIVE),
-    "min_events": ("--min-events", "minimum events per scored user", _POSITIVE),
-    "fraction": ("--fraction", "test fraction per user", _checked(float, lambda x: 0.0 < x < 1.0, "be in (0,1)")),
-    "k_max": ("--k-max", "largest list length k", _checked(int, lambda n: 1 <= n <= MAX_K, f"be in 1..{MAX_K}")),
-    "bll_d": ("--bll-d", "decay exponent", _checked(float, lambda x: 0 < x < math.inf, "be finite and > 0")),
-    "cf_neighbors": ("--cf-neighbors", "neighborhood size", _POSITIVE),
-    "algorithms": ("--algo", f"comma-separated subset of {','.join(ALGORITHMS)}", parse_algorithms),
-    "threads": ("--threads", "must be 1; evaluation runs on one thread",
-                _checked(int, lambda n: n == 1, "be 1 (evaluation runs on one thread)")),
-    "out_dir": ("--out-dir", "output directory", lambda key, value: str(value)),
-}
+
+def _option(default, flag: str, text: str, parse):
+    """A RunConfig field: its default, and the flag, help text and parser ``(key, value)`` of its option.
+
+    A config file value and a flag go through the same parser.
+    """
+    return field(default=default, metadata={"flag": flag, "help": text, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """Normalized pipeline configuration; defaults follow the evaluation protocol.
+
+    These are the protocol's only defaults: the library functions take
+    each of these values from their caller. Each field is one option, a
+    config file key and a flag alike.
+    """
+
+    events: str | None = _option(None, "--events", "listening-events TSV file (.gz supported)",
+                                 lambda key, value: None if value is None else str(value))
+    # The LFM-1b layout, which write_events_tsv writes.
+    schema: str = _option("user=0,artist=1,ts=4", "--schema", "column layout", _schema)
+    on_error: str = _option("skip", "--on-error", "malformed-line policy, skip or fail",
+                            _checked(str, lambda v: v in ("skip", "fail"), "be 'skip' or 'fail'"))
+    group_size: int = _option(1000, "--group-size", "users per group", _POSITIVE)
+    min_events: int = _option(2, "--min-events", "minimum events per scored user", _POSITIVE)
+    fraction: float = _option(0.01, "--fraction", "test fraction per user",
+                              _checked(float, lambda x: 0.0 < x < 1.0, "be in (0,1)"))
+    k_max: int = _option(20, "--k-max", "largest list length k",
+                         _checked(int, lambda n: 1 <= n <= MAX_K, f"be in 1..{MAX_K}"))
+    bll_d: float = _option(0.5, "--bll-d", "decay exponent",
+                           _checked(float, lambda x: 0 < x < math.inf, "be finite and > 0"))
+    cf_neighbors: int = _option(20, "--cf-neighbors", "neighborhood size", _POSITIVE)
+    algorithms: tuple[str, ...] = _option(ALGORITHMS, "--algo", f"comma-separated subset of {','.join(ALGORITHMS)}",
+                                          parse_algorithms)
+    # Evaluation is serial; the key is accepted for old configs.
+    threads: int = _option(1, "--threads", "must be 1; evaluation runs on one thread",
+                           _checked(int, lambda n: n == 1, "be 1 (evaluation runs on one thread)"))
+    out_dir: str = _option("out", "--out-dir", "output directory", _checked(str, bool, "not be empty"))
 
 
 def validate_config(raw: dict) -> RunConfig:
     """The RunConfig of raw key/value pairs, with defaults for the keys not given.
 
-    Each value goes through its key's parser in ``CONFIG_KEYS``, so a config
-    file value and a flag are checked alike. An unknown key, or a value its
-    parser rejects, raises ``UsageError``.
+    Each value goes through its field's parser, so a config file value and a
+    flag are checked alike. An unknown key, or a value its parser rejects,
+    raises ``UsageError``.
     """
-    unknown = set(raw) - set(CONFIG_KEYS)
+    parsers = {option.name: option.metadata["parse"] for option in fields(RunConfig)}
+    unknown = set(raw) - set(parsers)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return RunConfig(**{key: parse(key, raw[key]) for key, (_, _, parse) in CONFIG_KEYS.items() if key in raw})
+    return RunConfig(**{key: parse(key, raw[key]) for key, parse in parsers.items() if key in raw})
 
 
 def _read_utf8(path, error: type[BllrecError]) -> str:
@@ -330,6 +329,19 @@ def _write_csv(path, rows) -> None:
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
+def emit_report(reports: list[EvalReport], path) -> None:
+    """Write `algorithm,group,k,recall,precision,users` rows, sorted, 6 decimals."""
+    if not reports:
+        raise DataError("no reports to emit")
+    rows = [
+        [report.algorithm, report.group, k, f"{recall:.6f}", f"{precision:.6f}", report.users_evaluated]
+        for report in reports
+        for k, (recall, precision) in enumerate(report.points, start=1)
+    ]
+    rows.sort(key=lambda row: row[:3])
+    _write_csv(path, [["algorithm", "group", "k", "recall", "precision", "users"], *rows])
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -459,12 +471,13 @@ _INPUT_FLAGS = ("events", "schema", "on_error")
 
 
 def _add_config_flags(parser, *names) -> None:
+    options = {option.name: option for option in fields(RunConfig)}
     for name in names:
-        flag, text, _ = CONFIG_KEYS[name]
-        default = getattr(RunConfig, name)
+        option = options[name]
+        text, default = option.metadata["help"], option.default
         if default is not None:
             text += f" (default {','.join(default) if isinstance(default, tuple) else default})"
-        parser.add_argument(flag, dest=name, help=text)
+        parser.add_argument(option.metadata["flag"], dest=name, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

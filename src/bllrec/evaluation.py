@@ -6,11 +6,13 @@ test keys. Metrics are macro-averaged: each user contributes equally,
 and precision@k divides by k even when a recommender returned fewer
 than k items. Recommenders only ever see training histories; the test
 side is consulted exclusively for hit judging.
+
+This module only computes the metrics: ``cli`` writes all four outputs,
+results.csv among them, through one CSV writer.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +76,4 @@ def evaluate_algorithm(
     n = len(evaluable)
     points = [(float(r / n), float(p / n)) for r, p in zip(recall, precision)]
     return EvalReport(algorithm, group, points, n)
-
-
-def emit_report(reports: list[EvalReport], path) -> None:
-    """Write `algorithm,group,k,recall,precision,users` rows, sorted, 6 decimals."""
-    if not reports:
-        raise DataError("no reports to emit")
-    rows = []
-    for report in reports:
-        for i, (recall, precision) in enumerate(report.points):
-            rows.append(
-                (report.algorithm, report.group, i + 1, recall, precision, report.users_evaluated)
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["algorithm", "group", "k", "recall", "precision", "users"])
-        for algorithm, group, k, recall, precision, users in rows:
-            writer.writerow([algorithm, group, k, f"{recall:.6f}", f"{precision:.6f}", users])
 

@@ -309,7 +309,10 @@ TABLE1_EVENTS = {"LowMS": 6_915_352, "MedMS": 7_900_726, "HighMS": 8_251_022}
 
 @pytest.mark.skipif(LFM1B_ENV not in os.environ, reason=f"set {LFM1B_ENV} to run the full-dataset check")
 def test_c9_full_dataset_group_stats():
-    log, _ = load_events(os.environ[LFM1B_ENV], ColumnSchema.parse(PROTOCOL.schema), PROTOCOL.on_error)
+    # As run reads it: a log grouped by user is reduced to the history table as it is read.
+    log, _ = load_events(os.environ[LFM1B_ENV], ColumnSchema.parse(PROTOCOL.schema), PROTOCOL.on_error,
+                         (PROTOCOL.fraction, PROTOCOL.bll_d))
+    print(f"  reduced as read: {log.reduced is not None}")
     histories = build_user_histories(log, PROTOCOL.fraction, PROTOCOL.bll_d)
     scores = score_users(histories, min_events=2)
     groups = assign_groups(scores, 1000)

@@ -76,13 +76,23 @@ class TestValidateConfig:
                 validate_config({key: 3})
 
     def test_every_run_config_field_has_one_config_key(self, capsys):
-        # validate_config parses only the keys of CONFIG_KEYS, in its order: a field without a
-        # row would be ignored, and a row without a field would fail on RunConfig(**...).
-        assert list(cli.CONFIG_KEYS) == [f.name for f in fields(cli.RunConfig)]
+        # Each field declares its option, so run takes every field as a flag.
         assert main(["run", "--help"]) == 0
         usage = capsys.readouterr().out
-        for flag, _, _ in cli.CONFIG_KEYS.values():
-            assert f" {flag} " in usage
+        for option in fields(cli.RunConfig):
+            assert f" {option.metadata['flag']} " in usage
+
+    def test_every_default_written_to_a_config_file_parses_back(self, tmp_path):
+        # events defaults to None, which a file says by leaving the key out.
+        written = {
+            option.name: ",".join(option.default) if isinstance(option.default, tuple) else str(option.default)
+            for option in fields(cli.RunConfig)
+            if option.default is not None
+        }
+        assert set(written) == {option.name for option in fields(cli.RunConfig)} - {"events"}
+        config = tmp_path / "defaults.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in written.items()))
+        assert validate_config(cli.read_config_file(config)) == cli.RunConfig()
 
     def test_algorithm_subset(self):
         assert validate_config({"algorithms": "bll,cf"}).algorithms == ("bll", "cf")
@@ -500,6 +510,17 @@ class TestRunPipeline:
         assert main(["run", "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("usage error: ingest: an events file is required")
         assert not (tmp_path / "o").exists()
+
+    def test_empty_out_dir_is_usage_error(self, synth_tsv, tmp_path, monkeypatch, capsys):
+        # An empty out_dir would write the four outputs into the working directory.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"events={synth_tsv}\ngroup_size=20\nk_max=3\nout_dir=\n")
+        for args in (["--events", str(synth_tsv), "--group-size", "20", "--k-max", "3", "--out-dir", ""],
+                     ["--config", str(config)]):
+            assert main(["run", *args]) == 1
+            assert capsys.readouterr().err == "usage error: out_dir must not be empty, got ''\n"
+            assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_failed_write_leaves_no_output(self, synth_tsv, tmp_path, monkeypatch, capsys):
         def full_disk(reports, path):

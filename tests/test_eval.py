@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bllrec.cli import MAX_K
+from bllrec.cli import MAX_K, emit_report
 from bllrec.errors import DataError
-from bllrec.evaluation import EvalReport, emit_report, evaluate_algorithm
+from bllrec.evaluation import EvalReport, evaluate_algorithm
 from bllrec.recommend import build_recommenders
 from bllrec.split import SplitDataset, split_histories
 
